@@ -135,14 +135,6 @@ class Tape:
 
         return self._record(av * bv, (a, b), pullback, needs)
 
-    def scale(self, a: Tensor, c: float) -> Tensor:
-        c = float(c)
-
-        def pullback(g):
-            return (g * c,)
-
-        return self._record(a.value * c, (a,), pullback, a.needs_grad)
-
     def concat(self, tensors: list[Tensor], axis: int) -> Tensor:
         if not tensors:
             raise AutodiffError("concat needs at least one tensor")
@@ -269,17 +261,6 @@ class Tape:
             return (g.T,)
 
         return self._record(a.value.T.copy(), (a,), pullback, a.needs_grad)
-
-    def mean(self, a: Tensor) -> Tensor:
-        size = a.value.size
-        in_shape = a.value.shape
-
-        def pullback(g):
-            return (np.full(in_shape, float(g) / size),)
-
-        return self._record(
-            np.asarray(a.value.mean()), (a,), pullback, a.needs_grad
-        )
 
     def total_sum(self, a: Tensor) -> Tensor:
         in_shape = a.value.shape

@@ -29,16 +29,17 @@ from .manage import (
     ManageError,
     NetworkInput,
     TargetProfile,
-    _mean_runs,
     evaluate_management,
     gd_traffic,
     hillclimb_destinations,
+    mean_runs,
     trajectory_csv,
 )
 from .nettopo import FlowSet, TopologyError
 from .pipeline import (
     DatasetError,
     GenConfig,
+    Normalizer,
     TrainConfig,
     checkpoint_manifest,
     cross_validate,
@@ -48,9 +49,7 @@ from .pipeline import (
     generate_dataset,
     load_dataset,
     model_from_checkpoint,
-    naive_rows,
     run_strategy,
-    simbase_rows,
     train_model,
     training_defaults,
     write_learning_curves,
@@ -323,6 +322,19 @@ def _cmd_train(args: argparse.Namespace) -> int:
 EVAL_DEFAULTS = {"data": None, "out": None}
 
 
+def _load_model(path: str, scenario: str) -> tuple[TwinModel, Normalizer, dict]:
+    """Model, normalizer and manifest of a checkpoint trained on scenario."""
+    params, manifest, _ = load_checkpoint(path)
+    model, normalizer = model_from_checkpoint(params, manifest)
+    ckpt_scenario = manifest.get("dataset", {}).get("scenario")
+    if ckpt_scenario is not None and ckpt_scenario != scenario:
+        raise _CliError(
+            f"checkpoint {path} was trained on scenario {ckpt_scenario!r}, "
+            f"dataset is {scenario!r}"
+        )
+    return model, normalizer, manifest
+
+
 def _row_name(manifest: dict, taken: set[str]) -> str:
     kind = manifest["kind"]
     strategy = manifest.get("strategy", "mtl")
@@ -353,14 +365,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     models: dict[str, TwinModel] = {}
     normalizer = None
     for path in resolved["checkpoints"]:
-        params, manifest, _ = load_checkpoint(path)
-        model, norm = model_from_checkpoint(params, manifest)
-        ckpt_scenario = manifest.get("dataset", {}).get("scenario")
-        if ckpt_scenario is not None and ckpt_scenario != dataset.scenario:
-            raise _CliError(
-                f"checkpoint {path} was trained on scenario {ckpt_scenario!r}, "
-                f"dataset is {dataset.scenario!r}"
-            )
+        model, norm, manifest = _load_model(path, dataset.scenario)
         models[_row_name(manifest, set(models))] = model
         if normalizer is None:
             normalizer = norm
@@ -385,18 +390,11 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     if not cleaned["test"]:
         raise _CliError("dataset has no usable test samples")
     normalizer = fit_normalizer(cleaned["train"])
-    rows = {}
-    rows.update(naive_rows(cleaned["test"], normalizer))
-    rows.update(simbase_rows(cleaned["test"], normalizer))
-    report = {
-        "n_test_samples": len(cleaned["test"]),
-        "iqr": {t: float(normalizer.iqr[k]) for k, t in enumerate(TASKS)},
-        "rows": rows,
-        "clean_report": clean_report,
-        "resolved_config": resolved,
-    }
+    report = evaluation_report({}, cleaned["test"], normalizer)
+    report["clean_report"] = clean_report
+    report["resolved_config"] = resolved
     _write_json(out, report)
-    _emit({"report": str(out), "rows": sorted(rows)})
+    _emit({"report": str(out), "rows": sorted(report["rows"])})
     return 0
 
 
@@ -425,14 +423,9 @@ def _manage_common(args: argparse.Namespace):
     resolved = _resolve(args, MANAGE_DEFAULTS)
     data_dir = Path(_require(resolved["data"], "data"))
     dataset = load_dataset(data_dir)
-    params, manifest, _ = load_checkpoint(_require(resolved["checkpoint"], "checkpoint"))
-    model, normalizer = model_from_checkpoint(params, manifest)
-    ckpt_scenario = manifest.get("dataset", {}).get("scenario")
-    if ckpt_scenario is not None and ckpt_scenario != dataset.scenario:
-        raise _CliError(
-            f"checkpoint scenario {ckpt_scenario!r} does not match "
-            f"dataset {dataset.scenario!r}"
-        )
+    model, normalizer, _ = _load_model(
+        _require(resolved["checkpoint"], "checkpoint"), dataset.scenario
+    )
     split = resolved["split"]
     samples = dataset.splits.get(split, [])
     idx = int(resolved["sample_index"])
@@ -452,7 +445,7 @@ def _manage_common(args: argparse.Namespace):
 
 def _target_from_runs(dataset, sample, normalizer, objective_tasks, seeds):
     x_orig = NetworkInput(sample.flows, sample.traffic)
-    k_targ_raw = _mean_runs(sample.graph, x_orig, dataset.sim_config(), seeds[:3])
+    k_targ_raw = mean_runs(sample.graph, x_orig, dataset.sim_config(), seeds[:3])
     profile = TargetProfile.from_raw(k_targ_raw, normalizer.iqr, objective_tasks)
     return x_orig, profile
 

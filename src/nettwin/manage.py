@@ -30,12 +30,12 @@ from .simulator import (
     TASKS,
     SimConfig,
     TrafficParams,
-    _quiet_nanmean,
     default_sim_config,
     link_capacities,
+    quiet_nanmean,
     run_sim,
 )
-from .twin import GlanceDims, TwinModel, prepare_twin_input
+from .twin import TwinModel, prepare_twin_input
 
 #: projection box for traffic means, matching the continuous training range
 TRAFFIC_BOUNDS = (1.0, 20.0)
@@ -219,10 +219,6 @@ def _objective_and_grad(
     return float(j.value), grads[tau_leaf]
 
 
-def _model_l_max(model: TwinModel) -> int:
-    return model.dims.l_max if isinstance(model.dims, GlanceDims) else 16
-
-
 # -- projected gradient descent over traffic ---------------------------------
 
 
@@ -260,7 +256,7 @@ def gd_traffic(
         capacities = link_capacities(graph, default_sim_config(graph.wired))
 
     traffic = TrafficParams(tuple(tau[:, 0]), tuple(tau[:, 1]))
-    inp = prepare_twin_input(graph, table, traffic, capacities, _model_l_max(model))
+    inp = prepare_twin_input(graph, table, traffic, capacities, model.l_max)
 
     alpha = float(alpha0)
     j_cur, grad = _objective_and_grad(model, inp, k_targ, tau)
@@ -348,7 +344,7 @@ def hillclimb_destinations(
     if capacities is None:
         capacities = link_capacities(graph, default_sim_config(graph.wired))
     tie_seed = derive_seed(rng_seed, "ties")
-    l_max = _model_l_max(model)
+    l_max = model.l_max
 
     cache: dict[tuple[int, ...], float] = {}
 
@@ -428,17 +424,18 @@ class NetworkInput:
             raise ManageError("flows and traffic disagree on flow count")
 
 
-def _mean_runs(
+def mean_runs(
     graph: Graph,
     state: NetworkInput,
     config: SimConfig,
     seeds: list[int],
 ) -> np.ndarray:
+    """KPI mean of one simulator run per seed, each routed with its own seed."""
     kpis = []
     for s in seeds:
         table = shortest_paths(graph, state.flows, derive_seed(s, "routing"))
         kpis.append(run_sim(graph, table, state.traffic, config, derive_seed(s, "sim")).kpis)
-    return _quiet_nanmean(np.stack(kpis), axis=0)
+    return quiet_nanmean(np.stack(kpis), axis=0)
 
 
 def _masked_mae(
@@ -522,9 +519,9 @@ def evaluate_management(
     iqr = np.asarray(iqr, dtype=np.float64)
     if iqr.shape != (len(TASKS),) or np.any(iqr <= 0):
         raise ManageError("iqr must be 4 positive scales")
-    k_targ = _mean_runs(graph, x_orig, config, seeds[:3])
-    k_bm = _mean_runs(graph, x_orig, config, seeds[3:6])
-    k_gen = _mean_runs(graph, x_gen, config, seeds[6:9])
+    k_targ = mean_runs(graph, x_orig, config, seeds[:3])
+    k_bm = mean_runs(graph, x_orig, config, seeds[3:6])
+    k_gen = mean_runs(graph, x_gen, config, seeds[6:9])
     if result is None:
         result = ManageResult(
             kind="evaluation",

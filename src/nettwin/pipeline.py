@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +47,7 @@ from .simulator import (
     TrafficParams,
     default_sim_config,
     link_capacities,
+    quiet_nanmean,
     run_benchmarks,
     sample_traffic_params,
 )
@@ -479,8 +480,7 @@ def clean_test_samples(samples: list[Sample]) -> tuple[list[Sample], dict]:
             if np.any(missing.all(axis=0)):
                 continue
             if missing.any():
-                with np.errstate(invalid="ignore"):
-                    fill = np.nanmean(stack, axis=0)
+                fill = quiet_nanmean(stack, axis=0)
                 imputed_cells += int(missing.sum())
                 filled = [
                     np.where(missing[r], fill, stack[r])
@@ -599,12 +599,6 @@ class TrainConfig:
         return LARGE if self.size == "large" else COMPACT
 
 
-def _model_l_max(model: TwinModel, fallback: int = 16) -> int:
-    if isinstance(model.dims, GlanceDims):
-        return model.dims.l_max
-    return fallback  # the gnn reads no path arrays, any loose bound works
-
-
 def _loss_terms(
     labels: np.ndarray, task_idx: list[int], iqr: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -628,7 +622,7 @@ def sample_loss_value(
     model: TwinModel, sample: Sample, normalizer: Normalizer, task_idx: list[int]
 ) -> tuple[float, np.ndarray]:
     """Forward-only loss and its per-task components."""
-    inp = sample.twin_input(_model_l_max(model))
+    inp = sample.twin_input(model.l_max)
     preds = model.predict(inp)
     clean, weights = _loss_terms(sample.labels, task_idx, normalizer.iqr)
     per_task = np.sum(np.abs(preds - clean) * weights, axis=0)
@@ -697,7 +691,7 @@ def train_model(
         adam = AdamState.zeros_like(model.params)
     history = list(history) if history else []
 
-    l_max = _model_l_max(model)
+    l_max = model.l_max
     prepared = []
     for s in train_samples:
         clean_full = np.zeros((len(s.table.paths), len(model.tasks)))
@@ -937,7 +931,7 @@ def evaluate_model(
     Models trained on a task subset report NaN for the tasks they lack.
     """
     preds_list, labels_list = [], []
-    l_max = _model_l_max(model)
+    l_max = model.l_max
     col_of = {t: k for k, t in enumerate(model.tasks)}
     for s in test_samples:
         out = model.predict(s.twin_input(l_max))
@@ -960,8 +954,7 @@ def simbase_rows(
     for n in range(1, max_n + 1):
         preds_list = []
         for s in test_samples:
-            with np.errstate(invalid="ignore"):
-                preds_list.append(np.nanmean(np.stack(s.bench_runs[:n]), axis=0))
+            preds_list.append(quiet_nanmean(np.stack(s.bench_runs[:n]), axis=0))
         rows[f"simbase_{n}"] = nmae_row(
             preds_list, [s.labels for s in test_samples], normalizer.iqr
         )
@@ -1008,27 +1001,10 @@ def checkpoint_manifest(
     result: TrainResult,
     dataset_manifest: dict | None = None,
 ) -> dict:
-    dims = model.dims
-    if isinstance(dims, GlanceDims):
-        dims_payload = {
-            "d_node": dims.d_node,
-            "d_link": dims.d_link,
-            "d_path": dims.d_path,
-            "t_layers": dims.t_layers,
-            "l_max": dims.l_max,
-            "link_hidden": list(dims.link_hidden),
-            "readout_hidden": list(dims.readout_hidden),
-        }
-    else:
-        dims_payload = {
-            "n_flows": dims.n_flows,
-            "channels": dims.channels,
-            "n_layers": dims.n_layers,
-        }
     manifest = {
         "kind": model.kind,
         "tasks": list(model.tasks),
-        "dims": dims_payload,
+        "dims": asdict(model.dims),
         "normalizer": normalizer.to_jsonable(),
         "strategy": config.strategy,
         "target_task": config.target_task,
@@ -1059,10 +1035,7 @@ def model_from_checkpoint(params: ParamSet, manifest: dict) -> tuple[TwinModel, 
     if kind == "gnn":
         dims: GlanceDims | GnnDims = GnnDims(**manifest["dims"])
     else:
-        payload = dict(manifest["dims"])
-        payload["link_hidden"] = tuple(payload["link_hidden"])
-        payload["readout_hidden"] = tuple(payload["readout_hidden"])
-        dims = GlanceDims(**payload)
+        dims = GlanceDims(**manifest["dims"])
     model = TwinModel(kind, tasks, params, dims)
     return model, Normalizer.from_jsonable(manifest["normalizer"])
 

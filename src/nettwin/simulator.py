@@ -42,8 +42,8 @@ ATTEN_REF = 1.0 / math.log(1.0 + 30.0 * 30.0)
 _ARRIVAL, _TX_END = 0, 1
 
 
-def _quiet_nanmean(stack: np.ndarray, axis: int) -> np.ndarray:
-    # a cell missing in every slice is legitimate; keep numpy quiet about it
+def quiet_nanmean(stack: np.ndarray, axis: int) -> np.ndarray:
+    """np.nanmean; a cell missing in every slice is legitimate, so stay quiet."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return np.nanmean(stack, axis=axis)
@@ -429,28 +429,4 @@ def simbase_estimate(runset: RunSet, n: int) -> np.ndarray:
             f"n must be in [1, {len(runset.records) - 1}], got {n}"
         )
     stack = np.stack([rec.kpis for rec in runset.records[1 : 1 + n]])
-    return _quiet_nanmean(stack, axis=0)
-
-
-def management_runs(
-    graph: Graph,
-    flows: FlowSet,
-    traffic: TrafficParams,
-    config: SimConfig,
-    seeds: list[int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two 3-run KPI averages of the same network state.
-
-    The first average (runs 0-2) sets management targets; the second (runs
-    3-5) is the benchmark yardstick those targets are compared against.
-    """
-    if len(seeds) != 6 or len(set(seeds)) != 6:
-        raise SimulationError("management_runs needs six distinct seeds")
-    kpis = []
-    for s in seeds:
-        table = shortest_paths(graph, flows, derive_seed(s, "routing"))
-        rec = run_sim(graph, table, traffic, config, derive_seed(s, "sim"))
-        kpis.append(rec.kpis)
-    k_a = _quiet_nanmean(np.stack(kpis[:3]), axis=0)
-    k_b = _quiet_nanmean(np.stack(kpis[3:]), axis=0)
-    return k_a, k_b
+    return quiet_nanmean(stack, axis=0)

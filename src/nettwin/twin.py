@@ -9,9 +9,9 @@ Three model kinds share one interface:
   graph convolution refreshing node embeddings from their outgoing links.
   K parallel MLP readouts map final path embeddings to per-flow KPIs. The
   subnet parameters are shared across the T layers.
-* ``routenet``: ablation of ``glance`` with the node pathway removed (GRU
-  input is the link embedding alone, the link MLP drops the node term, no
-  graph convolution).
+* ``routenet``: the same path model with the node pathway off (GRU input is
+  the link embedding alone, the link MLP drops the node term, no graph
+  convolution). Both kinds run one forward, ``path_forward``.
 * ``gnn``: fixed-flow-count baseline. Node features hold the on/off means of
   the flows whose path crosses the node; three graph conv layers, mean pool,
   one dense head per KPI. Deliberately not equivariant to flow reordering.
@@ -35,7 +35,7 @@ from .autodiff import (
     glorot_uniform,
     gru_cell,
 )
-from .nettopo import Graph
+from .nettopo import Graph, degree_vector
 from .routing import RoutingTable
 from .seeding import make_rng
 from .simulator import TASKS, TrafficParams
@@ -146,7 +146,7 @@ class TwinInput:
         self.l_max = l_max
         self.tau_feat = np.stack([traffic.tau_on, traffic.tau_off], axis=1)
         self.caps_scaled = caps / CAPACITY_SCALE
-        self.degrees = 0.5 * (graph.adjacency.sum(1) + graph.adjacency.sum(0))
+        self.degrees = degree_vector(graph)
         self.s_norm = sym_normalized_operator(graph.adjacency)
         self.link_tails = np.array([i for i, _ in graph.links], dtype=np.int64)
 
@@ -215,44 +215,30 @@ def _add_mlp(
         params.add(f"{prefix}/{name}_b", np.zeros(out))
 
 
-def init_glance_params(
-    dims: GlanceDims, tasks: tuple[str, ...], seed: int
+def init_path_params(
+    kind: str, dims: GlanceDims, tasks: tuple[str, ...], seed: int
 ) -> ParamSet:
-    rng = make_rng(seed, "glance-init")
+    """Parameters of a path model; routenet has no node inputs and no ``egc/w``.
+
+    Draws come from the kind's own stream in a fixed order: GRU gates, link
+    MLP, ``egc/w`` (glance only), readouts.
+    """
+    nodes = kind == "glance"
+    rng = make_rng(seed, f"{kind}-init")
     params = ParamSet()
-    d_in = dims.d_link + dims.d_node
+    d_in = dims.d_link + (dims.d_node if nodes else 0)
     for gate in ("z", "r", "h"):
         params.add(f"gru/w_{gate}", glorot_uniform(rng, d_in, dims.d_path))
         params.add(f"gru/u_{gate}", glorot_uniform(rng, dims.d_path, dims.d_path))
         params.add(f"gru/b_{gate}", np.zeros(dims.d_path))
-    link_in = dims.d_link + dims.d_node + dims.d_path
+    link_in = d_in + dims.d_path
     _add_mlp(
         params, rng, "link", [link_in, *dims.link_hidden], ("proj", dims.d_link)
     )
-    params.add("egc/w", glorot_uniform(rng, dims.d_node + dims.d_link, dims.d_node))
-    for task in tasks:
-        _add_mlp(
-            params, rng, f"readout/{task}", [dims.d_path, *dims.readout_hidden], ("out", 1)
+    if nodes:
+        params.add(
+            "egc/w", glorot_uniform(rng, dims.d_node + dims.d_link, dims.d_node)
         )
-    return params
-
-
-def init_routenet_params(
-    dims: GlanceDims, tasks: tuple[str, ...], seed: int
-) -> ParamSet:
-    rng = make_rng(seed, "routenet-init")
-    params = ParamSet()
-    for gate in ("z", "r", "h"):
-        params.add(f"gru/w_{gate}", glorot_uniform(rng, dims.d_link, dims.d_path))
-        params.add(f"gru/u_{gate}", glorot_uniform(rng, dims.d_path, dims.d_path))
-        params.add(f"gru/b_{gate}", np.zeros(dims.d_path))
-    _add_mlp(
-        params,
-        rng,
-        "link",
-        [dims.d_link + dims.d_path, *dims.link_hidden],
-        ("proj", dims.d_link),
-    )
     for task in tasks:
         _add_mlp(
             params, rng, f"readout/{task}", [dims.d_path, *dims.readout_hidden], ("out", 1)
@@ -353,15 +339,22 @@ def _step_masks(tape: Tape, inp: TwinInput, width: int) -> list[Tensor]:
     ]
 
 
-def glance_forward(
+def path_forward(
     tape: Tape,
     bound: dict[str, Tensor],
     inp: TwinInput,
     dims: GlanceDims,
     tasks: tuple[str, ...],
-    tau: Tensor | None = None,
+    tau: Tensor | None,
+    *,
+    nodes: bool,
 ) -> Tensor:
-    """Full twin forward; returns (F, len(tasks)) in the caller's flow order."""
+    """Path-model forward; returns (F, len(tasks)) in the caller's flow order.
+
+    ``nodes`` runs the node pathway (glance). Without it (routenet) the GRU
+    input is the link embedding alone, the link MLP drops the node term and
+    the graph convolution is skipped.
+    """
     gru = {key: bound[f"gru/{key}"] for key in GRU_PARAM_KEYS}
     h_p, h_l, h_n = init_embeddings(tape, inp, dims, tau)
     masks = _step_masks(tape, inp, dims.d_path)
@@ -372,13 +365,9 @@ def glance_forward(
         h = h_p
         m_parts = []
         for s in range(inp.max_steps):
-            x = tape.concat(
-                [
-                    tape.gather(h_l_ext, inp.link_ids[:, s]),
-                    tape.gather(h_n, inp.tail_ids[:, s]),
-                ],
-                1,
-            )
+            x = tape.gather(h_l_ext, inp.link_ids[:, s])
+            if nodes:
+                x = tape.concat([x, tape.gather(h_n, inp.tail_ids[:, s])], 1)
             h_new = gru_cell(tape, x, h, gru)
             # paths shorter than s keep their state; padded slots stay zero
             h = tape.add(h, tape.mul(masks[s], tape.sub(h_new, h)))
@@ -387,56 +376,19 @@ def glance_forward(
         m_stack = tape.concat(m_parts, 0)
         seg = tape.segment_sum(m_stack, inp.seg_ids, inp.n_links + 1)
         link_sums = tape.gather(seg, link_range)
-        x = tape.concat(
-            [h_l, tape.gather(h_n, inp.link_tails), link_sums], 1
-        )
+        if nodes:
+            x = tape.concat([h_l, tape.gather(h_n, inp.link_tails), link_sums], 1)
+        else:
+            x = tape.concat([h_l, link_sums], 1)
         h_l = _run_mlp(tape, x, bound, "link", len(dims.link_hidden), "proj")
-        out_sums = tape.segment_sum(h_l, inp.link_tails, inp.n_nodes)
-        h_n = tape.relu(
-            tape.matmul(
-                tape.constant(inp.s_norm),
-                tape.matmul(tape.concat([h_n, out_sums], 1), bound["egc/w"]),
+        if nodes:
+            out_sums = tape.segment_sum(h_l, inp.link_tails, inp.n_nodes)
+            h_n = tape.relu(
+                tape.matmul(
+                    tape.constant(inp.s_norm),
+                    tape.matmul(tape.concat([h_n, out_sums], 1), bound["egc/w"]),
+                )
             )
-        )
-    preds = _readouts(tape, h_p, bound, dims, tasks)
-    return tape.gather(preds, inp.inv_order)
-
-
-def routenet_forward(
-    tape: Tape,
-    bound: dict[str, Tensor],
-    inp: TwinInput,
-    dims: GlanceDims,
-    tasks: tuple[str, ...],
-    tau: Tensor | None = None,
-) -> Tensor:
-    """Node-blind ablation; returns (F, len(tasks)) in the caller's order."""
-    gru = {key: bound[f"gru/{key}"] for key in GRU_PARAM_KEYS}
-    h_p, h_l, _ = init_embeddings(tape, inp, dims, tau)
-    masks = _step_masks(tape, inp, dims.d_path)
-    zero_row = tape.constant(np.zeros((1, dims.d_link)))
-    link_range = np.arange(inp.n_links)
-    for _ in range(dims.t_layers):
-        h_l_ext = tape.concat([h_l, zero_row], 0)
-        h = h_p
-        m_parts = []
-        for s in range(inp.max_steps):
-            x = tape.gather(h_l_ext, inp.link_ids[:, s])
-            h_new = gru_cell(tape, x, h, gru)
-            h = tape.add(h, tape.mul(masks[s], tape.sub(h_new, h)))
-            m_parts.append(tape.mul(h, masks[s]))
-        h_p = h
-        m_stack = tape.concat(m_parts, 0)
-        seg = tape.segment_sum(m_stack, inp.seg_ids, inp.n_links + 1)
-        link_sums = tape.gather(seg, link_range)
-        h_l = _run_mlp(
-            tape,
-            tape.concat([h_l, link_sums], 1),
-            bound,
-            "link",
-            len(dims.link_hidden),
-            "proj",
-        )
     preds = _readouts(tape, h_p, bound, dims, tasks)
     return tape.gather(preds, inp.inv_order)
 
@@ -504,13 +456,21 @@ class TwinModel:
         inp: TwinInput,
         tau: Tensor | None = None,
     ) -> Tensor:
-        if self.kind == "glance":
-            return glance_forward(tape, bound, inp, self.dims, self.tasks, tau)
-        if self.kind == "routenet":
-            return routenet_forward(tape, bound, inp, self.dims, self.tasks, tau)
+        if self.kind != "gnn":
+            return path_forward(
+                tape, bound, inp, self.dims, self.tasks, tau, nodes=self.kind == "glance"
+            )
         if tau is not None:
             raise TwinError("the gnn baseline does not take a tau override")
         return gnn_forward(tape, bound, inp, self.dims, self.tasks)
+
+    @property
+    def l_max(self) -> int:
+        """Longest path the model's inputs are built for.
+
+        The gnn reads no path arrays, so any loose bound works for it.
+        """
+        return self.dims.l_max if isinstance(self.dims, GlanceDims) else 16
 
     def predict(self, inp: TwinInput) -> np.ndarray:
         """Inference convenience: fresh tape, constant-bound parameters."""
@@ -550,12 +510,9 @@ def make_model(
 ) -> TwinModel:
     """Build a freshly initialized model of the requested kind."""
     tasks = tuple(tasks)
-    if kind == "glance":
+    if kind in ("glance", "routenet"):
         d = dims or COMPACT
-        return TwinModel(kind, tasks, init_glance_params(d, tasks, seed), d)
-    if kind == "routenet":
-        d = dims or COMPACT
-        return TwinModel(kind, tasks, init_routenet_params(d, tasks, seed), d)
+        return TwinModel(kind, tasks, init_path_params(kind, d, tasks, seed), d)
     if kind == "gnn":
         if gnn_dims is None:
             if n_flows is None:

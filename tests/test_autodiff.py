@@ -75,10 +75,8 @@ class TestForwardValues:
     def test_reductions(self):
         t = Tape()
         a = t.constant([[1.0, 2.0], [3.0, 4.0]])
-        assert t.mean(a).value.item() == 2.5
         assert t.total_sum(a).value.item() == 10.0
         assert np.array_equal(t.absolute(t.constant([[-2.0, 3.0]])).value, [[2.0, 3.0]])
-        assert np.array_equal(t.scale(a, -1.5).value, [[-1.5, -3.0], [-4.5, -6.0]])
 
 
 class TestShapeChecks:
@@ -193,7 +191,7 @@ class TestGradients:
             g = t.gather(xs, [2, 0, 1, 3, 3])
             s = t.segment_sum(g, [0, 0, 1, 1, 2], 3)
             c = t.concat([s, t.relu(s)], axis=1)
-            return t, xs, t.mean(t.absolute(c))
+            return t, xs, t.total_sum(t.absolute(c))
 
         t, xs, loss = forward(x)
         grads = t.backward(loss)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from nettwin.manage import NetworkInput, mean_runs
 from nettwin.nettopo import FlowSet, build_nsfnet, build_reg_grid
 from nettwin.routing import shortest_paths
 from nettwin.seeding import derive_seed
@@ -19,7 +20,6 @@ from nettwin.simulator import (
     benchmark_run_seeds,
     default_sim_config,
     link_capacities,
-    management_runs,
     run_benchmarks,
     run_sim,
     sample_traffic_params,
@@ -293,24 +293,17 @@ class TestManagementRuns:
         traffic = TrafficParams((5.0,), (5.0,))
         config = default_sim_config(wired=True, t_gen=10.0)
         seeds = [derive_seed(100, "mg", k) for k in range(6)]
-        k_a, k_b = management_runs(line3, flows, traffic, config, seeds)
+        state = NetworkInput(flows, traffic)
+        k_a = mean_runs(line3, state, config, seeds[:3])
+        k_b = mean_runs(line3, state, config, seeds[3:])
         # per-packet latency is structurally constant here, so both
         # averages land on the same value; jitter is identically zero
         assert k_a[0, DELAY] == pytest.approx(3.36, abs=1e-9)
         assert k_b[0, DELAY] == pytest.approx(3.36, abs=1e-9)
         assert k_a[0, JITTER] == pytest.approx(0.0, abs=1e-12)
         assert k_b[0, JITTER] == pytest.approx(0.0, abs=1e-12)
-        again = management_runs(line3, flows, traffic, config, seeds)
-        assert np.array_equal(k_a, again[0]) and np.array_equal(k_b, again[1])
-
-    def test_seed_list_validation(self, line3):
-        flows = FlowSet((0,), (2,))
-        traffic = TrafficParams((1.0,), (1.0,))
-        config = default_sim_config(wired=True, t_gen=2.0)
-        with pytest.raises(SimulationError, match="six"):
-            management_runs(line3, flows, traffic, config, [1, 2, 3, 4, 5])
-        with pytest.raises(SimulationError, match="six"):
-            management_runs(line3, flows, traffic, config, [1, 1, 2, 3, 4, 5])
+        assert np.array_equal(k_a, mean_runs(line3, state, config, seeds[:3]))
+        assert np.array_equal(k_b, mean_runs(line3, state, config, seeds[3:]))
 
     def test_averages_converge_with_longer_runs(self):
         # the two 3-run averages estimate the same state, so their gap
@@ -324,7 +317,9 @@ class TestManagementRuns:
             for inst in range(16):
                 traffic = sample_traffic_params(2, "continuous", seed=inst)
                 seeds = [derive_seed(inst, "conv", int(t_gen), k) for k in range(6)]
-                k_a, k_b = management_runs(graph, flows, traffic, config, seeds)
+                state = NetworkInput(flows, traffic)
+                k_a = mean_runs(graph, state, config, seeds[:3])
+                k_b = mean_runs(graph, state, config, seeds[3:])
                 diffs.append(np.abs(k_a - k_b))
             pooled = np.stack(diffs)
             with np.errstate(invalid="ignore"):
