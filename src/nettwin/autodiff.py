@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import base64
 import json
+import math
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -47,8 +49,25 @@ def _as_f64(value) -> np.ndarray:
     return arr
 
 
+def _scatter_rows(a: np.ndarray, ids: np.ndarray, n_rows: int) -> np.ndarray:
+    """out[ids[k]] += a[k] for every row k, into n_rows zero rows.
+
+    One bincount over flat cell indices; each cell sums its rows in row
+    order from +0.0, exactly as ``np.add.at`` does, so the bytes agree.
+    """
+    cols = a.shape[1]
+    flat = (ids[:, None] * cols + np.arange(cols)).ravel()
+    out = np.bincount(flat, weights=a.ravel(), minlength=n_rows * cols)
+    return out.reshape(n_rows, cols)
+
+
 class Tape:
-    """Wengert list: append-only record of primitive applications."""
+    """Wengert list: append-only record of primitive applications.
+
+    Pullbacks capture arrays and flags, never operand tensors: a tensor
+    points at its tape, so a captured tensor would make a reference cycle
+    and keep a finished tape's arrays alive until the cyclic collector ran.
+    """
 
     def __init__(self) -> None:
         # parallel node storage: parents[i], pullbacks[i] for node i
@@ -58,11 +77,13 @@ class Tape:
         self._shapes: list[tuple[int, ...]] = []
 
     def _record(self, value, parents, pullback, needs_grad) -> Tensor:
+        ids = []
         for p in parents:
             if p.tape is not self:
                 raise AutodiffError("operand tensor belongs to a different tape")
+            ids.append(p.node_id)
         node_id = len(self._parents)
-        self._parents.append(tuple(p.node_id for p in parents))
+        self._parents.append(tuple(ids))
         self._pullbacks.append(pullback)
         self._needs.append(needs_grad)
         self._shapes.append(value.shape)
@@ -86,14 +107,14 @@ class Tape:
             raise AutodiffError(
                 f"matmul shape mismatch: left {av.shape}, right {bv.shape}"
             )
-        needs = a.needs_grad or b.needs_grad
+        need_a, need_b = a.needs_grad, b.needs_grad
 
         def pullback(g):
-            ga = g @ bv.T if a.needs_grad else None
-            gb = av.T @ g if b.needs_grad else None
+            ga = g @ bv.T if need_a else None
+            gb = av.T @ g if need_b else None
             return ga, gb
 
-        return self._record(av @ bv, (a, b), pullback, needs)
+        return self._record(av @ bv, (a, b), pullback, need_a or need_b)
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         """Elementwise add; also accepts a trailing-axis bias (m, n) + (n,)."""
@@ -101,39 +122,39 @@ class Tape:
         bias = av.ndim == 2 and bv.ndim == 1 and av.shape[1] == bv.shape[0]
         if not bias and av.shape != bv.shape:
             raise AutodiffError(f"add shape mismatch: {av.shape} vs {bv.shape}")
-        needs = a.needs_grad or b.needs_grad
+        need_a, need_b = a.needs_grad, b.needs_grad
 
         def pullback(g):
-            ga = g if a.needs_grad else None
-            if not b.needs_grad:
+            ga = g if need_a else None
+            if not need_b:
                 return ga, None
             return ga, g.sum(axis=0) if bias else g
 
-        return self._record(av + bv, (a, b), pullback, needs)
+        return self._record(av + bv, (a, b), pullback, need_a or need_b)
 
     def sub(self, a: Tensor, b: Tensor) -> Tensor:
         av, bv = a.value, b.value
         if av.shape != bv.shape:
             raise AutodiffError(f"sub shape mismatch: {av.shape} vs {bv.shape}")
-        needs = a.needs_grad or b.needs_grad
+        need_a, need_b = a.needs_grad, b.needs_grad
 
         def pullback(g):
-            return (g if a.needs_grad else None, -g if b.needs_grad else None)
+            return (g if need_a else None, -g if need_b else None)
 
-        return self._record(av - bv, (a, b), pullback, needs)
+        return self._record(av - bv, (a, b), pullback, need_a or need_b)
 
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
         av, bv = a.value, b.value
         if av.shape != bv.shape:
             raise AutodiffError(f"mul shape mismatch: {av.shape} vs {bv.shape}")
-        needs = a.needs_grad or b.needs_grad
+        need_a, need_b = a.needs_grad, b.needs_grad
 
         def pullback(g):
-            ga = g * bv if a.needs_grad else None
-            gb = g * av if b.needs_grad else None
+            ga = g * bv if need_a else None
+            gb = g * av if need_b else None
             return ga, gb
 
-        return self._record(av * bv, (a, b), pullback, needs)
+        return self._record(av * bv, (a, b), pullback, need_a or need_b)
 
     def concat(self, tensors: list[Tensor], axis: int) -> Tensor:
         if not tensors:
@@ -150,8 +171,7 @@ class Tape:
                     f"concat shape mismatch along axis {axis}: "
                     f"{[v.shape for v in values]}"
                 )
-        sizes = [v.shape[axis] for v in values]
-        offsets = np.cumsum([0] + sizes)
+        offsets = list(accumulate((v.shape[axis] for v in values), initial=0))
         needs_each = [t.needs_grad for t in tensors]
 
         def pullback(g):
@@ -161,7 +181,7 @@ class Tape:
                     out.append(None)
                     continue
                 sl = [slice(None)] * ndim
-                sl[axis] = slice(int(offsets[k]), int(offsets[k + 1]))
+                sl[axis] = slice(offsets[k], offsets[k + 1])
                 out.append(g[tuple(sl)])
             return tuple(out)
 
@@ -222,12 +242,10 @@ class Tape:
             raise AutodiffError(
                 f"gather index out of range for {a.value.shape[0]} rows"
             )
-        in_shape = a.value.shape
+        n_rows = a.value.shape[0]
 
         def pullback(g):
-            acc = np.zeros(in_shape, dtype=np.float64)
-            np.add.at(acc, idx, g)
-            return (acc,)
+            return (_scatter_rows(g, idx, n_rows),)
 
         return self._record(a.value[idx], (a,), pullback, a.needs_grad)
 
@@ -245,22 +263,23 @@ class Tape:
             )
         if ids.size and (ids.min() < 0 or ids.max() >= n_segments):
             raise AutodiffError(f"segment id out of range [0, {n_segments})")
-        out = np.zeros((n_segments, a.value.shape[1]), dtype=np.float64)
-        np.add.at(out, ids, a.value)
+        out = _scatter_rows(a.value, ids, n_segments)
 
         def pullback(g):
             return (g[ids],)
 
         return self._record(out, (a,), pullback, a.needs_grad)
 
-    def transpose(self, a: Tensor) -> Tensor:
-        if a.value.ndim != 2:
-            raise AutodiffError(f"transpose input must be 2-D, got {a.value.shape}")
+    def reshape(self, a: Tensor, shape: tuple[int, ...]) -> Tensor:
+        """Same values in row-major order under a new shape."""
+        in_shape = a.value.shape
+        if math.prod(shape) != a.value.size:
+            raise AutodiffError(f"cannot reshape {in_shape} to {shape}")
 
         def pullback(g):
-            return (g.T,)
+            return (g.reshape(in_shape),)
 
-        return self._record(a.value.T.copy(), (a,), pullback, a.needs_grad)
+        return self._record(a.value.reshape(shape), (a,), pullback, a.needs_grad)
 
     def total_sum(self, a: Tensor) -> Tensor:
         in_shape = a.value.shape

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import AdamState, ParamSet, Tape, adam_step
+from .autodiff import AdamState, ParamSet, Tape, Tensor, adam_step
 from .nettopo import (
     FlowSet,
     Graph,
@@ -38,7 +38,7 @@ from .nettopo import (
     save_topology,
 )
 from .routing import Path as RoutePath
-from .routing import RoutingTable, _bfs_distances
+from .routing import RoutingTable, _bfs_distances, validate_table
 from .seeding import derive_seed, make_rng
 from .simulator import (
     TASKS,
@@ -56,7 +56,9 @@ from .twin import (
     LARGE,
     GlanceDims,
     GnnDims,
+    TwinInput,
     TwinModel,
+    batch_inputs,
     make_model,
     prepare_twin_input,
 )
@@ -70,6 +72,10 @@ JITTER_LIMIT_MS = 200.0
 
 #: IQR floor that keeps constant KPI columns divisible
 IQR_EPS = 1e-9
+
+#: samples per forward when validating and evaluating; bounds the size of
+#: a batch's dense block-diagonal node operator
+EVAL_CHUNK = 10
 
 SPLITS = ("train", "val", "test")
 
@@ -389,6 +395,14 @@ def _sample_from_record(
     graph = graphs[graph_id]
     flows = FlowSet(tuple(record["sources"]), tuple(record["destinations"]))
     traffic = TrafficParams(tuple(record["tau_on"]), tuple(record["tau_off"]))
+    violations = validate_table(record["paths"], graph, flows, manifest.get("l_max"))
+    if violations:
+        v = violations[0]
+        where = "" if v.flow_index < 0 else f" flow {v.flow_index}"
+        raise DatasetError(
+            f"{split} sample {record['index']}:{where} bad route, "
+            f"{v.kind}: {v.detail}"
+        )
     paths = tuple(
         RoutePath(f, tuple((int(i), int(j)) for i, j in links))
         for f, links in enumerate(record["paths"])
@@ -618,15 +632,76 @@ def _loss_terms(
     return np.where(finite, picked, 0.0), weights
 
 
+def loss_targets(
+    model: TwinModel, sample: Sample, active: tuple[str, ...], iqr: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Targets and loss weights in the model's task columns.
+
+    Columns of tasks outside ``active`` weigh nothing.
+    """
+    clean_full = np.zeros((len(sample.table.paths), len(model.tasks)))
+    weights_full = np.zeros_like(clean_full)
+    clean, weights = _loss_terms(sample.labels, [TASKS.index(t) for t in active], iqr)
+    for k, t in enumerate(active):
+        col = model.tasks.index(t)
+        clean_full[:, col] = clean[:, k]
+        weights_full[:, col] = weights[:, k]
+    return clean_full, weights_full
+
+
+def batch_loss(
+    model: TwinModel,
+    tape: Tape,
+    bound: dict[str, Tensor],
+    batch: list[tuple[TwinInput, np.ndarray, np.ndarray]],
+) -> tuple[Tensor, np.ndarray, TwinInput]:
+    """Mean over a mini-batch of each sample's loss, on one tape.
+
+    ``batch`` holds (input, targets, weights) per sample. The weights are
+    scaled by 1/B, so the loss's gradient is the mean of the per-sample
+    gradients. Also returns the unscaled weighted |error| per flow row, and
+    the batch input whose ``flow_offsets`` split those rows by sample.
+    """
+    inp = batch_inputs([b[0] for b in batch])
+    clean = np.concatenate([b[1] for b in batch])
+    weights = np.concatenate([b[2] for b in batch])
+    preds = model.forward(tape, bound, inp)
+    diff = tape.absolute(tape.sub(preds, tape.constant(clean)))
+    loss = tape.total_sum(tape.mul(diff, tape.constant(weights * (1.0 / len(batch)))))
+    return loss, np.abs(preds.value - clean) * weights, inp
+
+
+def predict_samples(model: TwinModel, samples: list[Sample]) -> list[np.ndarray]:
+    """Each sample's (F, len(model.tasks)) predictions.
+
+    One forward covers a chunk of EVAL_CHUNK samples.
+    """
+    out: list[np.ndarray] = []
+    for c0 in range(0, len(samples), EVAL_CHUNK):
+        chunk = samples[c0 : c0 + EVAL_CHUNK]
+        inp = batch_inputs([s.twin_input(model.l_max) for s in chunk])
+        out += np.split(model.predict(inp), inp.flow_offsets[1:-1])
+    return out
+
+
+def loss_values(
+    model: TwinModel, samples: list[Sample], normalizer: Normalizer, task_idx: list[int]
+) -> list[tuple[float, np.ndarray]]:
+    """Forward-only loss of each sample and its per-task components."""
+    cols = [model.tasks.index(TASKS[k]) for k in task_idx]
+    out = []
+    for s, preds in zip(samples, predict_samples(model, samples)):
+        clean, weights = _loss_terms(s.labels, task_idx, normalizer.iqr)
+        per_task = np.sum(np.abs(preds[:, cols] - clean) * weights, axis=0)
+        out.append((float(per_task.sum()), per_task))
+    return out
+
+
 def sample_loss_value(
     model: TwinModel, sample: Sample, normalizer: Normalizer, task_idx: list[int]
 ) -> tuple[float, np.ndarray]:
     """Forward-only loss and its per-task components."""
-    inp = sample.twin_input(model.l_max)
-    preds = model.predict(inp)
-    clean, weights = _loss_terms(sample.labels, task_idx, normalizer.iqr)
-    per_task = np.sum(np.abs(preds - clean) * weights, axis=0)
-    return float(per_task.sum()), per_task
+    return loss_values(model, [sample], normalizer, task_idx)[0]
 
 
 @dataclass
@@ -674,7 +749,6 @@ def train_model(
     if unknown:
         raise DatasetError(f"active tasks {unknown} not in model tasks {model.tasks}")
     task_idx = [TASKS.index(t) for t in active]
-    # loss columns live in model-task order; inactive columns get zero weight
     col_of = {t: k for k, t in enumerate(model.tasks)}
 
     update_only = None
@@ -691,44 +765,28 @@ def train_model(
         adam = AdamState.zeros_like(model.params)
     history = list(history) if history else []
 
-    l_max = model.l_max
-    prepared = []
-    for s in train_samples:
-        clean_full = np.zeros((len(s.table.paths), len(model.tasks)))
-        weights_full = np.zeros_like(clean_full)
-        clean, weights = _loss_terms(s.labels, task_idx, normalizer.iqr)
-        for k, t in enumerate(active):
-            clean_full[:, col_of[t]] = clean[:, k]
-            weights_full[:, col_of[t]] = weights[:, k]
-        prepared.append((s.twin_input(l_max), clean_full, weights_full))
-
-    names = model.params.names()
+    prepared = [
+        (s.twin_input(model.l_max), *loss_targets(model, s, active, normalizer.iqr))
+        for s in train_samples
+    ]
     for epoch in range(start_epoch, epochs):
         order = make_rng(seed, "epoch", epoch).permutation(len(prepared))
         epoch_loss = 0.0
         epoch_per_task = np.zeros(len(active))
         for b0 in range(0, len(order), batch_size):
-            batch = order[b0 : b0 + batch_size]
-            grad_acc = {n: np.zeros_like(model.params[n]) for n in names}
-            for i in batch:
-                inp, clean_full, weights_full = prepared[i]
-                tape = Tape()
-                bound = model.params.bind(tape)
-                preds = model.forward(tape, bound, inp)
-                diff = tape.absolute(tape.sub(preds, tape.constant(clean_full)))
-                loss = tape.total_sum(tape.mul(diff, tape.constant(weights_full)))
-                epoch_loss += float(loss.value)
-                abs_err = np.abs(preds.value - clean_full) * weights_full
-                epoch_per_task += [
-                    float(abs_err[:, col_of[t]].sum()) for t in active
-                ]
-                grads = tape.backward(loss)
-                for n in names:
-                    grad_acc[n] += grads[bound[n]]
-            inv = 1.0 / len(batch)
+            tape = Tape()
+            bound = model.params.bind(tape)
+            loss, abs_err, inp = batch_loss(
+                model, tape, bound, [prepared[i] for i in order[b0 : b0 + batch_size]]
+            )
+            # history rows stay per-sample sums
+            for rows in np.split(abs_err, inp.flow_offsets[1:-1]):
+                epoch_loss += float(rows.sum())
+                epoch_per_task += [float(rows[:, col_of[t]].sum()) for t in active]
+            grads = tape.backward(loss)
             adam_step(
                 model.params,
-                {n: g * inv for n, g in grad_acc.items()},
+                {n: grads[t] for n, t in bound.items()},
                 adam,
                 lr,
                 l2=l2,
@@ -745,8 +803,7 @@ def train_model(
         if val_samples:
             val_total = 0.0
             val_per_task = np.zeros(len(active))
-            for s in val_samples:
-                total, per_task = sample_loss_value(model, s, normalizer, task_idx)
+            for total, per_task in loss_values(model, val_samples, normalizer, task_idx):
                 val_total += total
                 val_per_task += per_task
             row["val_loss"] = val_total / len(val_samples)
@@ -930,17 +987,14 @@ def evaluate_model(
 
     Models trained on a task subset report NaN for the tasks they lack.
     """
-    preds_list, labels_list = [], []
-    l_max = model.l_max
+    preds_list = []
     col_of = {t: k for k, t in enumerate(model.tasks)}
-    for s in test_samples:
-        out = model.predict(s.twin_input(l_max))
+    for out in predict_samples(model, test_samples):
         full = np.full((out.shape[0], len(TASKS)), math.nan)
         for t, k in col_of.items():
             full[:, TASKS.index(t)] = out[:, k]
         preds_list.append(full)
-        labels_list.append(s.labels)
-    return nmae_row(preds_list, labels_list, normalizer.iqr)
+    return nmae_row(preds_list, [s.labels for s in test_samples], normalizer.iqr)
 
 
 def simbase_rows(

@@ -19,11 +19,16 @@ Three model kinds share one interface:
 Path models process flows in a canonical (source, destination) order
 internally and restore the caller's order on output, which makes
 flow-permutation equivariance exact at the bit level.
+
+``batch_inputs`` joins several samples' inputs into one disjoint-union input,
+so one forward (and one backward) covers a whole mini-batch; its output rows
+are the samples' rows, one sample after another.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -113,6 +118,9 @@ class TwinInput:
     canonical position -> original flow index and ``inv_order`` restores the
     caller's order. The GNN feature matrix keeps the original flow order on
     purpose (the baseline is order-sensitive by design).
+
+    ``flow_offsets`` and ``node_offsets`` bound each sample's flow and node
+    rows: one sample here, several after ``batch_inputs``.
     """
 
     def __init__(
@@ -171,6 +179,8 @@ class TwinInput:
         # step-major segment ids over the stacked (S*F, d_path) m states;
         # padded slots land in the dummy segment n_links
         self.seg_ids = self.link_ids.T.reshape(-1).copy()
+        self.flow_offsets = np.array([0, n_flows], dtype=np.int64)
+        self.node_offsets = np.array([0, graph.n_nodes], dtype=np.int64)
 
         self.gnn_features_mask = np.zeros((graph.n_nodes, 2 * n_flows))
         for f, path in enumerate(table.paths):
@@ -179,11 +189,21 @@ class TwinInput:
                 self.gnn_features_mask[node, 2 * f + 1] = 1.0
 
     @property
+    def n_samples(self) -> int:
+        return len(self.flow_offsets) - 1
+
+    @property
     def gnn_features(self) -> np.ndarray:
-        flat = np.empty(2 * self.n_flows)
-        flat[0::2] = self.tau_feat[:, 0]
-        flat[1::2] = self.tau_feat[:, 1]
-        return self.gnn_features_mask * flat[None, :]
+        """(nodes, 2F): each node's row holds its own sample's interleaved
+        [tau_on, tau_off] where that flow's path crosses the node.
+
+        Needs the same flow count in every sample (the gnn's contract).
+        """
+        flat = self.tau_feat.reshape(self.n_samples, -1)
+        node_sample = np.repeat(
+            np.arange(self.n_samples), np.diff(self.node_offsets)
+        )
+        return self.gnn_features_mask * flat[node_sample]
 
 
 def prepare_twin_input(
@@ -194,6 +214,77 @@ def prepare_twin_input(
     l_max: int,
 ) -> TwinInput:
     return TwinInput(graph, table, traffic, capacities, l_max)
+
+
+def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
+    rows = sum(b.shape[0] for b in blocks)
+    cols = sum(b.shape[1] for b in blocks)
+    out = np.zeros((rows, cols))
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
+
+
+def batch_inputs(inputs: list[TwinInput]) -> TwinInput:
+    """One input for several samples: the disjoint union of their graphs.
+
+    Flow, link and node indices are offset by the sizes of the samples
+    before; every sample's padding slot goes to one shared dummy link after
+    the last real one, and shorter samples get zero-mask steps up to the
+    batch's longest path. ``s_norm`` is block-diagonal (dense; callers keep
+    batches small). Each sample keeps its own canonical order, so its rows
+    of the output do not depend on the other samples' flow order. A batch of
+    one is the input itself.
+    """
+    if not inputs:
+        raise TwinError("a batch needs at least one input")
+    if len(inputs) == 1:
+        return inputs[0]
+    out = TwinInput.__new__(TwinInput)
+    flow_off = list(accumulate((inp.n_flows for inp in inputs), initial=0))
+    link_off = list(accumulate((inp.n_links for inp in inputs), initial=0))
+    node_off = list(accumulate((inp.n_nodes for inp in inputs), initial=0))
+    out.n_flows, out.n_links, out.n_nodes = flow_off[-1], link_off[-1], node_off[-1]
+    out.l_max = max(inp.l_max for inp in inputs)
+    out.max_steps = max(inp.max_steps for inp in inputs)
+    out.flow_offsets = np.array(flow_off, dtype=np.int64)
+    out.node_offsets = np.array(node_off, dtype=np.int64)
+
+    def cat(name: str, offsets: list[int] | None = None) -> np.ndarray:
+        parts = [getattr(inp, name) for inp in inputs]
+        if offsets is not None:
+            parts = [p + o for p, o in zip(parts, offsets)]
+        return np.concatenate(parts)
+
+    out.tau_feat = cat("tau_feat")
+    out.caps_scaled = cat("caps_scaled")
+    out.degrees = cat("degrees")
+    out.link_tails = cat("link_tails", node_off)
+    out.order = cat("order", flow_off)
+    out.inv_order = cat("inv_order", flow_off)
+    out.s_norm = _block_diag([inp.s_norm for inp in inputs])
+
+    steps = out.max_steps
+    out.link_ids = np.full((out.n_flows, steps), out.n_links, dtype=np.int64)
+    out.tail_ids = np.zeros((out.n_flows, steps), dtype=np.int64)
+    out.step_mask = np.zeros((out.n_flows, steps))
+    for inp, f0, l0, n0 in zip(inputs, flow_off, link_off, node_off):
+        rows = slice(f0, f0 + inp.n_flows)
+        cols = slice(0, inp.max_steps)
+        real = inp.step_mask > 0
+        out.link_ids[rows, cols] = np.where(real, inp.link_ids + l0, out.n_links)
+        out.tail_ids[rows, cols] = inp.tail_ids + n0
+        out.step_mask[rows, cols] = inp.step_mask
+    out.seg_ids = out.link_ids.T.reshape(-1).copy()
+
+    masks = [inp.gnn_features_mask for inp in inputs]
+    if len({m.shape[1] for m in masks}) == 1:
+        out.gnn_features_mask = np.concatenate(masks)
+    else:  # flow counts differ: no gnn can read this batch
+        out.gnn_features_mask = None
+    return out
 
 
 # -- parameter construction -------------------------------------------------
@@ -400,10 +491,16 @@ def gnn_forward(
     dims: GnnDims,
     tasks: tuple[str, ...],
 ) -> Tensor:
-    """Fixed-F baseline; rejects inputs whose flow count differs from dims."""
-    if inp.n_flows != dims.n_flows:
+    """Fixed-F baseline; rejects inputs whose flow count differs from dims.
+
+    Each sample mean-pools its own nodes; the (B, F) head outputs become
+    B*F rows, sample after sample.
+    """
+    per_sample = np.diff(inp.flow_offsets)
+    if np.any(per_sample != dims.n_flows):
         raise TwinError(
-            f"gnn built for {dims.n_flows} flows, input has {inp.n_flows}"
+            f"gnn built for {dims.n_flows} flows, input has "
+            f"{', '.join(str(int(f)) for f in np.unique(per_sample))}"
         )
     x = tape.constant(inp.gnn_features)
     s = tape.constant(inp.s_norm)
@@ -414,15 +511,16 @@ def gnn_forward(
                 bound[f"gcn/b{i}"],
             )
         )
-    pool = tape.matmul(
-        tape.constant(np.full((1, inp.n_nodes), 1.0 / inp.n_nodes)), x
-    )
+    sizes = np.diff(inp.node_offsets)
+    pool_op = _block_diag([np.full((1, n), 1.0 / n) for n in sizes])
+    pool = tape.matmul(tape.constant(pool_op), x)
     cols = [
-        tape.transpose(
+        tape.reshape(
             tape.add(
                 tape.matmul(pool, bound[f"readout/{task}/w"]),
                 bound[f"readout/{task}/b"],
-            )
+            ),
+            (inp.n_flows, 1),
         )
         for task in tasks
     ]

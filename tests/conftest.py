@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import json
+import shutil
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -9,7 +14,7 @@ from hypothesis import HealthCheck, settings
 from nettwin.nettopo import FlowSet, Graph, build_reg_grid
 from nettwin.pipeline import GenConfig, Sample, generate_dataset, load_dataset
 from nettwin.routing import Path as RoutePath
-from nettwin.routing import RoutingTable
+from nettwin.routing import RoutingTable, shortest_paths
 from nettwin.simulator import TrafficParams, default_sim_config, link_capacities
 from nettwin.twin import GlanceDims
 
@@ -32,6 +37,10 @@ TINY_DIMS = GlanceDims(
     link_hidden=(8,),
     readout_hidden=(8,),
 )
+
+
+#: TINY_DIMS with room for the 3-link paths of mixed_samples
+BATCH_DIMS = replace(TINY_DIMS, l_max=3)
 
 
 def wired_graph(n: int, edges: list[tuple[int, int]]) -> Graph:
@@ -86,6 +95,40 @@ def line_sample(
     )
 
 
+def mixed_samples() -> list[Sample]:
+    """Three two-flow samples on different graphs, for batching tests.
+
+    Their longest paths have 2, 3 and 1 links, and two of them list their
+    flows out of canonical (source, destination) order.
+    """
+    rng = np.random.default_rng(21)
+    cases = [
+        (wired_graph(3, [(0, 1), (1, 2)]), (2, 0), (0, 2)),
+        (build_reg_grid(), (0, 5), (15, 6)),
+        (wired_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), (2, 0), (3, 1)),
+    ]
+    out = []
+    for k, (graph, sources, dests) in enumerate(cases):
+        flows = FlowSet(sources, dests)
+        table = shortest_paths(graph, flows, seed=k)
+        out.append(
+            Sample(
+                index=k,
+                split="train",
+                graph_id=f"mixed-{k}",
+                graph=graph,
+                flows=flows,
+                traffic=TrafficParams(
+                    tuple(rng.uniform(1.0, 20.0, 2)), tuple(rng.uniform(1.0, 20.0, 2))
+                ),
+                table=table,
+                capacities=link_capacities(graph, default_sim_config(graph.wired)),
+                labels=rng.uniform(1.0, 5.0, size=(2, 4)),
+            )
+        )
+    return out
+
+
 @pytest.fixture(scope="session")
 def toy_dataset_dir(tmp_path_factory) -> str:
     """Small reggrid-fixed dataset reused across pipeline and CLI tests."""
@@ -106,6 +149,23 @@ def toy_dataset_dir(tmp_path_factory) -> str:
 @pytest.fixture(scope="session")
 def toy_dataset(toy_dataset_dir):
     return load_dataset(toy_dataset_dir)
+
+
+def copy_with_missing_link(src, dst) -> tuple[int, int]:
+    """Copy a dataset, rerouting one train flow over a link not in the topology.
+
+    The first flow of train sample 0 whose path has two or more links gets
+    the one-link path (source, destination), which the graph lacks. Returns
+    that flow's index and the sample's index.
+    """
+    shutil.copytree(src, dst)
+    lines = (Path(dst) / "train.jsonl").read_text().splitlines()
+    record = json.loads(lines[0])
+    f = next(f for f, links in enumerate(record["paths"]) if len(links) >= 2)
+    record["paths"][f] = [[record["sources"][f], record["destinations"][f]]]
+    lines[0] = json.dumps(record, sort_keys=True)
+    (Path(dst) / "train.jsonl").write_text("\n".join(lines) + "\n")
+    return f, record["index"]
 
 
 @pytest.fixture()

@@ -1,7 +1,9 @@
 """Reverse-mode tape: op semantics, finite-difference checks, Adam, checkpoints."""
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -58,12 +60,14 @@ class TestForwardValues:
         th = t.tanh(t.constant([[-800.0, 0.0, 800.0]]))
         assert np.array_equal(th.value, [[-1.0, 0.0, 1.0]])
 
-    def test_gather_and_transpose(self):
+    def test_gather_and_reshape(self):
         t = Tape()
         a = t.constant([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         g = t.gather(a, [2, 0])
         assert np.array_equal(g.value, [[5.0, 6.0], [1.0, 2.0]])
-        assert np.array_equal(t.transpose(g).value, [[5.0, 1.0], [6.0, 2.0]])
+        assert np.array_equal(t.reshape(g, (4, 1)).value, [[5.0], [6.0], [1.0], [2.0]])
+        with pytest.raises(AutodiffError, match="reshape"):
+            t.reshape(g, (3, 1))
 
     def test_concat_axis1(self):
         t = Tape()
@@ -111,12 +115,69 @@ class TestShapeChecks:
     def test_cross_tape_rejected(self):
         t1, t2 = Tape(), Tape()
         x1 = t1.leaf(np.ones((1, 1)))
-        with pytest.raises(AutodiffError):
+        with pytest.raises(AutodiffError, match="different tape"):
             t2.add(x1, t2.constant(np.ones((1, 1))))
+        with pytest.raises(AutodiffError, match="different tape"):
+            t2.add(t2.constant(np.ones((1, 1))), x1)
+        with pytest.raises(AutodiffError, match="different tape"):
+            t2.concat([t2.constant(np.ones((1, 1))), x1, t2.constant(np.ones((1, 1)))], 0)
         loss = t1.total_sum(x1)
         grads = t1.backward(loss)
         with pytest.raises(AutodiffError):
             grads[t2.constant(np.ones((1, 1)))]
+
+
+class TestTapeLifetime:
+    def test_finished_tape_freed_without_cyclic_collector(self):
+        # pullbacks must not hold tensors (which point back at the tape):
+        # a cycle would keep every finished tape's arrays alive until the
+        # collector ran, which batched tapes turn into hundreds of MB
+        gc.disable()
+        try:
+            t = Tape()
+            x = t.leaf(np.ones((3, 2)))
+            w = t.leaf(np.ones((2, 2)))
+            h = t.mul(t.sub(t.matmul(x, w), t.constant(np.zeros((3, 2)))), x)
+            loss = t.total_sum(t.add(t.concat([h, h], 0), t.constant(w.value[0])))
+            grads = t.backward(loss)
+            ref = weakref.ref(t)
+            del t, x, w, h, loss, grads
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+class TestScatterBytes:
+    """gather's pullback and segment_sum's forward against np.add.at, bit for bit."""
+
+    def cases(self):
+        rng = np.random.default_rng(7)
+        for n_rows, n_out, cols in ((300, 481, 32), (50, 7, 3), (9, 12, 1), (0, 4, 2)):
+            a = rng.normal(size=(n_rows, cols))
+            a[rng.random(a.shape) < 0.1] = -0.0
+            a[rng.random(a.shape) < 0.05] = 0.0
+            # ids repeat and leave some outputs empty
+            ids = rng.integers(0, max(n_out // 2, 1), size=n_rows)
+            yield a, ids, n_out
+
+    def test_segment_sum_matches_add_at(self):
+        for a, ids, n_out in self.cases():
+            want = np.zeros((n_out, a.shape[1]))
+            np.add.at(want, ids, a)
+            t = Tape()
+            got = t.segment_sum(t.constant(a), ids, n_out).value
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_gather_pullback_matches_add_at(self):
+        for g, ids, n_in in self.cases():
+            t = Tape()
+            x = t.leaf(np.ones((n_in, g.shape[1])))
+            gathered = t.gather(x, ids)
+            loss = t.total_sum(t.mul(gathered, t.constant(g)))
+            want = np.zeros((n_in, g.shape[1]))
+            np.add.at(want, ids, g)
+            assert t.backward(loss)[x].tobytes() == want.tobytes()
 
 
 class TestGradients:
@@ -144,6 +205,13 @@ class TestGradients:
         x = t.leaf([[0.0, -2.0, 5.0]])
         loss = t.total_sum(t.absolute(x))
         assert np.array_equal(t.backward(loss)[x], [[0.0, -1.0, 1.0]])
+
+    def test_reshape_gradient_takes_input_shape(self):
+        t = Tape()
+        x = t.leaf([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        w = t.constant(np.arange(6.0).reshape(6, 1))
+        loss = t.total_sum(t.mul(t.reshape(x, (6, 1)), w))
+        assert np.array_equal(t.backward(loss)[x], [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
 
     def test_unused_leaf_reads_zero(self):
         t = Tape()

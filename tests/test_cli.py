@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import copy_with_missing_link
 from nettwin.autodiff import AdamState, load_checkpoint, save_checkpoint
 from nettwin.pipeline import (
     Normalizer,
@@ -235,6 +236,16 @@ class TestTrain:
         lines = curves.read_text().splitlines()
         assert lines[0].startswith("epoch,fold,split,loss_total,loss_")
         assert len(lines) == 1 + 2  # one epoch, train and val rows
+
+    def test_route_over_missing_link_is_usage_error(
+        self, run_cli, tmp_path, toy_dataset_dir, capsys
+    ):
+        copy_with_missing_link(toy_dataset_dir, tmp_path / "bad")
+        assert run_cli(
+            "train", "--data", str(tmp_path / "bad"), "--out", str(tmp_path / "x")
+        ) == 2
+        assert "missing-link" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_missing_data_dir(self, run_cli, tmp_path):
         assert run_cli(

@@ -10,11 +10,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from conftest import TINY_DIMS, line_sample
-from nettwin.autodiff import AdamState, DivergenceError, ParamSet
+from conftest import (
+    BATCH_DIMS,
+    TINY_DIMS,
+    copy_with_missing_link,
+    line_sample,
+    mixed_samples,
+)
+from oracles import fd_gradient, max_rel_err
+from nettwin.autodiff import AdamState, DivergenceError, ParamSet, Tape
 from nettwin.pipeline import (
     DATASET_FORMAT,
     DELAY_LIMIT_MS,
+    EVAL_CHUNK,
     IQR_EPS,
     JITTER_LIMIT_MS,
     SPLITS,
@@ -23,6 +31,7 @@ from nettwin.pipeline import (
     Normalizer,
     TrainConfig,
     TrainResult,
+    batch_loss,
     bootstrap_mean_diff_ci,
     checkpoint_manifest,
     clean_test_samples,
@@ -35,9 +44,12 @@ from nettwin.pipeline import (
     fold_split,
     generate_dataset,
     load_dataset,
+    loss_targets,
+    loss_values,
     model_from_checkpoint,
     naive_rows,
     nmae_row,
+    predict_samples,
     run_strategy,
     simbase_rows,
     train_model,
@@ -238,6 +250,14 @@ class TestLoadDataset:
         (out / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(DatasetError, match="unsupported dataset version"):
             load_dataset(out)
+
+    def test_route_over_missing_link_rejected(self, tmp_path, toy_dataset_dir):
+        f, index = copy_with_missing_link(toy_dataset_dir, tmp_path / "bad")
+        with pytest.raises(
+            DatasetError,
+            match=rf"train sample {index}: flow {f} bad route, missing-link",
+        ):
+            load_dataset(tmp_path / "bad")
 
     def test_reload_round_trips_labels(self, toy_dataset_dir, toy_dataset):
         again = load_dataset(toy_dataset_dir)
@@ -546,6 +566,76 @@ class TestTrainModel:
         losses = [r["val_loss"] for r in result.history]
         assert result.best_val == min(losses)
         assert result.best_epoch == losses.index(min(losses))
+
+
+class TestBatchedTraining:
+    """One tape per mini-batch against per-sample tapes."""
+
+    #: parameters the finite-difference check perturbs, per kind
+    FD_PARAMS = {
+        "glance": ("gru/b_z", "egc/w", "readout/delay/out_b"),
+        "routenet": ("gru/b_h", "link/proj_b", "readout/drops/out_w"),
+        "gnn": ("gcn/b1", "readout/jitter/b"),
+    }
+
+    def model(self, kind):
+        return make_model(kind, TASKS, 6, dims=BATCH_DIMS, n_flows=2)
+
+    def gradients(self, model, items):
+        tape = Tape()
+        bound = model.params.bind(tape)
+        loss, _, _ = batch_loss(model, tape, bound, items)
+        grads = tape.backward(loss)
+        return float(loss.value), {n: grads[t] for n, t in bound.items()}
+
+    def items(self, model, samples):
+        return [
+            (s.twin_input(3), *loss_targets(model, s, TASKS, UNIT_NORM.iqr))
+            for s in samples
+        ]
+
+    @pytest.mark.parametrize("kind", ["glance", "routenet", "gnn"])
+    def test_gradient_is_mean_of_sample_gradients(self, kind):
+        model = self.model(kind)
+        items = self.items(model, mixed_samples())
+        loss, grads = self.gradients(model, items)
+        each = [self.gradients(model, [item]) for item in items]
+        assert loss == pytest.approx(np.mean([l for l, _ in each]), rel=1e-12)
+        for name, g in grads.items():
+            mean = sum(e[1][name] for e in each) / len(each)
+            assert np.max(np.abs(g - mean)) < 1e-10, name
+
+    @pytest.mark.parametrize("kind", ["glance", "routenet", "gnn"])
+    def test_gradient_matches_finite_differences(self, kind):
+        model = self.model(kind)
+        items = self.items(model, mixed_samples())
+        _, grads = self.gradients(model, items)
+        for name in self.FD_PARAMS[kind]:
+            fd = fd_gradient(lambda _: self.gradients(model, items)[0], model.params[name])
+            assert max_rel_err(grads[name], fd) < 1e-5, name
+
+    @pytest.mark.parametrize("kind", ["glance", "gnn"])
+    def test_chunked_predictions_match_per_sample(self, kind):
+        model = self.model(kind)
+        samples = mixed_samples() * 4  # 12 samples: two chunks
+        assert len(samples) > EVAL_CHUNK
+        got = predict_samples(model, samples)
+        for s, rows in zip(samples, got):
+            assert np.max(np.abs(rows - model.predict(s.twin_input(3)))) < 1e-12
+        single = predict_samples(model, samples[:1])[0]
+        assert single.tobytes() == model.predict(samples[0].twin_input(3)).tobytes()
+
+    def test_loss_values_read_the_active_columns(self):
+        model = self.model("routenet")
+        samples = mixed_samples()
+        jitter = [TASKS.index("jitter")]
+        for s, (total, per_task) in zip(
+            samples, loss_values(model, samples, UNIT_NORM, jitter)
+        ):
+            preds = model.predict(s.twin_input(3))[:, jitter[0]]
+            want = np.mean(np.abs(preds - s.labels[:, jitter[0]])) / UNIT_NORM.iqr[1]
+            assert per_task.shape == (1,)
+            assert total == pytest.approx(want, rel=1e-12)
 
 
 # -- strategies ---------------------------------------------------------------

@@ -16,13 +16,14 @@ from nettwin.twin import (
     GnnDims,
     TwinError,
     TwinModel,
+    batch_inputs,
     init_embeddings,
     make_model,
     prepare_twin_input,
     sym_normalized_operator,
 )
 
-from conftest import TINY_DIMS, wired_graph
+from conftest import BATCH_DIMS, TINY_DIMS, mixed_samples, wired_graph
 
 WEE_DIMS = GlanceDims(
     d_node=2, d_link=2, d_path=4, t_layers=1, l_max=2,
@@ -458,3 +459,100 @@ class TestModelContainer:
         bound = model.params.bind(tape)
         out = model.forward(tape, bound, inp)
         assert out.value.tobytes() == model.predict(inp).tobytes()
+
+
+class TestBatchInputs:
+    """Disjoint-union batches against per-sample forwards."""
+
+    def model(self, kind, seed=4):
+        return make_model(kind, TASKS, seed, dims=BATCH_DIMS, n_flows=2)
+
+    def inputs(self, samples=None):
+        return [s.twin_input(3) for s in samples or mixed_samples()]
+
+    def test_index_layout(self, line3):
+        cycle4 = wired_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        caps = link_capacities(cycle4, default_sim_config(wired=True))
+        # cycle4 links: (0,1)=0 (0,3)=1 (1,0)=2 (1,2)=3 (2,1)=4 (2,3)=5 ...
+        flows = FlowSet((2, 0), (3, 1))
+        table = shortest_paths(cycle4, flows, seed=0)
+        one = line_input(line3)  # flow 0->2 over links 0 and 2 of 4
+        two = prepare_twin_input(
+            cycle4, table, TrafficParams((3.0, 4.0), (5.0, 6.0)), caps, 2
+        )
+        inp = batch_inputs([one, two])
+        assert (inp.n_flows, inp.n_links, inp.n_nodes, inp.max_steps) == (3, 12, 7, 2)
+        assert np.array_equal(inp.flow_offsets, [0, 1, 3])
+        assert np.array_equal(inp.node_offsets, [0, 3, 7])
+        # every padding slot points at the one dummy link, 12
+        assert np.array_equal(inp.link_ids, [[0, 2], [4, 12], [9, 12]])
+        assert np.array_equal(inp.step_mask, [[1.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+        assert np.array_equal(inp.seg_ids, inp.link_ids.T.reshape(-1))
+        assert np.array_equal(inp.tail_ids[:, 0], [0, 3, 5])
+        # the second sample's flows are out of canonical order
+        assert np.array_equal(inp.order, [0, 2, 1])
+        assert np.array_equal(inp.inv_order, [0, 2, 1])
+        assert np.array_equal(inp.tau_feat, [[10.0, 1.0], [3.0, 5.0], [4.0, 6.0]])
+        assert np.array_equal(inp.link_tails[4:], [3, 3, 4, 4, 5, 5, 6, 6])
+        assert np.array_equal(inp.s_norm[:3, :3], one.s_norm)
+        assert np.array_equal(inp.s_norm[3:, 3:], two.s_norm)
+        assert not inp.s_norm[:3, 3:].any() and not inp.s_norm[3:, :3].any()
+
+    def test_batch_of_one_is_the_input(self):
+        inp = self.inputs()[1]
+        assert batch_inputs([inp]) is inp
+        for kind in ("glance", "routenet", "gnn"):
+            model = self.model(kind)
+            assert model.predict(batch_inputs([inp])).tobytes() == model.predict(inp).tobytes()
+
+    @pytest.mark.parametrize("kind", ["glance", "routenet", "gnn"])
+    def test_batched_predictions_match_per_sample(self, kind):
+        inputs = self.inputs()
+        assert len({inp.max_steps for inp in inputs}) == 3
+        model = self.model(kind)
+        batch = batch_inputs(inputs)
+        got = np.split(model.predict(batch), batch.flow_offsets[1:-1])
+        for inp, rows in zip(inputs, got):
+            want = model.predict(inp)
+            assert rows.shape == want.shape
+            assert np.max(np.abs(rows - want)) < 1e-12
+
+    def test_member_flow_permutation_moves_only_its_rows(self):
+        samples = mixed_samples()
+        mid = samples[1]
+        sigma = [1, 0]
+        flows = FlowSet(
+            tuple(mid.flows.sources[f] for f in sigma),
+            tuple(mid.flows.destinations[f] for f in sigma),
+        )
+        traffic = TrafficParams(
+            tuple(mid.traffic.tau_on[f] for f in sigma),
+            tuple(mid.traffic.tau_off[f] for f in sigma),
+        )
+        table = RoutingTable(
+            tuple(Path(i, mid.table.paths[f].links) for i, f in enumerate(sigma)),
+            seed=mid.table.seed,
+        )
+        swapped = prepare_twin_input(mid.graph, table, traffic, mid.capacities, 3)
+        inputs = self.inputs(samples)
+        for kind in ("glance", "routenet"):
+            model = self.model(kind, seed=9)
+            base = batch_inputs(inputs)
+            a = np.split(model.predict(base), base.flow_offsets[1:-1])
+            b = np.split(
+                model.predict(batch_inputs([inputs[0], swapped, inputs[2]])),
+                base.flow_offsets[1:-1],
+            )
+            assert b[0].tobytes() == a[0].tobytes()
+            assert b[1].tobytes() == a[1][sigma].tobytes()
+            assert b[2].tobytes() == a[2].tobytes()
+
+    def test_rejections(self, line3):
+        with pytest.raises(TwinError, match="at least one"):
+            batch_inputs([])
+        # a gnn reads a fixed flow count from every sample
+        two_flows = self.inputs()[0]
+        one_flow = line_input(line3, l_max=3)
+        model = self.model("gnn")
+        with pytest.raises(TwinError, match="gnn built for 2 flows"):
+            model.predict(batch_inputs([two_flows, one_flow]))
