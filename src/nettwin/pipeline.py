@@ -389,28 +389,44 @@ class Dataset:
 def _sample_from_record(
     record: dict, split: str, manifest: dict, graphs: dict[str, Graph], root: Path
 ) -> Sample:
+    where = f"{split} sample {record['index']}"
     graph_id = record["topology"]
     if graph_id not in graphs:
+        if not (root / graph_id).is_file():
+            raise DatasetError(f"{where}: topology file {graph_id} not found")
         graphs[graph_id] = load_topology(root / graph_id)
     graph = graphs[graph_id]
     flows = FlowSet(tuple(record["sources"]), tuple(record["destinations"]))
+    n_flows = len(flows.sources)
+    if manifest.get("n_flows", n_flows) != n_flows:
+        raise DatasetError(
+            f"{where}: {n_flows} flows, the manifest says {manifest['n_flows']}"
+        )
+    for key in ("tau_on", "tau_off"):
+        if len(record[key]) != n_flows:
+            raise DatasetError(
+                f"{where}: {key} has {len(record[key])} entries for {n_flows} flows"
+            )
     traffic = TrafficParams(tuple(record["tau_on"]), tuple(record["tau_off"]))
     violations = validate_table(record["paths"], graph, flows, manifest.get("l_max"))
     if violations:
         v = violations[0]
-        where = "" if v.flow_index < 0 else f" flow {v.flow_index}"
-        raise DatasetError(
-            f"{split} sample {record['index']}:{where} bad route, "
-            f"{v.kind}: {v.detail}"
-        )
+        flow = "" if v.flow_index < 0 else f" flow {v.flow_index}"
+        raise DatasetError(f"{where}:{flow} bad route, {v.kind}: {v.detail}")
     paths = tuple(
         RoutePath(f, tuple((int(i), int(j)) for i, j in links))
         for f, links in enumerate(record["paths"])
     )
     table = RoutingTable(paths, int(record["routing_seed"]))
+    if not record["runs"]:
+        raise DatasetError(f"{where}: no runs")
+    for r, run in enumerate(record["runs"]):
+        rows = run["kpis"]
+        if len(rows) != n_flows or any(len(row) != len(TASKS) for row in rows):
+            raise DatasetError(
+                f"{where}: run {r} KPI matrix is not {n_flows}x{len(TASKS)}"
+            )
     runs = [KpiRecord.from_jsonable(r["kpis"]).kpis for r in record["runs"]]
-    if not runs:
-        raise DatasetError(f"sample {record['index']} has no runs")
     sim_config = SimConfig(**manifest["sim_config"])
     return Sample(
         index=int(record["index"]),
@@ -444,13 +460,19 @@ def load_dataset(path: str | Path) -> Dataset:
         samples: list[Sample] = []
         if split_file.exists():
             with open(split_file, encoding="utf-8") as fh:
-                for line in fh:
-                    if line.strip():
-                        samples.append(
-                            _sample_from_record(
-                                json.loads(line), split, manifest, graphs, root
-                            )
-                        )
+                for number, line in enumerate(fh, start=1):
+                    if not line.strip():
+                        continue
+                    try:
+                        record = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise DatasetError(
+                            f"{split}.jsonl line {number}: truncated or invalid "
+                            f"JSON ({exc.msg})"
+                        ) from None
+                    samples.append(
+                        _sample_from_record(record, split, manifest, graphs, root)
+                    )
         splits[split] = samples
     return Dataset(manifest, splits)
 

@@ -39,7 +39,7 @@ TASKS = ("delay", "jitter", "throughput", "drops")
 #: capacity_default * weight / ATTEN_REF
 ATTEN_REF = 1.0 / math.log(1.0 + 30.0 * 30.0)
 
-_ARRIVAL, _TX_END = 0, 1
+_EMIT, _ARRIVAL, _TX_END = 0, 1, 2
 
 
 def quiet_nanmean(stack: np.ndarray, axis: int) -> np.ndarray:
@@ -206,13 +206,14 @@ class _Packet:
 
 
 class _LinkState:
-    __slots__ = ("index", "tail", "head", "capacity", "queue", "busy")
+    __slots__ = ("index", "tail", "tx_time", "hood", "queue", "busy")
 
-    def __init__(self, index: int, tail: int, head: int, capacity: float):
+    def __init__(self, index: int, tail: int, tx_time: float, hood: tuple[int, ...]):
         self.index = index
         self.tail = tail
-        self.head = head
-        self.capacity = capacity
+        self.tx_time = tx_time
+        # nodes whose contention counter this link's transmissions hold
+        self.hood = hood
         self.queue: deque[_Packet] = deque()
         self.busy: _Packet | None = None
 
@@ -271,84 +272,104 @@ def run_sim(
             if r is None:
                 raise SimulationError(f"path uses link {link} absent from the graph")
             if r not in states:
-                states[r] = _LinkState(r, link[0], link[1], caps[r])
+                # tx_time stays a numpy float, so the delays summed below
+                # keep their type, and `sum` its rounding, on every Python
+                hood = (link[0],) + graph.neighbors[link[0]] if wireless else ()
+                states[r] = _LinkState(r, link[0], pkt_bits / caps[r], hood)
             hops.append(states[r])
         flow_paths.append(hops)
 
-    node_busy = np.zeros(graph.n_nodes, dtype=bool)
-    neighbors = graph.neighbors
-    pending: set[_LinkState] = set()
+    # busy[u] counts the transmitting link tails in u's closed neighbourhood
+    # (the adjacency is symmetric), so a wireless link may start iff
+    # busy[tail] is 0; wired links have an empty hood and never touch the
+    # counter. pending holds the idle links with a queue that contention
+    # blocks, keyed by link index, the order they are granted in.
+    busy = [0] * graph.n_nodes
+    pending: dict[int, _LinkState] = {}
 
+    # Only each flow's next emission sits in the heap. Emission k of flow f
+    # keeps the tie-break number it would have if all were pushed up front,
+    # first_seq[f] + k, and events pushed in the loop are numbered after the
+    # last emission; seq numbers are unique, so tuples compare on
+    # (time, seq) alone and the pop order is fixed.
+    emissions: list[list[float]] = []
+    first_seq: list[int] = []
     heap: list[tuple] = []
     seq = 0
     generated = np.zeros(n_flows, dtype=np.int64)
     for f in range(n_flows):
         rng = make_rng(seed, "flow", f)
-        emissions = _emission_times(
+        times = _emission_times(
             rng, traffic.tau_on[f], traffic.tau_off[f], interval, config.t_gen
         )
-        generated[f] = len(emissions)
-        for t in emissions:
-            heap.append((t, seq, _ARRIVAL, _Packet(f, t), flow_paths[f][0]))
-            seq += 1
+        generated[f] = len(times)
+        emissions.append(times)
+        first_seq.append(seq)
+        if times:
+            heap.append((times[0], seq, _EMIT, _Packet(f, times[0]), flow_paths[f][0]))
+        seq += len(times)
     heapq.heapify(heap)
 
     delivered: list[list[float]] = [[] for _ in range(n_flows)]
     overflow = np.zeros(n_flows, dtype=np.int64)
-
-    def can_start(link: _LinkState) -> bool:
-        if link.busy is not None or not link.queue:
-            return False
-        if not wireless:
-            return True
-        u = link.tail
-        if node_busy[u]:
-            return False
-        return not any(node_busy[v] for v in neighbors[u])
+    t_gen = config.t_gen
+    buffer_pkts = config.queue_buffer_pkts
+    heappush, heappop = heapq.heappush, heapq.heappop
 
     def start_tx(link: _LinkState, now: float) -> None:
         nonlocal seq
         pkt = link.queue.popleft()
         link.busy = pkt
-        if wireless:
-            node_busy[link.tail] = True
-        heapq.heappush(heap, (now + pkt_bits / link.capacity, seq, _TX_END, pkt, link))
+        for v in link.hood:
+            busy[v] += 1
+        heappush(heap, (now + link.tx_time, seq, _TX_END, pkt, link))
         seq += 1
 
-    def wake_pending(now: float) -> None:
-        # grant in link-index order; each grant may block later candidates
-        for link in sorted(pending, key=lambda s: s.index):
-            if can_start(link):
-                pending.discard(link)
-                start_tx(link, now)
-
-    while heap and heap[0][0] <= config.t_gen:
-        now, _, kind, pkt, link = heapq.heappop(heap)
-        if kind == _ARRIVAL:
-            if len(link.queue) >= config.queue_buffer_pkts:
-                overflow[pkt.flow] += 1
-                continue
-            link.queue.append(pkt)
-            if can_start(link):
-                start_tx(link, now)
-            elif wireless and link.busy is None:
-                pending.add(link)
-        else:  # transmission finished on `link`
+    while heap and heap[0][0] <= t_gen:
+        now, s, kind, pkt, link = heappop(heap)
+        if kind == _TX_END:
             link.busy = None
-            if wireless:
-                node_busy[link.tail] = False
+            for v in link.hood:
+                busy[v] -= 1
+            if link.queue:
+                pending[link.index] = link
             pkt.hop += 1
             path = flow_paths[pkt.flow]
             if pkt.hop == len(path):
                 delivered[pkt.flow].append(now - pkt.emit)
+                link = None
             else:
-                heapq.heappush(heap, (now, seq, _ARRIVAL, pkt, path[pkt.hop]))
+                link = path[pkt.hop]
+                s = seq
                 seq += 1
-            if wireless:
-                if link.queue:
-                    pending.add(link)
-                wake_pending(now)
-            elif can_start(link):
+            # grant in link-index order; each grant may block later candidates
+            for r in sorted(pending):
+                waiting = pending[r]
+                if not busy[waiting.tail]:
+                    del pending[r]
+                    start_tx(waiting, now)
+            if link is None:
+                continue
+            # the next-hop arrival at (now, s) is handled here unless an
+            # event queued earlier shares its time and precedes it
+            if heap and heap[0] < (now, s):
+                heappush(heap, (now, s, _ARRIVAL, pkt, link))
+                continue
+        elif kind == _EMIT:
+            f = pkt.flow
+            k = s + 1 - first_seq[f]
+            if k < len(emissions[f]):
+                t = emissions[f][k]
+                heappush(heap, (t, s + 1, _EMIT, _Packet(f, t), link))
+        # arrival of pkt at link (an emission arrives at its first hop)
+        if len(link.queue) >= buffer_pkts:
+            overflow[pkt.flow] += 1
+            continue
+        link.queue.append(pkt)
+        if link.busy is None:
+            if busy[link.tail]:
+                pending[link.index] = link
+            else:
                 start_tx(link, now)
 
     in_flight = np.zeros(n_flows, dtype=np.int64)

@@ -151,6 +151,20 @@ def toy_dataset(toy_dataset_dir):
     return load_dataset(toy_dataset_dir)
 
 
+def copy_with_edited_record(src, dst, edit) -> int:
+    """Copy a dataset and apply edit(record) to train sample 0 in place.
+
+    Returns that sample's index.
+    """
+    shutil.copytree(src, dst)
+    lines = (Path(dst) / "train.jsonl").read_text().splitlines()
+    record = json.loads(lines[0])
+    edit(record)
+    lines[0] = json.dumps(record, sort_keys=True)
+    (Path(dst) / "train.jsonl").write_text("\n".join(lines) + "\n")
+    return record["index"]
+
+
 def copy_with_missing_link(src, dst) -> tuple[int, int]:
     """Copy a dataset, rerouting one train flow over a link not in the topology.
 
@@ -158,14 +172,23 @@ def copy_with_missing_link(src, dst) -> tuple[int, int]:
     the one-link path (source, destination), which the graph lacks. Returns
     that flow's index and the sample's index.
     """
+    rerouted = []
+
+    def reroute(record):
+        f = next(f for f, links in enumerate(record["paths"]) if len(links) >= 2)
+        record["paths"][f] = [[record["sources"][f], record["destinations"][f]]]
+        rerouted.append(f)
+
+    index = copy_with_edited_record(src, dst, reroute)
+    return rerouted[0], index
+
+
+def copy_with_truncated_line(src, dst, split: str, line: int) -> None:
+    """Copy a dataset and cut the given 1-based line of a split in half."""
     shutil.copytree(src, dst)
-    lines = (Path(dst) / "train.jsonl").read_text().splitlines()
-    record = json.loads(lines[0])
-    f = next(f for f, links in enumerate(record["paths"]) if len(links) >= 2)
-    record["paths"][f] = [[record["sources"][f], record["destinations"][f]]]
-    lines[0] = json.dumps(record, sort_keys=True)
-    (Path(dst) / "train.jsonl").write_text("\n".join(lines) + "\n")
-    return f, record["index"]
+    lines = (Path(dst) / f"{split}.jsonl").read_text().splitlines()
+    lines[line - 1] = lines[line - 1][: len(lines[line - 1]) // 2]
+    (Path(dst) / f"{split}.jsonl").write_text("\n".join(lines) + "\n")
 
 
 @pytest.fixture()

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import copy_with_missing_link
+from conftest import copy_with_missing_link, copy_with_truncated_line
 from nettwin.autodiff import AdamState, load_checkpoint, save_checkpoint
 from nettwin.pipeline import (
     Normalizer,
@@ -245,6 +245,16 @@ class TestTrain:
             "train", "--data", str(tmp_path / "bad"), "--out", str(tmp_path / "x")
         ) == 2
         assert "missing-link" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_truncated_dataset_line_is_usage_error(
+        self, run_cli, tmp_path, toy_dataset_dir, capsys
+    ):
+        copy_with_truncated_line(toy_dataset_dir, tmp_path / "bad", "train", 3)
+        assert run_cli(
+            "train", "--data", str(tmp_path / "bad"), "--out", str(tmp_path / "x")
+        ) == 2
+        assert "train.jsonl line 3: truncated" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_missing_data_dir(self, run_cli, tmp_path):

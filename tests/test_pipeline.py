@@ -13,7 +13,9 @@ from numpy.testing import assert_array_equal
 from conftest import (
     BATCH_DIMS,
     TINY_DIMS,
+    copy_with_edited_record,
     copy_with_missing_link,
+    copy_with_truncated_line,
     line_sample,
     mixed_samples,
 )
@@ -257,6 +259,45 @@ class TestLoadDataset:
             DatasetError,
             match=rf"train sample {index}: flow {f} bad route, missing-link",
         ):
+            load_dataset(tmp_path / "bad")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda r: r["runs"][0]["kpis"].pop(), r"run 0 KPI matrix is not 10x4"),
+            (lambda r: r["runs"][-1]["kpis"][3].pop(), r"run 0 KPI matrix is not 10x4"),
+            (lambda r: r["tau_on"].pop(), r"tau_on has 9 entries for 10 flows"),
+            (lambda r: r["tau_off"].append(1.0), r"tau_off has 11 entries for 10 flows"),
+            (
+                lambda r: (r["runs"][0]["kpis"].pop(), r["tau_on"].pop(), r["tau_off"].pop()),
+                r"tau_on has 9 entries for 10 flows",
+            ),
+            (
+                lambda r: [r[k].pop() for k in ("sources", "destinations", "paths")],
+                r"9 flows, the manifest says 10",
+            ),
+            (lambda r: r.update(runs=[]), r"no runs"),
+        ],
+        ids=["short-run", "ragged-row", "short-tau", "long-tau", "short-run-and-tau",
+             "flow-count", "no-runs"],
+    )
+    def test_malformed_record_rejected(self, tmp_path, toy_dataset_dir, edit, message):
+        index = copy_with_edited_record(toy_dataset_dir, tmp_path / "bad", edit)
+        with pytest.raises(DatasetError, match=rf"^train sample {index}: {message}"):
+            load_dataset(tmp_path / "bad")
+
+    def test_missing_topology_file(self, tmp_path, toy_dataset_dir):
+        index = copy_with_edited_record(
+            toy_dataset_dir, tmp_path / "bad", lambda r: r.update(topology="gone.json")
+        )
+        with pytest.raises(
+            DatasetError, match=rf"^train sample {index}: topology file gone.json not found"
+        ):
+            load_dataset(tmp_path / "bad")
+
+    def test_truncated_line(self, tmp_path, toy_dataset_dir):
+        copy_with_truncated_line(toy_dataset_dir, tmp_path / "bad", "val", 2)
+        with pytest.raises(DatasetError, match=r"^val.jsonl line 2: truncated"):
             load_dataset(tmp_path / "bad")
 
     def test_reload_round_trips_labels(self, toy_dataset_dir, toy_dataset):

@@ -1,14 +1,24 @@
 """Discrete-event simulator: traffic, queueing KPIs, repeated-run estimators."""
 
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from nettwin.manage import NetworkInput, mean_runs
-from nettwin.nettopo import FlowSet, build_nsfnet, build_reg_grid
+from nettwin.nettopo import (
+    FlowSet,
+    Graph,
+    build_nsfnet,
+    build_pert_grid,
+    build_reg_grid,
+    sample_flows,
+)
 from nettwin.routing import shortest_paths
-from nettwin.seeding import derive_seed
+from nettwin.seeding import derive_seed, make_rng
 from nettwin.simulator import (
     ATTEN_REF,
     TASKS,
@@ -25,6 +35,8 @@ from nettwin.simulator import (
     sample_traffic_params,
     simbase_estimate,
 )
+
+from oracles import random_connected_adjacency, reference_run_sim
 
 DELAY, JITTER, THROUGHPUT, DROPS = range(4)
 
@@ -333,3 +345,92 @@ class TestManagementRuns:
 
 def test_tasks_tuple():
     assert TASKS == ("delay", "jitter", "throughput", "drops")
+
+
+def _case_runs(graph, n_runs, n_flows, mode, seed):
+    """n_runs (table, traffic, sim seed) triples drawn from one base seed."""
+    runs = []
+    for k in range(n_runs):
+        flows = sample_flows(graph, n_flows, seed=derive_seed(seed, "flows", k))
+        traffic = sample_traffic_params(n_flows, mode, seed=derive_seed(seed, "traffic", k))
+        table = shortest_paths(graph, flows, seed=derive_seed(seed, "routing", k))
+        runs.append((table, traffic, derive_seed(seed, "sim", k)))
+    return runs
+
+
+def _sim_case(name):
+    wireless = default_sim_config(wired=False, t_gen=20.0)
+    return {
+        "nsfnet": (build_nsfnet(), default_sim_config(wired=True, t_gen=20.0)),
+        "reggrid": (build_reg_grid(), wireless),
+        "pertgrid": (build_pert_grid(seed=3), wireless),
+        "reggrid-no-contention": (
+            build_reg_grid(), replace(wireless, wireless_contention=False)
+        ),
+        # 100 kb/s sources fill the two-packet buffers, so packets overflow
+        "reggrid-buffer2": (
+            build_reg_grid(), replace(wireless, queue_buffer_pkts=2, cbr_rate=100_000.0)
+        ),
+    }[name]
+
+
+class TestAgainstReferenceLoop:
+    """run_sim against the plain event loop of tests/oracles.py, byte for byte."""
+
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    @pytest.mark.parametrize(
+        "name",
+        ["nsfnet", "reggrid", "pertgrid", "reggrid-no-contention", "reggrid-buffer2"],
+    )
+    def test_bytes_match(self, name, mode):
+        graph, config = _sim_case(name)
+        ties = overflow = 0
+        for table, traffic, sim_seed in _case_runs(graph, 3, 10, mode, seed=5):
+            got = run_sim(graph, table, traffic, config, sim_seed)
+            want, n_ties = reference_run_sim(graph, table, traffic, config, sim_seed)
+            assert got.kpis.tobytes() == want.kpis.tobytes()
+            assert got.counts.tobytes() == want.counts.tobytes()
+            ties += n_ties
+            overflow += int(want.counts[:, 2].sum())
+        # same-time events occur, so the tie-break order is compared, not assumed
+        assert ties > 0
+        if name == "reggrid-buffer2":
+            assert overflow > 0
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=2, max_value=9),
+        st.integers(min_value=1, max_value=8),
+        st.booleans(),
+        st.sampled_from(["discrete", "continuous"]),
+    )
+    def test_random_graphs(self, seed, n_nodes, n_flows, wired, mode):
+        a = random_connected_adjacency(make_rng(seed, "oracle-graph"), n_nodes)
+        graph = Graph(a, None, wired=wired)
+        config = default_sim_config(wired=wired, t_gen=5.0)
+        n_flows = min(n_flows, n_nodes * (n_nodes - 1))
+        for table, traffic, sim_seed in _case_runs(graph, 1, n_flows, mode, seed):
+            got = run_sim(graph, table, traffic, config, sim_seed)
+            want, _ = reference_run_sim(graph, table, traffic, config, sim_seed)
+            assert got.kpis.tobytes() == want.kpis.tobytes()
+            assert got.counts.tobytes() == want.counts.tobytes()
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("nsfnet", "5dd996dff31f54f3a237037864ba8083463f8c9d89e5011653d24d95cba32690"),
+        ("reggrid", "3e221befc834aeb5944e2f402f42951c519e4009f0f35858438bf7c00bab7d11"),
+    ],
+    ids=["nsfnet", "reggrid"],
+)
+def test_run_sim_bytes_pinned(name, digest):
+    # RNG streams, event order and the KPI arithmetic all feed these digests;
+    # a change that moves any of them moves a digest
+    graph, config = _sim_case(name)
+    h = hashlib.sha256()
+    for mode in ("discrete", "continuous"):
+        for table, traffic, sim_seed in _case_runs(graph, 4, 10, mode, seed=17):
+            rec = run_sim(graph, table, traffic, config, sim_seed)
+            h.update(rec.kpis.tobytes() + rec.counts.tobytes())
+    assert h.hexdigest() == digest
