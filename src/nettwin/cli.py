@@ -41,6 +41,7 @@ from .pipeline import (
     GenConfig,
     Normalizer,
     TrainConfig,
+    TrainResult,
     checkpoint_manifest,
     cross_validate,
     evaluation_report,
@@ -50,7 +51,6 @@ from .pipeline import (
     load_dataset,
     model_from_checkpoint,
     run_strategy,
-    train_model,
     training_defaults,
     write_learning_curves,
 )
@@ -226,6 +226,23 @@ def _state_path(out: Path) -> Path:
     return out.with_name(out.name + ".state")
 
 
+def _resume_state(out: Path) -> tuple[tuple[TwinModel, TrainResult], Normalizer]:
+    """The run saved at out: its last model and result, and its normalizer."""
+    params, state_manifest, adam = load_checkpoint(_state_path(out))
+    best_params, best_manifest, _ = load_checkpoint(out)
+    model, normalizer = model_from_checkpoint(params, state_manifest)
+    best_model, _ = model_from_checkpoint(best_params, best_manifest)
+    result = TrainResult(
+        best_params=best_model.params,
+        adam=adam,
+        history=state_manifest["history"],
+        best_epoch=int(best_manifest["best_epoch"]),
+        best_val=float(best_manifest["best_val"]),
+        epochs_run=int(state_manifest["epochs_run"]),
+    )
+    return (model, result), normalizer
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     resolved = _resolve(args, TRAIN_DEFAULTS)
     data_dir = Path(_require(resolved["data"], "data"))
@@ -261,31 +278,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
                 "std_best_val": cv.std_best_val,
             }
         }
-    elif resolved["resume"] and _state_path(out).exists():
-        params, state_manifest, adam = load_checkpoint(_state_path(out))
-        best_params, best_manifest, _ = load_checkpoint(out)
-        model, normalizer = model_from_checkpoint(params, state_manifest)
-        result = train_model(
-            model,
-            train_samples,
-            val_samples,
-            normalizer,
-            epochs=config.epochs,
-            batch_size=config.batch_size,
-            lr=config.lr,
-            l2_link=config.l2_link,
-            l2_readout=config.l2_readout,
-            seed=derive_seed(config.seed, "train"),
-            adam=adam,
-            start_epoch=int(state_manifest["epochs_run"]),
-            history=state_manifest["history"],
-            best_val=float(best_manifest["best_val"]),
-            best_params=best_params,
-        )
-        histories = {0: result.history}
-        extra = {}
     else:
-        outcome = run_strategy(train_samples, val_samples, config, n_flows)
+        resume, normalizer = None, None
+        if resolved["resume"] and _state_path(out).exists():
+            resume, normalizer = _resume_state(out)
+        outcome = run_strategy(
+            train_samples, val_samples, config, n_flows, normalizer, resume
+        )
         model, result, normalizer = (
             outcome.model,
             outcome.result,

@@ -40,6 +40,9 @@ from .twin import TwinModel, prepare_twin_input
 #: projection box for traffic means, matching the continuous training range
 TRAFFIC_BOUNDS = (1.0, 20.0)
 
+#: gd_traffic stops once a step improves J by less than this fraction
+GD_REL_TOL = 1e-6
+
 #: hinge direction: True means larger-than-target violates the bound
 HINGE_UPPER = {"delay": True, "jitter": True, "throughput": False, "drops": True}
 
@@ -232,7 +235,6 @@ def gd_traffic(
     max_iters: int = 500,
     bounds: tuple[float, float] = TRAFFIC_BOUNDS,
     capacities: np.ndarray | None = None,
-    rel_tol: float = 1e-6,
 ) -> ManageResult:
     """Minimize J over the (F, 2) on/off traffic means, projected into bounds.
 
@@ -283,7 +285,7 @@ def gd_traffic(
         tau = candidate
         j_cur = j_new
         trajectory.append(j_cur)
-        if improvement < rel_tol:
+        if improvement < GD_REL_TOL:
             converged = True
             break
         _, grad = _objective_and_grad(model, inp, k_targ, tau)

@@ -8,7 +8,6 @@ nodes get stronger (higher-capacity) links. Wired graphs carry unit weights.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -106,13 +105,6 @@ def degree_vector(graph: Graph) -> np.ndarray:
     """
     a = graph.adjacency
     return 0.5 * (a.sum(axis=1) + a.sum(axis=0))
-
-
-def path_loss_db(distance_m: float) -> float:
-    """Log-distance path loss 46.67 + 30 log10(d), d in meters."""
-    if distance_m <= 0:
-        raise ValueError(f"distance must be positive, got {distance_m}")
-    return 46.67 + 30.0 * math.log10(distance_m)
 
 
 def wireless_adjacency(

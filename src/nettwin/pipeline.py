@@ -50,12 +50,14 @@ from .simulator import (
     quiet_nanmean,
     run_benchmarks,
     sample_traffic_params,
+    simbase_estimate,
 )
 from .twin import (
     COMPACT,
     LARGE,
     GlanceDims,
     GnnDims,
+    TwinError,
     TwinInput,
     TwinModel,
     batch_inputs,
@@ -140,7 +142,6 @@ class GenConfig:
     t_gen: float = 180.0
     l_max: int = 3
     seed: int = 0
-    sim_overrides: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
@@ -156,17 +157,9 @@ class GenConfig:
             raise DatasetError("test samples need >= 2 runs (reference + benchmark)")
         if self.n_flows < 1 or self.l_max < 1 or self.t_gen <= 0:
             raise DatasetError("n_flows, l_max and t_gen must be positive")
-        object.__setattr__(
-            self,
-            "sim_overrides",
-            tuple((str(k), v) for k, v in self.sim_overrides),
-        )
 
     def sim_config(self, wired: bool) -> SimConfig:
-        base = default_sim_config(wired, t_gen=self.t_gen)
-        if not self.sim_overrides:
-            return base
-        return replace(base, **dict(self.sim_overrides))
+        return default_sim_config(wired, t_gen=self.t_gen)
 
 
 def _base_graph(config: GenConfig) -> Graph:
@@ -442,6 +435,28 @@ def _sample_from_record(
     )
 
 
+#: fields of every dataset record; each of its runs holds a "kpis" matrix
+RECORD_FIELDS = (
+    "index", "topology", "sources", "destinations", "tau_on", "tau_off",
+    "paths", "routing_seed", "runs",
+)
+
+
+def _record_defect(record) -> str | None:
+    """What keeps a parsed JSONL line from being read as a record, if anything."""
+    if not isinstance(record, dict):
+        return "record is not a JSON object"
+    missing = [k for k in RECORD_FIELDS if k not in record]
+    if missing:
+        return f"record lacks field {missing[0]!r}"
+    if not isinstance(record["runs"], list):
+        return "field 'runs' is not a list"
+    for r, run in enumerate(record["runs"]):
+        if not isinstance(run, dict) or "kpis" not in run:
+            return f"run {r} lacks field 'kpis'"
+    return None
+
+
 def load_dataset(path: str | Path) -> Dataset:
     root = Path(path)
     manifest_file = root / "manifest.json"
@@ -470,6 +485,9 @@ def load_dataset(path: str | Path) -> Dataset:
                             f"{split}.jsonl line {number}: truncated or invalid "
                             f"JSON ({exc.msg})"
                         ) from None
+                    defect = _record_defect(record)
+                    if defect:
+                        raise DatasetError(f"{split}.jsonl line {number}: {defect}")
                     samples.append(
                         _sample_from_record(record, split, manifest, graphs, root)
                     )
@@ -480,19 +498,15 @@ def load_dataset(path: str | Path) -> Dataset:
 # -- cleaning ----------------------------------------------------------------
 
 
-def clean_train_samples(
-    samples: list[Sample],
-    delay_limit: float = DELAY_LIMIT_MS,
-    jitter_limit: float = JITTER_LIMIT_MS,
-) -> tuple[list[Sample], dict]:
+def clean_train_samples(samples: list[Sample]) -> tuple[list[Sample], dict]:
     """Drop samples with any out-of-range or undelivered flow."""
     kept = []
     for s in samples:
         delay, jitter = s.labels[:, 0], s.labels[:, 1]
         bad = (
             np.any(~np.isfinite(s.labels))
-            or np.any(delay > delay_limit)
-            or np.any(jitter > jitter_limit)
+            or np.any(delay > DELAY_LIMIT_MS)
+            or np.any(jitter > JITTER_LIMIT_MS)
         )
         if not bad:
             kept.append(s)
@@ -553,12 +567,6 @@ class Normalizer:
         self.mean = np.asarray(mean, dtype=np.float64)
         if self.iqr.shape != (len(TASKS),):
             raise DatasetError(f"iqr must have {len(TASKS)} entries")
-
-    def normalize(self, kpis: np.ndarray) -> np.ndarray:
-        return np.asarray(kpis) / self.iqr
-
-    def denormalize(self, kpis: np.ndarray) -> np.ndarray:
-        return np.asarray(kpis) * self.iqr
 
     def to_jsonable(self) -> dict:
         return {
@@ -635,40 +643,25 @@ class TrainConfig:
         return LARGE if self.size == "large" else COMPACT
 
 
-def _loss_terms(
-    labels: np.ndarray, task_idx: list[int], iqr: np.ndarray
+def loss_targets(
+    model: TwinModel, sample: Sample, iqr: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Targets with gaps zeroed, and weights making sum(|diff| * w) the loss.
 
-    Column k of the weights is 1 / (iqr_k * n_valid_k) on valid cells, so the
-    weighted sum equals the per-task normalized MAE summed over tasks; masked
-    cells contribute nothing to value or gradient.
+    Both are in the model's task columns. Column k of the weights is
+    1 / (iqr * n_valid) of its task on valid cells, so the weighted sum equals
+    the per-task normalized MAE summed over tasks; masked cells contribute
+    nothing to value or gradient.
     """
-    picked = labels[:, task_idx]
+    cols = [TASKS.index(t) for t in model.tasks]
+    picked = sample.labels[:, cols]
     finite = np.isfinite(picked)
     weights = np.zeros_like(picked)
-    for k, col in enumerate(task_idx):
+    for k, col in enumerate(cols):
         n = int(finite[:, k].sum())
         if n:
             weights[finite[:, k], k] = 1.0 / (iqr[col] * n)
     return np.where(finite, picked, 0.0), weights
-
-
-def loss_targets(
-    model: TwinModel, sample: Sample, active: tuple[str, ...], iqr: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Targets and loss weights in the model's task columns.
-
-    Columns of tasks outside ``active`` weigh nothing.
-    """
-    clean_full = np.zeros((len(sample.table.paths), len(model.tasks)))
-    weights_full = np.zeros_like(clean_full)
-    clean, weights = _loss_terms(sample.labels, [TASKS.index(t) for t in active], iqr)
-    for k, t in enumerate(active):
-        col = model.tasks.index(t)
-        clean_full[:, col] = clean[:, k]
-        weights_full[:, col] = weights[:, k]
-    return clean_full, weights_full
 
 
 def batch_loss(
@@ -707,23 +700,15 @@ def predict_samples(model: TwinModel, samples: list[Sample]) -> list[np.ndarray]
 
 
 def loss_values(
-    model: TwinModel, samples: list[Sample], normalizer: Normalizer, task_idx: list[int]
+    model: TwinModel, samples: list[Sample], normalizer: Normalizer
 ) -> list[tuple[float, np.ndarray]]:
     """Forward-only loss of each sample and its per-task components."""
-    cols = [model.tasks.index(TASKS[k]) for k in task_idx]
     out = []
     for s, preds in zip(samples, predict_samples(model, samples)):
-        clean, weights = _loss_terms(s.labels, task_idx, normalizer.iqr)
-        per_task = np.sum(np.abs(preds[:, cols] - clean) * weights, axis=0)
+        clean, weights = loss_targets(model, s, normalizer.iqr)
+        per_task = np.sum(np.abs(preds - clean) * weights, axis=0)
         out.append((float(per_task.sum()), per_task))
     return out
-
-
-def sample_loss_value(
-    model: TwinModel, sample: Sample, normalizer: Normalizer, task_idx: list[int]
-) -> tuple[float, np.ndarray]:
-    """Forward-only loss and its per-task components."""
-    return loss_values(model, [sample], normalizer, task_idx)[0]
 
 
 @dataclass
@@ -748,63 +733,48 @@ def train_model(
     l2_link: float,
     l2_readout: float,
     seed: int,
-    active_tasks: tuple[str, ...] | None = None,
     freeze_embeddings: bool = False,
-    adam: AdamState | None = None,
-    start_epoch: int = 0,
-    history: list[dict] | None = None,
-    best_val: float = math.inf,
-    best_params: ParamSet | None = None,
+    resume: TrainResult | None = None,
 ) -> TrainResult:
     """Adam on the masked normalized-MAE loss; keeps the best-val snapshot.
 
-    active_tasks restricts the loss (and the parameters that move) to a
-    subset of the model's heads; freeze_embeddings leaves everything outside
-    the active readouts byte-identical, which is the transfer-learning mode.
-    The resume arguments (adam, start_epoch, history, best_*) continue an
-    earlier call as if it had never stopped.
+    Every head of the model is trained. freeze_embeddings leaves everything
+    outside the readouts byte-identical, which is the transfer-learning mode.
+    resume continues an earlier call from its result (optimizer state,
+    history, best snapshot, epochs run) as if it had never stopped.
     """
     if not train_samples:
         raise DatasetError("training needs at least one sample")
-    active = tuple(active_tasks) if active_tasks else model.tasks
-    unknown = [t for t in active if t not in model.tasks]
-    if unknown:
-        raise DatasetError(f"active tasks {unknown} not in model tasks {model.tasks}")
-    task_idx = [TASKS.index(t) for t in active]
-    col_of = {t: k for k, t in enumerate(model.tasks)}
-
-    update_only = None
-    if freeze_embeddings or active != model.tasks:
-        allowed = set()
-        if not freeze_embeddings:
-            allowed.update(model.embedding_names())
-        for t in active:
-            allowed.update(model.readout_names(t))
-        update_only = frozenset(allowed)
-
+    tasks = model.tasks
+    update_only = frozenset(model.readout_names()) if freeze_embeddings else None
     l2 = model.l2_map(l2_link, l2_readout)
-    if adam is None:
+    if resume is None:
         adam = AdamState.zeros_like(model.params)
-    history = list(history) if history else []
+        start_epoch, history, best_val, best_params = 0, [], math.inf, None
+    else:
+        adam, start_epoch = resume.adam, resume.epochs_run
+        history, best_val = list(resume.history), resume.best_val
+        best_params = resume.best_params
 
     prepared = [
-        (s.twin_input(model.l_max), *loss_targets(model, s, active, normalizer.iqr))
+        (s.twin_input(model.l_max), *loss_targets(model, s, normalizer.iqr))
         for s in train_samples
     ]
     for epoch in range(start_epoch, epochs):
         order = make_rng(seed, "epoch", epoch).permutation(len(prepared))
         epoch_loss = 0.0
-        epoch_per_task = np.zeros(len(active))
+        epoch_per_task = np.zeros(len(tasks))
         for b0 in range(0, len(order), batch_size):
             tape = Tape()
             bound = model.params.bind(tape)
             loss, abs_err, inp = batch_loss(
                 model, tape, bound, [prepared[i] for i in order[b0 : b0 + batch_size]]
             )
-            # history rows stay per-sample sums
+            # history rows stay per-sample sums; each column is summed on its
+            # own because rows.sum(axis=0) adds in another order
             for rows in np.split(abs_err, inp.flow_offsets[1:-1]):
                 epoch_loss += float(rows.sum())
-                epoch_per_task += [float(rows[:, col_of[t]].sum()) for t in active]
+                epoch_per_task += [float(rows[:, k].sum()) for k in range(len(tasks))]
             grads = tape.backward(loss)
             adam_step(
                 model.params,
@@ -819,18 +789,18 @@ def train_model(
             "epoch": epoch,
             "train_loss": epoch_loss / n_train,
             "train_per_task": {
-                t: epoch_per_task[k] / n_train for k, t in enumerate(active)
+                t: epoch_per_task[k] / n_train for k, t in enumerate(tasks)
             },
         }
         if val_samples:
             val_total = 0.0
-            val_per_task = np.zeros(len(active))
-            for total, per_task in loss_values(model, val_samples, normalizer, task_idx):
+            val_per_task = np.zeros(len(tasks))
+            for total, per_task in loss_values(model, val_samples, normalizer):
                 val_total += total
                 val_per_task += per_task
             row["val_loss"] = val_total / len(val_samples)
             row["val_per_task"] = {
-                t: val_per_task[k] / len(val_samples) for k, t in enumerate(active)
+                t: val_per_task[k] / len(val_samples) for k, t in enumerate(tasks)
             }
         else:
             row["val_loss"] = row["train_loss"]
@@ -894,8 +864,13 @@ def run_strategy(
     config: TrainConfig,
     n_flows: int,
     normalizer: Normalizer | None = None,
+    resume: tuple[TwinModel, TrainResult] | None = None,
 ) -> StrategyOutcome:
-    """Train per the configured strategy and return the trained model."""
+    """Train per the configured strategy and return the trained model.
+
+    resume, stl and mtl only, is a model holding its last parameters and the
+    result that produced them; training continues it up to config.epochs.
+    """
     if normalizer is None:
         normalizer = fit_normalizer(train_samples)
     common = dict(
@@ -906,14 +881,19 @@ def run_strategy(
         l2_readout=config.l2_readout,
     )
     if config.strategy in ("stl", "mtl"):
-        model = _build_model(
-            config, config.active_tasks(), n_flows, derive_seed(config.seed, "init")
+        model, previous = resume or (
+            _build_model(
+                config, config.active_tasks(), n_flows, derive_seed(config.seed, "init")
+            ),
+            None,
         )
         result = train_model(
             model, train_samples, val_samples, normalizer,
-            seed=derive_seed(config.seed, "train"), **common,
+            seed=derive_seed(config.seed, "train"), resume=previous, **common,
         )
         return StrategyOutcome(model, result, normalizer)
+    if resume is not None:
+        raise DatasetError("resuming supports the stl and mtl strategies only")
 
     pre_model = _build_model(
         config, config.pretrain_tasks(), n_flows, derive_seed(config.seed, "pre-init")
@@ -1028,9 +1008,7 @@ def simbase_rows(
     max_n = min(len(s.bench_runs) for s in test_samples)
     rows = {}
     for n in range(1, max_n + 1):
-        preds_list = []
-        for s in test_samples:
-            preds_list.append(quiet_nanmean(np.stack(s.bench_runs[:n]), axis=0))
+        preds_list = [simbase_estimate(s.bench_runs, n) for s in test_samples]
         rows[f"simbase_{n}"] = nmae_row(
             preds_list, [s.labels for s in test_samples], normalizer.iqr
         )
@@ -1106,12 +1084,31 @@ def checkpoint_manifest(
 
 
 def model_from_checkpoint(params: ParamSet, manifest: dict) -> tuple[TwinModel, Normalizer]:
+    """The checkpoint's model, once its parameters match the manifest's.
+
+    Every parameter name and shape is compared with a freshly built model of
+    the manifest's kind, tasks and dims; a mismatch raises TwinError naming
+    the parameter.
+    """
     kind = manifest["kind"]
     tasks = tuple(manifest["tasks"])
     if kind == "gnn":
         dims: GlanceDims | GnnDims = GnnDims(**manifest["dims"])
+        fresh = make_model(kind, tasks, 0, gnn_dims=dims)
     else:
         dims = GlanceDims(**manifest["dims"])
+        fresh = make_model(kind, tasks, 0, dims=dims)
+    for name, want in fresh.params.items():
+        if name not in params:
+            raise TwinError(f"checkpoint lacks parameter {name!r} of its {kind} model")
+        if params[name].shape != want.shape:
+            raise TwinError(
+                f"checkpoint parameter {name!r} has shape {params[name].shape}, "
+                f"its {kind} model needs {want.shape}"
+            )
+    extra = [n for n in params.names() if n not in fresh.params]
+    if extra:
+        raise TwinError(f"checkpoint parameter {extra[0]!r} is not in its {kind} model")
     model = TwinModel(kind, tasks, params, dims)
     return model, Normalizer.from_jsonable(manifest["normalizer"])
 

@@ -75,14 +75,6 @@ class TrafficParams:
     def __len__(self) -> int:
         return len(self.tau_on)
 
-    @property
-    def flat(self) -> np.ndarray:
-        """Zig-zag layout [on_0, off_0, on_1, off_1, ...]."""
-        out = np.empty(2 * len(self.tau_on))
-        out[0::2] = self.tau_on
-        out[1::2] = self.tau_off
-        return out
-
 
 def sample_traffic_params(n_flows: int, mode: str, seed: int) -> TrafficParams:
     """Draw per-flow means: discrete from {1, 10, 20} s or continuous U(1, 20)."""
@@ -439,15 +431,13 @@ def run_benchmarks(
     return RunSet(records, seeds, reference_table)
 
 
-def simbase_estimate(runset: RunSet, n: int) -> np.ndarray:
-    """Elementwise mean of benchmark records 1..n (reference excluded).
+def simbase_estimate(bench_runs: list[np.ndarray], n: int) -> np.ndarray:
+    """Elementwise mean of the first n benchmark runs' KPI matrices.
 
-    Cells missing in some runs average over the runs where they are present;
-    impute beforehand if full coverage is required.
+    bench_runs leaves out the reference run. Cells missing in some runs
+    average over the runs where they are present; impute beforehand if full
+    coverage is required.
     """
-    if not 1 <= n <= len(runset.records) - 1:
-        raise ValueError(
-            f"n must be in [1, {len(runset.records) - 1}], got {n}"
-        )
-    stack = np.stack([rec.kpis for rec in runset.records[1 : 1 + n]])
-    return quiet_nanmean(stack, axis=0)
+    if not 1 <= n <= len(bench_runs):
+        raise ValueError(f"n must be in [1, {len(bench_runs)}], got {n}")
+    return quiet_nanmean(np.stack(bench_runs[:n]), axis=0)

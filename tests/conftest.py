@@ -183,12 +183,17 @@ def copy_with_missing_link(src, dst) -> tuple[int, int]:
     return rerouted[0], index
 
 
-def copy_with_truncated_line(src, dst, split: str, line: int) -> None:
-    """Copy a dataset and cut the given 1-based line of a split in half."""
+def copy_with_line(src, dst, split: str, line: int, rewrite) -> None:
+    """Copy a dataset and replace the given 1-based line of a split by rewrite(line)."""
     shutil.copytree(src, dst)
     lines = (Path(dst) / f"{split}.jsonl").read_text().splitlines()
-    lines[line - 1] = lines[line - 1][: len(lines[line - 1]) // 2]
+    lines[line - 1] = rewrite(lines[line - 1])
     (Path(dst) / f"{split}.jsonl").write_text("\n".join(lines) + "\n")
+
+
+def copy_with_truncated_line(src, dst, split: str, line: int) -> None:
+    """Copy a dataset and cut the given 1-based line of a split in half."""
+    copy_with_line(src, dst, split, line, lambda text: text[: len(text) // 2])
 
 
 @pytest.fixture()

@@ -37,9 +37,9 @@ from nettwin.pipeline import (
     fit_normalizer,
     generate_dataset,
     load_dataset,
+    loss_values,
     naive_rows,
     run_strategy,
-    sample_loss_value,
     train_model,
     training_defaults,
     transfer_model,
@@ -299,12 +299,10 @@ def test_6_learning_smoke(capsys, tmp_path):
         assert wins >= 4, f"multi-task beat the naive row in only {wins}/5 seeds"
 
         # transfer: warm embeddings, fresh delay head, frozen fine-tune
-        delay_idx = [TASKS.index("delay")]
-
-        def delay_val_loss(model) -> float:
+        def delay_val_loss(model) -> float:  # model has the delay head alone
             total = 0.0
             for s in val:
-                total += sample_loss_value(model, s, norm, delay_idx)[0]
+                total += loss_values(model, [s], norm)[0][0]
             return total / len(val)
 
         reg = dict(

@@ -9,8 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import copy_with_missing_link, copy_with_truncated_line
-from nettwin.autodiff import AdamState, load_checkpoint, save_checkpoint
+from conftest import (
+    copy_with_edited_record,
+    copy_with_missing_link,
+    copy_with_truncated_line,
+)
+from nettwin.autodiff import AdamState, ParamSet, load_checkpoint, save_checkpoint
 from nettwin.pipeline import (
     Normalizer,
     TrainConfig,
@@ -257,10 +261,40 @@ class TestTrain:
         assert "train.jsonl line 3: truncated" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_missing_record_field_is_usage_error(
+        self, run_cli, tmp_path, toy_dataset_dir, capsys
+    ):
+        copy_with_edited_record(
+            toy_dataset_dir, tmp_path / "bad", lambda r: r.pop("routing_seed")
+        )
+        assert run_cli(
+            "train", "--data", str(tmp_path / "bad"), "--out", str(tmp_path / "x")
+        ) == 2
+        assert "train.jsonl line 1: record lacks field 'routing_seed'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_data_dir(self, run_cli, tmp_path):
         assert run_cli(
             "train", "--data", str(tmp_path / "absent"), "--out", str(tmp_path / "x")
         ) == 2
+
+    def test_resume_state_with_wrong_shapes_is_usage_error(
+        self, run_cli, tmp_path, toy_dataset_dir, capsys
+    ):
+        out = tmp_path / "m.ckpt"
+        base = [
+            "train", "--data", toy_dataset_dir, "--out", str(out),
+            "--epochs", "1", "--batch-size", "4",
+        ]
+        assert run_cli(*base) == 0
+        state_path = out.with_name(out.name + ".state")
+        params, manifest, adam = load_checkpoint(state_path)
+        cut = ParamSet({n: a[1:] if n == "gru/w_z" else a for n, a in params.items()})
+        save_checkpoint(state_path, cut, manifest, adam)
+        before = out.read_bytes()
+        assert run_cli(*base[:-2], "--epochs", "2", "--resume") == 2
+        assert "checkpoint parameter 'gru/w_z' has shape" in capsys.readouterr().err
+        assert out.read_bytes() == before
 
     def test_poisoned_resume_state_is_numerical_failure(
         self, run_cli, tmp_path, toy_dataset_dir
@@ -280,6 +314,30 @@ class TestTrain:
 
 
 class TestEval:
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: ParamSet({n: a[1:] if n == "gru/w_z" else a for n, a in p.items()}),
+             "checkpoint parameter 'gru/w_z' has shape"),
+            (lambda p: ParamSet({n: a for n, a in p.items() if n != "egc/w"}),
+             "checkpoint lacks parameter 'egc/w'"),
+        ],
+        ids=["cut-row", "missing"],
+    )
+    def test_malformed_checkpoint_is_usage_error(
+        self, run_cli, tmp_path, toy_dataset_dir, capsys, edit, message
+    ):
+        ckpt = tmp_path / "bad.ckpt"
+        write_ckpt(ckpt)
+        params, manifest, _ = load_checkpoint(ckpt)
+        save_checkpoint(ckpt, edit(params), manifest)
+        out = tmp_path / "report.json"
+        assert run_cli(
+            "eval", "--data", toy_dataset_dir, "--checkpoint", str(ckpt), "--out", str(out)
+        ) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_model_report_matches_library(
         self, run_cli, tmp_path, toy_dataset_dir, toy_dataset, capsys
     ):

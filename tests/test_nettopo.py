@@ -18,7 +18,6 @@ from nettwin.nettopo import (
     build_reg_grid,
     degree_vector,
     load_topology,
-    path_loss_db,
     sample_flows,
     save_topology,
     validate_flows,
@@ -97,24 +96,6 @@ class TestNsfnet:
 
         g = build_nsfnet()
         assert all(d >= 0 for d in hop_distances(g.adjacency, 0))
-
-
-class TestPathLoss:
-    def test_reference_values(self):
-        assert path_loss_db(1.0) == pytest.approx(46.67, abs=1e-12)
-        assert path_loss_db(10.0) == pytest.approx(76.67, abs=1e-12)
-        assert path_loss_db(30.0) == pytest.approx(46.67 + 30 * math.log10(30.0))
-        assert path_loss_db(30.0) == pytest.approx(90.983, abs=1e-3)
-
-    def test_rejects_non_positive_distance(self):
-        with pytest.raises(ValueError):
-            path_loss_db(0.0)
-        with pytest.raises(ValueError):
-            path_loss_db(-3.0)
-
-    @given(st.floats(min_value=0.1, max_value=1e4), st.floats(min_value=1.01, max_value=10.0))
-    def test_monotone_in_distance(self, d, factor):
-        assert path_loss_db(d * factor) > path_loss_db(d)
 
 
 class TestWirelessAdjacency:

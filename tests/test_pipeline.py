@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from conftest import (
     BATCH_DIMS,
     TINY_DIMS,
     copy_with_edited_record,
+    copy_with_line,
     copy_with_missing_link,
     copy_with_truncated_line,
     line_sample,
@@ -59,8 +61,8 @@ from nettwin.pipeline import (
     transfer_model,
     write_learning_curves,
 )
-from nettwin.simulator import TASKS
-from nettwin.twin import COMPACT, LARGE, GnnDims, make_model
+from nettwin.simulator import TASKS, default_sim_config
+from nettwin.twin import COMPACT, LARGE, GnnDims, TwinError, make_model
 
 
 def zero_params(model):
@@ -111,16 +113,12 @@ class TestScenarioDefaults:
             with pytest.raises(DatasetError, match="must be positive"):
                 GenConfig(scenario="reggrid-fixed", **kw)
 
-    def test_sim_overrides_applied(self):
-        config = GenConfig(
-            scenario="reggrid-fixed",
-            t_gen=12.0,
-            sim_overrides=(("cbr_rate", 2e5), ("queue_buffer_pkts", 7)),
-        )
-        sim = config.sim_config(wired=True)
-        assert sim.t_gen == 12.0
-        assert sim.cbr_rate == 2e5
-        assert sim.queue_buffer_pkts == 7
+    def test_sim_config_takes_t_gen(self):
+        config = GenConfig(scenario="reggrid-fixed", t_gen=12.0)
+        for wired in (True, False):
+            sim = config.sim_config(wired)
+            assert sim == default_sim_config(wired, t_gen=12.0)
+            assert sim.t_gen == 12.0
 
 
 # -- generation and loading ---------------------------------------------------
@@ -300,6 +298,29 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=r"^val.jsonl line 2: truncated"):
             load_dataset(tmp_path / "bad")
 
+    def test_non_object_record_rejected(self, tmp_path, toy_dataset_dir):
+        copy_with_line(toy_dataset_dir, tmp_path / "bad", "train", 2, lambda _: "[1, 2]")
+        with pytest.raises(
+            DatasetError, match=r"^train.jsonl line 2: record is not a JSON object$"
+        ):
+            load_dataset(tmp_path / "bad")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda r: r.pop("routing_seed"), r"record lacks field 'routing_seed'"),
+            (lambda r: r.pop("sources"), r"record lacks field 'sources'"),
+            (lambda r: r["runs"][0].pop("kpis"), r"run 0 lacks field 'kpis'"),
+            (lambda r: r["runs"].append([1.0]), r"run 1 lacks field 'kpis'"),
+            (lambda r: r.update(runs=5), r"field 'runs' is not a list"),
+        ],
+        ids=["routing-seed", "sources", "run-kpis", "run-not-object", "runs-not-list"],
+    )
+    def test_missing_field_rejected(self, tmp_path, toy_dataset_dir, edit, message):
+        copy_with_edited_record(toy_dataset_dir, tmp_path / "bad", edit)
+        with pytest.raises(DatasetError, match=rf"^train.jsonl line 1: {message}$"):
+            load_dataset(tmp_path / "bad")
+
     def test_reload_round_trips_labels(self, toy_dataset_dir, toy_dataset):
         again = load_dataset(toy_dataset_dir)
         for split in SPLITS:
@@ -330,8 +351,6 @@ class TestCleanTrain:
 
 class TestCleanTest:
     def make(self, line3, bench, labels=(100.0, 10.0, 40.0, 0.0)):
-        from dataclasses import replace
-
         s = line_sample(line3, 100.0, 100.0, list(labels))
         return replace(s, split="test", bench_runs=[np.array([r], dtype=np.float64) for r in bench])
 
@@ -423,11 +442,6 @@ class TestNormalizer:
         assert_array_equal(with_gap.iqr, without.iqr)
         assert_array_equal(with_gap.median, without.median)
 
-    def test_normalize_round_trip(self):
-        norm = Normalizer(np.array([2.0, 4.0, 8.0, 16.0]), np.zeros(4), np.zeros(4))
-        x = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
-        assert_array_equal(norm.normalize(x), x / norm.iqr)
-        np.testing.assert_allclose(norm.denormalize(norm.normalize(x)), x, rtol=1e-12)
 
     def test_jsonable_round_trip(self, line3):
         norm = self.fit_on_delays(line3, [1.0, 2.0, 9.0])
@@ -533,46 +547,22 @@ class TestTrainModel:
                 epochs=1, batch_size=1, lr=1e-3, l2_link=0.0, l2_readout=0.0, seed=0,
             )
 
-    def test_unknown_active_task(self, line3):
-        model = make_model("glance", ("delay",), 0, dims=TINY_DIMS)
-        with pytest.raises(DatasetError, match="not in model tasks"):
-            train_model(
-                model, training_pair(line3), [], UNIT_NORM,
-                epochs=1, batch_size=1, lr=1e-3, l2_link=0.0, l2_readout=0.0,
-                seed=0, active_tasks=("jitter",),
-            )
-
-    def test_active_subset_freezes_other_readouts(self, line3):
-        model = make_model("glance", TASKS, 7, dims=TINY_DIMS)
+    def test_freeze_embeddings_moves_only_active_readout(self, line3):
+        # the transfer-learning setting: one fresh head on frozen embeddings
+        model = make_model("glance", ("delay",), 7, dims=TINY_DIMS)
         before = param_bytes(model.params)
         result = train_model(
             model, training_pair(line3), [], UNIT_NORM,
             epochs=1, batch_size=2, lr=1e-3, l2_link=1e-3, l2_readout=1e-4,
-            seed=3, active_tasks=("delay",),
+            seed=3, freeze_embeddings=True,
         )
         after = param_bytes(model.params)
-        frozen = [n for n in model.params.names() if n.startswith(("readout/jitter", "readout/throughput", "readout/drops"))]
-        moving = [n for n in model.params.names() if n not in frozen]
-        assert frozen
-        for name in frozen:
+        assert model.readout_names() and model.embedding_names()
+        for name in model.readout_names():
+            assert after[name] != before[name]
+        for name in model.embedding_names():
             assert after[name] == before[name]
             assert not result.adam.m[name].any()  # moments never touched
-        assert any(after[name] != before[name] for name in moving)
-
-    def test_freeze_embeddings_moves_only_active_readout(self, line3):
-        model = make_model("glance", TASKS, 7, dims=TINY_DIMS)
-        before = param_bytes(model.params)
-        train_model(
-            model, training_pair(line3), [], UNIT_NORM,
-            epochs=1, batch_size=2, lr=1e-3, l2_link=1e-3, l2_readout=1e-4,
-            seed=3, active_tasks=("delay",), freeze_embeddings=True,
-        )
-        after = param_bytes(model.params)
-        for name in model.params.names():
-            if name.startswith("readout/delay"):
-                assert after[name] != before[name]
-            else:
-                assert after[name] == before[name]
 
     def test_resume_matches_uninterrupted_run(self, line3):
         samples = training_pair(line3)
@@ -585,9 +575,7 @@ class TestTrainModel:
         part_model = make_model("glance", TASKS, 5, dims=TINY_DIMS)
         first = train_model(part_model, samples, val, UNIT_NORM, epochs=2, **kw)
         second = train_model(
-            part_model, samples, val, UNIT_NORM, epochs=4,
-            adam=first.adam, start_epoch=2, history=first.history,
-            best_val=first.best_val, best_params=first.best_params, **kw,
+            part_model, samples, val, UNIT_NORM, epochs=4, resume=first, **kw,
         )
         assert param_bytes(part_model.params) == param_bytes(full_model.params)
         assert second.history == full.history
@@ -631,7 +619,7 @@ class TestBatchedTraining:
 
     def items(self, model, samples):
         return [
-            (s.twin_input(3), *loss_targets(model, s, TASKS, UNIT_NORM.iqr))
+            (s.twin_input(3), *loss_targets(model, s, UNIT_NORM.iqr))
             for s in samples
         ]
 
@@ -666,15 +654,13 @@ class TestBatchedTraining:
         single = predict_samples(model, samples[:1])[0]
         assert single.tobytes() == model.predict(samples[0].twin_input(3)).tobytes()
 
-    def test_loss_values_read_the_active_columns(self):
-        model = self.model("routenet")
+    def test_loss_values_read_the_model_columns(self):
+        # the model's only head is jitter, column 1 of the labels
+        model = make_model("routenet", ("jitter",), 6, dims=BATCH_DIMS)
         samples = mixed_samples()
-        jitter = [TASKS.index("jitter")]
-        for s, (total, per_task) in zip(
-            samples, loss_values(model, samples, UNIT_NORM, jitter)
-        ):
-            preds = model.predict(s.twin_input(3))[:, jitter[0]]
-            want = np.mean(np.abs(preds - s.labels[:, jitter[0]])) / UNIT_NORM.iqr[1]
+        for s, (total, per_task) in zip(samples, loss_values(model, samples, UNIT_NORM)):
+            preds = model.predict(s.twin_input(3))[:, 0]
+            want = np.mean(np.abs(preds - s.labels[:, 1])) / UNIT_NORM.iqr[1]
             assert per_task.shape == (1,)
             assert total == pytest.approx(want, rel=1e-12)
 
@@ -712,6 +698,26 @@ class TestRunStrategy:
         assert out1.model.tasks == TASKS
         assert param_bytes(out1.model.params) == param_bytes(out2.model.params)
         assert out1.result.history == out2.result.history
+
+    def test_resume_continues_a_shorter_run(self, cleaned_toy):
+        train, val = cleaned_toy["train"][:4], cleaned_toy["val"]
+        config = TrainConfig(strategy="stl", target_task="jitter", epochs=3, batch_size=2, seed=4)
+        full = run_strategy(train, val, config, n_flows=10)
+        first = run_strategy(train, val, replace(config, epochs=1), n_flows=10)
+        second = run_strategy(
+            train, val, config, 10, first.normalizer, resume=(first.model, first.result)
+        )
+        assert second.model is first.model
+        assert param_bytes(second.model.params) == param_bytes(full.model.params)
+        assert second.result.history == full.result.history
+        assert param_bytes(second.result.best_params) == param_bytes(full.result.best_params)
+
+    def test_resume_rejected_for_transfer(self, cleaned_toy):
+        model = make_model("glance", ("delay",), 0, dims=TINY_DIMS)
+        result = TrainResult(model.params.copy(), AdamState.zeros_like(model.params), [], 0, 1.0, 1)
+        config = TrainConfig(strategy="tl", target_task="delay", epochs=2, seed=1)
+        with pytest.raises(DatasetError, match="stl and mtl strategies only"):
+            run_strategy(cleaned_toy["train"][:2], [], config, 10, UNIT_NORM, (model, result))
 
     def test_transfer_keeps_pretrained_embeddings(self, cleaned_toy):
         config = TrainConfig(strategy="tl", target_task="throughput", epochs=2, batch_size=4, seed=3)
@@ -813,8 +819,6 @@ class TestNmae:
 
 class TestBaselineRows:
     def bench_sample(self, line3, runs, labels, index=0):
-        from dataclasses import replace
-
         s = line_sample(line3, 100.0, 100.0, list(labels), index=index)
         return replace(s, bench_runs=[np.full((1, 4), v) for v in runs])
 
@@ -918,6 +922,25 @@ class TestCheckpointManifest:
         assert loaded.dims == model.dims
         inp = line_sample(line3, 100.0, 100.0, [1.0, 1.0, 1.0, 1.0]).twin_input(2)
         assert loaded.predict(inp).tobytes() == model.predict(inp).tobytes()
+
+    @pytest.mark.parametrize("kind", ["glance", "gnn"])
+    def test_params_checked_against_manifest(self, kind):
+        model = make_model(kind, ("delay", "drops"), 2, dims=TINY_DIMS, n_flows=3)
+        manifest = checkpoint_manifest(model, UNIT_NORM, TrainConfig(), self.result_for(model))
+        name = model.params.names()[0]
+
+        cut = ParamSet({n: a[1:] if n == name else a for n, a in model.params.items()})
+        with pytest.raises(TwinError, match=rf"parameter '{name}' has shape"):
+            model_from_checkpoint(cut, manifest)
+
+        missing = ParamSet({n: a for n, a in model.params.items() if n != name})
+        with pytest.raises(TwinError, match=rf"lacks parameter '{name}'"):
+            model_from_checkpoint(missing, manifest)
+
+        extra = model.params.copy()
+        extra.add("readout/jitter/out_b", np.zeros(1))
+        with pytest.raises(TwinError, match=r"'readout/jitter/out_b' is not in its"):
+            model_from_checkpoint(extra, manifest)
 
 
 class TestLearningCurves:

@@ -23,7 +23,6 @@ from nettwin.simulator import (
     ATTEN_REF,
     TASKS,
     KpiRecord,
-    RunSet,
     SimConfig,
     SimulationError,
     TrafficParams,
@@ -51,10 +50,6 @@ class TestTrafficParams:
             TrafficParams((0.0,), (1.0,))
         with pytest.raises(SimulationError, match="positive"):
             TrafficParams((1.0,), (math.nan,))
-
-    def test_flat_zigzag(self):
-        t = TrafficParams((1.0, 3.0), (2.0, 4.0))
-        assert np.array_equal(t.flat, [1.0, 2.0, 3.0, 4.0])
 
     def test_discrete_support(self):
         t = sample_traffic_params(500, "discrete", seed=1)
@@ -261,42 +256,31 @@ class TestBenchmarks:
 
 
 class TestSimbaseEstimate:
-    def make_runset(self, *rows):
-        from conftest import wired_graph
-
-        table = shortest_paths(
-            wired_graph(3, [(0, 1), (1, 2)]), FlowSet((0,), (2,)), seed=0
-        )
-        records = [KpiRecord(np.array([row], dtype=np.float64)) for row in rows]
-        seeds = [{"routing": i, "sim": i} for i in range(len(rows))]
-        return RunSet(records, seeds, table)
+    def runs(self, *rows):
+        return [np.array([row], dtype=np.float64) for row in rows]
 
     def test_mean_of_first_n_benchmarks(self):
-        runset = self.make_runset([9, 9, 9, 9], [2, 2, 2, 2], [4, 4, 4, 4])
-        assert np.array_equal(simbase_estimate(runset, 2), [[3.0, 3.0, 3.0, 3.0]])
+        runs = self.runs([2, 2, 2, 2], [4, 4, 4, 4], [9, 9, 9, 9])
+        assert np.array_equal(simbase_estimate(runs, 2), [[3.0, 3.0, 3.0, 3.0]])
 
     def test_n_equal_one_is_verbatim(self):
-        runset = self.make_runset([9, 9, 9, 9], [2, math.nan, 2, 2], [4, 4, 4, 4])
-        est = simbase_estimate(runset, 1)
+        runs = self.runs([2, math.nan, 2, 2], [4, 4, 4, 4])
+        est = simbase_estimate(runs, 1)
         assert est[0, 0] == 2.0
         assert math.isnan(est[0, 1])
 
     def test_missing_cell_averages_available_runs(self):
-        runset = self.make_runset([9, 9, 9, 9], [2, 2, 2, 2], [4, math.nan, 4, 4])
-        est = simbase_estimate(runset, 2)
+        runs = self.runs([2, 2, 2, 2], [4, math.nan, 4, 4])
+        est = simbase_estimate(runs, 2)
         assert est[0, 1] == 2.0  # only run 1 has the cell
         assert est[0, 0] == 3.0
 
-    def test_reference_is_never_used(self):
-        runset = self.make_runset([1000, 1000, 1000, 1000], [2, 2, 2, 2], [4, 4, 4, 4])
-        assert np.all(simbase_estimate(runset, 2) < 10)
-
     def test_n_bounds(self):
-        runset = self.make_runset([9, 9, 9, 9], [2, 2, 2, 2])
+        runs = self.runs([2, 2, 2, 2])
         with pytest.raises(ValueError):
-            simbase_estimate(runset, 0)
+            simbase_estimate(runs, 0)
         with pytest.raises(ValueError):
-            simbase_estimate(runset, 2)
+            simbase_estimate(runs, 2)
 
 
 class TestManagementRuns:
