@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .autodiff import DivergenceError, Tape
 from .nettopo import FlowSet, Graph
-from .routing import RoutingTable, shortest_paths
+from .routing import Path, RoutingTable, shortest_paths
 from .seeding import derive_seed, make_rng
 from .simulator import (
     TASKS,
@@ -35,13 +36,18 @@ from .simulator import (
     quiet_nanmean,
     run_sim,
 )
-from .twin import TwinModel, prepare_twin_input
+from .twin import EVAL_CHUNK, TwinInput, TwinModel, batch_inputs, prepare_twin_input
 
 #: projection box for traffic means, matching the continuous training range
 TRAFFIC_BOUNDS = (1.0, 20.0)
 
 #: gd_traffic stops once a step improves J by less than this fraction
 GD_REL_TOL = 1e-6
+
+#: a batched J rules a hill-climb candidate out only when it exceeds the J
+#: to beat by more than this fraction; batched and single-tape J agree to
+#: about 1e-16 relative
+MARGIN = 1e-6
 
 #: hinge direction: True means larger-than-target violates the bound
 HINGE_UPPER = {"delay": True, "jitter": True, "throughput": False, "drops": True}
@@ -193,6 +199,11 @@ def _objective_arrays(
     return targets, weights, inv_iqr
 
 
+def _j_value(preds: np.ndarray, arrays) -> float:
+    targets, weights, inv_iqr = arrays
+    return float(np.sum(np.abs(preds * inv_iqr - targets) * weights))
+
+
 def twin_objective(
     model: TwinModel,
     inp,
@@ -200,26 +211,48 @@ def twin_objective(
     tau: np.ndarray | None = None,
 ) -> float:
     """Forward-only J: masked mean |normalized prediction - target|."""
-    targets, weights, inv_iqr = _objective_arrays(profile, model)
+    arrays = _objective_arrays(profile, model)
     tape = Tape()
     bound = {n: tape.constant(a) for n, a in model.params.items()}
     tau_t = None if tau is None else tape.constant(np.asarray(tau, dtype=np.float64))
     preds = model.forward(tape, bound, inp, tau_t)
-    return float(np.sum(np.abs(preds.value * inv_iqr - targets) * weights))
+    return _j_value(preds.value, arrays)
 
 
-def _objective_and_grad(
-    model: TwinModel, inp, profile: TargetProfile, tau: np.ndarray
-) -> tuple[float, np.ndarray]:
-    targets, weights, inv_iqr = _objective_arrays(profile, model)
+def _batch_objective(
+    model: TwinModel, inputs: list[TwinInput], profile: TargetProfile
+) -> list[float]:
+    """J of each input from one batched forward.
+
+    Agrees with ``twin_objective`` to about 1e-16 relative, not bit for
+    bit (the batch's matrix products have other shapes), so callers use it
+    to rule candidates out, never in.
+    """
+    arrays = _objective_arrays(profile, model)
+    batch = batch_inputs(inputs)
+    preds = model.predict(batch)
+    off = batch.flow_offsets
+    return [_j_value(preds[a:b], arrays) for a, b in zip(off[:-1], off[1:])]
+
+
+def _objective_on_tape(
+    model: TwinModel, inp: TwinInput, profile: TargetProfile, tau: np.ndarray
+) -> tuple[float, Callable[[], np.ndarray]]:
+    """J at tau (the same value ``twin_objective`` gives) and a thunk that
+    runs the backward pass on the same tape for dJ/dtau."""
+    arrays = _objective_arrays(profile, model)
     tape = Tape()
     bound = {n: tape.constant(a) for n, a in model.params.items()}
     tau_leaf = tape.leaf(tau)
     preds = model.forward(tape, bound, inp, tau_leaf)
-    diff = tape.sub(tape.mul(preds, tape.constant(inv_iqr)), tape.constant(targets))
-    j = tape.total_sum(tape.mul(tape.absolute(diff), tape.constant(weights)))
-    grads = tape.backward(j)
-    return float(j.value), grads[tau_leaf]
+
+    def grad() -> np.ndarray:
+        targets, weights, inv_iqr = (tape.constant(a) for a in arrays)
+        diff = tape.sub(tape.mul(preds, inv_iqr), targets)
+        j = tape.total_sum(tape.mul(tape.absolute(diff), weights))
+        return tape.backward(j)[tau_leaf]
+
+    return _j_value(preds.value, arrays), grad
 
 
 # -- projected gradient descent over traffic ---------------------------------
@@ -240,7 +273,9 @@ def gd_traffic(
 
     The step size persists across iterations and is halved (up to 20 times
     per iteration) whenever a step would not strictly improve J, so the
-    trajectory is non-increasing by construction.
+    trajectory is non-increasing by construction. Each trial step costs one
+    forward; the next gradient is the backward pass of the accepted step's
+    own tape.
     """
     if model.kind == "gnn":
         raise ManageError("the gnn baseline has no traffic input to differentiate")
@@ -261,11 +296,12 @@ def gd_traffic(
     inp = prepare_twin_input(graph, table, traffic, capacities, model.l_max)
 
     alpha = float(alpha0)
-    j_cur, grad = _objective_and_grad(model, inp, k_targ, tau)
+    j_cur, grad_at = _objective_on_tape(model, inp, k_targ, tau)
     trajectory = [j_cur]
     converged = False
     iters = 0
     for iters in range(1, max_iters + 1):
+        grad = grad_at()
         if not np.all(np.isfinite(grad)):
             raise DivergenceError(
                 f"non-finite gradient at iteration {iters}; tau={tau.tolist()}"
@@ -273,7 +309,7 @@ def gd_traffic(
         accepted = False
         for _ in range(21):  # current alpha plus up to 20 halvings
             candidate = np.clip(tau - alpha * grad, lo, hi)
-            j_new = twin_objective(model, inp, k_targ, candidate)
+            j_new, grad_at = _objective_on_tape(model, inp, k_targ, candidate)
             if j_new < j_cur:
                 accepted = True
                 break
@@ -288,7 +324,6 @@ def gd_traffic(
         if improvement < GD_REL_TOL:
             converged = True
             break
-        _, grad = _objective_and_grad(model, inp, k_targ, tau)
     return ManageResult(
         kind="traffic",
         optimized_traffic=tau,
@@ -336,6 +371,15 @@ def hillclimb_destinations(
     node that would duplicate an existing (source, destination) pair.
     Routing inside the twin uses one fixed tie-break seed so J is a pure
     function of the destination vector.
+
+    A flow's candidates differ from the current vector in that flow only,
+    so they are all known before the first is tried, as are a restart's
+    starts. Each such set is routed and scored by batched forwards: a
+    flow's candidates (fewer than the graph's nodes) in one, the starts
+    EVAL_CHUNK at a time. A batched J may only rule a vector out, when it
+    lies above the J to beat by more than MARGIN; every J that is compared,
+    accepted or kept comes from ``twin_objective`` on the vector's own
+    input, so results are those of scoring each vector alone.
     """
     sources = tuple(int(s) for s in f_src)
     if len(sources) != k_targ.n_flows or len(traffic) != len(sources):
@@ -348,17 +392,42 @@ def hillclimb_destinations(
     tie_seed = derive_seed(rng_seed, "ties")
     l_max = model.l_max
 
-    cache: dict[tuple[int, ...], float] = {}
+    def twin_input(table: RoutingTable) -> TwinInput:
+        return prepare_twin_input(graph, table, traffic, capacities, l_max)
 
-    def j_of(dests: tuple[int, ...]) -> float:
-        if dests in cache:
-            return cache[dests]
-        flows = FlowSet(sources, dests)
-        table = shortest_paths(graph, flows, tie_seed)
-        inp = prepare_twin_input(graph, table, traffic, capacities, l_max)
-        j = twin_objective(model, inp, k_targ)
-        cache[dests] = j
-        return j
+    # each vector routed so far has its exact J, or its batched J and its
+    # routes, so it is routed once; vectors share all but a few paths, so
+    # each distinct path is kept once; ``fresh`` has the last set's inputs
+    exact: dict[tuple[int, ...], float] = {}
+    rough: dict[tuple[int, ...], tuple[float, RoutingTable]] = {}
+    paths: dict[Path, Path] = {}
+    fresh: dict[tuple[int, ...], TwinInput] = {}
+
+    def score(vectors: list[tuple[int, ...]], per_forward: int) -> None:
+        fresh.clear()
+        new = [v for v in dict.fromkeys(vectors) if v not in exact and v not in rough]
+        for c0 in range(0, len(new), per_forward):
+            chunk = new[c0 : c0 + per_forward]
+            tables = [shortest_paths(graph, FlowSet(sources, v), tie_seed) for v in chunk]
+            inputs = [twin_input(t) for t in tables]
+            js = _batch_objective(model, inputs, k_targ)
+            for v, j, t in zip(chunk, js, tables):
+                shared = tuple(paths.setdefault(p, p) for p in t.paths)
+                rough[v] = (j, RoutingTable(shared, t.seed))
+            fresh.update(zip(chunk, inputs))
+
+    def rough_j(v: tuple[int, ...]) -> float:
+        return exact[v] if v in exact else rough[v][0]
+
+    def j_of(v: tuple[int, ...]) -> float:
+        if v not in exact:
+            table = rough.pop(v)[1]
+            inp = fresh[v] if v in fresh else twin_input(table)
+            exact[v] = twin_objective(model, inp, k_targ)
+        return exact[v]
+
+    def ruled_out(v: tuple[int, ...], j: float) -> bool:
+        return rough_j(v) - j > MARGIN * abs(j)
 
     best_overall: tuple[float, tuple[int, ...], list[float], int] | None = None
     for restart in range(n_rand):
@@ -366,7 +435,9 @@ def hillclimb_destinations(
         starts = [
             _valid_destination_vector(rng, sources, n_nodes) for _ in range(n_init)
         ]
-        start_js = [j_of(v) for v in starts]
+        score(starts, EVAL_CHUNK)
+        j_floor = min(rough_j(v) for v in starts)
+        start_js = [math.inf if ruled_out(v, j_floor) else j_of(v) for v in starts]
         best_i = int(np.argmin(start_js))
         current = starts[best_i]
         j_cur = start_js[best_i]
@@ -381,17 +452,24 @@ def hillclimb_destinations(
                     for n in range(n_nodes)
                     if n != sources[f] and n != current[f]
                 ]
+                # accepting a candidate frees the flow's old pair, which is no
+                # candidate, and takes one already tried: the trials and the
+                # pairs they collide with stay fixed for the whole flow
+                trials = {
+                    n: current[:f] + (n,) + current[f + 1 :]
+                    for n in candidates
+                    if (sources[f], n) not in used
+                }
+                score(list(trials.values()), n_nodes)  # one forward
                 for pick in rng.permutation(len(candidates)):
-                    n = candidates[int(pick)]
-                    if (sources[f], n) in used:
+                    trial = trials.get(candidates[int(pick)])
+                    if trial is None or ruled_out(trial, j_cur):
                         continue
-                    trial = current[:f] + (n,) + current[f + 1 :]
                     j_new = j_of(trial)
                     if j_new < j_cur:
                         current = trial
                         j_cur = j_new
                         trajectory.append(j_cur)
-                        used = set(zip(sources, current))
                         improved = True
             if not improved:
                 break

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +54,7 @@ from .simulator import (
 )
 from .twin import (
     COMPACT,
+    EVAL_CHUNK,
     LARGE,
     GlanceDims,
     GnnDims,
@@ -74,10 +75,6 @@ JITTER_LIMIT_MS = 200.0
 
 #: IQR floor that keeps constant KPI columns divisible
 IQR_EPS = 1e-9
-
-#: samples per forward when validating and evaluating; bounds the size of
-#: a batch's dense block-diagonal node operator
-EVAL_CHUNK = 10
 
 SPLITS = ("train", "val", "test")
 
@@ -435,11 +432,21 @@ def _sample_from_record(
     )
 
 
-#: fields of every dataset record; each of its runs holds a "kpis" matrix
-RECORD_FIELDS = (
-    "index", "topology", "sources", "destinations", "tau_on", "tau_off",
-    "paths", "routing_seed", "runs",
-)
+#: fields of every dataset record and their JSON types; each of its runs
+#: holds a "kpis" matrix
+RECORD_FIELDS = {
+    "index": int,
+    "topology": str,
+    "sources": list,
+    "destinations": list,
+    "tau_on": list,
+    "tau_off": list,
+    "paths": list,
+    "routing_seed": int,
+    "runs": list,
+}
+
+_JSON_TYPE_NAMES = {int: "an integer", str: "a string", list: "a list"}
 
 
 def _record_defect(record) -> str | None:
@@ -449,8 +456,10 @@ def _record_defect(record) -> str | None:
     missing = [k for k in RECORD_FIELDS if k not in record]
     if missing:
         return f"record lacks field {missing[0]!r}"
-    if not isinstance(record["runs"], list):
-        return "field 'runs' is not a list"
+    for key, kind in RECORD_FIELDS.items():
+        value = record[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            return f"field {key!r} is not {_JSON_TYPE_NAMES[kind]}"
     for r, run in enumerate(record["runs"]):
         if not isinstance(run, dict) or "kpis" not in run:
             return f"run {r} lacks field 'kpis'"
@@ -1090,13 +1099,28 @@ def model_from_checkpoint(params: ParamSet, manifest: dict) -> tuple[TwinModel, 
     the manifest's kind, tasks and dims; a mismatch raises TwinError naming
     the parameter.
     """
+    missing = [k for k in ("kind", "tasks", "dims", "normalizer") if k not in manifest]
+    if missing:
+        raise TwinError(f"checkpoint manifest lacks field {missing[0]!r}")
     kind = manifest["kind"]
     tasks = tuple(manifest["tasks"])
+    dims_type = GnnDims if kind == "gnn" else GlanceDims
+    raw_dims = manifest["dims"]
+    if not isinstance(raw_dims, dict):
+        raise TwinError("checkpoint manifest field 'dims' is not an object")
+    dim_fields = fields(dims_type)
+    unknown = sorted(set(raw_dims) - {f.name for f in dim_fields})
+    if unknown:
+        raise TwinError(f"checkpoint dims key {unknown[0]!r} is not a {kind} dimension")
+    lacking = [
+        f.name for f in dim_fields if f.name not in raw_dims and f.default is MISSING
+    ]
+    if lacking:
+        raise TwinError(f"checkpoint dims lack key {lacking[0]!r}")
+    dims = dims_type(**raw_dims)
     if kind == "gnn":
-        dims: GlanceDims | GnnDims = GnnDims(**manifest["dims"])
         fresh = make_model(kind, tasks, 0, gnn_dims=dims)
     else:
-        dims = GlanceDims(**manifest["dims"])
         fresh = make_model(kind, tasks, 0, dims=dims)
     for name, want in fresh.params.items():
         if name not in params:

@@ -216,6 +216,12 @@ def prepare_twin_input(
     return TwinInput(graph, table, traffic, capacities, l_max)
 
 
+#: samples per forward when many are scored at once (validation,
+#: evaluation, the hill-climb's random starts); bounds the size of a batch's
+#: dense block-diagonal node operator
+EVAL_CHUNK = 10
+
+
 def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
     rows = sum(b.shape[0] for b in blocks)
     cols = sum(b.shape[1] for b in blocks)

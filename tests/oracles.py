@@ -3,9 +3,11 @@
 Everything here is written from scratch, so the checks never reuse the code
 they are checking: central finite differences for gradients, a from-scratch
 minimal-hop path enumerator working directly on the adjacency matrix, a
-random connected graph builder, and a plain event loop for the simulator
+random connected graph builder, a plain event loop for the simulator
 (which takes only its inputs from the package: seeded RNG streams, link
-capacities and the KPI record type).
+capacities and the KPI record type), and the two management solvers in
+their plainest form, where every state is scored alone on its own tape
+(taking the twin, routing and seeding from the package).
 """
 
 from __future__ import annotations
@@ -16,8 +18,13 @@ from collections import deque
 
 import numpy as np
 
-from nettwin.seeding import make_rng
-from nettwin.simulator import KpiRecord, link_capacities
+from nettwin.autodiff import Tape
+from nettwin.manage import TargetProfile, twin_objective
+from nettwin.nettopo import FlowSet
+from nettwin.routing import shortest_paths
+from nettwin.seeding import derive_seed, make_rng
+from nettwin.simulator import TASKS, KpiRecord, default_sim_config, link_capacities
+from nettwin.twin import TwinModel, prepare_twin_input
 
 FD_STEP = 1e-6
 
@@ -233,3 +240,116 @@ def reference_run_sim(graph, table, traffic, config, seed) -> tuple[KpiRecord, i
         kpis[f] = (delay_ms, jitter_ms, throughput, overflow[f] + in_flight[f])
         counts[f] = (generated[f], len(d), overflow[f], in_flight[f])
     return KpiRecord(kpis, counts), ties
+
+
+# -- management solvers, one state per tape -----------------------------------
+
+
+def reference_hillclimb(
+    model: TwinModel, graph, sources, traffic, profile: TargetProfile,
+    n_init: int, n_rand: int, rng_seed: int,
+) -> tuple[tuple[int, ...], list[float], int, int]:
+    """Destination hill-climb scoring every candidate with its own forward.
+
+    Returns (destinations, trajectory, best restart, vectors routed), with
+    the package solver's RNG draws in the package solver's order.
+    """
+    n = graph.n_nodes
+    caps = link_capacities(graph, default_sim_config(graph.wired))
+    tie_seed = derive_seed(rng_seed, "ties")
+    cache: dict[tuple[int, ...], float] = {}
+
+    def j_of(dests):
+        if dests not in cache:
+            table = shortest_paths(graph, FlowSet(sources, dests), tie_seed)
+            inp = prepare_twin_input(graph, table, traffic, caps, model.l_max)
+            cache[dests] = twin_objective(model, inp, profile)
+        return cache[dests]
+
+    def draw_start(rng):
+        while True:
+            dests = []
+            for s in sources:
+                d = int(rng.integers(n - 1))
+                dests.append(d if d < s else d + 1)
+            if len(set(zip(sources, dests))) == len(sources):
+                return tuple(dests)
+
+    best = None
+    for restart in range(n_rand):
+        rng = make_rng(rng_seed, "restart", restart)
+        starts = [draw_start(rng) for _ in range(n_init)]
+        start_js = [j_of(v) for v in starts]
+        k = min(range(n_init), key=lambda i: (start_js[i], i))
+        current, j_cur = starts[k], start_js[k]
+        trajectory = [j_cur]
+        improved = True
+        while improved:
+            improved = False
+            for f in rng.permutation(len(sources)):
+                f = int(f)
+                candidates = [x for x in range(n) if x not in (sources[f], current[f])]
+                for pick in rng.permutation(len(candidates)):
+                    x = candidates[int(pick)]
+                    if (sources[f], x) in set(zip(sources, current)):
+                        continue
+                    trial = current[:f] + (x,) + current[f + 1:]
+                    if j_of(trial) < j_cur:
+                        current, j_cur = trial, j_of(trial)
+                        trajectory.append(j_cur)
+                        improved = True
+        if best is None or j_cur < best[1][-1]:
+            best = (current, trajectory, restart)
+    return (*best, len(cache))
+
+
+def reference_gd_traffic(
+    model: TwinModel, inp, profile: TargetProfile, tau0: np.ndarray,
+    alpha0: float, max_iters: int, bounds: tuple[float, float], rel_tol: float,
+) -> tuple[np.ndarray, list[float]]:
+    """Projected gradient descent with a fresh forward for every J and a
+    second forward+backward at each accepted point for its gradient."""
+
+    def grad_at(tau):
+        tape = Tape()
+        bound = {n: tape.constant(a) for n, a in model.params.items()}
+        leaf = tape.leaf(tau)
+        preds = model.forward(tape, bound, inp, leaf)
+        k = np.zeros((profile.n_flows, len(model.tasks)))
+        w = np.zeros_like(k)
+        scale = np.zeros_like(k)
+        n_valid = 0
+        for col, task in enumerate(model.tasks):
+            t = TASKS.index(task)
+            scale[:, col] = 1.0 / profile.iqr[t]
+            if profile.task_mask[t]:
+                ok = np.isfinite(profile.k_targ[:, t])
+                k[ok, col] = profile.k_targ[ok, t]
+                w[ok, col] = 1.0
+                n_valid += int(ok.sum())
+        diff = tape.sub(tape.mul(preds, tape.constant(scale)), tape.constant(k))
+        j = tape.total_sum(tape.mul(tape.absolute(diff), tape.constant(w / n_valid)))
+        return tape.backward(j)[leaf]
+
+    lo, hi = bounds
+    tau = np.array(tau0, dtype=np.float64)
+    alpha = alpha0
+    j_cur = twin_objective(model, inp, profile, tau)
+    trajectory = [j_cur]
+    grad = grad_at(tau)
+    for _ in range(max_iters):
+        for _ in range(21):
+            candidate = np.clip(tau - alpha * grad, lo, hi)
+            j_new = twin_objective(model, inp, profile, candidate)
+            if j_new < j_cur:
+                break
+            alpha *= 0.5
+        else:
+            break
+        improvement = (j_cur - j_new) / max(j_cur, 1e-300)
+        tau, j_cur = candidate, j_new
+        trajectory.append(j_cur)
+        if improvement < rel_tol:
+            break
+        grad = grad_at(tau)
+    return tau, trajectory

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -273,6 +274,18 @@ class TestTrain:
         assert "train.jsonl line 1: record lacks field 'routing_seed'" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_record_field_of_wrong_type_is_usage_error(
+        self, run_cli, tmp_path, toy_dataset_dir, capsys
+    ):
+        copy_with_edited_record(
+            toy_dataset_dir, tmp_path / "bad", lambda r: r.update(sources=3)
+        )
+        assert run_cli(
+            "train", "--data", str(tmp_path / "bad"), "--out", str(tmp_path / "x")
+        ) == 2
+        assert "train.jsonl line 1: field 'sources' is not a list" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_data_dir(self, run_cli, tmp_path):
         assert run_cli(
             "train", "--data", str(tmp_path / "absent"), "--out", str(tmp_path / "x")
@@ -331,6 +344,32 @@ class TestEval:
         write_ckpt(ckpt)
         params, manifest, _ = load_checkpoint(ckpt)
         save_checkpoint(ckpt, edit(params), manifest)
+        out = tmp_path / "report.json"
+        assert run_cli(
+            "eval", "--data", toy_dataset_dir, "--checkpoint", str(ckpt), "--out", str(out)
+        ) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m["dims"].update(d_edge=4),
+             "checkpoint dims key 'd_edge' is not a glance dimension"),
+            (lambda m: m.pop("kind"), "checkpoint manifest lacks field 'kind'"),
+            (lambda m: m.update(dims=[4, 4]),
+             "checkpoint manifest field 'dims' is not an object"),
+        ],
+        ids=["unknown-dims-key", "no-kind", "dims-not-object"],
+    )
+    def test_malformed_manifest_is_usage_error(
+        self, run_cli, tmp_path, toy_dataset_dir, capsys, edit, message
+    ):
+        ckpt = tmp_path / "bad.ckpt"
+        write_ckpt(ckpt)
+        params, manifest, _ = load_checkpoint(ckpt)
+        edit(manifest)
+        save_checkpoint(ckpt, params, manifest)
         out = tmp_path / "report.json"
         assert run_cli(
             "eval", "--data", toy_dataset_dir, "--checkpoint", str(ckpt), "--out", str(out)
@@ -548,6 +587,55 @@ class TestManage:
             "manage-flows", "--data", toy_dataset_dir,
             "--checkpoint", str(ckpt), "--out", str(tmp_path / "x.json"),
         ) == 2
+
+
+#: SHA-256 of the manage reports and trajectories of TestManageDigests,
+#: taken when the hill-climb still scored every candidate on its own tape
+#: and gradient descent ran a second forward at each accepted point
+MANAGE_DIGESTS = {
+    "nsfnet-fixed": {
+        "mf.csv": "30ae037f540eaaf4eec82dcba00092ed9a651e2db796bf511a3a42b63da685fd",
+        "mf.json": "5f378aebbe0c07f5bc4e4300e7bca62f2ed8ca17a24a0b2debe81933efbc02eb",
+        "mt.csv": "70b4d427cb033af8b6842b4f13760269de826c150d4a9b5a02acaa7eea348112",
+        "mt.json": "183e1400d55884160015e5d0e3db08c462050dcbafad194613ed24baaa011dfc",
+    },
+    "reggrid-fixed": {
+        "mf.csv": "a108b4861f283165ffd4fff44492e6bd2206f0876f2891551a0418704d05817a",
+        "mf.json": "69e62014ac187a1bf74c04a6b41bd9dc6ac7fcf7e9032b42f403b2deeb190e95",
+        "mt.csv": "6f9d6616395ff8a65065c07519315eef9a67256e9bc740786e725dd5a832da91",
+        "mt.json": "14ab97b3d036be43e11bc3457b7b9ce36aa958fba7344630a6975d187dc51a11",
+    },
+}
+
+
+class TestManageDigests:
+    @pytest.mark.parametrize("scenario", sorted(MANAGE_DIGESTS))
+    def test_outputs_keep_their_bytes(self, run_cli, tmp_path, monkeypatch, scenario):
+        # relative paths: the resolved config in each report records them
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("NETTWIN_OUT", raising=False)
+        assert run_cli(
+            "gen-data", "--scenario", scenario, "--n-train", "1", "--n-val", "1",
+            "--n-test", "1", "--n-r-test", "2", "--n-flows", "8", "--t-gen", "2.0",
+            "--seed", "9", "--out", "ds",
+        ) == 0
+        write_ckpt("twin.ckpt", seed=4)
+        common = ["--data", "ds", "--checkpoint", "twin.ckpt", "--seed", "2", "--verify"]
+        assert run_cli(
+            "manage-flows", *common, "--n-init", "6", "--n-restarts", "2",
+            "--out", "mf.json", "--trajectory", "mf.csv",
+        ) == 0
+        assert run_cli(
+            "manage-traffic", *common, "--max-iters", "30", "--alpha0", "1.0",
+            "--out", "mt.json", "--trajectory", "mt.csv",
+        ) == 0
+        got = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("mf.json", "mf.csv", "mt.json", "mt.csv")
+        }
+        for name in ("mf.csv", "mt.csv"):  # both solvers moved
+            assert len((tmp_path / name).read_text().splitlines()) > 3
+        assert got == MANAGE_DIGESTS[scenario]
 
 
 class TestInspect:

@@ -6,12 +6,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from numpy.testing import assert_array_equal
 
-from conftest import TINY_DIMS
-from nettwin.autodiff import DivergenceError
+from conftest import BATCH_DIMS, TINY_DIMS
+from nettwin import manage
+from nettwin.autodiff import DivergenceError, Tape
 from nettwin.manage import (
+    GD_REL_TOL,
     HINGE_UPPER,
+    MARGIN,
     TRAFFIC_BOUNDS,
     ManageError,
     ManageResult,
@@ -24,11 +28,12 @@ from nettwin.manage import (
     trajectory_csv,
     twin_objective,
 )
-from nettwin.nettopo import FlowSet
+from nettwin.nettopo import FlowSet, build_nsfnet, build_reg_grid
 from nettwin.routing import shortest_paths
 from nettwin.seeding import derive_seed
 from nettwin.simulator import TASKS, TrafficParams, default_sim_config, link_capacities
-from nettwin.twin import make_model, prepare_twin_input
+from nettwin.twin import TwinModel, make_model, prepare_twin_input
+from oracles import reference_gd_traffic, reference_hillclimb
 
 UNIT_IQR = np.ones(4)
 
@@ -331,6 +336,163 @@ class TestHillclimb:
             hillclimb_destinations(
                 model, diamond4, (0, 1), traffic, profile, n_init=0
             )
+
+
+GRAPHS = {"nsfnet": build_nsfnet(), "reggrid": build_reg_grid()}
+
+
+def random_state(topology: str, kind: str, seed: int, n_flows: int):
+    """A random twin, flow sources, traffic and target on a named graph."""
+    graph = GRAPHS[topology]
+    rng = np.random.default_rng(seed)
+    model = make_model(kind, TASKS, seed, dims=BATCH_DIMS)
+    sources = tuple(int(s) for s in rng.integers(graph.n_nodes, size=n_flows))
+    traffic = TrafficParams(
+        tuple(rng.uniform(1.0, 20.0, n_flows)), tuple(rng.uniform(1.0, 20.0, n_flows))
+    )
+    profile = TargetProfile.from_raw(rng.uniform(0.5, 2.0, (n_flows, 4)), UNIT_IQR)
+    return graph, model, sources, traffic, profile, rng
+
+
+def random_destinations(rng, graph, sources) -> tuple[int, ...]:
+    """A destination per flow, never its source, with no pair repeated."""
+    while True:
+        draws = rng.integers(graph.n_nodes - 1, size=len(sources))
+        dests = tuple(int(d) + (int(d) >= s) for s, d in zip(sources, draws))
+        if len(set(zip(sources, dests))) == len(sources):
+            return dests
+
+
+class TestBatchedScoring:
+    """The hill-climb scores candidate sets in batched forwards, and only
+    exact single-tape J values make its decisions."""
+
+    @pytest.mark.parametrize("kind", ["glance", "routenet"])
+    @pytest.mark.parametrize("topology", ["nsfnet", "reggrid"])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_flows=st.integers(1, 10),
+        size=st.integers(2, 16),
+    )
+    def test_batched_j_matches_single_tape(self, topology, kind, seed, n_flows, size):
+        graph, model, sources, traffic, profile, rng = random_state(
+            topology, kind, seed, n_flows
+        )
+        caps = link_capacities(graph, default_sim_config(graph.wired))
+        tables = [
+            shortest_paths(graph, FlowSet(sources, random_destinations(rng, graph, sources)), 0)
+            for _ in range(size)
+        ]
+        inputs = [prepare_twin_input(graph, t, traffic, caps, model.l_max) for t in tables]
+        batched = manage._batch_objective(model, inputs, profile)
+        for inp, b in zip(inputs, batched):
+            exact = twin_objective(model, inp, profile)
+            assert abs(b - exact) < MARGIN / 1000 * exact
+
+    def routed(self, monkeypatch) -> list:
+        calls = []
+        real = manage.shortest_paths
+
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(manage, "shortest_paths", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "topology, kind, seed",
+        [("nsfnet", "glance", 1), ("nsfnet", "routenet", 2),
+         ("reggrid", "glance", 3), ("reggrid", "routenet", 4)],
+    )
+    def test_hillclimb_matches_one_tape_per_candidate(
+        self, monkeypatch, topology, kind, seed
+    ):
+        graph, model, sources, traffic, profile, _ = random_state(topology, kind, seed, 5)
+        kw = dict(n_init=12, n_rand=3, rng_seed=seed)
+        dests, trajectory, restart, n_vectors = reference_hillclimb(
+            model, graph, sources, traffic, profile, **kw
+        )
+        calls = self.routed(monkeypatch)
+        result = hillclimb_destinations(model, graph, sources, traffic, profile, **kw)
+        assert result.optimized_destinations == dests
+        assert result.trajectory == trajectory
+        assert result.restart_best == restart
+        # one route per distinct vector, as when each was scored alone
+        assert len(calls) == n_vectors
+        assert len({f.destinations for f in calls}) == n_vectors
+
+    @pytest.mark.parametrize("target", [1.0, 1e5], ids=["near", "far"])
+    def test_batched_values_only_rule_candidates_out(self, monkeypatch, target):
+        # batched J off by up to 0.4 MARGIN must not change a decision; a far
+        # target puts many candidates' J closer together than that noise
+        graph, model, sources, traffic, profile, rng = random_state("nsfnet", "glance", 5, 6)
+        profile = TargetProfile.from_raw(profile.k_targ * target, UNIT_IQR)
+        real = manage._batch_objective
+
+        def noisy(*args):
+            return [j * (1.0 + rng.uniform(-0.4, 0.4) * MARGIN) for j in real(*args)]
+
+        monkeypatch.setattr(manage, "_batch_objective", noisy)
+        kw = dict(n_init=10, n_rand=2, rng_seed=8)
+        result = hillclimb_destinations(model, graph, sources, traffic, profile, **kw)
+        dests, trajectory, restart, _ = reference_hillclimb(
+            model, graph, sources, traffic, profile, **kw
+        )
+        assert len(trajectory) > 3
+        assert (result.optimized_destinations, result.trajectory, result.restart_best) == (
+            dests, trajectory, restart
+        )
+
+
+class TestGdEvaluations:
+    def case(self, topology, kind, seed):
+        graph, model, sources, traffic, profile, rng = random_state(topology, kind, seed, 4)
+        table = shortest_paths(
+            graph, FlowSet(sources, random_destinations(rng, graph, sources)), seed
+        )
+        caps = link_capacities(graph, default_sim_config(graph.wired))
+        inp = prepare_twin_input(graph, table, traffic, caps, model.l_max)
+        tau0 = np.stack([traffic.tau_on, traffic.tau_off], axis=1)
+        # aim at the twin's own KPIs at other traffic, so descent has a way to go
+        star = TrafficParams(traffic.tau_off, traffic.tau_on)
+        profile = TargetProfile.from_raw(
+            model.predict(prepare_twin_input(graph, table, star, caps, model.l_max)),
+            UNIT_IQR,
+        )
+        return graph, model, table, inp, profile, tau0
+
+    @pytest.mark.parametrize(
+        "topology, kind, seed", [("nsfnet", "glance", 1), ("reggrid", "routenet", 2)]
+    )
+    def test_matches_two_forward_reference(self, topology, kind, seed):
+        graph, model, table, inp, profile, tau0 = self.case(topology, kind, seed)
+        result = gd_traffic(model, graph, table, profile, tau0, max_iters=40)
+        tau, trajectory = reference_gd_traffic(
+            model, inp, profile, tau0, 0.1, 40, TRAFFIC_BOUNDS, GD_REL_TOL
+        )
+        assert len(trajectory) > 5
+        assert result.trajectory == trajectory
+        assert result.optimized_traffic.tobytes() == tau.tobytes()
+
+    def test_one_forward_per_j_and_one_backward_per_iteration(self, monkeypatch):
+        graph, model, table, _, profile, tau0 = self.case("nsfnet", "glance", 3)
+        counts = {"forward": 0, "backward": 0, "j": 0}
+        forward, backward, on_tape = TwinModel.forward, Tape.backward, manage._objective_on_tape
+
+        def count(key, fn):
+            def counted(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(TwinModel, "forward", count("forward", forward))
+        monkeypatch.setattr(Tape, "backward", count("backward", backward))
+        monkeypatch.setattr(manage, "_objective_on_tape", count("j", on_tape))
+        result = gd_traffic(model, graph, table, profile, tau0, max_iters=15)
+        assert len(result.trajectory) > 5
+        assert counts["forward"] == counts["j"]
+        assert counts["backward"] == result.iterations
 
 
 class TestHingeRatio:

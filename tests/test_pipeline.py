@@ -321,6 +321,33 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=rf"^train.jsonl line 1: {message}$"):
             load_dataset(tmp_path / "bad")
 
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [
+            ("sources", 3, "a list"),
+            ("destinations", {"0": 1}, "a list"),
+            ("tau_on", 5.0, "a list"),
+            ("tau_off", None, "a list"),
+            ("paths", "0-1", "a list"),
+            ("index", "7", "an integer"),
+            ("routing_seed", 2.5, "an integer"),
+            ("routing_seed", True, "an integer"),
+            ("topology", 0, "a string"),
+        ],
+        ids=[
+            "sources", "destinations", "tau-on", "tau-off", "paths", "index",
+            "routing-seed-float", "routing-seed-bool", "topology",
+        ],
+    )
+    def test_field_of_wrong_type_rejected(self, tmp_path, toy_dataset_dir, key, value, kind):
+        copy_with_edited_record(
+            toy_dataset_dir, tmp_path / "bad", lambda r: r.update({key: value})
+        )
+        with pytest.raises(
+            DatasetError, match=rf"^train.jsonl line 1: field '{key}' is not {kind}$"
+        ):
+            load_dataset(tmp_path / "bad")
+
     def test_reload_round_trips_labels(self, toy_dataset_dir, toy_dataset):
         again = load_dataset(toy_dataset_dir)
         for split in SPLITS:
@@ -941,6 +968,25 @@ class TestCheckpointManifest:
         extra.add("readout/jitter/out_b", np.zeros(1))
         with pytest.raises(TwinError, match=r"'readout/jitter/out_b' is not in its"):
             model_from_checkpoint(extra, manifest)
+
+    @pytest.mark.parametrize(
+        "kind, edit, message",
+        [
+            ("glance", lambda m: m["dims"].update(n_flows=3),
+             r"dims key 'n_flows' is not a glance dimension"),
+            ("gnn", lambda m: m["dims"].pop("n_flows"), r"dims lack key 'n_flows'"),
+            ("gnn", lambda m: m.pop("normalizer"), r"manifest lacks field 'normalizer'"),
+        ],
+        ids=["glance-extra-key", "gnn-missing-key", "no-normalizer"],
+    )
+    def test_manifest_keys_checked(self, kind, edit, message):
+        model = make_model(kind, ("delay",), 2, dims=TINY_DIMS, n_flows=3)
+        manifest = json.loads(json.dumps(
+            checkpoint_manifest(model, UNIT_NORM, TrainConfig(), self.result_for(model))
+        ))
+        edit(manifest)
+        with pytest.raises(TwinError, match=message):
+            model_from_checkpoint(model.params, manifest)
 
 
 class TestLearningCurves:
