@@ -5,9 +5,10 @@ walks the node list in reverse, accumulating gradients. Gradients flow only
 toward leaves created with requires_grad, so constants (masks, adjacency
 operators, targets) cost nothing on the way back.
 
-Also here: Glorot/zero parameter containers, the Adam optimizer with
-per-parameter L2 added to gradients, a GRU cell composed from primitives,
-and the bit-exact checkpoint container used across the package.
+Besides the elementwise and indexing primitives there are two fused layers,
+``dense`` and ``gru_step``, one node each. Also here: Glorot/zero parameter
+containers, the Adam optimizer with per-parameter L2 added to gradients, and
+the bit-exact checkpoint container used across the package.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
+
+from .fileio import open_fresh
 
 
 class AutodiffError(ValueError):
@@ -59,6 +62,17 @@ def _scatter_rows(a: np.ndarray, ids: np.ndarray, n_rows: int) -> np.ndarray:
     flat = (ids[:, None] * cols + np.arange(cols)).ravel()
     out = np.bincount(flat, weights=a.ravel(), minlength=n_rows * cols)
     return out.reshape(n_rows, cols)
+
+
+#: the GRU parameters of ``Tape.gru_step``, in the order its node lists them
+GRU_PARAM_KEYS = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function that never overflows: exp only sees -|x|."""
+    e = np.exp(-np.abs(x))
+    denom = 1.0 + e
+    return np.where(x >= 0, 1.0 / denom, e / denom)
 
 
 class Tape:
@@ -202,27 +216,6 @@ class Tape:
             np.where(mask, a.value, 0.0), (a,), pullback, a.needs_grad
         )
 
-    def sigmoid(self, a: Tensor) -> Tensor:
-        x = a.value
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-
-        def pullback(g):
-            return (g * out * (1.0 - out),)
-
-        return self._record(out, (a,), pullback, a.needs_grad)
-
-    def tanh(self, a: Tensor) -> Tensor:
-        out = np.tanh(a.value)
-
-        def pullback(g):
-            return (g * (1.0 - out * out),)
-
-        return self._record(out, (a,), pullback, a.needs_grad)
-
     def absolute(self, a: Tensor) -> Tensor:
         sign = np.sign(a.value)  # subgradient 0 at the kink
 
@@ -291,6 +284,99 @@ class Tape:
             np.asarray(a.value.sum()), (a,), pullback, a.needs_grad
         )
 
+    # -- fused layers ----------------------------------------------------
+    # One node each, running the numpy ops of the composition of primitives
+    # it replaces (tests/oracles.py) in the same order; the pullback adds
+    # each input's terms in the order backward() would over those nodes, so
+    # values and gradients keep the composition's bytes.
+
+    def dense(self, x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
+        """x @ w + b, then relu if asked."""
+        xv, wv = x.value, w.value
+        if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]:
+            raise AutodiffError(f"dense shape mismatch: x {xv.shape}, w {wv.shape}")
+        if b.value.shape != (wv.shape[1],):
+            raise AutodiffError(f"dense bias {b.value.shape} for w {wv.shape}")
+        out = xv @ wv + b.value
+        if relu:
+            mask = out > 0
+            out = np.where(mask, out, 0.0)
+        need_x, need_w, need_b = x.needs_grad, w.needs_grad, b.needs_grad
+
+        def pullback(g):
+            if relu:
+                g = g * mask
+            return (
+                g @ wv.T if need_x else None,
+                xv.T @ g if need_w else None,
+                g.sum(axis=0) if need_b else None,
+            )
+
+        return self._record(out, (x, w, b), pullback, need_x or need_w or need_b)
+
+    def gru_step(
+        self, x: Tensor, h: Tensor, mask: np.ndarray, params: dict[str, Tensor]
+    ) -> Tensor:
+        """One GRU step whose update only lands on rows with mask 1.
+
+        z = sigmoid((x @ w_z + h @ u_z) + b_z), r likewise, and
+        h~ = tanh((x @ w_h + (r * h) @ u_h) + b_h) give h' = h + z * (h~ - h);
+        the output is h + mask * (h' - h), so a row with mask 0 keeps h.
+        ``mask`` is an (n, 1) array of 0/1, not a tape input. With all-zero
+        parameters and mask 1 the step halves the state.
+        """
+        xv, hv = x.value, h.value
+        tensors = [params[key] for key in GRU_PARAM_KEYS]
+        w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = (t.value for t in tensors)
+        (n, d), d_in = hv.shape, xv.shape[-1]
+        want = {"w": (d_in, d), "u": (d, d), "b": (d,)}
+        if xv.shape != (n, d_in) or mask.shape != (n, 1) or any(
+            t.value.shape != want[key[0]] for key, t in zip(GRU_PARAM_KEYS, tensors)
+        ):
+            raise AutodiffError(
+                f"gru_step shape mismatch: x {xv.shape}, h {hv.shape}, "
+                f"mask {mask.shape}, w_z {w_z.shape}, u_z {u_z.shape}"
+            )
+        z = _sigmoid((xv @ w_z + hv @ u_z) + b_z)
+        r = _sigmoid((xv @ w_r + hv @ u_r) + b_r)
+        rh = r * hv
+        h_tilde = np.tanh((xv @ w_h + rh @ u_h) + b_h)
+        gap = h_tilde - hv
+        out = hv + mask * ((hv + z * gap) - hv)
+        need_x, need_h = x.needs_grad, h.needs_grad
+        needs = [t.needs_grad for t in tensors]
+
+        def pullback(g):
+            g_new = g * mask
+            g_gap = g_new * z
+            g_h_tilde = g_gap * (1.0 - h_tilde * h_tilde)
+            g_rh = g_h_tilde @ u_h.T
+            g_r = g_rh * hv * r * (1.0 - r)
+            g_z = g_new * gap * z * (1.0 - z)
+            # terms in the composition's reverse node order; they are not
+            # regrouped (g - g_new + g_new is not g in floating point)
+            grads = [None, None]
+            if need_x:
+                grads[0] = g_h_tilde @ w_h.T + g_r @ w_r.T + g_z @ w_z.T
+            if need_h:
+                grads[1] = (
+                    g - g_new + g_new - g_gap + g_rh * r
+                    + g_r @ u_r.T + g_z @ u_z.T
+                )
+            # per gate: the input weight, the recurrent weight, the bias
+            for k, (g_gate, rec_in) in enumerate(
+                ((g_z, hv), (g_r, hv), (g_h_tilde, rh))
+            ):
+                need_w, need_u, need_b = needs[3 * k : 3 * k + 3]
+                grads.append(xv.T @ g_gate if need_w else None)
+                grads.append(rec_in.T @ g_gate if need_u else None)
+                grads.append(g_gate.sum(axis=0) if need_b else None)
+            return grads
+
+        return self._record(
+            out, (x, h, *tensors), pullback, need_x or need_h or any(needs)
+        )
+
     # -- backward --------------------------------------------------------
 
     def backward(self, loss: Tensor) -> "Gradients":
@@ -335,41 +421,6 @@ class Gradients:
         if g is None:
             return np.zeros(self._tape._shapes[tensor.node_id], dtype=np.float64)
         return g
-
-
-# -- composite cells -----------------------------------------------------
-
-GRU_PARAM_KEYS = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
-
-
-def gru_cell(tape: Tape, x: Tensor, h: Tensor, params: dict[str, Tensor]) -> Tensor:
-    """One GRU step: update z, reset r, candidate from r*h, then blend.
-
-    h' = (1 - z) * h + z * h_tilde, computed as h + z * (h_tilde - h).
-    With all-zero parameters this halves the state: h' = 0.5 * h.
-    """
-    z = tape.sigmoid(
-        tape.add(
-            tape.add(tape.matmul(x, params["w_z"]), tape.matmul(h, params["u_z"])),
-            params["b_z"],
-        )
-    )
-    r = tape.sigmoid(
-        tape.add(
-            tape.add(tape.matmul(x, params["w_r"]), tape.matmul(h, params["u_r"])),
-            params["b_r"],
-        )
-    )
-    h_tilde = tape.tanh(
-        tape.add(
-            tape.add(
-                tape.matmul(x, params["w_h"]),
-                tape.matmul(tape.mul(r, h), params["u_h"]),
-            ),
-            params["b_h"],
-        )
-    )
-    return tape.add(h, tape.mul(z, tape.sub(h_tilde, h)))
 
 
 # -- parameters ----------------------------------------------------------
@@ -553,7 +604,7 @@ def parse_checkpoint(payload: dict) -> tuple[ParamSet, dict, AdamState | None]:
 def save_checkpoint(
     path: str | Path, params: ParamSet, manifest: dict, adam: AdamState | None = None
 ) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_fresh(path) as fh:
         json.dump(checkpoint_payload(params, manifest, adam), fh, sort_keys=True)
         fh.write("\n")
 

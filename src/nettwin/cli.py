@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import DivergenceError, load_checkpoint, save_checkpoint
+from .fileio import open_fresh
 from .manage import (
     TRAFFIC_BOUNDS,
     ManageError,
@@ -93,7 +94,7 @@ def _out_path(raw: str) -> Path:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_fresh(path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
@@ -474,7 +475,7 @@ def _finish_manage(resolved, dataset, sample, result, x_orig, x_gen, normalizer,
     payload["eval_seeds"] = seeds
     _write_json(out, payload)
     if resolved["trajectory"]:
-        with open(_out_path(resolved["trajectory"]), "w", encoding="utf-8") as fh:
+        with open_fresh(_out_path(resolved["trajectory"])) as fh:
             fh.write(trajectory_csv(result))
     _emit(
         {

@@ -1,0 +1,26 @@
+"""Artifact writing: every file is created anew, never truncated in place."""
+
+from __future__ import annotations
+
+import os
+import stat
+from pathlib import Path
+from typing import TextIO
+
+
+def open_fresh(path: str | Path) -> TextIO:
+    """Open ``path`` for writing UTF-8 text as a new file.
+
+    An existing regular file is unlinked first rather than truncated: on a
+    journaling file system, truncating a file that holds data can wait for
+    a journal commit (about 60 ms on ext4 with ``data=ordered``), while
+    creating a file does not. The bytes written are the same either way;
+    the new file takes its permissions from the umask. A symlink is kept
+    and written through, as plain ``open(path, "w")`` would.
+    """
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, "w", encoding="utf-8")

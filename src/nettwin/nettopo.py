@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .fileio import open_fresh
 from .seeding import make_rng
 
 #: connectivity cutoff for wireless links, meters
@@ -298,6 +299,6 @@ def save_topology(graph: Graph, path: str | Path) -> None:
         "wired": graph.wired,
         "edges": edges,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_fresh(path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import AdamState, ParamSet, Tape, Tensor, adam_step
+from .fileio import open_fresh
 from .nettopo import (
     FlowSet,
     Graph,
@@ -293,11 +294,11 @@ def generate_dataset(config: GenConfig, out_dir: str | Path, jobs: int = 1) -> d
     for split in SPLITS:
         rows = sorted(by_split[split])
         counts[split] = len(rows)
-        with open(out / f"{split}.jsonl", "w", encoding="utf-8") as fh:
+        with open_fresh(out / f"{split}.jsonl") as fh:
             for index, record, topo in rows:
                 if topo is not None:
                     name = f"topologies/{split}_{index:05d}.json"
-                    with open(out / name, "w", encoding="utf-8") as tfh:
+                    with open_fresh(out / name) as tfh:
                         json.dump(topo, tfh, sort_keys=True, indent=1)
                         tfh.write("\n")
                     record = {**record, "topology": name}
@@ -330,7 +331,7 @@ def generate_dataset(config: GenConfig, out_dir: str | Path, jobs: int = 1) -> d
         "filters": {"delay_limit_ms": DELAY_LIMIT_MS, "jitter_limit_ms": JITTER_LIMIT_MS},
         "capacity_scale": 1e6,
     }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
+    with open_fresh(out / "manifest.json") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=1)
         fh.write("\n")
     return manifest
@@ -1158,7 +1159,7 @@ def write_learning_curves(path: str | Path, histories: dict[int, list[dict]]) ->
                     f"{row[f'{split}_loss']:.12g}",
                 ] + [f"{per[t]:.12g}" if t in per else "" for t in tasks_seen]
                 lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_fresh(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -32,14 +32,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .autodiff import (
-    GRU_PARAM_KEYS,
-    ParamSet,
-    Tape,
-    Tensor,
-    glorot_uniform,
-    gru_cell,
-)
+from .autodiff import GRU_PARAM_KEYS, ParamSet, Tape, Tensor, glorot_uniform
 from .nettopo import Graph, degree_vector
 from .routing import RoutingTable
 from .seeding import make_rng
@@ -368,11 +361,9 @@ def _run_mlp(
     final: str,
 ) -> Tensor:
     for i in range(n_hidden):
-        x = tape.relu(
-            tape.add(tape.matmul(x, bound[f"{prefix}/w{i}"]), bound[f"{prefix}/b{i}"])
-        )
-    return tape.add(
-        tape.matmul(x, bound[f"{prefix}/{final}_w"]), bound[f"{prefix}/{final}_b"]
+        x = tape.dense(x, bound[f"{prefix}/w{i}"], bound[f"{prefix}/b{i}"], relu=True)
+    return tape.dense(
+        x, bound[f"{prefix}/{final}_w"], bound[f"{prefix}/{final}_b"], relu=False
     )
 
 
@@ -429,13 +420,6 @@ def init_embeddings(
     return h_p, h_l, h_n
 
 
-def _step_masks(tape: Tape, inp: TwinInput, width: int) -> list[Tensor]:
-    return [
-        tape.constant(np.repeat(inp.step_mask[:, s : s + 1], width, axis=1))
-        for s in range(inp.max_steps)
-    ]
-
-
 def path_forward(
     tape: Tape,
     bound: dict[str, Tensor],
@@ -454,7 +438,6 @@ def path_forward(
     """
     gru = {key: bound[f"gru/{key}"] for key in GRU_PARAM_KEYS}
     h_p, h_l, h_n = init_embeddings(tape, inp, dims, tau)
-    masks = _step_masks(tape, inp, dims.d_path)
     zero_row = tape.constant(np.zeros((1, dims.d_link)))
     link_range = np.arange(inp.n_links)
     for _ in range(dims.t_layers):
@@ -465,10 +448,10 @@ def path_forward(
             x = tape.gather(h_l_ext, inp.link_ids[:, s])
             if nodes:
                 x = tape.concat([x, tape.gather(h_n, inp.tail_ids[:, s])], 1)
-            h_new = gru_cell(tape, x, h, gru)
-            # paths shorter than s keep their state; padded slots stay zero
-            h = tape.add(h, tape.mul(masks[s], tape.sub(h_new, h)))
-            m_parts.append(tape.mul(h, masks[s]))
+            # paths shorter than s keep their state; their padded slots
+            # sum into the dummy segment n_links, which no link reads
+            h = tape.gru_step(x, h, inp.step_mask[:, s : s + 1], gru)
+            m_parts.append(h)
         h_p = h
         m_stack = tape.concat(m_parts, 0)
         seg = tape.segment_sum(m_stack, inp.seg_ids, inp.n_links + 1)
@@ -522,9 +505,8 @@ def gnn_forward(
     pool = tape.matmul(tape.constant(pool_op), x)
     cols = [
         tape.reshape(
-            tape.add(
-                tape.matmul(pool, bound[f"readout/{task}/w"]),
-                bound[f"readout/{task}/b"],
+            tape.dense(
+                pool, bound[f"readout/{task}/w"], bound[f"readout/{task}/b"], relu=False
             ),
             (inp.n_flows, 1),
         )

@@ -3,7 +3,8 @@
 Everything here is written from scratch, so the checks never reuse the code
 they are checking: central finite differences for gradients, a from-scratch
 minimal-hop path enumerator working directly on the adjacency matrix, a
-random connected graph builder, a plain event loop for the simulator
+random connected graph builder, the tape's fused layers composed from its
+elementwise primitives, a plain event loop for the simulator
 (which takes only its inputs from the package: seeded RNG streams, link
 capacities and the KPI record type), and the two management solvers in
 their plainest form, where every state is scored alone on its own tape
@@ -18,7 +19,7 @@ from collections import deque
 
 import numpy as np
 
-from nettwin.autodiff import Tape
+from nettwin.autodiff import Tape, Tensor
 from nettwin.manage import TargetProfile, twin_objective
 from nettwin.nettopo import FlowSet
 from nettwin.routing import shortest_paths
@@ -59,6 +60,72 @@ def max_rel_err(got: np.ndarray, want: np.ndarray, floor: float = 1e-3) -> float
     want = np.asarray(want, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(got), np.abs(want)), floor)
     return float((np.abs(got - want) / denom).max())
+
+
+class ComposedTape(Tape):
+    """Tape with the sigmoid and tanh nodes that the fused GRU step replaced,
+    so the step can be written out as the primitives it fuses."""
+
+    def sigmoid(self, a: Tensor) -> Tensor:
+        x = a.value
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+
+        def pullback(g):
+            return (g * out * (1.0 - out),)
+
+        return self._record(out, (a,), pullback, a.needs_grad)
+
+    def tanh(self, a: Tensor) -> Tensor:
+        out = np.tanh(a.value)
+
+        def pullback(g):
+            return (g * (1.0 - out * out),)
+
+        return self._record(out, (a,), pullback, a.needs_grad)
+
+
+def reference_dense(
+    tape: ComposedTape, x: Tensor, w: Tensor, b: Tensor, relu: bool
+) -> Tensor:
+    """Tape.dense as matmul, bias add and relu nodes."""
+    out = tape.add(tape.matmul(x, w), b)
+    return tape.relu(out) if relu else out
+
+
+def reference_gru_step(
+    tape: ComposedTape, x: Tensor, h: Tensor, mask: np.ndarray, params: dict
+) -> Tensor:
+    """Tape.gru_step as 23 nodes: the GRU cell from primitives, then the
+    masked update h + mask * (h' - h) with the mask widened to a constant."""
+
+    z = tape.sigmoid(
+        tape.add(
+            tape.add(tape.matmul(x, params["w_z"]), tape.matmul(h, params["u_z"])),
+            params["b_z"],
+        )
+    )
+    r = tape.sigmoid(
+        tape.add(
+            tape.add(tape.matmul(x, params["w_r"]), tape.matmul(h, params["u_r"])),
+            params["b_r"],
+        )
+    )
+    h_tilde = tape.tanh(
+        tape.add(
+            tape.add(
+                tape.matmul(x, params["w_h"]),
+                tape.matmul(tape.mul(r, h), params["u_h"]),
+            ),
+            params["b_h"],
+        )
+    )
+    h_new = tape.add(h, tape.mul(z, tape.sub(h_tilde, h)))
+    wide = tape.constant(np.repeat(mask, h.value.shape[1], axis=1))
+    return tape.add(h, tape.mul(wide, tape.sub(h_new, h)))
 
 
 def hop_distances(adjacency: np.ndarray, source: int) -> list[int]:

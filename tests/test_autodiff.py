@@ -7,6 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nettwin.autodiff import (
     ADAM_BETA1,
@@ -19,13 +20,26 @@ from nettwin.autodiff import (
     adam_step,
     checkpoint_payload,
     glorot_uniform,
-    gru_cell,
     load_checkpoint,
     parse_checkpoint,
     save_checkpoint,
 )
 
-from oracles import fd_gradient, max_rel_err
+from oracles import (
+    ComposedTape,
+    fd_gradient,
+    max_rel_err,
+    reference_dense,
+    reference_gru_step,
+)
+
+
+def gru_shapes(d_in: int, d_h: int) -> dict[str, tuple[int, ...]]:
+    return {
+        "w_z": (d_in, d_h), "u_z": (d_h, d_h), "b_z": (d_h,),
+        "w_r": (d_in, d_h), "u_r": (d_h, d_h), "b_r": (d_h,),
+        "w_h": (d_in, d_h), "u_h": (d_h, d_h), "b_h": (d_h,),
+    }
 
 
 class TestForwardValues:
@@ -53,12 +67,24 @@ class TestForwardValues:
         assert np.array_equal(t.add(x, b).value, [[11.0, 22.0], [13.0, 24.0]])
 
     def test_sigmoid_tanh_stable(self):
+        # +-800 pre-activations saturate the gates without overflow: z from
+        # b_z, then r from b_r with h_tilde = tanh(1600 r - 800) and z = 1
         t = Tape()
-        s = t.sigmoid(t.constant([[-800.0, 0.0, 800.0]]))
-        assert np.allclose(s.value, [[0.0, 0.5, 1.0]])
-        assert np.all(np.isfinite(s.value))
-        th = t.tanh(t.constant([[-800.0, 0.0, 800.0]]))
+        params = {k: t.constant(np.zeros(s)) for k, s in gru_shapes(2, 3).items()}
+        params["b_z"] = t.constant([-800.0, 0.0, 800.0])
+        params["b_h"] = t.constant(np.full(3, 800.0))
+        x = t.constant(np.zeros((1, 2)))
+        z = t.gru_step(x, t.constant(np.zeros((1, 3))), np.ones((1, 1)), params)
+        assert np.allclose(z.value, [[0.0, 0.5, 1.0]])
+        assert np.all(np.isfinite(z.value))
+        params["b_z"] = t.constant(np.full(3, 800.0))
+        params["b_r"] = t.constant([-800.0, 0.0, 800.0])
+        params["u_h"] = t.constant(1600.0 * np.eye(3))
+        params["b_h"] = t.constant(np.full(3, -800.0))
+        h = t.leaf(np.ones((1, 3)))
+        th = t.gru_step(x, h, np.ones((1, 1)), params)
         assert np.array_equal(th.value, [[-1.0, 0.0, 1.0]])
+        assert np.all(np.isfinite(t.backward(t.total_sum(th))[h]))
 
     def test_gather_and_reshape(self):
         t = Tape()
@@ -105,6 +131,21 @@ class TestShapeChecks:
         t = Tape()
         with pytest.raises(AutodiffError):
             t.segment_sum(t.constant(np.ones((2, 2))), [0, 5], 3)
+
+    def test_fused_mismatch(self):
+        t = Tape()
+        x, w = t.constant(np.ones((2, 3))), t.constant(np.ones((3, 4)))
+        b = t.constant(np.ones(4))
+        with pytest.raises(AutodiffError, match="dense"):
+            t.dense(x, t.constant(np.ones((2, 4))), b, relu=False)
+        with pytest.raises(AutodiffError, match="dense"):
+            t.dense(x, w, t.constant(np.ones(3)), relu=True)
+        params = {k: t.constant(np.zeros(s)) for k, s in gru_shapes(3, 4).items()}
+        h = t.constant(np.ones((2, 4)))
+        with pytest.raises(AutodiffError, match="gru_step"):
+            t.gru_step(x, h, np.ones((2, 4)), params)
+        with pytest.raises(AutodiffError, match="gru_step"):
+            t.gru_step(t.constant(np.ones((2, 2))), h, np.ones((2, 1)), params)
 
     def test_backward_scalar_only(self):
         t = Tape()
@@ -234,9 +275,9 @@ class TestGradients:
         def forward(values):
             t = Tape()
             ts = {k: t.leaf(v) for k, v in values.items()}
-            h1 = t.relu(t.add(t.matmul(ts["x"], ts["w1"]), ts["b1"]))
-            h2 = t.tanh(t.add(t.matmul(h1, ts["w2"]), ts["b2"]))
-            out = t.sigmoid(t.matmul(h2, ts["w3"]))
+            h1 = t.dense(ts["x"], ts["w1"], ts["b1"], relu=True)
+            h2 = t.relu(t.dense(h1, ts["w2"], ts["b2"], relu=False))
+            out = t.absolute(t.matmul(h2, ts["w3"]))
             return t, ts, t.total_sum(t.mul(out, out))
 
         t, ts, loss = forward(leaves)
@@ -269,52 +310,164 @@ class TestGradients:
 
 class TestGruCell:
     def zero_params(self, tape, d_in, d_h):
-        shapes = {
-            "w_z": (d_in, d_h), "u_z": (d_h, d_h), "b_z": (d_h,),
-            "w_r": (d_in, d_h), "u_r": (d_h, d_h), "b_r": (d_h,),
-            "w_h": (d_in, d_h), "u_h": (d_h, d_h), "b_h": (d_h,),
-        }
-        return {k: tape.leaf(np.zeros(shapes[k])) for k in GRU_PARAM_KEYS}
+        return {k: tape.leaf(np.zeros(s)) for k, s in gru_shapes(d_in, d_h).items()}
 
     def test_zero_params_halve_state(self):
         t = Tape()
         params = self.zero_params(t, 3, 4)
         h = t.constant(np.arange(8.0).reshape(2, 4))
-        out = gru_cell(t, t.constant(np.zeros((2, 3))), h, params)
+        out = t.gru_step(t.constant(np.zeros((2, 3))), h, np.ones((2, 1)), params)
         assert np.array_equal(out.value, 0.5 * h.value)
 
     def test_saturated_update_gate_forgets_state(self):
-        # b_z = 50 pushes z to 1, and with h_tilde = 0 the state is erased
+        # b_z = 50 pushes z to 1, and with h_tilde = 0 the state is erased;
+        # a row with mask 0 keeps its state all the same
         t = Tape()
         params = self.zero_params(t, 3, 4)
         params["b_z"] = t.constant(np.full(4, 50.0))
-        h = t.constant(np.ones((1, 4)))
-        out = gru_cell(t, t.constant(np.zeros((1, 3))), h, params)
-        assert np.max(np.abs(out.value)) < 1e-20
+        h = t.constant(np.ones((2, 4)))
+        out = t.gru_step(t.constant(np.zeros((2, 3))), h, np.array([[1.0], [0.0]]), params)
+        assert np.max(np.abs(out.value[0])) < 1e-20
+        assert np.array_equal(out.value[1], h.value[1])
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(2)
         d_in, d_h = 3, 4
-        shapes = {
-            "w_z": (d_in, d_h), "u_z": (d_h, d_h), "b_z": (d_h,),
-            "w_r": (d_in, d_h), "u_r": (d_h, d_h), "b_r": (d_h,),
-            "w_h": (d_in, d_h), "u_h": (d_h, d_h), "b_h": (d_h,),
-        }
-        values = {k: rng.normal(size=s) * 0.5 for k, s in shapes.items()}
-        x_val = rng.normal(size=(2, d_in))
-        h_val = rng.normal(size=(2, d_h))
+        values = {k: rng.normal(size=s) * 0.5 for k, s in gru_shapes(d_in, d_h).items()}
+        values["x"] = rng.normal(size=(3, d_in))
+        values["h"] = rng.normal(size=(3, d_h))
+        mask = np.array([[1.0], [0.0], [1.0]])  # the middle row keeps its state
 
         def forward():
             t = Tape()
-            params = {k: t.leaf(v) for k, v in values.items()}
-            out = gru_cell(t, t.leaf(x_val), t.leaf(h_val), params)
-            return t, params, t.total_sum(t.mul(out, out))
+            ts = {k: t.leaf(v) for k, v in values.items()}
+            out = t.gru_step(ts["x"], ts["h"], mask, ts)
+            return t, ts, t.total_sum(t.mul(out, out))
 
-        t, params, loss = forward()
+        t, ts, loss = forward()
         grads = t.backward(loss)
-        for name in GRU_PARAM_KEYS:
+        for name in (*GRU_PARAM_KEYS, "x", "h"):
             fd = fd_gradient(lambda a: forward()[2].value.item(), values[name])
-            assert max_rel_err(grads[params[name]], fd) < 1e-5
+            assert max_rel_err(grads[ts[name]], fd) < 1e-5
+
+
+class TestDense:
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_gradient_matches_fd(self, relu):
+        rng = np.random.default_rng(4)
+        values = {
+            "x": rng.normal(size=(5, 3)),
+            "w": rng.normal(size=(3, 4)),
+            "b": rng.normal(size=(4,)),
+        }
+
+        def forward():
+            t = Tape()
+            ts = {k: t.leaf(v) for k, v in values.items()}
+            out = t.dense(ts["x"], ts["w"], ts["b"], relu=relu)
+            return t, ts, t.total_sum(t.mul(out, out))
+
+        t, ts, loss = forward()
+        if relu:  # some units are off, and none sits at the kink
+            pre = values["x"] @ values["w"] + values["b"]
+            assert (pre < 0).any() and np.abs(pre).min() > 1e-3
+        grads = t.backward(loss)
+        for name in values:
+            fd = fd_gradient(lambda a: forward()[2].value.item(), values[name])
+            assert max_rel_err(grads[ts[name]], fd) < 1e-5
+
+    def test_values(self):
+        t = Tape()
+        x = t.constant([[1.0, -2.0]])
+        w = t.constant([[1.0, 0.0], [0.0, 1.0]])
+        b = t.constant([0.5, 0.5])
+        assert np.array_equal(t.dense(x, w, b, relu=False).value, [[1.5, -1.5]])
+        assert np.array_equal(t.dense(x, w, b, relu=True).value, [[1.5, 0.0]])
+
+
+def fused_case(rng, tape, shapes, needs, scale):
+    """Leaves or constants of the given shapes, drawn at the given scale;
+    bit k of ``needs`` makes the k-th input a leaf."""
+    return {
+        name: (tape.leaf if needs >> k & 1 else tape.constant)(
+            rng.normal(size=shape) * scale
+        )
+        for k, (name, shape) in enumerate(shapes.items())
+    }
+
+
+class TestFusedBytes:
+    """The fused layers against their compositions on ComposedTape, bit for bit.
+
+    A second consumer of each input makes backward add the fused node's
+    gradient into a running sum, as it does for a path state that feeds both
+    the next step and the link update.
+    """
+
+    @staticmethod
+    def run(build, rng_seed, shapes, needs, scale):
+        out = {}
+        for label, tape in (("fused", Tape()), ("composed", ComposedTape())):
+            ts = fused_case(np.random.default_rng(rng_seed), tape, shapes, needs, scale)
+            side = [
+                tape.total_sum(tape.mul(t, tape.constant(np.full(t.value.shape, 0.25))))
+                for t in ts.values()
+            ]
+            y = build(tape, ts, label == "fused")
+            weights = np.random.default_rng(rng_seed + 1).normal(size=y.value.shape)
+            loss = tape.total_sum(tape.mul(y, tape.constant(weights)))
+            for term in side:
+                loss = tape.add(loss, term)
+            grads = tape.backward(loss)
+            out[label] = [y.value.tobytes()] + [grads[t].tobytes() for t in ts.values()]
+        assert out["fused"] == out["composed"]
+
+    @settings(max_examples=100)
+    @given(
+        seed=st.integers(0, 2**31),
+        rows=st.integers(1, 12),
+        width=st.sampled_from(["glance", "routenet"]),
+        needs=st.integers(1, 2**11 - 1),
+        scale=st.sampled_from([0.1, 1.0, 4.0]),
+    )
+    def test_gru_step(self, seed, rows, width, needs, scale):
+        # compact dims: the GRU input is a link embedding (16) and, in
+        # glance, the transmitting node's embedding (16) besides
+        d_in, d_h = (32 if width == "glance" else 16), 32
+        rng = np.random.default_rng(seed)
+        mask = (rng.random((rows, 1)) < 0.6).astype(float)
+        padded = rng.random(rows) < 0.3  # rows whose state is still zero
+        shapes = {"x": (rows, d_in), "h": (rows, d_h), **gru_shapes(d_in, d_h)}
+
+        def build(tape, ts, fused):
+            h = ts["h"]
+            if padded.any():
+                h = tape.mul(h, tape.constant(np.repeat(~padded[:, None], d_h, 1) * 1.0))
+            params = {k: ts[k] for k in GRU_PARAM_KEYS}
+            if fused:
+                return tape.gru_step(ts["x"], h, mask, params)
+            return reference_gru_step(tape, ts["x"], h, mask, params)
+
+        self.run(build, seed, shapes, needs, scale)
+
+    @settings(max_examples=50)
+    @given(
+        seed=st.integers(0, 2**31),
+        rows=st.integers(1, 12),
+        d_in=st.sampled_from([8, 32, 64]),
+        d_out=st.sampled_from([1, 16, 64]),
+        relu=st.booleans(),
+        needs=st.integers(1, 2**3 - 1),
+    )
+    def test_dense(self, seed, rows, d_in, d_out, relu, needs):
+        shapes = {"x": (rows, d_in), "w": (d_in, d_out), "b": (d_out,)}
+
+        def build(tape, ts, fused):
+            if fused:
+                return tape.dense(ts["x"], ts["w"], ts["b"], relu=relu)
+            return reference_dense(tape, ts["x"], ts["w"], ts["b"], relu)
+
+        self.run(build, seed, shapes, needs, 1.0)
 
 
 class TestParamSet:

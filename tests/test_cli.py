@@ -638,6 +638,44 @@ class TestManageDigests:
         assert got == MANAGE_DIGESTS[scenario]
 
 
+#: SHA-256 of the checkpoint and resume state of TestTrainDigests, taken
+#: when each GRU step and dense layer was still composed from matmul, add,
+#: mul, sub, sigmoid, tanh and relu nodes
+TRAIN_DIGESTS = {
+    "glance": {
+        "m.ckpt": "cfa733f11d46a9febafc16e40a8eee6f71947c1821e0ba17f10ba76f7a88092e",
+        "m.ckpt.state": "7e61d094599e01e74c28ffabfd2cefb63a29aa2254ac571f6129f88e78616f89",
+    },
+    "gnn": {
+        "m.ckpt": "26bccc36e85b6abceef77e1eabfbe29afa52a685d93f5165b1414f206b7038e5",
+        "m.ckpt.state": "b845a62f368a019ca198eb7431f121d7682e1ab97671ec78bdbdd7cb02698480",
+    },
+    "routenet": {
+        "m.ckpt": "113819e412f99b2517b1b1810909513db2b963c9c58e64e5d4adcdaf2d1c9eb3",
+        "m.ckpt.state": "53cdd43bae88d49f91163a041bd0ccae1e3ae4d5df466f5a01872095c50c169e",
+    },
+}
+
+
+class TestTrainDigests:
+    @pytest.mark.parametrize("kind", sorted(TRAIN_DIGESTS))
+    def test_checkpoints_keep_their_bytes(self, run_cli, tmp_path, monkeypatch, kind):
+        # relative paths: the manifest records the resolved config
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("NETTWIN_OUT", raising=False)
+        gen = [*TINY_GEN, "--n-train", "4", "--scenario", "reggrid-fixed"]
+        assert run_cli("gen-data", *gen, "--out", "ds") == 0
+        assert run_cli(
+            "train", "--data", "ds", "--out", "m.ckpt", "--model", kind,
+            "--epochs", "2", "--batch-size", "2", "--seed", "1",
+        ) == 0
+        got = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("m.ckpt", "m.ckpt.state")
+        }
+        assert got == TRAIN_DIGESTS[kind]
+
+
 class TestInspect:
     def test_dataset_summary(self, run_cli, toy_dataset_dir, capsys):
         assert run_cli("inspect", "--data", toy_dataset_dir) == 0

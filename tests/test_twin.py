@@ -452,6 +452,21 @@ class TestModelContainer:
             h.update(np.asarray(arr, dtype="<f8").tobytes())
         assert h.hexdigest() == digest
 
+    def test_compact_forward_tape_size(self, reg44):
+        # one node per GRU step and per dense layer; composed from
+        # elementwise primitives, this forward recorded 412 nodes
+        flows = FlowSet((0, 1, 2, 4, 5, 6, 8, 9, 10, 0), (5, 6, 7, 9, 10, 11, 13, 14, 15, 3))
+        traffic = TrafficParams((10.0,) * 10, (1.0,) * 10)
+        caps = link_capacities(reg44, default_sim_config(wired=False))
+        inp = prepare_twin_input(
+            reg44, shortest_paths(reg44, flows, seed=0), traffic, caps, COMPACT.l_max
+        )
+        assert (inp.n_flows, inp.max_steps) == (10, 3)
+        model = make_model("glance", TASKS, seed=0)
+        tape = Tape()
+        out = model.forward(tape, model.params.bind(tape), inp)
+        assert out.node_id + 1 <= 180
+
     def test_predict_matches_bound_forward(self, line3):
         model = make_model("glance", TASKS, seed=6, dims=TINY_DIMS)
         inp = line_input(line3)
