@@ -1,10 +1,12 @@
 """Command-line front end tying the library into reproducible experiments.
 
-Every command reads an optional JSON config file, lets flags override it,
-and re-emits the fully resolved configuration both to stdout and into its
-outputs, so any run can be reproduced from what it wrote. No output ever
-contains a timestamp; rerunning a command with the same inputs rewrites
-byte-identical files.
+Each command declares its options once, in a table of ``Option`` rows that
+builds the parser, names the config-file keys and gives the defaults, types
+and required marks. Every command reads an optional JSON config file, lets
+flags override it, and re-emits the fully resolved configuration both to
+stdout and into its outputs, so any run can be reproduced from what it
+wrote. No output ever contains a timestamp; rerunning a command with the
+same inputs rewrites byte-identical files.
 
 Exit codes: 0 success, 2 usage or configuration problems (bad flags,
 missing files, mismatched checkpoints), 3 numerical failure (divergence).
@@ -19,12 +21,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import DivergenceError, load_checkpoint, save_checkpoint
-from .fileio import open_fresh
+from .fileio import open_fresh, write_json
 from .manage import (
     TRAFFIC_BOUNDS,
     ManageError,
@@ -93,12 +96,6 @@ def _out_path(raw: str) -> Path:
     return path
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open_fresh(path) as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
 def _emit(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
 
@@ -113,114 +110,159 @@ def _load_config_file(path: str | None) -> dict:
     return payload
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicit flags; returns the resolved dict."""
-    file_values = _load_config_file(getattr(args, "config", None))
-    unknown = set(file_values) - set(defaults)
+@dataclass(frozen=True)
+class Option:
+    """One command option: the flag, the config-file key and the resolved key.
+
+    ``key`` names all three (the flag with dashes for underscores); ``flag``
+    renames the flag, and ``None`` leaves the option settable from a config
+    file only. ``type`` types the flag (for ``append``, each element),
+    checks config-file values and casts resolved values for the library.
+    """
+
+    key: str
+    type: type = str
+    default: object = None
+    choices: tuple[str, ...] | None = None
+    action: str = "store"  # or "store_true" / "append"
+    help: str | None = None
+    required: bool = False
+    flag: str | None = ""  # "" means the key
+
+
+def _flag(opt: Option) -> str | None:
+    name = opt.key if opt.flag == "" else opt.flag
+    return None if name is None else "--" + name.replace("_", "-")
+
+
+_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+
+def _accepts(opt: Option, value, element: bool = False) -> bool:
+    """Whether a config-file value fits opt; JSON true/false is no number."""
+    if value is None and not element:
+        return opt.default is None
+    if opt.action == "append" and not element:
+        return isinstance(value, list) and all(_accepts(opt, v, True) for v in value)
+    if isinstance(value, bool) or opt.type is bool:
+        return isinstance(value, bool) and opt.type is bool
+    kinds = (int, float) if opt.type is float else opt.type
+    return isinstance(value, kinds) and (opt.choices is None or value in opt.choices)
+
+
+def _resolve(args: argparse.Namespace) -> dict:
+    """defaults < config file < explicit flags, over the command's options.
+
+    Config-file values must fit their option and are kept as written; a
+    missing required option fails here, before any work starts.
+    """
+    file_values = _load_config_file(args.config)
+    unknown = set(file_values) - {opt.key for opt in args.options}
     if unknown:
         raise _CliError(f"config file keys not understood: {sorted(unknown)}")
     resolved = {}
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
-        if flag is not None and flag is not False:
-            resolved[key] = flag
-        elif key in file_values:
-            resolved[key] = file_values[key]
+    for opt in args.options:
+        flag = getattr(args, opt.key, None)
+        if flag is not None:
+            resolved[opt.key] = flag
+        elif opt.key in file_values:
+            value = file_values[opt.key]
+            if not _accepts(opt, value):
+                what = _KINDS[opt.type]
+                if opt.choices:
+                    what = f"one of {list(opt.choices)}"
+                if opt.action == "append":
+                    what = f"a list, each {what}"
+                if opt.default is None:
+                    what += " or null"
+                raise _CliError(
+                    f"config file {args.config}: {opt.key!r} must be {what}, "
+                    f"not {json.dumps(value)}"
+                )
+            resolved[opt.key] = value
         else:
-            resolved[key] = default
+            resolved[opt.key] = opt.default
+        if opt.required and resolved[opt.key] in (None, []):
+            raise _CliError(f"{_flag(opt)} is required")
     return resolved
 
 
-def _require(value, name: str):
-    if value is None:
-        raise _CliError(f"--{name.replace('_', '-')} is required")
-    return value
+def _typed(args: argparse.Namespace, resolved: dict) -> dict:
+    """resolved cast to the option types: a file may give 5 for a float, 5.0."""
+    return {
+        opt.key: resolved[opt.key]
+        if resolved[opt.key] is None or opt.action == "append"
+        else opt.type(resolved[opt.key])
+        for opt in args.options
+    }
+
+
+_DATA = Option("data", required=True)
+_OUT = Option("out", required=True)
+_SEED = Option("seed", int, 0)
 
 
 # -- gen-data -----------------------------------------------------------------
 
-GEN_DEFAULTS = {
-    "scenario": None,
-    "n_train": 200,
-    "n_val": 50,
-    "n_test": 50,
-    "n_r_test": 4,
-    "n_flows": 10,
-    "t_gen": 180.0,
-    "l_max": 3,
-    "seed": 0,
-    "out": None,
-    "jobs": 1,
-}
+GEN_OPTIONS = (
+    Option("scenario", required=True),
+    Option("n_train", int, 200),
+    Option("n_val", int, 50),
+    Option("n_test", int, 50),
+    Option("n_r_test", int, 4),
+    Option("n_flows", int, 10),
+    Option("t_gen", float, 180.0),
+    Option("l_max", int, 3),
+    _SEED,
+    _OUT,
+    Option("jobs", int, 1),
+)
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, GEN_DEFAULTS)
-    _require(resolved["scenario"], "scenario")
-    out = _out_path(_require(resolved["out"], "out"))
-    config = GenConfig(
-        scenario=resolved["scenario"],
-        n_train=int(resolved["n_train"]),
-        n_val=int(resolved["n_val"]),
-        n_test=int(resolved["n_test"]),
-        n_r_test=int(resolved["n_r_test"]),
-        n_flows=int(resolved["n_flows"]),
-        t_gen=float(resolved["t_gen"]),
-        l_max=int(resolved["l_max"]),
-        seed=int(resolved["seed"]),
-    )
+    resolved = _resolve(args)
+    typed = _typed(args, resolved)
+    out = _out_path(typed["out"])
+    config = GenConfig(**{f.name: typed[f.name] for f in fields(GenConfig)})
     _emit({"resolved_config": resolved})
-    manifest = generate_dataset(config, out, jobs=int(resolved["jobs"]))
-    _write_json(out / "resolved_config.json", resolved)
+    manifest = generate_dataset(config, out, jobs=typed["jobs"])
+    write_json(out / "resolved_config.json", resolved)
     _emit({"dataset": str(out), "splits": manifest["splits"]})
     return 0
 
 
 # -- train ---------------------------------------------------------------------
 
-TRAIN_DEFAULTS = {
-    "data": None,
-    "out": None,
-    "strategy": "mtl",
-    "target_task": None,
-    "model": "glance",
-    "size": "compact",
-    "epochs": 100,
-    "batch_size": 10,
-    "folds": 4,
-    "lr": None,
-    "l2_link": None,
-    "l2_readout": None,
-    "seed": 0,
-    "cv": False,
-    "resume": False,
-    "curves": None,
-}
+TRAIN_OPTIONS = (
+    _DATA,
+    _OUT,
+    Option("strategy", default="mtl", choices=("stl", "mtl", "tl")),
+    Option("target_task", choices=TASKS),
+    Option("model", default="glance", choices=("glance", "routenet", "gnn")),
+    Option("size", default="compact", choices=("compact", "large")),
+    Option("epochs", int, 100),
+    Option("batch_size", int, 10),
+    Option("folds", int, 4),
+    Option("lr", float),  # lr and l2 default to the scenario's
+    Option("l2_link", float),
+    Option("l2_readout", float),
+    _SEED,
+    Option("cv", bool, False, action="store_true"),
+    Option("resume", bool, False, action="store_true"),
+    Option("curves", help="write per-epoch losses to this CSV"),
+)
 
 
-def _train_config(resolved: dict, scenario: str) -> TrainConfig:
-    defaults = training_defaults(scenario)
-    return TrainConfig(
-        strategy=resolved["strategy"],
-        target_task=resolved["target_task"],
-        model_kind=resolved["model"],
-        size=resolved["size"],
-        epochs=int(resolved["epochs"]),
-        batch_size=int(resolved["batch_size"]),
-        folds=int(resolved["folds"]),
-        lr=float(resolved["lr"] if resolved["lr"] is not None else defaults["lr"]),
-        l2_link=float(
-            resolved["l2_link"]
-            if resolved["l2_link"] is not None
-            else defaults["l2_link"]
-        ),
-        l2_readout=float(
-            resolved["l2_readout"]
-            if resolved["l2_readout"] is not None
-            else defaults["l2_readout"]
-        ),
-        seed=int(resolved["seed"]),
+def _train_config(
+    args: argparse.Namespace, resolved: dict, scenario: str
+) -> TrainConfig:
+    """The TrainConfig of resolved; a null lr or l2 takes the scenario's value."""
+    fallback = training_defaults(scenario)
+    typed = _typed(
+        args, {k: fallback.get(k) if v is None else v for k, v in resolved.items()}
     )
+    typed["model_kind"] = typed["model"]
+    return TrainConfig(**{f.name: typed[f.name] for f in fields(TrainConfig)})
 
 
 def _state_path(out: Path) -> Path:
@@ -245,11 +287,10 @@ def _resume_state(out: Path) -> tuple[tuple[TwinModel, TrainResult], Normalizer]
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, TRAIN_DEFAULTS)
-    data_dir = Path(_require(resolved["data"], "data"))
-    out = _out_path(_require(resolved["out"], "out"))
-    dataset = load_dataset(data_dir)
-    config = _train_config(resolved, dataset.scenario)
+    resolved = _resolve(args)
+    out = _out_path(resolved["out"])
+    dataset = load_dataset(Path(resolved["data"]))
+    config = _train_config(args, resolved, dataset.scenario)
     _emit({"resolved_config": resolved})
 
     cleaned, clean_report = filter_and_impute(dataset)
@@ -319,7 +360,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 # -- eval and benchmark ---------------------------------------------------------
 
-EVAL_DEFAULTS = {"data": None, "out": None}
+EVAL_OPTIONS = (
+    _DATA,
+    Option("checkpoints", action="append", required=True, flag="checkpoint"),
+    _OUT,
+)
+BENCHMARK_OPTIONS = (_DATA, _OUT)
 
 
 def _load_model(path: str, scenario: str) -> tuple[TwinModel, Normalizer, dict]:
@@ -348,13 +394,9 @@ def _row_name(manifest: dict, taken: set[str]) -> str:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, EVAL_DEFAULTS)
-    resolved["checkpoints"] = list(args.checkpoint or [])
-    if not resolved["checkpoints"]:
-        raise _CliError("eval needs at least one --checkpoint")
-    data_dir = Path(_require(resolved["data"], "data"))
-    out = _out_path(_require(resolved["out"], "out"))
-    dataset = load_dataset(data_dir)
+    resolved = _resolve(args)
+    out = _out_path(resolved["out"])
+    dataset = load_dataset(Path(resolved["data"]))
     _emit({"resolved_config": resolved})
 
     cleaned, clean_report = filter_and_impute(dataset)
@@ -372,16 +414,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     report = evaluation_report(models, test_samples, normalizer)
     report["clean_report"] = clean_report
     report["resolved_config"] = resolved
-    _write_json(out, report)
+    write_json(out, report)
     _emit({"report": str(out), "rows": sorted(report["rows"])})
     return 0
 
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, EVAL_DEFAULTS)
-    data_dir = Path(_require(resolved["data"], "data"))
-    out = _out_path(_require(resolved["out"], "out"))
-    dataset = load_dataset(data_dir)
+    resolved = _resolve(args)
+    out = _out_path(resolved["out"])
+    dataset = load_dataset(Path(resolved["data"]))
     _emit({"resolved_config": resolved})
 
     cleaned, clean_report = filter_and_impute(dataset)
@@ -393,42 +434,45 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     report = evaluation_report({}, cleaned["test"], normalizer)
     report["clean_report"] = clean_report
     report["resolved_config"] = resolved
-    _write_json(out, report)
+    write_json(out, report)
     _emit({"report": str(out), "rows": sorted(report["rows"])})
     return 0
 
 
 # -- management -----------------------------------------------------------------
 
-MANAGE_DEFAULTS = {
-    "data": None,
-    "checkpoint": None,
-    "out": None,
-    "split": "test",
-    "sample_index": 0,
-    "kpi": None,  # list; None means all four
-    "seed": 0,
-    "verify": False,
-    "trajectory": None,
-    # traffic solver
-    "alpha0": 0.1,
-    "max_iters": 500,
-    # destination solver
-    "n_init": 100,
-    "n_restarts": 5,
-}
+_MANAGE_OPTIONS = (
+    _DATA,
+    Option("checkpoint", required=True),
+    _OUT,
+    Option("split", default="test", choices=("train", "val", "test")),
+    Option("sample_index", int, 0),
+    Option("kpi", action="append", choices=TASKS),  # None means the model's tasks
+    _SEED,
+    Option("verify", bool, False, action="store_true"),
+    Option("trajectory", help="write the J trajectory to this CSV"),
+)
+_TRAFFIC_SOLVER = (Option("alpha0", float, 0.1), Option("max_iters", int, 500))
+_FLOWS_SOLVER = (Option("n_init", int, 100), Option("n_restarts", int, 5))
+
+
+def _file_only(options: tuple[Option, ...]) -> tuple[Option, ...]:
+    return tuple(replace(opt, flag=None) for opt in options)
+
+
+# both reports record all four solver keys; each command has flags for its own
+MANAGE_TRAFFIC_OPTIONS = _MANAGE_OPTIONS + _TRAFFIC_SOLVER + _file_only(_FLOWS_SOLVER)
+MANAGE_FLOWS_OPTIONS = _MANAGE_OPTIONS + _file_only(_TRAFFIC_SOLVER) + _FLOWS_SOLVER
 
 
 def _manage_common(args: argparse.Namespace):
-    resolved = _resolve(args, MANAGE_DEFAULTS)
-    data_dir = Path(_require(resolved["data"], "data"))
-    dataset = load_dataset(data_dir)
-    model, normalizer, _ = _load_model(
-        _require(resolved["checkpoint"], "checkpoint"), dataset.scenario
-    )
+    """Resolve, load and echo the run; its target profile from simulator runs."""
+    resolved = _resolve(args)
+    dataset = load_dataset(Path(resolved["data"]))
+    model, normalizer, _ = _load_model(resolved["checkpoint"], dataset.scenario)
     split = resolved["split"]
     samples = dataset.splits.get(split, [])
-    idx = int(resolved["sample_index"])
+    idx = resolved["sample_index"]
     if not 0 <= idx < len(samples):
         raise _CliError(
             f"--sample-index {idx} out of range for split {split!r} "
@@ -436,18 +480,12 @@ def _manage_common(args: argparse.Namespace):
         )
     sample = samples[idx]
     objective_tasks = tuple(resolved["kpi"]) if resolved["kpi"] else model.tasks
-    bad = [t for t in objective_tasks if t not in TASKS]
-    if bad:
-        raise _CliError(f"unknown --kpi values {bad}; choose from {list(TASKS)}")
-    seeds = [derive_seed(int(resolved["seed"]), "manage-eval", i) for i in range(9)]
-    return resolved, dataset, sample, model, normalizer, objective_tasks, seeds
-
-
-def _target_from_runs(dataset, sample, normalizer, objective_tasks, seeds):
+    seeds = [derive_seed(resolved["seed"], "manage-eval", i) for i in range(9)]
+    _emit({"resolved_config": resolved})
     x_orig = NetworkInput(sample.flows, sample.traffic)
     k_targ_raw = mean_runs(sample.graph, x_orig, dataset.sim_config(), seeds[:3])
     profile = TargetProfile.from_raw(k_targ_raw, normalizer.iqr, objective_tasks)
-    return x_orig, profile
+    return resolved, dataset, sample, model, normalizer, seeds, x_orig, profile
 
 
 def _finish_manage(resolved, dataset, sample, result, x_orig, x_gen, normalizer, seeds):
@@ -461,19 +499,19 @@ def _finish_manage(resolved, dataset, sample, result, x_orig, x_gen, normalizer,
             normalizer.iqr,
             result,
         )
-    out = _out_path(_require(resolved["out"], "out"))
+    out = _out_path(resolved["out"])
     payload = result.to_jsonable()
     payload["resolved_config"] = resolved
     payload["sample"] = {
         "split": resolved["split"],
-        "index": int(resolved["sample_index"]),
+        "index": resolved["sample_index"],
         "sources": list(sample.flows.sources),
         "destinations": list(sample.flows.destinations),
         "tau_on": list(sample.traffic.tau_on),
         "tau_off": list(sample.traffic.tau_off),
     }
     payload["eval_seeds"] = seeds
-    _write_json(out, payload)
+    write_json(out, payload)
     if resolved["trajectory"]:
         with open_fresh(_out_path(resolved["trajectory"])) as fh:
             fh.write(trajectory_csv(result))
@@ -489,13 +527,10 @@ def _finish_manage(resolved, dataset, sample, result, x_orig, x_gen, normalizer,
 
 
 def _cmd_manage_traffic(args: argparse.Namespace) -> int:
-    resolved, dataset, sample, model, normalizer, objective_tasks, seeds = (
+    resolved, dataset, sample, model, normalizer, seeds, x_orig, profile = (
         _manage_common(args)
     )
-    _emit({"resolved_config": resolved})
-    x_orig, profile = _target_from_runs(
-        dataset, sample, normalizer, objective_tasks, seeds
-    )
+    typed = _typed(args, resolved)
     tau0 = np.clip(
         np.stack([sample.traffic.tau_on, sample.traffic.tau_off], axis=1),
         *TRAFFIC_BOUNDS,
@@ -506,8 +541,8 @@ def _cmd_manage_traffic(args: argparse.Namespace) -> int:
         sample.table,
         profile,
         tau0,
-        alpha0=float(resolved["alpha0"]),
-        max_iters=int(resolved["max_iters"]),
+        alpha0=typed["alpha0"],
+        max_iters=typed["max_iters"],
         capacities=sample.capacities,
     )
     tau_hat = result.optimized_traffic
@@ -520,22 +555,19 @@ def _cmd_manage_traffic(args: argparse.Namespace) -> int:
 
 
 def _cmd_manage_flows(args: argparse.Namespace) -> int:
-    resolved, dataset, sample, model, normalizer, objective_tasks, seeds = (
+    resolved, dataset, sample, model, normalizer, seeds, x_orig, profile = (
         _manage_common(args)
     )
-    _emit({"resolved_config": resolved})
-    x_orig, profile = _target_from_runs(
-        dataset, sample, normalizer, objective_tasks, seeds
-    )
+    typed = _typed(args, resolved)
     result = hillclimb_destinations(
         model,
         sample.graph,
         sample.flows.sources,
         sample.traffic,
         profile,
-        n_init=int(resolved["n_init"]),
-        n_rand=int(resolved["n_restarts"]),
-        rng_seed=int(resolved["seed"]),
+        n_init=typed["n_init"],
+        n_rand=typed["n_restarts"],
+        rng_seed=typed["seed"],
         capacities=sample.capacities,
     )
     x_gen = NetworkInput(
@@ -547,6 +579,9 @@ def _cmd_manage_flows(args: argparse.Namespace) -> int:
 
 
 # -- inspect -------------------------------------------------------------------
+
+
+INSPECT_OPTIONS = (Option("data"), Option("checkpoint"))
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
@@ -582,10 +617,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its values")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nettwin",
@@ -593,83 +624,35 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Relative output paths go under $NETTWIN_OUT when it is set.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="generate a dataset directory")
-    _add_common(p)
-    p.add_argument("--scenario")
-    p.add_argument("--n-train", type=int, dest="n_train")
-    p.add_argument("--n-val", type=int, dest="n_val")
-    p.add_argument("--n-test", type=int, dest="n_test")
-    p.add_argument("--n-r-test", type=int, dest="n_r_test")
-    p.add_argument("--n-flows", type=int, dest="n_flows")
-    p.add_argument("--t-gen", type=float, dest="t_gen")
-    p.add_argument("--l-max", type=int, dest="l_max")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--jobs", type=int)
-    p.set_defaults(func=_cmd_gen_data)
-
-    p = sub.add_parser("train", help="train a model on a dataset")
-    _add_common(p)
-    p.add_argument("--data")
-    p.add_argument("--out")
-    p.add_argument("--strategy", choices=["stl", "mtl", "tl"])
-    p.add_argument("--target-task", dest="target_task", choices=list(TASKS))
-    p.add_argument("--model", choices=["glance", "routenet", "gnn"])
-    p.add_argument("--size", choices=["compact", "large"])
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--folds", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--l2-link", type=float, dest="l2_link")
-    p.add_argument("--l2-readout", type=float, dest="l2_readout")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--cv", action="store_true", default=None)
-    p.add_argument("--resume", action="store_true", default=None)
-    p.add_argument("--curves", help="write per-epoch losses to this CSV")
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("eval", help="NMAE report for checkpoints on a test set")
-    _add_common(p)
-    p.add_argument("--data")
-    p.add_argument("--checkpoint", action="append")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("benchmark", help="repeat-average and naive rows only")
-    _add_common(p)
-    p.add_argument("--data")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_benchmark)
-
-    for name, func in (
-        ("manage-traffic", _cmd_manage_traffic),
-        ("manage-flows", _cmd_manage_flows),
-    ):
-        p = sub.add_parser(name, help=f"{name.replace('-', ' ')} optimization")
-        _add_common(p)
-        p.add_argument("--data")
-        p.add_argument("--checkpoint")
-        p.add_argument("--out")
-        p.add_argument("--split", choices=["train", "val", "test"])
-        p.add_argument("--sample-index", type=int, dest="sample_index")
-        p.add_argument("--kpi", action="append", choices=list(TASKS))
-        p.add_argument("--seed", type=int)
-        p.add_argument("--verify", action="store_true", default=None)
-        p.add_argument("--trajectory", help="write the J trajectory to this CSV")
-        if name == "manage-traffic":
-            p.add_argument("--alpha0", type=float)
-            p.add_argument("--max-iters", type=int, dest="max_iters")
-        else:
-            p.add_argument("--n-init", type=int, dest="n_init")
-            p.add_argument("--n-restarts", type=int, dest="n_restarts")
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("inspect", help="summarize a dataset or checkpoint")
-    p.add_argument("--data")
-    p.add_argument("--checkpoint")
-    p.set_defaults(func=_cmd_inspect)
-
+    commands = (
+        ("gen-data", "generate a dataset directory", _cmd_gen_data, GEN_OPTIONS),
+        ("train", "train a model on a dataset", _cmd_train, TRAIN_OPTIONS),
+        ("eval", "NMAE report for checkpoints on a test set", _cmd_eval, EVAL_OPTIONS),
+        ("benchmark", "repeat-average and naive rows only", _cmd_benchmark,
+         BENCHMARK_OPTIONS),
+        ("manage-traffic", "manage traffic optimization", _cmd_manage_traffic,
+         MANAGE_TRAFFIC_OPTIONS),
+        ("manage-flows", "manage flows optimization", _cmd_manage_flows,
+         MANAGE_FLOWS_OPTIONS),
+        ("inspect", "summarize a dataset or checkpoint", _cmd_inspect, INSPECT_OPTIONS),
+    )
+    for name, help_text, func, options in commands:
+        p = sub.add_parser(name, help=help_text)
+        if name != "inspect":
+            p.add_argument(
+                "--config", help="JSON config file; flags override its values"
+            )
+        for opt in options:
+            flag = _flag(opt)
+            if flag is None:
+                continue
+            kwargs = {"dest": opt.key, "action": opt.action, "default": None}
+            if opt.action != "store_true":
+                kwargs.update(type=opt.type, choices=opt.choices)
+            if opt.flag:
+                kwargs["metavar"] = opt.flag.upper()
+            p.add_argument(flag, help=opt.help, **kwargs)
+        p.set_defaults(func=func, options=options)
     return parser
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import stat
 from pathlib import Path
@@ -24,3 +25,10 @@ def open_fresh(path: str | Path) -> TextIO:
     except FileNotFoundError:
         pass
     return open(path, "w", encoding="utf-8")
+
+
+def write_json(path: str | Path, payload: dict) -> None:
+    """Write payload as a fresh JSON artifact: sorted keys, indent 1, newline."""
+    with open_fresh(path) as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
+        fh.write("\n")

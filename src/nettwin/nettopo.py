@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import open_fresh
+from .fileio import write_json
 from .seeding import make_rng
 
 #: connectivity cutoff for wireless links, meters
@@ -286,19 +286,20 @@ def load_topology(path: str | Path) -> Graph:
         return _graph_from_payload(json.load(fh))
 
 
-def save_topology(graph: Graph, path: str | Path) -> None:
-    """Write a topology JSON file (undirected edges stored once, i < j)."""
-    edges = [
-        [i, j, float(graph.adjacency[i, j])] for (i, j) in graph.links if i < j
-    ]
-    payload = {
+def topology_payload(graph: Graph) -> dict:
+    """The JSON form of graph (undirected edges stored once, i < j)."""
+    return {
         "nodes": graph.n_nodes,
         "positions": None
         if graph.positions is None
         else [[float(x), float(y)] for x, y in graph.positions],
         "wired": graph.wired,
-        "edges": edges,
+        "edges": [
+            [i, j, float(graph.adjacency[i, j])] for (i, j) in graph.links if i < j
+        ],
     }
-    with open_fresh(path) as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+
+
+def save_topology(graph: Graph, path: str | Path) -> None:
+    """Write a topology JSON file."""
+    write_json(path, topology_payload(graph))

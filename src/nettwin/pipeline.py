@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import AdamState, ParamSet, Tape, Tensor, adam_step
-from .fileio import open_fresh
+from .fileio import open_fresh, write_json
 from .nettopo import (
     FlowSet,
     Graph,
@@ -37,6 +37,7 @@ from .nettopo import (
     load_topology,
     sample_flows,
     save_topology,
+    topology_payload,
 )
 from .routing import Path as RoutePath
 from .routing import RoutingTable, _bfs_distances, validate_table
@@ -54,6 +55,7 @@ from .simulator import (
     simbase_estimate,
 )
 from .twin import (
+    CAPACITY_SCALE,
     COMPACT,
     EVAL_CHUNK,
     LARGE,
@@ -200,7 +202,7 @@ def _generate_record(config: GenConfig, split: str, index: int) -> tuple[dict, d
     topo_payload = None
     if scenario.per_sample_topology:
         graph = _sample_topology(config, sample_seed)
-        topo_payload = _topology_payload(graph)
+        topo_payload = topology_payload(graph)
     else:
         graph = _base_graph(config)
 
@@ -234,19 +236,6 @@ def _generate_record(config: GenConfig, split: str, index: int) -> tuple[dict, d
         ],
     }
     return record, topo_payload
-
-
-def _topology_payload(graph: Graph) -> dict:
-    return {
-        "nodes": graph.n_nodes,
-        "positions": None
-        if graph.positions is None
-        else [[float(x), float(y)] for x, y in graph.positions],
-        "wired": graph.wired,
-        "edges": [
-            [i, j, float(graph.adjacency[i, j])] for (i, j) in graph.links if i < j
-        ],
-    }
 
 
 def _gen_worker(args: tuple[GenConfig, str, int]) -> tuple[str, int, dict, dict | None]:
@@ -298,9 +287,7 @@ def generate_dataset(config: GenConfig, out_dir: str | Path, jobs: int = 1) -> d
             for index, record, topo in rows:
                 if topo is not None:
                     name = f"topologies/{split}_{index:05d}.json"
-                    with open_fresh(out / name) as tfh:
-                        json.dump(topo, tfh, sort_keys=True, indent=1)
-                        tfh.write("\n")
+                    write_json(out / name, topo)
                     record = {**record, "topology": name}
                 else:
                     record = {**record, "topology": "topology.json"}
@@ -318,22 +305,12 @@ def generate_dataset(config: GenConfig, out_dir: str | Path, jobs: int = 1) -> d
         "n_flows": config.n_flows,
         "l_max": config.l_max,
         "wired": sim_wired,
-        "sim_config": {
-            "t_gen": sim_config.t_gen,
-            "t_prep": sim_config.t_prep,
-            "packet_bytes": sim_config.packet_bytes,
-            "cbr_rate": sim_config.cbr_rate,
-            "link_capacity_default": sim_config.link_capacity_default,
-            "queue_buffer_pkts": sim_config.queue_buffer_pkts,
-            "wireless_contention": sim_config.wireless_contention,
-        },
+        "sim_config": asdict(sim_config),
         "traffic_mode": scenario.traffic_mode,
         "filters": {"delay_limit_ms": DELAY_LIMIT_MS, "jitter_limit_ms": JITTER_LIMIT_MS},
-        "capacity_scale": 1e6,
+        "capacity_scale": CAPACITY_SCALE,
     }
-    with open_fresh(out / "manifest.json") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(out / "manifest.json", manifest)
     return manifest
 
 

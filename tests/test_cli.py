@@ -15,6 +15,7 @@ from conftest import (
     copy_with_missing_link,
     copy_with_truncated_line,
 )
+from nettwin import cli
 from nettwin.autodiff import AdamState, ParamSet, load_checkpoint, save_checkpoint
 from nettwin.pipeline import (
     Normalizer,
@@ -431,6 +432,23 @@ class TestEval:
             "eval", "--data", toy_dataset_dir, "--out", str(tmp_path / "r.json")
         ) == 2
 
+    def test_checkpoints_from_config_file(self, run_cli, tmp_path, toy_dataset_dir):
+        ckpt = tmp_path / "a.ckpt"
+        write_ckpt(ckpt)
+        out = tmp_path / "report.json"
+        assert run_cli(
+            "eval", "--data", toy_dataset_dir, "--checkpoint", str(ckpt),
+            "--checkpoint", str(ckpt), "--out", str(out),
+        ) == 0
+        by_flags = out.read_bytes()
+        out.unlink()
+        cfg = tmp_path / "eval.json"
+        cfg.write_text(json.dumps({"checkpoints": [str(ckpt), str(ckpt)]}))
+        assert run_cli(
+            "eval", "--config", str(cfg), "--data", toy_dataset_dir, "--out", str(out)
+        ) == 0
+        assert out.read_bytes() == by_flags
+
     def test_benchmark_rows(self, run_cli, tmp_path, toy_dataset_dir, toy_dataset):
         out = tmp_path / "bench.json"
         assert run_cli("benchmark", "--data", toy_dataset_dir, "--out", str(out)) == 0
@@ -580,6 +598,21 @@ class TestManage:
             "--checkpoint", str(ckpt), "--out", str(tmp_path / "x.json"),
         ) == 3
 
+    def test_missing_out_fails_before_any_work(
+        self, run_cli, toy_dataset_dir, manage_ckpt, monkeypatch, capsys
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the solver ran without --out")
+
+        monkeypatch.setattr(cli, "hillclimb_destinations", never)
+        assert run_cli(
+            "manage-flows", "--data", toy_dataset_dir,
+            "--checkpoint", str(manage_ckpt), "--verify",
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # not even the resolved config
+        assert "--out is required" in captured.err
+
     def test_checkpoint_scenario_mismatch(self, run_cli, tmp_path, toy_dataset_dir):
         ckpt = tmp_path / "other.ckpt"
         write_ckpt(ckpt, scenario="nsfnet-fixed")
@@ -706,3 +739,91 @@ class TestInspect:
         write_ckpt(ckpt)
         assert run_cli("inspect") == 2
         assert run_cli("inspect", "--data", toy_dataset_dir, "--checkpoint", str(ckpt)) == 2
+
+
+#: the flags each command needs besides the option under test
+REQUIRED_FLAGS = {
+    "train": ["--data", "d", "--out", "o"],
+    "eval": ["--data", "d", "--out", "o"],
+    "manage-traffic": ["--data", "d", "--checkpoint", "c", "--out", "o"],
+    "manage-flows": ["--data", "d", "--checkpoint", "c", "--out", "o"],
+}
+
+#: one flag-only run per command; {out} holds every artifact it writes
+ROUND_TRIP_ARGV = {
+    "gen-data": ["--scenario", "reggrid-fixed", *TINY_GEN, "--out", "{out}/ds"],
+    "train": [
+        "--data", "{data}", "--out", "{out}/m.ckpt", "--model", "routenet",
+        "--epochs", "1", "--lr", "0.01", "--curves", "{out}/c.csv",
+    ],
+    "eval": [
+        "--data", "{data}", "--checkpoint", "{ckpt}", "--checkpoint", "{ckpt}",
+        "--out", "{out}/e.json",
+    ],
+    "benchmark": ["--data", "{data}", "--out", "{out}/b.json"],
+    "manage-traffic": [
+        "--data", "{data}", "--checkpoint", "{ckpt}", "--max-iters", "3",
+        "--alpha0", "0.5", "--kpi", "delay", "--verify",
+        "--out", "{out}/mt.json", "--trajectory", "{out}/mt.csv",
+    ],
+    "manage-flows": [
+        "--data", "{data}", "--checkpoint", "{ckpt}", "--split", "val",
+        "--n-init", "2", "--n-restarts", "1",
+        "--out", "{out}/mf.json", "--trajectory", "{out}/mf.csv",
+    ],
+}
+
+
+class TestConfigFiles:
+    @pytest.mark.parametrize(
+        "command, accepted, rejected",
+        [
+            ("manage-flows", {"n_init": 3}, {"n_init": 2.9}),
+            ("manage-flows", {"n_restarts": 2}, {"n_restarts": True}),
+            ("manage-traffic", {"alpha0": 1}, {"alpha0": "0.5"}),
+            ("manage-traffic", {"verify": False}, {"verify": "false"}),
+            ("manage-traffic", {"kpi": ["delay", "drops"]}, {"kpi": ["latency"]}),
+            ("eval", {"checkpoints": ["a.ckpt"]}, {"checkpoints": "a.ckpt"}),
+            ("train", {"model": "gnn"}, {"model": "gcn"}),
+            ("train", {"curves": "c.csv"}, {"curves": 5}),
+            ("train", {"lr": None}, {"epochs": None}),
+        ],
+        ids=[
+            "int", "int-not-bool", "float-takes-int", "store-true", "append-choices",
+            "append-list", "string-choices", "string", "null-only-for-null-default",
+        ],
+    )
+    def test_values_are_type_checked(
+        self, run_cli, tmp_path, capsys, command, accepted, rejected
+    ):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(accepted))
+        argv = [command, "--config", str(cfg), *REQUIRED_FLAGS[command]]
+        resolved = cli._resolve(cli.build_parser().parse_args(argv))
+        for key, value in accepted.items():  # kept as written
+            assert resolved[key] == value and type(resolved[key]) is type(value)
+
+        cfg.write_text(json.dumps(rejected))
+        assert run_cli(*argv) == 2
+        [key] = rejected
+        assert f"{cfg}: {key!r} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(ROUND_TRIP_ARGV))
+    def test_resolved_config_round_trips(
+        self, run_cli, tmp_path, toy_dataset_dir, manage_ckpt, capsys, command
+    ):
+        """The echoed config, given back as --config alone, redoes the run."""
+        out = tmp_path / "out"
+        argv = [
+            a.format(out=out, data=toy_dataset_dir, ckpt=manage_ckpt)
+            for a in ROUND_TRIP_ARGV[command]
+        ]
+        assert run_cli(command, *argv) == 0
+        resolved = stdout_objects(capsys)[0]["resolved_config"]
+        by_flags = read_tree(out)
+        shutil.rmtree(out)
+        cfg = tmp_path / "resolved.json"
+        cfg.write_text(json.dumps(resolved))
+        assert run_cli(command, "--config", str(cfg)) == 0
+        assert stdout_objects(capsys)[0]["resolved_config"] == resolved
+        assert read_tree(out) == by_flags
