@@ -37,6 +37,7 @@ from .manage import (
     gd_traffic,
     hillclimb_destinations,
     mean_runs,
+    require_traffic_input,
     trajectory_csv,
 )
 from .nettopo import FlowSet, TopologyError
@@ -91,8 +92,6 @@ def _out_path(raw: str) -> Path:
     root = os.environ.get("NETTWIN_OUT")
     if root and not path.is_absolute():
         path = Path(root) / path
-    if path.parent != Path("."):
-        path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -465,11 +464,16 @@ MANAGE_TRAFFIC_OPTIONS = _MANAGE_OPTIONS + _TRAFFIC_SOLVER + _file_only(_FLOWS_S
 MANAGE_FLOWS_OPTIONS = _MANAGE_OPTIONS + _file_only(_TRAFFIC_SOLVER) + _FLOWS_SOLVER
 
 
-def _manage_common(args: argparse.Namespace):
-    """Resolve, load and echo the run; its target profile from simulator runs."""
+def _manage_common(args: argparse.Namespace, solves_traffic: bool):
+    """Resolve, load and echo the run; its target profile from simulator runs.
+
+    A checkpoint the solver cannot use is rejected before anything runs.
+    """
     resolved = _resolve(args)
     dataset = load_dataset(Path(resolved["data"]))
     model, normalizer, _ = _load_model(resolved["checkpoint"], dataset.scenario)
+    if solves_traffic:
+        require_traffic_input(model)
     split = resolved["split"]
     samples = dataset.splits.get(split, [])
     idx = resolved["sample_index"]
@@ -528,7 +532,7 @@ def _finish_manage(resolved, dataset, sample, result, x_orig, x_gen, normalizer,
 
 def _cmd_manage_traffic(args: argparse.Namespace) -> int:
     resolved, dataset, sample, model, normalizer, seeds, x_orig, profile = (
-        _manage_common(args)
+        _manage_common(args, solves_traffic=True)
     )
     typed = _typed(args, resolved)
     tau0 = np.clip(
@@ -556,7 +560,7 @@ def _cmd_manage_traffic(args: argparse.Namespace) -> int:
 
 def _cmd_manage_flows(args: argparse.Namespace) -> int:
     resolved, dataset, sample, model, normalizer, seeds, x_orig, profile = (
-        _manage_common(args)
+        _manage_common(args, solves_traffic=False)
     )
     typed = _typed(args, resolved)
     result = hillclimb_destinations(

@@ -17,8 +17,11 @@ def open_fresh(path: str | Path) -> TextIO:
     a journal commit (about 60 ms on ext4 with ``data=ordered``), while
     creating a file does not. The bytes written are the same either way;
     the new file takes its permissions from the umask. A symlink is kept
-    and written through, as plain ``open(path, "w")`` would.
+    and written through, as plain ``open(path, "w")`` would. Missing parent
+    directories are created here, so a command that fails before it writes
+    leaves none behind.
     """
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     try:
         if stat.S_ISREG(os.lstat(path).st_mode):
             os.unlink(path)

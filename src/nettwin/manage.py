@@ -25,7 +25,7 @@ import numpy as np
 
 from .autodiff import DivergenceError, Tape
 from .nettopo import FlowSet, Graph
-from .routing import Path, RoutingTable, shortest_paths
+from .routing import RoutingTable, shortest_paths
 from .seeding import derive_seed, make_rng
 from .simulator import (
     TASKS,
@@ -258,6 +258,12 @@ def _objective_on_tape(
 # -- projected gradient descent over traffic ---------------------------------
 
 
+def require_traffic_input(model: TwinModel) -> None:
+    """Raise ManageError unless model reads traffic that gd_traffic can move."""
+    if model.kind == "gnn":
+        raise ManageError("the gnn baseline has no traffic input to differentiate")
+
+
 def gd_traffic(
     model: TwinModel,
     graph: Graph,
@@ -277,8 +283,7 @@ def gd_traffic(
     forward; the next gradient is the backward pass of the accepted step's
     own tape.
     """
-    if model.kind == "gnn":
-        raise ManageError("the gnn baseline has no traffic input to differentiate")
+    require_traffic_input(model)
     lo, hi = float(bounds[0]), float(bounds[1])
     if not lo < hi:
         raise ManageError(f"bad bounds {bounds}")
@@ -396,11 +401,10 @@ def hillclimb_destinations(
         return prepare_twin_input(graph, table, traffic, capacities, l_max)
 
     # each vector routed so far has its exact J, or its batched J and its
-    # routes, so it is routed once; vectors share all but a few paths, so
-    # each distinct path is kept once; ``fresh`` has the last set's inputs
+    # routes, so it is routed once; its tables share their ``Path`` objects
+    # through the routing memo; ``fresh`` has the last set's inputs
     exact: dict[tuple[int, ...], float] = {}
     rough: dict[tuple[int, ...], tuple[float, RoutingTable]] = {}
-    paths: dict[Path, Path] = {}
     fresh: dict[tuple[int, ...], TwinInput] = {}
 
     def score(vectors: list[tuple[int, ...]], per_forward: int) -> None:
@@ -412,8 +416,7 @@ def hillclimb_destinations(
             inputs = [twin_input(t) for t in tables]
             js = _batch_objective(model, inputs, k_targ)
             for v, j, t in zip(chunk, js, tables):
-                shared = tuple(paths.setdefault(p, p) for p in t.paths)
-                rough[v] = (j, RoutingTable(shared, t.seed))
+                rough[v] = (j, t)
             fresh.update(zip(chunk, inputs))
 
     def rough_j(v: tuple[int, ...]) -> float:

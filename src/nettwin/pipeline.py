@@ -40,7 +40,7 @@ from .nettopo import (
     topology_payload,
 )
 from .routing import Path as RoutePath
-from .routing import RoutingTable, _bfs_distances, validate_table
+from .routing import RoutingTable, bfs_distances, validate_table
 from .seeding import derive_seed, make_rng
 from .simulator import (
     TASKS,
@@ -174,10 +174,10 @@ def _base_graph(config: GenConfig) -> Graph:
 def _hop_diameter(graph: Graph) -> int:
     worst = 0
     for source in range(graph.n_nodes):
-        dist = _bfs_distances(graph, source)
-        if dist.min() < 0:
+        dist = bfs_distances(graph.neighbors, source)
+        if min(dist) < 0:
             return graph.n_nodes + 1  # disconnected counts as over any l_max
-        worst = max(worst, int(dist.max()))
+        worst = max(worst, max(dist))
     return worst
 
 
@@ -252,7 +252,6 @@ def generate_dataset(config: GenConfig, out_dir: str | Path, jobs: int = 1) -> d
     """
     scenario = SCENARIOS[config.scenario]
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     base = _base_graph(config)
     if not scenario.per_sample_topology:
@@ -261,8 +260,6 @@ def generate_dataset(config: GenConfig, out_dir: str | Path, jobs: int = 1) -> d
                 f"{scenario.topology} hop diameter exceeds l_max={config.l_max}"
             )
         save_topology(base, out / "topology.json")
-    else:
-        (out / "topologies").mkdir(exist_ok=True)
 
     tasks = [
         (config, split, i)

@@ -2,21 +2,25 @@
 
 When several minimal-hop paths exist, one is chosen by walking back from the
 destination and picking uniformly at random among equal-cost predecessors,
-with a dedicated RNG stream per (seed, flow). An exhaustive enumerator over
+with a dedicated RNG stream per (seed, flow). A walk reads nothing but the
+neighbour lists, its endpoints, the seed and the flow index, so each path is
+walked once and memoized under those five. An exhaustive enumerator over
 small graphs serves as the correctness oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from functools import lru_cache
 
 from .nettopo import FlowSet, Graph, validate_flows
 from .seeding import make_rng
 
 #: node-count guard for exhaustive path enumeration
 ENUMERATION_NODE_LIMIT = 12
+
+#: most paths the routing memo keeps, least recently used dropped first
+PATH_MEMO_SIZE = 4096
 
 
 class RoutingError(ValueError):
@@ -76,14 +80,15 @@ class Violation:
     detail: str
 
 
-def _bfs_distances(graph: Graph, source: int) -> np.ndarray:
-    dist = np.full(graph.n_nodes, -1, dtype=np.int64)
+def bfs_distances(neighbors: tuple[tuple[int, ...], ...], source: int) -> list[int]:
+    """Hop count from source to every node; -1 where it is unreachable."""
+    dist = [-1] * len(neighbors)
     dist[source] = 0
     frontier = [source]
     while frontier:
         nxt: list[int] = []
         for u in frontier:
-            for v in graph.neighbors[u]:
+            for v in neighbors[u]:
                 if dist[v] < 0:
                     dist[v] = dist[u] + 1
                     nxt.append(v)
@@ -91,18 +96,27 @@ def _bfs_distances(graph: Graph, source: int) -> np.ndarray:
     return dist
 
 
+@lru_cache(maxsize=PATH_MEMO_SIZE, typed=True)
 def _route_one(
-    graph: Graph, source: int, dest: int, rng: np.random.Generator, flow_index: int
+    neighbors: tuple[tuple[int, ...], ...],
+    source: int,
+    dest: int,
+    seed: int,
+    flow_index: int,
 ) -> Path:
-    dist = _bfs_distances(graph, source)
+    # a pure function of its arguments, so a memo hit is the path a fresh
+    # walk would draw; typed keys keep 1 and 1.0 apart, and a call that
+    # raises is not stored
+    dist = bfs_distances(neighbors, source)
     if dist[dest] < 0:
         raise RoutingError(
             f"flow {flow_index}: destination {dest} unreachable from {source}"
         )
+    rng = make_rng(seed, "routing", flow_index)
     nodes = [dest]
     current = dest
     while current != source:
-        preds = [u for u in graph.neighbors[current] if dist[u] == dist[current] - 1]
+        preds = [u for u in neighbors[current] if dist[u] == dist[current] - 1]
         current = preds[int(rng.integers(len(preds)))]
         nodes.append(current)
     nodes.reverse()
@@ -110,13 +124,17 @@ def _route_one(
 
 
 def shortest_paths(graph: Graph, flows: FlowSet, seed: int) -> RoutingTable:
-    """Minimal-hop path per flow; ties broken uniformly from the seed."""
+    """Minimal-hop path per flow; ties broken uniformly from the seed.
+
+    Equal (neighbour lists, endpoints, seed, flow index) give the identical
+    ``Path`` object, computed on first use.
+    """
     validate_flows(flows, graph)
-    paths = []
-    for f, (s, d) in enumerate(flows.pairs):
-        rng = make_rng(seed, "routing", f)
-        paths.append(_route_one(graph, s, d, rng, f))
-    return RoutingTable(tuple(paths), seed)
+    neighbors = graph.neighbors
+    paths = tuple(
+        _route_one(neighbors, s, d, seed, f) for f, (s, d) in enumerate(flows.pairs)
+    )
+    return RoutingTable(paths, seed)
 
 
 def enumerate_shortest_paths(
@@ -136,7 +154,7 @@ def enumerate_shortest_paths(
         raise RoutingError(f"endpoints ({source}, {dest}) out of range")
     if source == dest:
         raise RoutingError("source and destination coincide")
-    dist = _bfs_distances(graph, source)
+    dist = bfs_distances(graph.neighbors, source)
     if dist[dest] < 0:
         return ()
     suffixes: dict[int, list[tuple[int, ...]]] = {dest: [(dest,)]}

@@ -2,13 +2,14 @@
 
 Everything here is written from scratch, so the checks never reuse the code
 they are checking: central finite differences for gradients, a from-scratch
-minimal-hop path enumerator working directly on the adjacency matrix, a
-random connected graph builder, the tape's fused layers composed from its
-elementwise primitives, a plain event loop for the simulator
-(which takes only its inputs from the package: seeded RNG streams, link
-capacities and the KPI record type), and the two management solvers in
-their plainest form, where every state is scored alone on its own tape
-(taking the twin, routing and seeding from the package).
+minimal-hop path enumerator working directly on the adjacency matrix, the
+seeded tie-break walk without the routing memo (taking its RNG streams from
+the package), a random connected graph builder, the tape's fused layers
+composed from its elementwise primitives, a plain event loop for the
+simulator (which takes only its inputs from the package: seeded RNG
+streams, link capacities and the KPI record type), and the two management
+solvers in their plainest form, where every state is scored alone on its
+own tape (taking the twin, routing and seeding from the package).
 """
 
 from __future__ import annotations
@@ -164,6 +165,36 @@ def minimal_node_paths(
                 walk(v, trail + (v,))
 
     walk(source, (source,))
+    return out
+
+
+def reference_shortest_paths(
+    adjacency: np.ndarray, pairs, seed: int
+) -> list[tuple[tuple[int, int], ...] | None]:
+    """Seeded minimal-hop routing with one fresh walk per flow, no memo.
+
+    Walks back from each destination, drawing among equal-hop predecessors
+    in node order from the package's stream ``(seed, "routing", flow)``.
+    None marks an unreachable destination.
+    """
+    n = adjacency.shape[0]
+    out: list[tuple[tuple[int, int], ...] | None] = []
+    for f, (s, d) in enumerate(pairs):
+        dist = hop_distances(adjacency, s)
+        if dist[d] < 0:
+            out.append(None)
+            continue
+        rng = make_rng(seed, "routing", f)
+        nodes = [d]
+        while nodes[-1] != s:
+            here = nodes[-1]
+            preds = [
+                u for u in range(n)
+                if adjacency[here][u] > 0 and dist[u] == dist[here] - 1
+            ]
+            nodes.append(preds[int(rng.integers(len(preds)))])
+        nodes.reverse()
+        out.append(tuple(zip(nodes, nodes[1:])))
     return out
 
 

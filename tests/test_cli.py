@@ -15,7 +15,7 @@ from conftest import (
     copy_with_missing_link,
     copy_with_truncated_line,
 )
-from nettwin import cli
+from nettwin import cli, manage
 from nettwin.autodiff import AdamState, ParamSet, load_checkpoint, save_checkpoint
 from nettwin.pipeline import (
     Normalizer,
@@ -28,7 +28,7 @@ from nettwin.pipeline import (
     simbase_rows,
 )
 from nettwin.simulator import TASKS
-from nettwin.twin import GlanceDims, make_model
+from nettwin.twin import GlanceDims, GnnDims, make_model
 
 #: small but l_max=3 so grid paths from the toy dataset fit
 CKPT_DIMS = GlanceDims(
@@ -41,8 +41,11 @@ CKPT_NORM = Normalizer(
 )
 
 
-def write_ckpt(path, *, seed=0, tasks=TASKS, config=None, zero=False, scenario=None):
-    model = make_model("glance", tasks, seed, dims=CKPT_DIMS)
+def write_ckpt(
+    path, *, seed=0, tasks=TASKS, config=None, zero=False, scenario=None, kind="glance"
+):
+    gnn_dims = GnnDims(n_flows=10, channels=8, n_layers=1)
+    model = make_model(kind, tasks, seed, dims=CKPT_DIMS, gnn_dims=gnn_dims)
     if zero:
         for name in model.params.names():
             model.params[name] = np.zeros_like(model.params[name])
@@ -133,6 +136,26 @@ class TestGenData:
         cfg = tmp_path / "gen.json"
         cfg.write_text(json.dumps({"scenario": "reggrid-fixed", "n_trian": 5}))
         assert run_cli("gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen-data", "--scenario", "nope", "--out", "newdir/ds"),
+            ("train", "--data", "missing", "--out", "other/m.ckpt"),
+            (
+                "gen-data", "--scenario", "reggrid-fixed", "--n-train", "0",
+                "--n-val", "0", "--n-test", "0", "--out", "third/ds",
+            ),
+        ],
+        ids=["unknown-scenario", "missing-data", "no-samples"],
+    )
+    def test_failed_command_creates_no_directory(
+        self, run_cli, tmp_path, monkeypatch, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("NETTWIN_OUT", raising=False)
+        assert run_cli(*argv) == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_root_env(self, run_cli, tmp_path, monkeypatch):
         monkeypatch.setenv("NETTWIN_OUT", str(tmp_path))
@@ -613,6 +636,30 @@ class TestManage:
         assert captured.out == ""  # not even the resolved config
         assert "--out is required" in captured.err
 
+    def test_gnn_rejected_by_manage_traffic_before_any_work(
+        self, run_cli, tmp_path, toy_dataset_dir, monkeypatch, capsys
+    ):
+        ckpt = tmp_path / "gnn.ckpt"
+        write_ckpt(ckpt, kind="gnn")
+        sims = []
+        real_run_sim = manage.run_sim
+
+        def counted(*args, **kwargs):
+            sims.append(1)
+            return real_run_sim(*args, **kwargs)
+
+        monkeypatch.setattr(manage, "run_sim", counted)
+        out = tmp_path / "out" / "mt.json"
+        assert run_cli(
+            "manage-traffic", "--data", toy_dataset_dir, "--checkpoint", str(ckpt),
+            "--out", str(out), "--trajectory", str(tmp_path / "out" / "mt.csv"),
+        ) == 2
+        captured = capsys.readouterr()
+        assert "gnn baseline has no traffic input" in captured.err
+        assert captured.out == ""  # not even the resolved config
+        assert sims == []
+        assert not (tmp_path / "out").exists()
+
     def test_checkpoint_scenario_mismatch(self, run_cli, tmp_path, toy_dataset_dir):
         ckpt = tmp_path / "other.ckpt"
         write_ckpt(ckpt, scenario="nsfnet-fixed")
@@ -620,6 +667,95 @@ class TestManage:
             "manage-flows", "--data", toy_dataset_dir,
             "--checkpoint", str(ckpt), "--out", str(tmp_path / "x.json"),
         ) == 2
+
+
+#: SHA-256 of every file a tiny `gen-data` writes, relative paths, taken when
+#: routing still walked every flow afresh on every call; the routing tables
+#: sit in each record's ``paths``
+GEN_DATA_DIGESTS = {
+    "nsfnet-fixed": {
+        "manifest.json": (
+            "e9d8406233277467936440363b2e6278a7d57eb1b85868c7e622ec68fd0059a2"
+        ),
+        "resolved_config.json": (
+            "c5d91f2255fb02bb0382a908edcd49fe31588f65b2b7b09e989f22781242d64f"
+        ),
+        "test.jsonl": (
+            "2797615f8efdd72d8feb27cd8c0d37064738e18c2940c536cf492e426dafc8dd"
+        ),
+        "topology.json": (
+            "82be5284d2db6fd8b6558de77b1e16f3e28a1e7f376584e437df48e75a5883c3"
+        ),
+        "train.jsonl": (
+            "4368d7433e02d485c5b1305f3ec013947280612874859e5eb42d440e4c294500"
+        ),
+        "val.jsonl": (
+            "e1e41cc03e86b4692623bca6d1a494ff2ba9d5d524e7f1053c714bd9fea54960"
+        ),
+    },
+    "pertgrid-randtopo": {
+        "manifest.json": (
+            "1a05a73a7dfc10f300e44889b69ebafa6fe51a5b81ca7e09820f0a87d3d46b7d"
+        ),
+        "resolved_config.json": (
+            "3c892b0a8db0ff19bca98ebb7cad74f6b315e32f9319c1a4d68294364640434a"
+        ),
+        "test.jsonl": (
+            "c1fdd5fd87ecd03c62133012a81ce1d4cbd63e1df01e98a311351b72b0bf7466"
+        ),
+        "topologies/test_00000.json": (
+            "0d9b89d294845d3d2d8bd2c0297478458baefe5422a1d8fc6ab19c821e1deaac"
+        ),
+        "topologies/train_00000.json": (
+            "ddea6a12c2dcf0d22b461b6fd50c88d702fc393f7bf1dfa0c98732489018e744"
+        ),
+        "topologies/train_00001.json": (
+            "90c392653e09faa8ec47059598b07822e9cf023d130acad72a25a328a68e3964"
+        ),
+        "topologies/val_00000.json": (
+            "e33dfc6a8c0d7472942d985636bd1e0297af1935656319993dd489e895fb8ac9"
+        ),
+        "train.jsonl": (
+            "5281fbcaa2d20f6b9ea718ca889bce2783c56cc415ffe6677d3561b84be67e5f"
+        ),
+        "val.jsonl": (
+            "90671c482a1965c602d00ff4a3949195f207c67425061c2790a28f0477b03630"
+        ),
+    },
+    "reggrid-fixed": {
+        "manifest.json": (
+            "9a15bd0736f76e26379f6409917bbe8b68abdc7a2549d0b837fa4bf97627d650"
+        ),
+        "resolved_config.json": (
+            "5fb837409835663f69aac9b5d05e6ba46eae7c43c0d085ae4323c4ecc06c11ca"
+        ),
+        "test.jsonl": (
+            "b83aa58f78305eca870fc09c811221ce2f1c7287b5b3bf0ff99f02c7cea0333c"
+        ),
+        "topology.json": (
+            "8e7159b48d1fea14eb33987d4be74fe2fd63db3a0d84c735141fea5934938d57"
+        ),
+        "train.jsonl": (
+            "f9aafd5d80d5811e2922aa84792f7e75d1a1eae18e11a598662154482bff094d"
+        ),
+        "val.jsonl": (
+            "43ce247bd86136d931302ffcfb0bd2a4403a01249c2ff58567e769d7cc605195"
+        ),
+    },
+}
+
+class TestGenDataDigests:
+    @pytest.mark.parametrize("scenario", sorted(GEN_DATA_DIGESTS))
+    def test_dataset_keeps_its_bytes(self, run_cli, tmp_path, monkeypatch, scenario):
+        # relative paths: resolved_config.json records them
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("NETTWIN_OUT", raising=False)
+        assert run_cli("gen-data", "--scenario", scenario, *TINY_GEN, "--out", "ds") == 0
+        got = {
+            name: hashlib.sha256(data).hexdigest()
+            for name, data in read_tree(tmp_path / "ds").items()
+        }
+        assert got == GEN_DATA_DIGESTS[scenario]
 
 
 #: SHA-256 of the manage reports and trajectories of TestManageDigests,

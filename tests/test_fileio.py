@@ -1,4 +1,4 @@
-"""Artifact files are created anew on every write."""
+"""Artifact files are created anew on every write, parents included."""
 
 import os
 
@@ -32,3 +32,8 @@ def test_symlink_is_written_through(tmp_path):
     write(link, "new\n")
     assert link.is_symlink()
     assert target.read_text() == "new\n"
+
+
+def test_missing_parent_directories_created(tmp_path):
+    write(tmp_path / "a" / "b" / "c.json", "one\n")
+    assert (tmp_path / "a" / "b" / "c.json").read_text() == "one\n"

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from nettwin import routing
 from nettwin.nettopo import FlowSet, Graph
 from nettwin.routing import (
     ENUMERATION_NODE_LIMIT,
+    PATH_MEMO_SIZE,
     Path,
     RoutingError,
     RoutingTable,
@@ -16,7 +18,11 @@ from nettwin.routing import (
 )
 
 from conftest import wired_graph
-from oracles import minimal_node_paths, random_connected_adjacency
+from oracles import (
+    minimal_node_paths,
+    random_connected_adjacency,
+    reference_shortest_paths,
+)
 
 
 def path_nodes(links):
@@ -86,6 +92,69 @@ class TestShortestPaths:
         table = shortest_paths(g, FlowSet((s,), (d,)), seed=seed)
         oracle = minimal_node_paths(g.adjacency, s, d)
         assert path_nodes(table.paths[0].links) in oracle
+
+
+def random_flows(rng: np.random.Generator, n: int) -> FlowSet:
+    codes = rng.choice(n * (n - 1), size=int(rng.integers(1, 6)), replace=False)
+    sources = [int(c) // (n - 1) for c in codes]
+    offsets = [int(c) % (n - 1) for c in codes]
+    return FlowSet(sources, [r + (r >= s) for s, r in zip(sources, offsets)])
+
+
+class TestPathMemo:
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_matches_uncached_oracle(self, seed):
+        # two graphs on the same nodes with different links share every
+        # (endpoints, seed, flow) key but the neighbour lists; few tie seeds
+        # and a repeated, shuffled call order make memo hits common
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 9))
+        first = random_connected_adjacency(rng, n)
+        second = random_connected_adjacency(rng, n)
+        while np.array_equal(first, second):
+            second = random_connected_adjacency(rng, n)
+        graphs = [(Graph(a, None, wired=True), a) for a in (first, second)]
+        calls = [
+            (graph, adjacency, flows, int(rng.integers(3)))
+            for flows in (random_flows(rng, n) for _ in range(4))
+            for graph, adjacency in graphs
+        ] * 2
+        for k in rng.permutation(len(calls)):
+            graph, adjacency, flows, tie = calls[k]
+            table = shortest_paths(graph, flows, tie)
+            want = reference_shortest_paths(adjacency, flows.pairs, tie)
+            assert [p.links for p in table.paths] == want
+            assert [p.flow_index for p in table.paths] == list(range(len(flows)))
+
+    def test_equal_keys_share_one_path(self, reg44):
+        twin = Graph(reg44.adjacency.copy(), reg44.positions, wired=False)
+        flows = FlowSet((0, 3, 5), (15, 12, 10))
+        a = shortest_paths(reg44, flows, seed=11)
+        b = shortest_paths(twin, flows, seed=11)
+        assert all(p is q for p, q in zip(a.paths, b.paths))
+        # another tie seed, or the same pair as another flow, is another key
+        c = shortest_paths(reg44, flows, seed=12)
+        d = shortest_paths(reg44, FlowSet((3, 0), (12, 15)), seed=11)
+        assert all(p is not q for p, q in zip(a.paths, c.paths))
+        assert d.paths[0] is not a.paths[1]
+
+    def test_unreachable_raises_every_time(self):
+        g = wired_graph(4, [(0, 1), (2, 3)])
+        flows = FlowSet((0, 0), (1, 3))
+        for _ in range(2):
+            with pytest.raises(RoutingError, match="flow 1: destination 3 unreachable"):
+                shortest_paths(g, flows, seed=0)
+
+    def test_memo_is_bounded(self, reg44):
+        n = reg44.n_nodes
+        flows = FlowSet(
+            [s for s in range(n) for d in range(n) if s != d],
+            [d for s in range(n) for d in range(n) if s != d],
+        )
+        for seed in range(PATH_MEMO_SIZE // len(flows) + 2):
+            shortest_paths(reg44, flows, seed)
+            assert routing._route_one.cache_info().currsize <= PATH_MEMO_SIZE
+        assert routing._route_one.cache_info().currsize == PATH_MEMO_SIZE
 
 
 class TestEnumeration:
