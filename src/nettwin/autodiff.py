@@ -5,10 +5,11 @@ walks the node list in reverse, accumulating gradients. Gradients flow only
 toward leaves created with requires_grad, so constants (masks, adjacency
 operators, targets) cost nothing on the way back.
 
-Besides the elementwise and indexing primitives there are two fused layers,
-``dense`` and ``gru_step``, one node each. Also here: Glorot/zero parameter
-containers, the Adam optimizer with per-parameter L2 added to gradients, and
-the bit-exact checkpoint container used across the package.
+The primitives are ``matmul``, ``concat``, ``relu``, ``gather``,
+``segment_sum`` and ``reshape``, and three fused nodes: the layers ``dense``
+and ``gru_step`` and the loss ``weighted_l1``. Also here: Glorot/zero
+parameter containers, the Adam optimizer with per-parameter L2 added to
+gradients, and the bit-exact checkpoint container used across the package.
 """
 
 from __future__ import annotations
@@ -130,46 +131,6 @@ class Tape:
 
         return self._record(av @ bv, (a, b), pullback, need_a or need_b)
 
-    def add(self, a: Tensor, b: Tensor) -> Tensor:
-        """Elementwise add; also accepts a trailing-axis bias (m, n) + (n,)."""
-        av, bv = a.value, b.value
-        bias = av.ndim == 2 and bv.ndim == 1 and av.shape[1] == bv.shape[0]
-        if not bias and av.shape != bv.shape:
-            raise AutodiffError(f"add shape mismatch: {av.shape} vs {bv.shape}")
-        need_a, need_b = a.needs_grad, b.needs_grad
-
-        def pullback(g):
-            ga = g if need_a else None
-            if not need_b:
-                return ga, None
-            return ga, g.sum(axis=0) if bias else g
-
-        return self._record(av + bv, (a, b), pullback, need_a or need_b)
-
-    def sub(self, a: Tensor, b: Tensor) -> Tensor:
-        av, bv = a.value, b.value
-        if av.shape != bv.shape:
-            raise AutodiffError(f"sub shape mismatch: {av.shape} vs {bv.shape}")
-        need_a, need_b = a.needs_grad, b.needs_grad
-
-        def pullback(g):
-            return (g if need_a else None, -g if need_b else None)
-
-        return self._record(av - bv, (a, b), pullback, need_a or need_b)
-
-    def mul(self, a: Tensor, b: Tensor) -> Tensor:
-        av, bv = a.value, b.value
-        if av.shape != bv.shape:
-            raise AutodiffError(f"mul shape mismatch: {av.shape} vs {bv.shape}")
-        need_a, need_b = a.needs_grad, b.needs_grad
-
-        def pullback(g):
-            ga = g * bv if need_a else None
-            gb = g * av if need_b else None
-            return ga, gb
-
-        return self._record(av * bv, (a, b), pullback, need_a or need_b)
-
     def concat(self, tensors: list[Tensor], axis: int) -> Tensor:
         if not tensors:
             raise AutodiffError("concat needs at least one tensor")
@@ -216,14 +177,6 @@ class Tape:
             np.where(mask, a.value, 0.0), (a,), pullback, a.needs_grad
         )
 
-    def absolute(self, a: Tensor) -> Tensor:
-        sign = np.sign(a.value)  # subgradient 0 at the kink
-
-        def pullback(g):
-            return (g * sign,)
-
-        return self._record(np.abs(a.value), (a,), pullback, a.needs_grad)
-
     def gather(self, a: Tensor, indices) -> Tensor:
         """Select rows by integer index; pullback scatter-adds."""
         idx = np.asarray(indices, dtype=np.int64)
@@ -243,7 +196,11 @@ class Tape:
         return self._record(a.value[idx], (a,), pullback, a.needs_grad)
 
     def segment_sum(self, a: Tensor, segment_ids, n_segments: int) -> Tensor:
-        """Sum rows into n_segments buckets keyed by segment_ids."""
+        """Sum rows into n_segments buckets keyed by segment_ids.
+
+        Rows whose id is n_segments are padding: they land in no bucket and
+        get zero gradient.
+        """
         ids = np.asarray(segment_ids, dtype=np.int64)
         if a.value.ndim != 2:
             raise AutodiffError(
@@ -254,12 +211,12 @@ class Tape:
                 f"segment_ids shape {ids.shape} does not match "
                 f"{a.value.shape[0]} input rows"
             )
-        if ids.size and (ids.min() < 0 or ids.max() >= n_segments):
-            raise AutodiffError(f"segment id out of range [0, {n_segments})")
-        out = _scatter_rows(a.value, ids, n_segments)
+        if ids.size and (ids.min() < 0 or ids.max() > n_segments):
+            raise AutodiffError(f"segment id out of range [0, {n_segments}]")
+        out = _scatter_rows(a.value, ids, n_segments + 1)[:n_segments]
 
         def pullback(g):
-            return (g[ids],)
+            return (np.concatenate([g, np.zeros((1, g.shape[1]))])[ids],)
 
         return self._record(out, (a,), pullback, a.needs_grad)
 
@@ -274,17 +231,7 @@ class Tape:
 
         return self._record(a.value.reshape(shape), (a,), pullback, a.needs_grad)
 
-    def total_sum(self, a: Tensor) -> Tensor:
-        in_shape = a.value.shape
-
-        def pullback(g):
-            return (np.full(in_shape, float(g)),)
-
-        return self._record(
-            np.asarray(a.value.sum()), (a,), pullback, a.needs_grad
-        )
-
-    # -- fused layers ----------------------------------------------------
+    # -- fused nodes -----------------------------------------------------
     # One node each, running the numpy ops of the composition of primitives
     # it replaces (tests/oracles.py) in the same order; the pullback adds
     # each input's terms in the order backward() would over those nodes, so
@@ -376,6 +323,34 @@ class Tape:
         return self._record(
             out, (x, h, *tensors), pullback, need_x or need_h or any(needs)
         )
+
+    def weighted_l1(
+        self,
+        pred: Tensor,
+        target: np.ndarray,
+        weight: np.ndarray,
+        scale: np.ndarray | None = None,
+    ) -> Tensor:
+        """sum(|pred * scale - target| * weight), a scalar; no scale is 1.
+
+        ``target``, ``weight`` and ``scale`` are arrays of pred's shape, not
+        tape inputs. The subgradient at a zero difference is 0.
+        """
+        pv = pred.value
+        if any(a is not None and a.shape != pv.shape for a in (target, weight, scale)):
+            raise AutodiffError(
+                f"weighted_l1 shape mismatch: pred {pv.shape}, target {target.shape}, "
+                f"weight {weight.shape}, scale {getattr(scale, 'shape', None)}"
+            )
+        diff = (pv if scale is None else pv * scale) - target
+        sign = np.sign(diff)
+
+        def pullback(g):
+            g = (g * weight) * sign
+            return (g if scale is None else g * scale,)
+
+        out = np.asarray((np.abs(diff) * weight).sum())
+        return self._record(out, (pred,), pullback, pred.needs_grad)
 
     # -- backward --------------------------------------------------------
 

@@ -247,9 +247,8 @@ def _objective_on_tape(
     preds = model.forward(tape, bound, inp, tau_leaf)
 
     def grad() -> np.ndarray:
-        targets, weights, inv_iqr = (tape.constant(a) for a in arrays)
-        diff = tape.sub(tape.mul(preds, inv_iqr), targets)
-        j = tape.total_sum(tape.mul(tape.absolute(diff), weights))
+        targets, weights, inv_iqr = arrays
+        j = tape.weighted_l1(preds, targets, weights, inv_iqr)
         return tape.backward(j)[tau_leaf]
 
     return _j_value(preds.value, arrays), grad
@@ -298,7 +297,7 @@ def gd_traffic(
         capacities = link_capacities(graph, default_sim_config(graph.wired))
 
     traffic = TrafficParams(tuple(tau[:, 0]), tuple(tau[:, 1]))
-    inp = prepare_twin_input(graph, table, traffic, capacities, model.l_max)
+    inp = prepare_twin_input(graph, table, traffic, capacities)
 
     alpha = float(alpha0)
     j_cur, grad_at = _objective_on_tape(model, inp, k_targ, tau)
@@ -395,10 +394,9 @@ def hillclimb_destinations(
     if capacities is None:
         capacities = link_capacities(graph, default_sim_config(graph.wired))
     tie_seed = derive_seed(rng_seed, "ties")
-    l_max = model.l_max
 
     def twin_input(table: RoutingTable) -> TwinInput:
-        return prepare_twin_input(graph, table, traffic, capacities, l_max)
+        return prepare_twin_input(graph, table, traffic, capacities)
 
     # each vector routed so far has its exact J, or its batched J and its
     # routes, so it is routed once; its tables share their ``Path`` objects
@@ -587,7 +585,7 @@ def evaluate_management(
     config: SimConfig,
     seeds: list[int],
     iqr: np.ndarray,
-    result: ManageResult | None = None,
+    result: ManageResult,
 ) -> ManageResult:
     """Fill a result with the 9-run simulator protocol.
 
@@ -605,15 +603,6 @@ def evaluate_management(
     k_targ = mean_runs(graph, x_orig, config, seeds[:3])
     k_bm = mean_runs(graph, x_orig, config, seeds[3:6])
     k_gen = mean_runs(graph, x_gen, config, seeds[6:9])
-    if result is None:
-        result = ManageResult(
-            kind="evaluation",
-            optimized_traffic=None,
-            optimized_destinations=None,
-            trajectory=[],
-            iterations=0,
-            converged=True,
-        )
     result.k_targ = k_targ
     result.k_bm = k_bm
     result.k_gen = k_gen

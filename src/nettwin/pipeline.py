@@ -22,6 +22,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -328,14 +329,10 @@ class Sample:
     capacities: np.ndarray
     labels: np.ndarray  # reference-run KPIs, (F, 4)
     bench_runs: list[np.ndarray] = field(default_factory=list)
-    _inputs: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def twin_input(self, l_max: int):
-        if l_max not in self._inputs:
-            self._inputs[l_max] = prepare_twin_input(
-                self.graph, self.table, self.traffic, self.capacities, l_max
-            )
-        return self._inputs[l_max]
+    @cached_property
+    def twin_input(self) -> TwinInput:
+        return prepare_twin_input(self.graph, self.table, self.traffic, self.capacities)
 
 
 @dataclass
@@ -520,7 +517,7 @@ def clean_test_samples(samples: list[Sample]) -> tuple[list[Sample], dict]:
                     np.where(missing[r], fill, stack[r])
                     for r in range(stack.shape[0])
                 ]
-                s = replace(s, bench_runs=filled, _inputs={})
+                s = replace(s, bench_runs=filled)
         kept.append(s)
     return kept, {
         "kept": len(kept),
@@ -665,8 +662,7 @@ def batch_loss(
     clean = np.concatenate([b[1] for b in batch])
     weights = np.concatenate([b[2] for b in batch])
     preds = model.forward(tape, bound, inp)
-    diff = tape.absolute(tape.sub(preds, tape.constant(clean)))
-    loss = tape.total_sum(tape.mul(diff, tape.constant(weights * (1.0 / len(batch)))))
+    loss = tape.weighted_l1(preds, clean, weights * (1.0 / len(batch)))
     return loss, np.abs(preds.value - clean) * weights, inp
 
 
@@ -678,7 +674,7 @@ def predict_samples(model: TwinModel, samples: list[Sample]) -> list[np.ndarray]
     out: list[np.ndarray] = []
     for c0 in range(0, len(samples), EVAL_CHUNK):
         chunk = samples[c0 : c0 + EVAL_CHUNK]
-        inp = batch_inputs([s.twin_input(model.l_max) for s in chunk])
+        inp = batch_inputs([s.twin_input for s in chunk])
         out += np.split(model.predict(inp), inp.flow_offsets[1:-1])
     return out
 
@@ -741,7 +737,7 @@ def train_model(
         best_params = resume.best_params
 
     prepared = [
-        (s.twin_input(model.l_max), *loss_targets(model, s, normalizer.iqr))
+        (s.twin_input, *loss_targets(model, s, normalizer.iqr))
         for s in train_samples
     ]
     for epoch in range(start_epoch, epochs):

@@ -52,8 +52,9 @@ class TwinError(ValueError):
 class GlanceDims:
     """Architecture of the path models (glance and routenet).
 
-    The readout default keeps the compact configuration's total parameter
-    count in the expected 3e4..6e4 band.
+    ``l_max`` bounds the links of any path a forward accepts; no weight
+    depends on it. The readout default keeps the compact configuration's
+    total parameter count in the expected 3e4..6e4 band.
     """
 
     d_node: int = 16
@@ -122,7 +123,6 @@ class TwinInput:
         table: RoutingTable,
         traffic: TrafficParams,
         capacities: np.ndarray,
-        l_max: int,
     ):
         n_flows = len(table.paths)
         if len(traffic) != n_flows:
@@ -134,17 +134,9 @@ class TwinInput:
             raise TwinError(
                 f"capacities shape {caps.shape} must match {len(graph.links)} links"
             )
-        for path in table.paths:
-            if len(path.links) > l_max:
-                raise TwinError(
-                    f"flow {path.flow_index} has {len(path.links)} links, "
-                    f"exceeding l_max={l_max}"
-                )
-
         self.n_flows = n_flows
         self.n_nodes = graph.n_nodes
         self.n_links = len(graph.links)
-        self.l_max = l_max
         self.tau_feat = np.stack([traffic.tau_on, traffic.tau_off], axis=1)
         self.caps_scaled = caps / CAPACITY_SCALE
         self.degrees = degree_vector(graph)
@@ -170,7 +162,7 @@ class TwinInput:
                 self.tail_ids[c, s] = i
                 self.step_mask[c, s] = 1.0
         # step-major segment ids over the stacked (S*F, d_path) m states;
-        # padded slots land in the dummy segment n_links
+        # padded slots carry the id n_links, which segment_sum drops
         self.seg_ids = self.link_ids.T.reshape(-1).copy()
         self.flow_offsets = np.array([0, n_flows], dtype=np.int64)
         self.node_offsets = np.array([0, graph.n_nodes], dtype=np.int64)
@@ -204,9 +196,8 @@ def prepare_twin_input(
     table: RoutingTable,
     traffic: TrafficParams,
     capacities: np.ndarray,
-    l_max: int,
 ) -> TwinInput:
-    return TwinInput(graph, table, traffic, capacities, l_max)
+    return TwinInput(graph, table, traffic, capacities)
 
 
 #: samples per forward when many are scored at once (validation,
@@ -246,7 +237,6 @@ def batch_inputs(inputs: list[TwinInput]) -> TwinInput:
     link_off = list(accumulate((inp.n_links for inp in inputs), initial=0))
     node_off = list(accumulate((inp.n_nodes for inp in inputs), initial=0))
     out.n_flows, out.n_links, out.n_nodes = flow_off[-1], link_off[-1], node_off[-1]
-    out.l_max = max(inp.l_max for inp in inputs)
     out.max_steps = max(inp.max_steps for inp in inputs)
     out.flow_offsets = np.array(flow_off, dtype=np.int64)
     out.node_offsets = np.array(node_off, dtype=np.int64)
@@ -434,12 +424,16 @@ def path_forward(
 
     ``nodes`` runs the node pathway (glance). Without it (routenet) the GRU
     input is the link embedding alone, the link MLP drops the node term and
-    the graph convolution is skipped.
+    the graph convolution is skipped. Raises TwinError when a path has
+    more links than ``dims.l_max``.
     """
+    if inp.max_steps > dims.l_max:
+        raise TwinError(
+            f"a path has {inp.max_steps} links, exceeding l_max={dims.l_max}"
+        )
     gru = {key: bound[f"gru/{key}"] for key in GRU_PARAM_KEYS}
     h_p, h_l, h_n = init_embeddings(tape, inp, dims, tau)
     zero_row = tape.constant(np.zeros((1, dims.d_link)))
-    link_range = np.arange(inp.n_links)
     for _ in range(dims.t_layers):
         h_l_ext = tape.concat([h_l, zero_row], 0)
         h = h_p
@@ -448,14 +442,13 @@ def path_forward(
             x = tape.gather(h_l_ext, inp.link_ids[:, s])
             if nodes:
                 x = tape.concat([x, tape.gather(h_n, inp.tail_ids[:, s])], 1)
-            # paths shorter than s keep their state; their padded slots
-            # sum into the dummy segment n_links, which no link reads
+            # paths shorter than s keep their state, and segment_sum drops
+            # their padded slots
             h = tape.gru_step(x, h, inp.step_mask[:, s : s + 1], gru)
             m_parts.append(h)
         h_p = h
         m_stack = tape.concat(m_parts, 0)
-        seg = tape.segment_sum(m_stack, inp.seg_ids, inp.n_links + 1)
-        link_sums = tape.gather(seg, link_range)
+        link_sums = tape.segment_sum(m_stack, inp.seg_ids, inp.n_links)
         if nodes:
             x = tape.concat([h_l, tape.gather(h_n, inp.link_tails), link_sums], 1)
         else:
@@ -494,12 +487,8 @@ def gnn_forward(
     x = tape.constant(inp.gnn_features)
     s = tape.constant(inp.s_norm)
     for i in range(dims.n_layers):
-        x = tape.relu(
-            tape.add(
-                tape.matmul(s, tape.matmul(x, bound[f"gcn/w{i}"])),
-                bound[f"gcn/b{i}"],
-            )
-        )
+        xw = tape.matmul(x, bound[f"gcn/w{i}"])
+        x = tape.dense(s, xw, bound[f"gcn/b{i}"], relu=True)
     sizes = np.diff(inp.node_offsets)
     pool_op = _block_diag([np.full((1, n), 1.0 / n) for n in sizes])
     pool = tape.matmul(tape.constant(pool_op), x)
@@ -550,25 +539,11 @@ class TwinModel:
             raise TwinError("the gnn baseline does not take a tau override")
         return gnn_forward(tape, bound, inp, self.dims, self.tasks)
 
-    @property
-    def l_max(self) -> int:
-        """Longest path the model's inputs are built for.
-
-        The gnn reads no path arrays, so any loose bound works for it.
-        """
-        return self.dims.l_max if isinstance(self.dims, GlanceDims) else 16
-
     def predict(self, inp: TwinInput) -> np.ndarray:
         """Inference convenience: fresh tape, constant-bound parameters."""
         tape = Tape()
         bound = {name: tape.constant(arr) for name, arr in self.params.items()}
         return self.forward(tape, bound, inp, None).value
-
-    def param_count(self) -> int:
-        return self.params.count()
-
-    def embedding_names(self) -> list[str]:
-        return [n for n in self.params.names() if not n.startswith("readout/")]
 
     def readout_names(self, task: str | None = None) -> list[str]:
         prefix = "readout/" if task is None else f"readout/{task}/"

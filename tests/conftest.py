@@ -43,6 +43,11 @@ TINY_DIMS = GlanceDims(
 BATCH_DIMS = replace(TINY_DIMS, l_max=3)
 
 
+def embedding_names(model) -> list[str]:
+    """The model's parameters outside the readouts, in parameter order."""
+    return [n for n in model.params.names() if not n.startswith("readout/")]
+
+
 def wired_graph(n: int, edges: list[tuple[int, int]]) -> Graph:
     a = np.zeros((n, n))
     for i, j in edges:

@@ -4,8 +4,8 @@ Everything here is written from scratch, so the checks never reuse the code
 they are checking: central finite differences for gradients, a from-scratch
 minimal-hop path enumerator working directly on the adjacency matrix, the
 seeded tie-break walk without the routing memo (taking its RNG streams from
-the package), a random connected graph builder, the tape's fused layers
-composed from its elementwise primitives, a plain event loop for the
+the package), a random connected graph builder, the tape's fused nodes
+composed from elementwise primitives, a plain event loop for the
 simulator (which takes only its inputs from the package: seeded RNG
 streams, link capacities and the KPI record type), and the two management
 solvers in their plainest form, where every state is scored alone on its
@@ -20,7 +20,7 @@ from collections import deque
 
 import numpy as np
 
-from nettwin.autodiff import Tape, Tensor
+from nettwin.autodiff import AutodiffError, Tape, Tensor
 from nettwin.manage import TargetProfile, twin_objective
 from nettwin.nettopo import FlowSet
 from nettwin.routing import shortest_paths
@@ -64,8 +64,66 @@ def max_rel_err(got: np.ndarray, want: np.ndarray, floor: float = 1e-3) -> float
 
 
 class ComposedTape(Tape):
-    """Tape with the sigmoid and tanh nodes that the fused GRU step replaced,
-    so the step can be written out as the primitives it fuses."""
+    """Tape with the elementwise nodes that the fused nodes replaced, so
+    each fused node can be written out as the primitives it fuses."""
+
+    def add(self, a: Tensor, b: Tensor) -> Tensor:
+        """Elementwise add; also accepts a trailing-axis bias (m, n) + (n,)."""
+        av, bv = a.value, b.value
+        bias = av.ndim == 2 and bv.ndim == 1 and av.shape[1] == bv.shape[0]
+        if not bias and av.shape != bv.shape:
+            raise AutodiffError(f"add shape mismatch: {av.shape} vs {bv.shape}")
+        need_a, need_b = a.needs_grad, b.needs_grad
+
+        def pullback(g):
+            ga = g if need_a else None
+            if not need_b:
+                return ga, None
+            return ga, g.sum(axis=0) if bias else g
+
+        return self._record(av + bv, (a, b), pullback, need_a or need_b)
+
+    def sub(self, a: Tensor, b: Tensor) -> Tensor:
+        av, bv = a.value, b.value
+        if av.shape != bv.shape:
+            raise AutodiffError(f"sub shape mismatch: {av.shape} vs {bv.shape}")
+        need_a, need_b = a.needs_grad, b.needs_grad
+
+        def pullback(g):
+            return (g if need_a else None, -g if need_b else None)
+
+        return self._record(av - bv, (a, b), pullback, need_a or need_b)
+
+    def mul(self, a: Tensor, b: Tensor) -> Tensor:
+        av, bv = a.value, b.value
+        if av.shape != bv.shape:
+            raise AutodiffError(f"mul shape mismatch: {av.shape} vs {bv.shape}")
+        need_a, need_b = a.needs_grad, b.needs_grad
+
+        def pullback(g):
+            ga = g * bv if need_a else None
+            gb = g * av if need_b else None
+            return ga, gb
+
+        return self._record(av * bv, (a, b), pullback, need_a or need_b)
+
+    def absolute(self, a: Tensor) -> Tensor:
+        sign = np.sign(a.value)  # subgradient 0 at the kink
+
+        def pullback(g):
+            return (g * sign,)
+
+        return self._record(np.abs(a.value), (a,), pullback, a.needs_grad)
+
+    def total_sum(self, a: Tensor) -> Tensor:
+        in_shape = a.value.shape
+
+        def pullback(g):
+            return (np.full(in_shape, float(g)),)
+
+        return self._record(
+            np.asarray(a.value.sum()), (a,), pullback, a.needs_grad
+        )
 
     def sigmoid(self, a: Tensor) -> Tensor:
         x = a.value
@@ -95,6 +153,20 @@ def reference_dense(
     """Tape.dense as matmul, bias add and relu nodes."""
     out = tape.add(tape.matmul(x, w), b)
     return tape.relu(out) if relu else out
+
+
+def reference_weighted_l1(
+    tape: ComposedTape,
+    pred: Tensor,
+    target: np.ndarray,
+    weight: np.ndarray,
+    scale: np.ndarray | None = None,
+) -> Tensor:
+    """Tape.weighted_l1 as total_sum(|pred * scale - target| * weight)."""
+    if scale is not None:
+        pred = tape.mul(pred, tape.constant(scale))
+    diff = tape.absolute(tape.sub(pred, tape.constant(target)))
+    return tape.total_sum(tape.mul(diff, tape.constant(weight)))
 
 
 def reference_gru_step(
@@ -360,7 +432,7 @@ def reference_hillclimb(
     def j_of(dests):
         if dests not in cache:
             table = shortest_paths(graph, FlowSet(sources, dests), tie_seed)
-            inp = prepare_twin_input(graph, table, traffic, caps, model.l_max)
+            inp = prepare_twin_input(graph, table, traffic, caps)
             cache[dests] = twin_objective(model, inp, profile)
         return cache[dests]
 
@@ -409,7 +481,7 @@ def reference_gd_traffic(
     second forward+backward at each accepted point for its gradient."""
 
     def grad_at(tau):
-        tape = Tape()
+        tape = ComposedTape()
         bound = {n: tape.constant(a) for n, a in model.params.items()}
         leaf = tape.leaf(tau)
         preds = model.forward(tape, bound, inp, leaf)
@@ -425,8 +497,7 @@ def reference_gd_traffic(
                 k[ok, col] = profile.k_targ[ok, t]
                 w[ok, col] = 1.0
                 n_valid += int(ok.sum())
-        diff = tape.sub(tape.mul(preds, tape.constant(scale)), tape.constant(k))
-        j = tape.total_sum(tape.mul(tape.absolute(diff), tape.constant(w / n_valid)))
+        j = reference_weighted_l1(tape, preds, k, w / n_valid, scale)
         return tape.backward(j)[leaf]
 
     lo, hi = bounds

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import wired_graph
+from conftest import embedding_names, wired_graph
 from nettwin.autodiff import Tape
 from nettwin.manage import (
     TRAFFIC_BOUNDS,
@@ -57,6 +57,7 @@ from nettwin.simulator import (
 )
 from nettwin.twin import COMPACT, GlanceDims, make_model, prepare_twin_input
 from oracles import (
+    ComposedTape,
     fd_gradient,
     max_rel_err,
     minimal_node_paths,
@@ -107,11 +108,11 @@ def test_1_gradient_oracle(capsys):
         table = shortest_paths(graph, flows, seed=1)
         traffic = TrafficParams((10.0, 4.0), (2.0, 8.0))
         caps = link_capacities(graph, default_sim_config(wired=True))
-        inp = prepare_twin_input(graph, table, traffic, caps, SMALL_DIMS.l_max)
+        inp = prepare_twin_input(graph, table, traffic, caps)
         model = make_model("glance", TASKS, 3, dims=SMALL_DIMS)
         w = np.linspace(0.5, 2.0, 2 * len(TASKS)).reshape(2, len(TASKS))
 
-        tape = Tape()
+        tape = ComposedTape()
         bound = model.params.bind(tape)
         preds = model.forward(tape, bound, inp)
         loss = tape.total_sum(tape.mul(preds, tape.constant(w)))
@@ -143,7 +144,7 @@ def test_2_equivariance_suite(capsys):
         table = shortest_paths(g, flows, seed=2)
         caps = link_capacities(g, config)
         model = make_model("glance", TASKS, 11, dims=dims)
-        base = model.predict(prepare_twin_input(g, table, traffic, caps, dims.l_max))
+        base = model.predict(prepare_twin_input(g, table, traffic, caps))
 
         # relabel the nodes: new index u holds old node perm[u]
         perm = np.array([3, 0, 5, 1, 4, 2])
@@ -155,7 +156,7 @@ def test_2_equivariance_suite(capsys):
         )
         inp2 = prepare_twin_input(
             g2, RoutingTable(paths2, table.seed), traffic,
-            link_capacities(g2, config), dims.l_max,
+            link_capacities(g2, config),
         )
         assert np.abs(model.predict(inp2) - base).max() <= 1e-9
 
@@ -169,13 +170,13 @@ def test_2_equivariance_suite(capsys):
             tuple(traffic.tau_off[f] for f in sigma),
         )
         inp_s = prepare_twin_input(
-            g, RoutingTable(paths_s, table.seed), traffic_s, caps, dims.l_max
+            g, RoutingTable(paths_s, table.seed), traffic_s, caps
         )
         assert np.array_equal(model.predict(inp_s), base[list(sigma)])
 
         # the fixed-width baseline is order-sensitive: same permutation, new output
         gnn = make_model("gnn", TASKS, 5, n_flows=3)
-        gnn_base = gnn.predict(prepare_twin_input(g, table, traffic, caps, dims.l_max))
+        gnn_base = gnn.predict(prepare_twin_input(g, table, traffic, caps))
         gnn_perm = gnn.predict(inp_s)
         assert np.abs(gnn_perm - gnn_base[list(sigma)]).max() > 1e-6
 
@@ -330,7 +331,7 @@ def test_6_learning_smoke(capsys, tmp_path):
             diffs.append(delay_val_loss(tl_model) - delay_val_loss(stl_model))
 
             source = {
-                n: pre.best_params[n].tobytes() for n in tl_model.embedding_names()
+                n: pre.best_params[n].tobytes() for n in embedding_names(tl_model)
             }
             train_model(
                 tl_model, train, val, norm,
@@ -339,7 +340,7 @@ def test_6_learning_smoke(capsys, tmp_path):
             )
             frozen_ok += all(
                 tl_model.params[n].tobytes() == source[n]
-                for n in tl_model.embedding_names()
+                for n in embedding_names(tl_model)
             )
         assert frozen_ok == 5, f"embeddings moved under freezing in {5 - frozen_ok} seeds"
         median = float(np.median(diffs))
@@ -391,7 +392,7 @@ def test_7_management_optimizers(capsys):
 
         def state(tau_on: float):
             traffic = TrafficParams((tau_on,), (off0,))
-            return prepare_twin_input(line, table, traffic, caps, SMALL_DIMS.l_max)
+            return prepare_twin_input(line, table, traffic, caps)
 
         profile = TargetProfile.from_raw(model.predict(state(7.37)), np.ones(4))
         base_inp = state(15.0)
@@ -449,7 +450,7 @@ def test_7_management_optimizers(capsys):
                     if d1 == sources[1]:
                         continue
                     t = shortest_paths(graph, FlowSet(sources, (d0, d1)), tie_seed)
-                    inp = prepare_twin_input(graph, t, traffic, g_caps, hc_dims.l_max)
+                    inp = prepare_twin_input(graph, t, traffic, g_caps)
                     brute = min(brute, twin_objective(hc_model, inp, profile))
             assert result.objective >= brute - 1e-12
             matches += abs(result.objective - brute) <= 1e-12

@@ -31,6 +31,7 @@ from oracles import (
     max_rel_err,
     reference_dense,
     reference_gru_step,
+    reference_weighted_l1,
 )
 
 
@@ -61,7 +62,7 @@ class TestForwardValues:
         assert np.array_equal(t.matmul(a, b).value, [[19.0, 22.0], [43.0, 50.0]])
 
     def test_add_broadcasts_bias_row(self):
-        t = Tape()
+        t = ComposedTape()
         x = t.constant([[1.0, 2.0], [3.0, 4.0]])
         b = t.constant([10.0, 20.0])
         assert np.array_equal(t.add(x, b).value, [[11.0, 22.0], [13.0, 24.0]])
@@ -69,7 +70,7 @@ class TestForwardValues:
     def test_sigmoid_tanh_stable(self):
         # +-800 pre-activations saturate the gates without overflow: z from
         # b_z, then r from b_r with h_tilde = tanh(1600 r - 800) and z = 1
-        t = Tape()
+        t = ComposedTape()
         params = {k: t.constant(np.zeros(s)) for k, s in gru_shapes(2, 3).items()}
         params["b_z"] = t.constant([-800.0, 0.0, 800.0])
         params["b_h"] = t.constant(np.full(3, 800.0))
@@ -103,7 +104,7 @@ class TestForwardValues:
         assert np.array_equal(out.value, [[1.0, 3.0], [2.0, 4.0]])
 
     def test_reductions(self):
-        t = Tape()
+        t = ComposedTape()
         a = t.constant([[1.0, 2.0], [3.0, 4.0]])
         assert t.total_sum(a).value.item() == 10.0
         assert np.array_equal(t.absolute(t.constant([[-2.0, 3.0]])).value, [[2.0, 3.0]])
@@ -116,7 +117,7 @@ class TestShapeChecks:
             t.matmul(t.constant(np.ones((2, 3))), t.constant(np.ones((2, 3))))
 
     def test_elementwise_mismatch(self):
-        t = Tape()
+        t = ComposedTape()
         with pytest.raises(AutodiffError):
             t.mul(t.constant(np.ones((2, 2))), t.constant(np.ones((2, 3))))
         with pytest.raises(AutodiffError):
@@ -129,8 +130,22 @@ class TestShapeChecks:
 
     def test_segment_bounds(self):
         t = Tape()
-        with pytest.raises(AutodiffError):
-            t.segment_sum(t.constant(np.ones((2, 2))), [0, 5], 3)
+        for ids in ([0, 5], [0, 4], [-1, 0]):
+            with pytest.raises(AutodiffError, match="segment id"):
+                t.segment_sum(t.constant(np.ones((2, 2))), ids, 3)
+        # id 3 is the padding slot, which is allowed
+        assert t.segment_sum(t.constant(np.ones((2, 2))), [0, 3], 3).value.shape == (3, 2)
+
+    def test_weighted_l1_mismatch(self):
+        t = Tape()
+        pred = t.constant(np.ones((2, 3)))
+        for target, weight, scale in (
+            (np.ones((3, 2)), np.ones((2, 3)), None),
+            (np.ones((2, 3)), np.ones(3), None),
+            (np.ones((2, 3)), np.ones((2, 3)), np.ones((1, 3))),
+        ):
+            with pytest.raises(AutodiffError, match="weighted_l1"):
+                t.weighted_l1(pred, target, weight, scale)
 
     def test_fused_mismatch(self):
         t = Tape()
@@ -154,7 +169,7 @@ class TestShapeChecks:
             t.backward(x)
 
     def test_cross_tape_rejected(self):
-        t1, t2 = Tape(), Tape()
+        t1, t2 = ComposedTape(), ComposedTape()
         x1 = t1.leaf(np.ones((1, 1)))
         with pytest.raises(AutodiffError, match="different tape"):
             t2.add(x1, t2.constant(np.ones((1, 1))))
@@ -178,11 +193,13 @@ class TestTapeLifetime:
             t = Tape()
             x = t.leaf(np.ones((3, 2)))
             w = t.leaf(np.ones((2, 2)))
-            h = t.mul(t.sub(t.matmul(x, w), t.constant(np.zeros((3, 2)))), x)
-            loss = t.total_sum(t.add(t.concat([h, h], 0), t.constant(w.value[0])))
+            b = t.leaf(np.zeros(2))
+            h = t.dense(t.matmul(x, w), w, b, relu=True)
+            both = t.segment_sum(t.concat([h, h], 0), [0, 1, 2, 3, 3, 3], 3)
+            loss = t.weighted_l1(both, np.zeros((3, 2)), np.ones((3, 2)))
             grads = t.backward(loss)
             ref = weakref.ref(t)
-            del t, x, w, h, loss, grads
+            del t, x, w, b, h, both, loss, grads
             assert ref() is None
         finally:
             gc.enable()
@@ -212,7 +229,7 @@ class TestScatterBytes:
 
     def test_gather_pullback_matches_add_at(self):
         for g, ids, n_in in self.cases():
-            t = Tape()
+            t = ComposedTape()
             x = t.leaf(np.ones((n_in, g.shape[1])))
             gathered = t.gather(x, ids)
             loss = t.total_sum(t.mul(gathered, t.constant(g)))
@@ -223,39 +240,50 @@ class TestScatterBytes:
 
 class TestGradients:
     def test_square_gradient(self):
-        t = Tape()
+        t = ComposedTape()
         x = t.leaf([[3.0]])
         loss = t.total_sum(t.mul(x, x))
         grads = t.backward(loss)
         assert grads[x].item() == 6.0
 
+    def test_segment_sum_padding_rows_get_zero_gradient(self):
+        # id 2 == n_segments marks a padding row: summed nowhere, and its
+        # gradient is an exact +0.0 whatever flows into the buckets
+        t = ComposedTape()
+        x = t.leaf([[1.0], [2.0], [3.0], [4.0]])
+        seg = t.segment_sum(x, [0, 2, 1, 2], 2)
+        assert np.array_equal(seg.value, [[1.0], [3.0]])
+        loss = t.total_sum(t.mul(seg, t.constant([[-5.0], [-0.0]])))
+        want = np.array([[-5.0], [0.0], [-0.0], [0.0]])
+        assert t.backward(loss)[x].tobytes() == want.tobytes()
+
     def test_segment_sum_gradient_is_ones(self):
-        t = Tape()
+        t = ComposedTape()
         x = t.leaf([[1.0], [2.0], [3.0]])
         loss = t.total_sum(t.segment_sum(x, [0, 0, 1], 2))
         assert np.array_equal(t.backward(loss)[x], [[1.0], [1.0], [1.0]])
 
     def test_bias_broadcast_gradient_sums_rows(self):
-        t = Tape()
+        t = ComposedTape()
         b = t.leaf([1.0, -1.0])
         loss = t.total_sum(t.add(t.constant(np.zeros((3, 2))), b))
         assert np.array_equal(t.backward(loss)[b], [3.0, 3.0])
 
     def test_absolute_subgradient_zero_at_kink(self):
-        t = Tape()
+        t = ComposedTape()
         x = t.leaf([[0.0, -2.0, 5.0]])
         loss = t.total_sum(t.absolute(x))
         assert np.array_equal(t.backward(loss)[x], [[0.0, -1.0, 1.0]])
 
     def test_reshape_gradient_takes_input_shape(self):
-        t = Tape()
+        t = ComposedTape()
         x = t.leaf([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         w = t.constant(np.arange(6.0).reshape(6, 1))
         loss = t.total_sum(t.mul(t.reshape(x, (6, 1)), w))
         assert np.array_equal(t.backward(loss)[x], [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
 
     def test_unused_leaf_reads_zero(self):
-        t = Tape()
+        t = ComposedTape()
         x = t.leaf([[1.0]])
         y = t.leaf([[2.0]])
         grads = t.backward(t.total_sum(t.mul(x, x)))
@@ -273,7 +301,7 @@ class TestGradients:
         }
 
         def forward(values):
-            t = Tape()
+            t = ComposedTape()
             ts = {k: t.leaf(v) for k, v in values.items()}
             h1 = t.dense(ts["x"], ts["w1"], ts["b1"], relu=True)
             h2 = t.relu(t.dense(h1, ts["w2"], ts["b2"], relu=False))
@@ -295,7 +323,7 @@ class TestGradients:
         x = rng.normal(size=(4, 3))
 
         def forward(values):
-            t = Tape()
+            t = ComposedTape()
             xs = t.leaf(values)
             g = t.gather(xs, [2, 0, 1, 3, 3])
             s = t.segment_sum(g, [0, 0, 1, 1, 2], 3)
@@ -339,7 +367,7 @@ class TestGruCell:
         mask = np.array([[1.0], [0.0], [1.0]])  # the middle row keeps its state
 
         def forward():
-            t = Tape()
+            t = ComposedTape()
             ts = {k: t.leaf(v) for k, v in values.items()}
             out = t.gru_step(ts["x"], ts["h"], mask, ts)
             return t, ts, t.total_sum(t.mul(out, out))
@@ -362,7 +390,7 @@ class TestDense:
         }
 
         def forward():
-            t = Tape()
+            t = ComposedTape()
             ts = {k: t.leaf(v) for k, v in values.items()}
             out = t.dense(ts["x"], ts["w"], ts["b"], relu=relu)
             return t, ts, t.total_sum(t.mul(out, out))
@@ -397,7 +425,7 @@ def fused_case(rng, tape, shapes, needs, scale):
 
 
 class TestFusedBytes:
-    """The fused layers against their compositions on ComposedTape, bit for bit.
+    """The fused nodes against their compositions on ComposedTape, bit for bit.
 
     A second consumer of each input makes backward add the fused node's
     gradient into a running sum, as it does for a path state that feeds both
@@ -407,20 +435,21 @@ class TestFusedBytes:
     @staticmethod
     def run(build, rng_seed, shapes, needs, scale):
         out = {}
-        for label, tape in (("fused", Tape()), ("composed", ComposedTape())):
+        for fused in (True, False):
+            tape = ComposedTape()
             ts = fused_case(np.random.default_rng(rng_seed), tape, shapes, needs, scale)
             side = [
                 tape.total_sum(tape.mul(t, tape.constant(np.full(t.value.shape, 0.25))))
                 for t in ts.values()
             ]
-            y = build(tape, ts, label == "fused")
+            y = build(tape, ts, fused)
             weights = np.random.default_rng(rng_seed + 1).normal(size=y.value.shape)
             loss = tape.total_sum(tape.mul(y, tape.constant(weights)))
             for term in side:
                 loss = tape.add(loss, term)
             grads = tape.backward(loss)
-            out[label] = [y.value.tobytes()] + [grads[t].tobytes() for t in ts.values()]
-        assert out["fused"] == out["composed"]
+            out[fused] = [y.value.tobytes()] + [grads[t].tobytes() for t in ts.values()]
+        assert out[True] == out[False]
 
     @settings(max_examples=100)
     @given(
@@ -469,6 +498,63 @@ class TestFusedBytes:
 
         self.run(build, seed, shapes, needs, 1.0)
 
+    @settings(max_examples=100)
+    @given(
+        seed=st.integers(0, 2**31),
+        rows=st.integers(1, 12),
+        cols=st.integers(1, 4),
+        scaled=st.booleans(),
+    )
+    def test_weighted_l1(self, seed, rows, cols, scaled):
+        # some predictions are signed zeros, some cells sit on the kink (a
+        # zero difference), some weights are +0 or -0
+        rng = np.random.default_rng(seed)
+        shape = (rows, cols)
+        zeroed = rng.random(shape) < 0.2
+        kink = rng.random(shape) < 0.3
+        noise = np.where(rng.random(shape) < 0.2, -0.0, rng.normal(size=shape))
+        weight = np.where(rng.random(shape) < 0.3, 0.0, rng.uniform(0.0, 2.0, shape))
+        weight[rng.random(shape) < 0.1] = -0.0
+        scale = rng.uniform(0.1, 4.0, shape) if scaled else None
+
+        def build(tape, ts, fused):
+            pred = tape.mul(ts["pred"], tape.constant(np.where(zeroed, 0.0, 1.0)))
+            target = np.where(kink, pred.value if scale is None else pred.value * scale, noise)
+            if fused:
+                return tape.weighted_l1(pred, target, weight, scale)
+            return reference_weighted_l1(tape, pred, target, weight, scale)
+
+        self.run(build, seed, {"pred": shape}, 1, 1.0)
+
+
+class TestWeightedL1:
+    def test_values_and_subgradient_at_kink(self):
+        t = Tape()
+        x = t.leaf([[1.0, -2.0, 3.0]])
+        j = t.weighted_l1(x, np.array([[0.0, 0.0, 3.0]]), np.array([[2.0, 1.0, 5.0]]))
+        assert j.value.item() == 4.0
+        assert np.array_equal(t.backward(j)[x], [[2.0, -1.0, 0.0]])
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_gradient_matches_fd(self, scaled):
+        rng = np.random.default_rng(5)
+        pred = rng.normal(size=(6, 3))
+        target = rng.normal(size=(6, 3))
+        weight = rng.uniform(0.0, 2.0, size=(6, 3))
+        weight[0] = 0.0
+        scale = rng.uniform(0.5, 2.0, size=(6, 3)) if scaled else None
+
+        def forward(values):
+            t = Tape()
+            x = t.leaf(values)
+            return t, x, t.weighted_l1(x, target, weight, scale)
+
+        # no cell within a finite-difference step of the kink
+        assert np.abs((pred if scale is None else pred * scale) - target).min() > 1e-3
+        t, x, loss = forward(pred)
+        fd = fd_gradient(lambda a: forward(a)[2].value.item(), pred)
+        assert max_rel_err(t.backward(loss)[x], fd) < 1e-5
+
 
 class TestParamSet:
     def test_duplicate_and_unknown_names(self):
@@ -492,7 +578,7 @@ class TestParamSet:
 
     def test_bind_registers_leaves(self):
         ps = ParamSet({"a": np.ones((1, 2))})
-        t = Tape()
+        t = ComposedTape()
         bound = ps.bind(t)
         loss = t.total_sum(bound["a"])
         assert np.array_equal(t.backward(loss)[bound["a"]], [[1.0, 1.0]])

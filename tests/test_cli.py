@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    TINY_DIMS,
     copy_with_edited_record,
     copy_with_missing_link,
     copy_with_truncated_line,
@@ -42,10 +43,11 @@ CKPT_NORM = Normalizer(
 
 
 def write_ckpt(
-    path, *, seed=0, tasks=TASKS, config=None, zero=False, scenario=None, kind="glance"
+    path, *, seed=0, tasks=TASKS, config=None, zero=False, scenario=None, kind="glance",
+    dims=CKPT_DIMS,
 ):
     gnn_dims = GnnDims(n_flows=10, channels=8, n_layers=1)
-    model = make_model(kind, tasks, seed, dims=CKPT_DIMS, gnn_dims=gnn_dims)
+    model = make_model(kind, tasks, seed, dims=dims, gnn_dims=gnn_dims)
     if zero:
         for name in model.params.names():
             model.params[name] = np.zeros_like(model.params[name])
@@ -667,6 +669,29 @@ class TestManage:
             "manage-flows", "--data", toy_dataset_dir,
             "--checkpoint", str(ckpt), "--out", str(tmp_path / "x.json"),
         ) == 2
+
+
+class TestPathBound:
+    """A checkpoint whose l_max is below the dataset's longest path."""
+
+    @pytest.mark.parametrize(
+        "command, solver",
+        [("eval", []), ("manage-flows", ["--n-init", "2", "--n-restarts", "1"])],
+    )
+    def test_overlong_path_is_usage_error(
+        self, run_cli, tmp_path, toy_dataset, toy_dataset_dir, capsys, command, solver
+    ):
+        longest = max(len(p.links) for s in toy_dataset.splits["test"] for p in s.table.paths)
+        assert longest == 3 > TINY_DIMS.l_max
+        ckpt = tmp_path / "short.ckpt"
+        write_ckpt(ckpt, dims=TINY_DIMS)
+        out = tmp_path / "out" / "report.json"
+        assert run_cli(
+            command, "--data", toy_dataset_dir, "--checkpoint", str(ckpt),
+            "--out", str(out), *solver,
+        ) == 2
+        assert "exceeding l_max=2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 #: SHA-256 of every file a tiny `gen-data` writes, relative paths, taken when

@@ -54,7 +54,7 @@ def line_state(graph, tau=(100.0, 100.0)):
     traffic = TrafficParams((tau[0],), (tau[1],))
     table = shortest_paths(graph, flows, 0)
     caps = link_capacities(graph, default_sim_config(graph.wired))
-    return prepare_twin_input(graph, table, traffic, caps, TINY_DIMS.l_max)
+    return prepare_twin_input(graph, table, traffic, caps)
 
 
 class TestTargetProfile:
@@ -166,7 +166,7 @@ class TestGdTraffic:
         model, table, caps = self.setup_case(line3)
         tau0 = np.array([[5.0, 9.0]])
         traffic = TrafficParams((5.0,), (9.0,))
-        inp = prepare_twin_input(line3, table, traffic, caps, TINY_DIMS.l_max)
+        inp = prepare_twin_input(line3, table, traffic, caps)
         profile = TargetProfile.from_raw(model.predict(inp), UNIT_IQR)
         result = gd_traffic(model, line3, table, profile, tau0, capacities=caps)
         assert result.kind == "traffic"
@@ -180,7 +180,7 @@ class TestGdTraffic:
         model, table, caps = self.setup_case(line3)
         # target drawn at a different operating point than the start
         star = prepare_twin_input(
-            line3, table, TrafficParams((4.0,), (16.0,)), caps, TINY_DIMS.l_max
+            line3, table, TrafficParams((4.0,), (16.0,)), caps
         )
         profile = TargetProfile.from_raw(model.predict(star), UNIT_IQR)
         result = gd_traffic(
@@ -194,7 +194,7 @@ class TestGdTraffic:
     def test_iterates_stay_inside_bounds(self, line3):
         model, table, caps = self.setup_case(line3)
         star = prepare_twin_input(
-            line3, table, TrafficParams((19.0,), (1.5,)), caps, TINY_DIMS.l_max
+            line3, table, TrafficParams((19.0,), (1.5,)), caps
         )
         profile = TargetProfile.from_raw(model.predict(star), UNIT_IQR)
         result = gd_traffic(
@@ -254,7 +254,7 @@ class TestHillclimb:
         for dests in self.all_assignments(graph, sources):
             flows = FlowSet(sources, dests)
             table = shortest_paths(graph, flows, tie_seed)
-            inp = prepare_twin_input(graph, table, traffic, caps, TINY_DIMS.l_max)
+            inp = prepare_twin_input(graph, table, traffic, caps)
             best = min(best, twin_objective(model, inp, profile))
         return best
 
@@ -288,7 +288,7 @@ class TestHillclimb:
 
         def j_of(vec):
             table = shortest_paths(diamond4, FlowSet(sources, vec), tie_seed)
-            inp = prepare_twin_input(diamond4, table, traffic, caps, TINY_DIMS.l_max)
+            inp = prepare_twin_input(diamond4, table, traffic, caps)
             return twin_objective(model, inp, profile)
 
         j_best = j_of(dests)
@@ -383,7 +383,7 @@ class TestBatchedScoring:
             shortest_paths(graph, FlowSet(sources, random_destinations(rng, graph, sources)), 0)
             for _ in range(size)
         ]
-        inputs = [prepare_twin_input(graph, t, traffic, caps, model.l_max) for t in tables]
+        inputs = [prepare_twin_input(graph, t, traffic, caps) for t in tables]
         batched = manage._batch_objective(model, inputs, profile)
         for inp, b in zip(inputs, batched):
             exact = twin_objective(model, inp, profile)
@@ -452,12 +452,12 @@ class TestGdEvaluations:
             graph, FlowSet(sources, random_destinations(rng, graph, sources)), seed
         )
         caps = link_capacities(graph, default_sim_config(graph.wired))
-        inp = prepare_twin_input(graph, table, traffic, caps, model.l_max)
+        inp = prepare_twin_input(graph, table, traffic, caps)
         tau0 = np.stack([traffic.tau_on, traffic.tau_off], axis=1)
         # aim at the twin's own KPIs at other traffic, so descent has a way to go
         star = TrafficParams(traffic.tau_off, traffic.tau_on)
         profile = TargetProfile.from_raw(
-            model.predict(prepare_twin_input(graph, table, star, caps, model.l_max)),
+            model.predict(prepare_twin_input(graph, table, star, caps)),
             UNIT_IQR,
         )
         return graph, model, table, inp, profile, tau0
@@ -486,13 +486,26 @@ class TestGdEvaluations:
                 return fn(*args, **kwargs)
             return counted
 
-        monkeypatch.setattr(TwinModel, "forward", count("forward", forward))
-        monkeypatch.setattr(Tape, "backward", count("backward", backward))
+        outputs, loss_gaps = {}, []
+
+        def forward_noting_output(self, tape, *args, **kwargs):
+            out = forward(self, tape, *args, **kwargs)
+            outputs[tape] = out.node_id
+            return out
+
+        def backward_noting_loss(self, loss):
+            loss_gaps.append(loss.node_id - outputs[self])
+            return backward(self, loss)
+
+        monkeypatch.setattr(TwinModel, "forward", count("forward", forward_noting_output))
+        monkeypatch.setattr(Tape, "backward", count("backward", backward_noting_loss))
         monkeypatch.setattr(manage, "_objective_on_tape", count("j", on_tape))
         result = gd_traffic(model, graph, table, profile, tau0, max_iters=15)
         assert len(result.trajectory) > 5
         assert counts["forward"] == counts["j"]
         assert counts["backward"] == result.iterations
+        # the loss is one node, recorded right after the forward's output
+        assert loss_gaps == [1] * result.iterations
 
 
 class TestHingeRatio:
@@ -537,24 +550,32 @@ class TestEvaluateManagement:
         gen = NetworkInput(FlowSet((0,), (1,)), TrafficParams((100.0,), (100.0,)))
         return orig, gen
 
+    @staticmethod
+    def shell():
+        return ManageResult(
+            kind="traffic", optimized_traffic=np.array([[5.0, 5.0]]),
+            optimized_destinations=None, trajectory=[1.0, 0.5],
+            iterations=1, converged=True,
+        )
+
     def test_seed_validation(self, line3):
         orig, gen = self.states()
         config = default_sim_config(True, t_gen=2.0)
-        with pytest.raises(ManageError, match="nine distinct seeds"):
-            evaluate_management(line3, orig, gen, config, list(range(8)), UNIT_IQR)
-        with pytest.raises(ManageError, match="nine distinct seeds"):
-            evaluate_management(line3, orig, gen, config, [1] * 9, UNIT_IQR)
-        with pytest.raises(ManageError, match="positive scales"):
-            evaluate_management(
-                line3, orig, gen, config, list(range(9)), np.zeros(4)
-            )
+        for seeds, iqr, message in (
+            (list(range(8)), UNIT_IQR, "nine distinct seeds"),
+            ([1] * 9, UNIT_IQR, "nine distinct seeds"),
+            (list(range(9)), np.zeros(4), "positive scales"),
+        ):
+            with pytest.raises(ManageError, match=message):
+                evaluate_management(line3, orig, gen, config, seeds, iqr, self.shell())
 
     def test_protocol_averages_and_errors(self, line3):
         orig, gen = self.states()
         config = default_sim_config(True, t_gen=2.0)
         seeds = list(range(9))
-        result = evaluate_management(line3, orig, gen, config, seeds, UNIT_IQR)
-        assert result.kind == "evaluation"
+        result = evaluate_management(
+            line3, orig, gen, config, seeds, UNIT_IQR, self.shell()
+        )
         assert result.k_targ.shape == (1, 4)
         # the uncontended line delivers every packet in exactly two hops
         assert result.k_targ[0, 0] == pytest.approx(3.36, abs=1e-9)
@@ -572,11 +593,7 @@ class TestEvaluateManagement:
     def test_fills_existing_result(self, line3):
         orig, gen = self.states()
         config = default_sim_config(True, t_gen=2.0)
-        shell = ManageResult(
-            kind="traffic", optimized_traffic=np.array([[5.0, 5.0]]),
-            optimized_destinations=None, trajectory=[1.0, 0.5],
-            iterations=1, converged=True,
-        )
+        shell = self.shell()
         result = evaluate_management(
             line3, orig, gen, config, list(range(9)), UNIT_IQR, result=shell
         )
@@ -589,8 +606,8 @@ class TestEvaluateManagement:
         orig, gen = self.states()
         config = default_sim_config(True, t_gen=2.0)
         seeds = [3, 1, 4, 15, 9, 2, 6, 5, 35]
-        r1 = evaluate_management(line3, orig, gen, config, seeds, UNIT_IQR)
-        r2 = evaluate_management(line3, orig, gen, config, seeds, UNIT_IQR)
+        r1 = evaluate_management(line3, orig, gen, config, seeds, UNIT_IQR, self.shell())
+        r2 = evaluate_management(line3, orig, gen, config, seeds, UNIT_IQR, self.shell())
         assert r1.to_jsonable() == r2.to_jsonable()
 
 

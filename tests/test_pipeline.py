@@ -18,6 +18,7 @@ from conftest import (
     copy_with_line,
     copy_with_missing_link,
     copy_with_truncated_line,
+    embedding_names,
     line_sample,
     mixed_samples,
 )
@@ -172,9 +173,9 @@ class TestGenerateDataset:
             assert s.labels.shape == (10, 4)
             assert s.capacities.shape == (len(s.graph.links),)
             assert len(s.table.paths) == 10
-        # cached twin inputs are rebuilt only once per l_max
+        # the twin input is built once, then cached
         s = train[0]
-        assert s.twin_input(3) is s.twin_input(3)
+        assert s.twin_input is s.twin_input
 
     def test_fixed_scenario_shares_flows_and_topology(self, toy_dataset):
         everything = [s for split in SPLITS for s in toy_dataset.splits[split]]
@@ -584,10 +585,10 @@ class TestTrainModel:
             seed=3, freeze_embeddings=True,
         )
         after = param_bytes(model.params)
-        assert model.readout_names() and model.embedding_names()
+        assert model.readout_names() and embedding_names(model)
         for name in model.readout_names():
             assert after[name] != before[name]
-        for name in model.embedding_names():
+        for name in embedding_names(model):
             assert after[name] == before[name]
             assert not result.adam.m[name].any()  # moments never touched
 
@@ -646,9 +647,20 @@ class TestBatchedTraining:
 
     def items(self, model, samples):
         return [
-            (s.twin_input(3), *loss_targets(model, s, UNIT_NORM.iqr))
+            (s.twin_input, *loss_targets(model, s, UNIT_NORM.iqr))
             for s in samples
         ]
+
+    @pytest.mark.parametrize("kind", ["glance", "routenet", "gnn"])
+    def test_loss_is_one_node_after_the_forward(self, kind):
+        model = self.model(kind)
+        tape = Tape()
+        loss, _, inp = batch_loss(
+            model, tape, model.params.bind(tape), self.items(model, mixed_samples())
+        )
+        alone = Tape()
+        out = model.forward(alone, model.params.bind(alone), inp)
+        assert loss.node_id == out.node_id + 1
 
     @pytest.mark.parametrize("kind", ["glance", "routenet", "gnn"])
     def test_gradient_is_mean_of_sample_gradients(self, kind):
@@ -677,16 +689,16 @@ class TestBatchedTraining:
         assert len(samples) > EVAL_CHUNK
         got = predict_samples(model, samples)
         for s, rows in zip(samples, got):
-            assert np.max(np.abs(rows - model.predict(s.twin_input(3)))) < 1e-12
+            assert np.max(np.abs(rows - model.predict(s.twin_input))) < 1e-12
         single = predict_samples(model, samples[:1])[0]
-        assert single.tobytes() == model.predict(samples[0].twin_input(3)).tobytes()
+        assert single.tobytes() == model.predict(samples[0].twin_input).tobytes()
 
     def test_loss_values_read_the_model_columns(self):
         # the model's only head is jitter, column 1 of the labels
         model = make_model("routenet", ("jitter",), 6, dims=BATCH_DIMS)
         samples = mixed_samples()
         for s, (total, per_task) in zip(samples, loss_values(model, samples, UNIT_NORM)):
-            preds = model.predict(s.twin_input(3))[:, 0]
+            preds = model.predict(s.twin_input)[:, 0]
             want = np.mean(np.abs(preds - s.labels[:, 1])) / UNIT_NORM.iqr[1]
             assert per_task.shape == (1,)
             assert total == pytest.approx(want, rel=1e-12)
@@ -912,7 +924,7 @@ class TestCheckpointManifest:
         assert loaded.tasks == ("delay", "jitter")
         assert loaded.dims == TINY_DIMS
         assert_array_equal(norm2.iqr, norm.iqr)
-        inp = line_sample(line3, 100.0, 100.0, [1.0, 1.0, 1.0, 1.0]).twin_input(2)
+        inp = line_sample(line3, 100.0, 100.0, [1.0, 1.0, 1.0, 1.0]).twin_input
         assert loaded.predict(inp).tobytes() == model.predict(inp).tobytes()
 
     def test_recorded_training_settings(self):
@@ -947,7 +959,7 @@ class TestCheckpointManifest:
         loaded, _ = model_from_checkpoint(model.params, manifest)
         assert isinstance(loaded.dims, GnnDims)
         assert loaded.dims == model.dims
-        inp = line_sample(line3, 100.0, 100.0, [1.0, 1.0, 1.0, 1.0]).twin_input(2)
+        inp = line_sample(line3, 100.0, 100.0, [1.0, 1.0, 1.0, 1.0]).twin_input
         assert loaded.predict(inp).tobytes() == model.predict(inp).tobytes()
 
     @pytest.mark.parametrize("kind", ["glance", "gnn"])

@@ -1,6 +1,7 @@
 """Twin models: input prep, the three forwards, symmetry properties, sizing."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from nettwin.twin import (
     sym_normalized_operator,
 )
 
-from conftest import BATCH_DIMS, TINY_DIMS, mixed_samples, wired_graph
+from conftest import BATCH_DIMS, TINY_DIMS, embedding_names, mixed_samples, wired_graph
 
 WEE_DIMS = GlanceDims(
     d_node=2, d_link=2, d_path=4, t_layers=1, l_max=2,
@@ -31,13 +32,13 @@ WEE_DIMS = GlanceDims(
 )
 
 
-def line_input(line3, flows=None, traffic=None, caps=None, l_max=2):
+def line_input(line3, flows=None, traffic=None, caps=None):
     flows = flows or FlowSet((0,), (2,))
     traffic = traffic or TrafficParams((10.0,) * len(flows), (1.0,) * len(flows))
     table = shortest_paths(line3, flows, seed=0)
     config = default_sim_config(wired=True)
     capacities = link_capacities(line3, config) if caps is None else caps
-    return prepare_twin_input(line3, table, traffic, capacities, l_max)
+    return prepare_twin_input(line3, table, traffic, capacities)
 
 
 def stable_sigmoid(x):
@@ -75,7 +76,7 @@ class TestTwinInput:
         inp = line_input(line3, flows, traffic)
         assert np.array_equal(inp.order, [1, 0])
         assert np.array_equal(inp.inv_order, [1, 0])
-        # line3 links: (0,1)=0 (1,0)=1 (1,2)=2 (2,1)=3; dummy segment is 4
+        # line3 links: (0,1)=0 (1,0)=1 (1,2)=2 (2,1)=3; padding slots are 4
         assert np.array_equal(inp.link_ids, [[0, 2], [2, 4]])
         assert np.array_equal(inp.tail_ids, [[0, 1], [1, 0]])
         assert np.array_equal(inp.step_mask, [[1.0, 1.0], [1.0, 0.0]])
@@ -83,8 +84,14 @@ class TestTwinInput:
         assert np.array_equal(inp.degrees, [1.0, 2.0, 1.0])
 
     def test_rejects_overlong_path(self, line3):
-        with pytest.raises(TwinError, match="l_max"):
-            line_input(line3, l_max=1)
+        # the input takes any path; a path model rejects one over its l_max
+        inp = line_input(line3)
+        assert inp.max_steps == 2
+        for kind in ("glance", "routenet"):
+            make_model(kind, TASKS, seed=0, dims=WEE_DIMS).predict(inp)
+            short = make_model(kind, TASKS, seed=0, dims=replace(WEE_DIMS, l_max=1))
+            with pytest.raises(TwinError, match="2 links, exceeding l_max=1"):
+                short.predict(inp)
 
     def test_rejects_capacity_shape(self, line3):
         with pytest.raises(TwinError, match="capacities"):
@@ -98,14 +105,14 @@ class TestTwinInput:
         table = RoutingTable((Path(0, ((0, 2),)),), seed=0)
         caps = link_capacities(line3, default_sim_config(wired=True))
         with pytest.raises(TwinError, match="not in the graph"):
-            prepare_twin_input(line3, table, TrafficParams((1.0,), (1.0,)), caps, 2)
+            prepare_twin_input(line3, table, TrafficParams((1.0,), (1.0,)), caps)
 
     def test_gnn_features(self, line3):
         flows = FlowSet((0,), (1,))
         traffic = TrafficParams((10.0,), (3.0,))
         table = shortest_paths(line3, flows, seed=0)
         caps = link_capacities(line3, default_sim_config(wired=True))
-        inp = prepare_twin_input(line3, table, traffic, caps, 2)
+        inp = prepare_twin_input(line3, table, traffic, caps)
         feats = inp.gnn_features
         assert np.array_equal(feats[0], [10.0, 3.0])
         assert np.array_equal(feats[1], [10.0, 3.0])
@@ -118,7 +125,7 @@ class TestInitEmbeddings:
         flows = FlowSet((1,), (2,))
         table = shortest_paths(star, flows, seed=0)
         caps = link_capacities(star, default_sim_config(wired=True))
-        inp = prepare_twin_input(star, table, TrafficParams((10.0,), (1.0,)), caps, 2)
+        inp = prepare_twin_input(star, table, TrafficParams((10.0,), (1.0,)), caps)
         tape = Tape()
         h_p, h_l, h_n = init_embeddings(tape, inp, WEE_DIMS)
         assert np.array_equal(h_p.value, [[10.0, 1.0, 0.0, 0.0]])
@@ -247,9 +254,9 @@ class TestGlanceForward:
         )
         config = default_sim_config(wired=False)
         inp1 = prepare_twin_input(
-            reg44, table, traffic, link_capacities(reg44, config), 3
+            reg44, table, traffic, link_capacities(reg44, config)
         )
-        inp2 = prepare_twin_input(g2, table2, traffic, link_capacities(g2, config), 3)
+        inp2 = prepare_twin_input(g2, table2, traffic, link_capacities(g2, config))
         for kind in ("glance", "routenet"):
             model = make_model(kind, TASKS, seed=7, dims=TINY_DIMS)
             p1, p2 = model.predict(inp1), model.predict(inp2)
@@ -270,10 +277,10 @@ class TestGlanceForward:
         )
         config = default_sim_config(wired=False)
         caps = link_capacities(reg44, config)
-        inp1 = prepare_twin_input(reg44, table, traffic, caps, 3)
-        inp2 = prepare_twin_input(reg44, table2, traffic2, caps, 3)
+        inp1 = prepare_twin_input(reg44, table, traffic, caps)
+        inp2 = prepare_twin_input(reg44, table2, traffic2, caps)
         for kind in ("glance", "routenet"):
-            model = make_model(kind, TASKS, seed=8, dims=TINY_DIMS)
+            model = make_model(kind, TASKS, seed=8, dims=BATCH_DIMS)
             p1, p2 = model.predict(inp1), model.predict(inp2)
             assert p2.tobytes() == p1[sigma].tobytes()
 
@@ -285,11 +292,11 @@ class TestGlanceForward:
         traffic = TrafficParams((3.0,), (4.0,))
         config = default_sim_config(wired=True)
         for kind in ("glance", "routenet"):
-            model = make_model(kind, TASKS, seed=1, dims=TINY_DIMS)
+            model = make_model(kind, TASKS, seed=1, dims=BATCH_DIMS)
             preds = []
             for g in (g1, g2):
                 table = shortest_paths(g, flows, seed=0)
-                inp = prepare_twin_input(g, table, traffic, link_capacities(g, config), 3)
+                inp = prepare_twin_input(g, table, traffic, link_capacities(g, config))
                 preds.append(model.predict(inp))
             assert preds[0].tobytes() == preds[1].tobytes()
 
@@ -329,7 +336,7 @@ class TestGnnForward:
         flows = FlowSet((0, 2), (1, 0))
         table = shortest_paths(line3, flows, seed=0)
         caps = link_capacities(line3, default_sim_config(wired=True))
-        return prepare_twin_input(line3, table, TrafficParams(tau_on, tau_off), caps, 2)
+        return prepare_twin_input(line3, table, TrafficParams(tau_on, tau_off), caps)
 
     def test_zero_weights_predict_per_flow_bias(self, line3):
         inp = self.make_inp(line3)
@@ -348,7 +355,7 @@ class TestGnnForward:
         table2 = shortest_paths(line3, flows2, seed=0)
         caps = link_capacities(line3, default_sim_config(wired=True))
         inp2 = prepare_twin_input(
-            line3, table2, TrafficParams((4.0, 10.0), (6.0, 3.0)), caps, 2
+            line3, table2, TrafficParams((4.0, 10.0), (6.0, 3.0)), caps
         )
         p1, p2 = model.predict(inp1), model.predict(inp2)
         # the feature columns are tied to flow slots, so swapping flows is
@@ -371,23 +378,23 @@ class TestGnnForward:
 
 class TestModelContainer:
     def test_param_counts_frozen(self):
-        assert make_model("glance", TASKS, seed=0).param_count() == 47332
-        assert make_model("routenet", TASKS, seed=0).param_count() == 44260
-        assert make_model("gnn", TASKS, seed=0, n_flows=10).param_count() == 24520
+        assert make_model("glance", TASKS, seed=0).params.count() == 47332
+        assert make_model("routenet", TASKS, seed=0).params.count() == 44260
+        assert make_model("gnn", TASKS, seed=0, n_flows=10).params.count() == 24520
 
     def test_large_dims_bigger(self):
         small = make_model("glance", TASKS, seed=0, dims=COMPACT)
         large = make_model("glance", TASKS, seed=0, dims=LARGE)
-        assert large.param_count() > small.param_count()
+        assert large.params.count() > small.params.count()
 
     def test_param_count_deterministic(self):
-        a = make_model("glance", TASKS, seed=0).param_count()
-        b = make_model("glance", TASKS, seed=99).param_count()
+        a = make_model("glance", TASKS, seed=0).params.count()
+        b = make_model("glance", TASKS, seed=99).params.count()
         assert a == b
 
     def test_name_partitions(self):
         model = make_model("glance", ("delay", "drops"), seed=0, dims=TINY_DIMS)
-        emb = set(model.embedding_names())
+        emb = set(embedding_names(model))
         ro = set(model.readout_names())
         assert emb.isdisjoint(ro)
         assert emb | ro == set(model.params.names())
@@ -453,19 +460,22 @@ class TestModelContainer:
         assert h.hexdigest() == digest
 
     def test_compact_forward_tape_size(self, reg44):
-        # one node per GRU step and per dense layer; composed from
-        # elementwise primitives, this forward recorded 412 nodes
+        # one node per GRU step and per dense layer, and link sums taken
+        # straight from segment_sum; composed from elementwise primitives,
+        # the glance forward recorded 412 nodes
         flows = FlowSet((0, 1, 2, 4, 5, 6, 8, 9, 10, 0), (5, 6, 7, 9, 10, 11, 13, 14, 15, 3))
         traffic = TrafficParams((10.0,) * 10, (1.0,) * 10)
         caps = link_capacities(reg44, default_sim_config(wired=False))
         inp = prepare_twin_input(
-            reg44, shortest_paths(reg44, flows, seed=0), traffic, caps, COMPACT.l_max
+            reg44, shortest_paths(reg44, flows, seed=0), traffic, caps
         )
         assert (inp.n_flows, inp.max_steps) == (10, 3)
-        model = make_model("glance", TASKS, seed=0)
-        tape = Tape()
-        out = model.forward(tape, model.params.bind(tape), inp)
-        assert out.node_id + 1 <= 180
+        nodes = {}
+        for kind in ("glance", "routenet", "gnn"):
+            model = make_model(kind, TASKS, seed=0, n_flows=10)
+            tape = Tape()
+            nodes[kind] = model.forward(tape, model.params.bind(tape), inp).node_id + 1
+        assert nodes == {"glance": 159, "routenet": 119, "gnn": 33}
 
     def test_predict_matches_bound_forward(self, line3):
         model = make_model("glance", TASKS, seed=6, dims=TINY_DIMS)
@@ -483,7 +493,7 @@ class TestBatchInputs:
         return make_model(kind, TASKS, seed, dims=BATCH_DIMS, n_flows=2)
 
     def inputs(self, samples=None):
-        return [s.twin_input(3) for s in samples or mixed_samples()]
+        return [s.twin_input for s in samples or mixed_samples()]
 
     def test_index_layout(self, line3):
         cycle4 = wired_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -493,7 +503,7 @@ class TestBatchInputs:
         table = shortest_paths(cycle4, flows, seed=0)
         one = line_input(line3)  # flow 0->2 over links 0 and 2 of 4
         two = prepare_twin_input(
-            cycle4, table, TrafficParams((3.0, 4.0), (5.0, 6.0)), caps, 2
+            cycle4, table, TrafficParams((3.0, 4.0), (5.0, 6.0)), caps
         )
         inp = batch_inputs([one, two])
         assert (inp.n_flows, inp.n_links, inp.n_nodes, inp.max_steps) == (3, 12, 7, 2)
@@ -548,7 +558,7 @@ class TestBatchInputs:
             tuple(Path(i, mid.table.paths[f].links) for i, f in enumerate(sigma)),
             seed=mid.table.seed,
         )
-        swapped = prepare_twin_input(mid.graph, table, traffic, mid.capacities, 3)
+        swapped = prepare_twin_input(mid.graph, table, traffic, mid.capacities)
         inputs = self.inputs(samples)
         for kind in ("glance", "routenet"):
             model = self.model(kind, seed=9)
@@ -567,7 +577,7 @@ class TestBatchInputs:
             batch_inputs([])
         # a gnn reads a fixed flow count from every sample
         two_flows = self.inputs()[0]
-        one_flow = line_input(line3, l_max=3)
+        one_flow = line_input(line3)
         model = self.model("gnn")
         with pytest.raises(TwinError, match="gnn built for 2 flows"):
             model.predict(batch_inputs([two_flows, one_flow]))
