@@ -18,6 +18,7 @@ relative output paths are created.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -621,7 +622,9 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="nettwin",
         description="Network digital twin: simulate, train, evaluate, manage.",

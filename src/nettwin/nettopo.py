@@ -72,6 +72,29 @@ class Graph:
             for i in range(self.n_nodes)
         )
 
+    # the twin's per-graph features: computed once per Graph object and
+    # read-only, since every input built on this graph shares them
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """degree_vector of this graph."""
+        return _read_only(degree_vector(self))
+
+    @cached_property
+    def s_norm(self) -> np.ndarray:
+        """sym_normalized_operator of this graph's adjacency."""
+        return _read_only(sym_normalized_operator(self.adjacency))
+
+    @cached_property
+    def link_tails(self) -> np.ndarray:
+        """Transmitting node of each link, aligned with links."""
+        return _read_only(np.array([i for i, _ in self.links], dtype=np.int64))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
 
 def _validate_graph(graph: Graph) -> None:
     a = graph.adjacency
@@ -106,6 +129,14 @@ def degree_vector(graph: Graph) -> np.ndarray:
     """
     a = graph.adjacency
     return 0.5 * (a.sum(axis=1) + a.sum(axis=0))
+
+
+def sym_normalized_operator(adjacency: np.ndarray) -> np.ndarray:
+    """D^-1/2 (A + I) D^-1/2 with degrees of the self-looped adjacency."""
+    a_hat = adjacency + np.eye(adjacency.shape[0])
+    deg = 0.5 * (a_hat.sum(axis=1) + a_hat.sum(axis=0))
+    inv_sqrt = 1.0 / np.sqrt(deg)
+    return inv_sqrt[:, None] * a_hat * inv_sqrt[None, :]
 
 
 def wireless_adjacency(
@@ -193,19 +224,20 @@ class FlowSet:
     destinations: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        src = tuple(int(s) for s in self.sources)
-        dst = tuple(int(d) for d in self.destinations)
+        src = tuple([int(s) for s in self.sources])
+        dst = tuple([int(d) for d in self.destinations])
         object.__setattr__(self, "sources", src)
         object.__setattr__(self, "destinations", dst)
         if len(src) != len(dst):
             raise TopologyError("sources and destinations differ in length")
         if len(src) == 0:
             raise TopologyError("flow set must contain at least one flow")
-        if any(s < 0 for s in src) or any(d < 0 for d in dst):
+        if min(src) < 0 or min(dst) < 0:
             raise TopologyError("flow endpoints must be non-negative node ids")
         pairs = list(zip(src, dst))
-        if any(s == d for s, d in pairs):
-            bad = next(i for i, (s, d) in enumerate(pairs) if s == d)
+        loops = [i for i, (s, d) in enumerate(pairs) if s == d]
+        if loops:
+            bad = loops[0]
             raise TopologyError(f"flow {bad} has identical endpoints ({src[bad]})")
         if len(set(pairs)) != len(pairs):
             raise TopologyError("duplicate (source, destination) pair in flow set")

@@ -24,6 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -40,8 +41,7 @@ from .nettopo import (
     save_topology,
     topology_payload,
 )
-from .routing import Path as RoutePath
-from .routing import RoutingTable, bfs_distances, validate_table
+from .routing import RoutingTable, _unchecked_table, bfs_distances, validate_table
 from .seeding import derive_seed, make_rng
 from .simulator import (
     TASKS,
@@ -349,15 +349,16 @@ class Dataset:
 
 
 def _sample_from_record(
-    record: dict, split: str, manifest: dict, graphs: dict[str, Graph], root: Path
+    record: dict,
+    split: str,
+    manifest: dict,
+    topology: Callable[[str, str], tuple[Graph, np.ndarray]],
 ) -> Sample:
+    """One validated sample; ``topology(graph_id, where)`` gives its graph
+    and the capacities that every sample of that file shares."""
     where = f"{split} sample {record['index']}"
     graph_id = record["topology"]
-    if graph_id not in graphs:
-        if not (root / graph_id).is_file():
-            raise DatasetError(f"{where}: topology file {graph_id} not found")
-        graphs[graph_id] = load_topology(root / graph_id)
-    graph = graphs[graph_id]
+    graph, capacities = topology(graph_id, where)
     flows = FlowSet(tuple(record["sources"]), tuple(record["destinations"]))
     n_flows = len(flows.sources)
     if manifest.get("n_flows", n_flows) != n_flows:
@@ -370,26 +371,38 @@ def _sample_from_record(
                 f"{where}: {key} has {len(record[key])} entries for {n_flows} flows"
             )
     traffic = TrafficParams(tuple(record["tau_on"]), tuple(record["tau_off"]))
-    violations = validate_table(record["paths"], graph, flows, manifest.get("l_max"))
+    # the routes are converted once and checked once, by validate_table; a
+    # table that fails to convert goes to it raw, and it names the entry
+    try:
+        table = _unchecked_table(record["paths"], int(record["routing_seed"]))
+    except (TypeError, ValueError, OverflowError):
+        table = record["paths"]
+    violations = validate_table(table, graph, flows, manifest.get("l_max"))
     if violations:
         v = violations[0]
         flow = "" if v.flow_index < 0 else f" flow {v.flow_index}"
         raise DatasetError(f"{where}:{flow} bad route, {v.kind}: {v.detail}")
-    paths = tuple(
-        RoutePath(f, tuple((int(i), int(j)) for i, j in links))
-        for f, links in enumerate(record["paths"])
-    )
-    table = RoutingTable(paths, int(record["routing_seed"]))
     if not record["runs"]:
         raise DatasetError(f"{where}: no runs")
+    runs = []
     for r, run in enumerate(record["runs"]):
         rows = run["kpis"]
-        if len(rows) != n_flows or any(len(row) != len(TASKS) for row in rows):
+        if (
+            not isinstance(rows, list)
+            or len(rows) != n_flows
+            or {len(row) if isinstance(row, list) else -1 for row in rows} != {len(TASKS)}
+        ):
             raise DatasetError(
                 f"{where}: run {r} KPI matrix is not {n_flows}x{len(TASKS)}"
             )
-    runs = [KpiRecord.from_jsonable(r["kpis"]).kpis for r in record["runs"]]
-    sim_config = SimConfig(**manifest["sim_config"])
+        if not {type(x) for row in rows for x in row} <= _KPI_CELL_TYPES:
+            raise DatasetError(
+                f"{where}: run {r} has a KPI cell that is neither a number nor null"
+            )
+        try:
+            runs.append(KpiRecord.from_jsonable(rows).kpis)
+        except OverflowError:  # an integer cell beyond the float range
+            raise DatasetError(f"{where}: run {r} has a KPI cell beyond float range") from None
     return Sample(
         index=int(record["index"]),
         split=split,
@@ -398,10 +411,14 @@ def _sample_from_record(
         flows=flows,
         traffic=traffic,
         table=table,
-        capacities=link_capacities(graph, sim_config),
+        capacities=capacities,
         labels=runs[0],
         bench_runs=runs[1:],
     )
+
+
+#: JSON types a KPI cell may have: a number, or null for a missing cell
+_KPI_CELL_TYPES = {int, float, type(None)}
 
 
 #: fields of every dataset record and their JSON types; each of its runs
@@ -449,7 +466,20 @@ def load_dataset(path: str | Path) -> Dataset:
         raise DatasetError(f"{manifest_file} is not a dataset manifest")
     if manifest.get("version") != DATASET_VERSION:
         raise DatasetError(f"unsupported dataset version {manifest.get('version')}")
-    graphs: dict[str, Graph] = {}
+    sim_config = SimConfig(**manifest["sim_config"])
+    # one graph and one read-only capacities array per topology file
+    topologies: dict[str, tuple[Graph, np.ndarray]] = {}
+
+    def topology(graph_id: str, where: str) -> tuple[Graph, np.ndarray]:
+        if graph_id not in topologies:
+            if not (root / graph_id).is_file():
+                raise DatasetError(f"{where}: topology file {graph_id} not found")
+            graph = load_topology(root / graph_id)
+            capacities = link_capacities(graph, sim_config)
+            capacities.flags.writeable = False
+            topologies[graph_id] = graph, capacities
+        return topologies[graph_id]
+
     splits: dict[str, list[Sample]] = {}
     for split in SPLITS:
         split_file = root / f"{split}.jsonl"
@@ -470,7 +500,7 @@ def load_dataset(path: str | Path) -> Dataset:
                     if defect:
                         raise DatasetError(f"{split}.jsonl line {number}: {defect}")
                     samples.append(
-                        _sample_from_record(record, split, manifest, graphs, root)
+                        _sample_from_record(record, split, manifest, topology)
                     )
         splits[split] = samples
     return Dataset(manifest, splits)

@@ -186,24 +186,36 @@ def validate_table(
     """Collect structural defects of a routing table; empty list means valid.
 
     Accepts a RoutingTable or a raw list of per-flow link sequences (as read
-    from a dataset file), and never raises on malformed content.
+    from a dataset file), and never raises on malformed content: a raw link
+    entry that is no pair of node ids is a ``malformed-link``.
     """
-    if isinstance(table, RoutingTable):
-        raw = [list(path.links) for path in table.paths]
-    else:
-        raw = [[(int(i), int(j)) for i, j in links] for links in table]
+    typed = isinstance(table, RoutingTable)
+    routes = [path.links for path in table.paths] if typed else table
     violations: list[Violation] = []
-    if len(raw) != len(flows):
+    if len(routes) != len(flows):
         violations.append(
             Violation(
                 -1,
                 "count-mismatch",
-                f"table has {len(raw)} paths for {len(flows)} flows",
+                f"table has {len(routes)} paths for {len(flows)} flows",
             )
         )
-    for f, links in enumerate(raw):
-        if f >= len(flows):
-            break
+    link_index = graph.link_index
+    for f, entries in enumerate(routes[: len(flows)]):
+        if typed:  # a Path's links are int pairs already
+            links = entries
+        else:
+            try:
+                links = [(int(i), int(j)) for i, j in entries]
+            except (TypeError, ValueError, OverflowError):
+                violations.append(
+                    Violation(
+                        f,
+                        "malformed-link",
+                        f"{entries!r} holds a link that is no [i, j] pair",
+                    )
+                )
+                continue
         s, d = flows.sources[f], flows.destinations[f]
         if not links:
             violations.append(Violation(f, "empty-path", "no links"))
@@ -221,18 +233,31 @@ def validate_table(
                     f"path runs {links[0][0]}->{links[-1][1]}, flow is {s}->{d}",
                 )
             )
-        nodes = (links[0][0],) + tuple(j for _, j in links)
+        nodes = [links[0][0]] + [j for _, j in links]
         if len(set(nodes)) != len(nodes):
             violations.append(Violation(f, "not-simple", "path revisits a node"))
-        for i, j in links:
-            if not (0 <= i < graph.n_nodes and 0 <= j < graph.n_nodes) or (
-                graph.adjacency[i, j] <= 0
-            ):
+        for link in links:
+            # link_index holds exactly the (i, j) with adjacency[i, j] > 0
+            if link not in link_index:
                 violations.append(
-                    Violation(f, "missing-link", f"({i},{j}) not in the graph")
+                    Violation(f, "missing-link", f"({link[0]},{link[1]}) not in the graph")
                 )
         if l_max is not None and len(links) > l_max:
             violations.append(
                 Violation(f, "path-too-long", f"{len(links)} links exceeds {l_max}")
             )
     return violations
+
+
+def _unchecked_table(routes: list, seed: int) -> RoutingTable:
+    """Raw per-flow link sequences as a table, node ids converted as ``Path``
+    does but none of its checks run: only for a table that validate_table
+    is about to check. An entry that is no pair raises TypeError or
+    ValueError (OverflowError for a huge float)."""
+    paths = []
+    for f, links in enumerate(routes):
+        path = object.__new__(Path)
+        object.__setattr__(path, "flow_index", f)
+        object.__setattr__(path, "links", tuple([(int(i), int(j)) for i, j in links]))
+        paths.append(path)
+    return RoutingTable(tuple(paths), seed)

@@ -61,15 +61,15 @@ class TrafficParams:
     tau_off: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        on = tuple(float(x) for x in self.tau_on)
-        off = tuple(float(x) for x in self.tau_off)
+        on = tuple([float(x) for x in self.tau_on])
+        off = tuple([float(x) for x in self.tau_off])
         object.__setattr__(self, "tau_on", on)
         object.__setattr__(self, "tau_off", off)
         if len(on) != len(off):
             raise SimulationError("tau_on and tau_off differ in length")
         if not on:
             raise SimulationError("traffic params need at least one flow")
-        if any(not math.isfinite(x) or x <= 0 for x in on + off):
+        if not all([0.0 < x < math.inf for x in on + off]):  # NaN fails too
             raise SimulationError("all traffic means must be positive and finite")
 
     def __len__(self) -> int:
@@ -173,10 +173,8 @@ class KpiRecord:
 
     @classmethod
     def from_jsonable(cls, rows: list[list[float | None]]) -> "KpiRecord":
-        kpis = np.array(
-            [[math.nan if x is None else float(x) for x in row] for row in rows]
-        )
-        return cls(kpis)
+        # numpy reads None as NaN, with the bits of math.nan
+        return cls(np.array(rows, dtype=np.float64))
 
 
 @dataclass

@@ -33,7 +33,7 @@ from itertools import accumulate
 import numpy as np
 
 from .autodiff import GRU_PARAM_KEYS, ParamSet, Tape, Tensor, glorot_uniform
-from .nettopo import Graph, degree_vector
+from .nettopo import Graph
 from .routing import RoutingTable
 from .seeding import make_rng
 from .simulator import TASKS, TrafficParams
@@ -97,14 +97,6 @@ class GnnDims:
             raise TwinError("GnnDims fields must be positive")
 
 
-def sym_normalized_operator(adjacency: np.ndarray) -> np.ndarray:
-    """D^-1/2 (A + I) D^-1/2 with degrees of the self-looped adjacency."""
-    a_hat = adjacency + np.eye(adjacency.shape[0])
-    deg = 0.5 * (a_hat.sum(axis=1) + a_hat.sum(axis=0))
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    return inv_sqrt[:, None] * a_hat * inv_sqrt[None, :]
-
-
 class TwinInput:
     """Preprocessed network state shared by all model forwards.
 
@@ -139,39 +131,51 @@ class TwinInput:
         self.n_links = len(graph.links)
         self.tau_feat = np.stack([traffic.tau_on, traffic.tau_off], axis=1)
         self.caps_scaled = caps / CAPACITY_SCALE
-        self.degrees = degree_vector(graph)
-        self.s_norm = sym_normalized_operator(graph.adjacency)
-        self.link_tails = np.array([i for i, _ in graph.links], dtype=np.int64)
+        self.degrees = graph.degrees
+        self.s_norm = graph.s_norm
+        self.link_tails = graph.link_tails
 
-        pairs = [(p.source, p.destination) for p in table.paths]
+        paths = table.paths
+        pairs = [(p.source, p.destination) for p in paths]
         order = sorted(range(n_flows), key=lambda f: pairs[f])
         self.order = np.array(order, dtype=np.int64)
         self.inv_order = np.argsort(self.order)
 
-        self.max_steps = max(len(p.links) for p in table.paths)
+        # every step of every path, flows in canonical order, as flat arrays:
+        # the step's row, its column, its link row and its tail node
+        steps = [link for f in order for link in paths[f].links]
+        lengths = np.array([len(paths[f].links) for f in order], dtype=np.int64)
+        step_row = np.repeat(np.arange(n_flows), lengths)
+        step_col = np.arange(len(steps)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        link_index = graph.link_index
+        step_link = [link_index.get(link) for link in steps]
+        if None in step_link:
+            k = step_link.index(None)
+            i, j = steps[k]
+            f = order[step_row[k]]
+            raise TwinError(f"flow {f} uses link ({i},{j}) not in the graph")
+        step_tail = np.array([i for i, _ in steps], dtype=np.int64)
+
+        self.max_steps = int(lengths.max())
         s_count = self.max_steps
         self.link_ids = np.full((n_flows, s_count), self.n_links, dtype=np.int64)
         self.tail_ids = np.zeros((n_flows, s_count), dtype=np.int64)
         self.step_mask = np.zeros((n_flows, s_count))
-        for c, f in enumerate(order):
-            for s, (i, j) in enumerate(table.paths[f].links):
-                r = graph.link_index.get((i, j))
-                if r is None:
-                    raise TwinError(f"flow {f} uses link ({i},{j}) not in the graph")
-                self.link_ids[c, s] = r
-                self.tail_ids[c, s] = i
-                self.step_mask[c, s] = 1.0
+        self.link_ids[step_row, step_col] = step_link
+        self.tail_ids[step_row, step_col] = step_tail
+        self.step_mask[step_row, step_col] = 1.0
         # step-major segment ids over the stacked (S*F, d_path) m states;
         # padded slots carry the id n_links, which segment_sum drops
         self.seg_ids = self.link_ids.T.reshape(-1).copy()
         self.flow_offsets = np.array([0, n_flows], dtype=np.int64)
         self.node_offsets = np.array([0, graph.n_nodes], dtype=np.int64)
 
-        self.gnn_features_mask = np.zeros((graph.n_nodes, 2 * n_flows))
-        for f, path in enumerate(table.paths):
-            for node in path.nodes:
-                self.gnn_features_mask[node, 2 * f] = 1.0
-                self.gnn_features_mask[node, 2 * f + 1] = 1.0
+        # a path's nodes are its links' tails and its destination; the
+        # baseline's columns follow the caller's flow order
+        crosses = np.zeros((graph.n_nodes, n_flows))
+        crosses[step_tail, self.order[step_row]] = 1.0
+        crosses[[pairs[f][1] for f in order], order] = 1.0
+        self.gnn_features_mask = np.repeat(crosses, 2, axis=1)
 
     @property
     def n_samples(self) -> int:

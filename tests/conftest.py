@@ -156,6 +156,24 @@ def toy_dataset(toy_dataset_dir):
     return load_dataset(toy_dataset_dir)
 
 
+#: one scenario per family: wired backbone, fixed wireless grid, and a
+#: perturbed grid per sample (one topology file each)
+FAMILY_SCENARIOS = ("nsfnet-fixed", "reggrid-fixed", "pertgrid-randtopo")
+
+
+@pytest.fixture(scope="session")
+def family_dataset_dirs(tmp_path_factory) -> dict[str, str]:
+    """A tiny dataset of each family: 2 train, 1 val and 1 test sample."""
+    root = tmp_path_factory.mktemp("families")
+    for scenario in FAMILY_SCENARIOS:
+        config = GenConfig(
+            scenario=scenario, n_train=2, n_val=1, n_test=1, n_r_test=2,
+            n_flows=4, t_gen=2.0, seed=9,
+        )
+        generate_dataset(config, root / scenario)
+    return {scenario: str(root / scenario) for scenario in FAMILY_SCENARIOS}
+
+
 def copy_with_edited_record(src, dst, edit) -> int:
     """Copy a dataset and apply edit(record) to train sample 0 in place.
 
@@ -170,6 +188,23 @@ def copy_with_edited_record(src, dst, edit) -> int:
     return record["index"]
 
 
+def copy_with_bad_route(src, dst, edit) -> tuple[int, int]:
+    """Copy a dataset, replacing one train route by edit(route).
+
+    The route is that of the first flow of train sample 0 with two or more
+    links. Returns that flow's index and the sample's index.
+    """
+    edited = []
+
+    def rewrite(record):
+        f = next(f for f, links in enumerate(record["paths"]) if len(links) >= 2)
+        record["paths"][f] = edit(record["paths"][f])
+        edited.append(f)
+
+    index = copy_with_edited_record(src, dst, rewrite)
+    return edited[0], index
+
+
 def copy_with_missing_link(src, dst) -> tuple[int, int]:
     """Copy a dataset, rerouting one train flow over a link not in the topology.
 
@@ -177,15 +212,7 @@ def copy_with_missing_link(src, dst) -> tuple[int, int]:
     the one-link path (source, destination), which the graph lacks. Returns
     that flow's index and the sample's index.
     """
-    rerouted = []
-
-    def reroute(record):
-        f = next(f for f, links in enumerate(record["paths"]) if len(links) >= 2)
-        record["paths"][f] = [[record["sources"][f], record["destinations"][f]]]
-        rerouted.append(f)
-
-    index = copy_with_edited_record(src, dst, reroute)
-    return rerouted[0], index
+    return copy_with_bad_route(src, dst, lambda links: [[links[0][0], links[-1][1]]])
 
 
 def copy_with_line(src, dst, split: str, line: int, rewrite) -> None:

@@ -9,7 +9,8 @@ composed from elementwise primitives, a plain event loop for the
 simulator (which takes only its inputs from the package: seeded RNG
 streams, link capacities and the KPI record type), and the two management
 solvers in their plainest form, where every state is scored alone on its
-own tape (taking the twin, routing and seeding from the package).
+own tape (taking the twin, routing and seeding from the package), and the
+twin-input builder as per-cell loops that recompute every per-graph feature.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ import numpy as np
 
 from nettwin.autodiff import AutodiffError, Tape, Tensor
 from nettwin.manage import TargetProfile, twin_objective
-from nettwin.nettopo import FlowSet
+from nettwin.nettopo import FlowSet, degree_vector, sym_normalized_operator
 from nettwin.routing import shortest_paths
 from nettwin.seeding import derive_seed, make_rng
 from nettwin.simulator import TASKS, KpiRecord, default_sim_config, link_capacities
-from nettwin.twin import TwinModel, prepare_twin_input
+from nettwin.twin import CAPACITY_SCALE, TwinError, TwinInput, TwinModel, prepare_twin_input
 
 FD_STEP = 1e-6
 
@@ -522,3 +523,60 @@ def reference_gd_traffic(
             break
         grad = grad_at(tau)
     return tau, trajectory
+
+
+# -- twin input, one cell at a time -------------------------------------------
+
+
+def reference_twin_input(graph, table, traffic, capacities) -> TwinInput:
+    """``TwinInput(graph, table, traffic, capacities)`` written cell by cell,
+    with the degrees, the normalized operator and the link tails computed
+    afresh for this input alone."""
+    inp = TwinInput.__new__(TwinInput)
+    n_flows = len(table.paths)
+    if len(traffic) != n_flows:
+        raise TwinError(
+            f"traffic for {len(traffic)} flows, table has {n_flows} paths"
+        )
+    caps = np.asarray(capacities, dtype=np.float64)
+    if caps.shape != (len(graph.links),):
+        raise TwinError(
+            f"capacities shape {caps.shape} must match {len(graph.links)} links"
+        )
+    inp.n_flows = n_flows
+    inp.n_nodes = graph.n_nodes
+    inp.n_links = len(graph.links)
+    inp.tau_feat = np.stack([traffic.tau_on, traffic.tau_off], axis=1)
+    inp.caps_scaled = caps / CAPACITY_SCALE
+    inp.degrees = degree_vector(graph)
+    inp.s_norm = sym_normalized_operator(graph.adjacency)
+    inp.link_tails = np.array([i for i, _ in graph.links], dtype=np.int64)
+
+    pairs = [(p.source, p.destination) for p in table.paths]
+    order = sorted(range(n_flows), key=lambda f: pairs[f])
+    inp.order = np.array(order, dtype=np.int64)
+    inp.inv_order = np.argsort(inp.order)
+
+    inp.max_steps = max(len(p.links) for p in table.paths)
+    s_count = inp.max_steps
+    inp.link_ids = np.full((n_flows, s_count), inp.n_links, dtype=np.int64)
+    inp.tail_ids = np.zeros((n_flows, s_count), dtype=np.int64)
+    inp.step_mask = np.zeros((n_flows, s_count))
+    for c, f in enumerate(order):
+        for s, (i, j) in enumerate(table.paths[f].links):
+            r = graph.link_index.get((i, j))
+            if r is None:
+                raise TwinError(f"flow {f} uses link ({i},{j}) not in the graph")
+            inp.link_ids[c, s] = r
+            inp.tail_ids[c, s] = i
+            inp.step_mask[c, s] = 1.0
+    inp.seg_ids = inp.link_ids.T.reshape(-1).copy()
+    inp.flow_offsets = np.array([0, n_flows], dtype=np.int64)
+    inp.node_offsets = np.array([0, graph.n_nodes], dtype=np.int64)
+
+    inp.gnn_features_mask = np.zeros((graph.n_nodes, 2 * n_flows))
+    for f, path in enumerate(table.paths):
+        for node in path.nodes:
+            inp.gnn_features_mask[node, 2 * f] = 1.0
+            inp.gnn_features_mask[node, 2 * f + 1] = 1.0
+    return inp

@@ -87,6 +87,10 @@ TINY_GEN = [
 ]
 
 
+#: how the loader reports a route whose first link entry is no [i, j] pair
+MALFORMED_LINK = "flow 0 bad route, malformed-link"
+
+
 class TestGenData:
     def test_rerun_is_byte_identical(self, run_cli, tmp_path):
         out = tmp_path / "ds"
@@ -310,6 +314,29 @@ class TestTrain:
             "train", "--data", str(tmp_path / "bad"), "--out", str(tmp_path / "x")
         ) == 2
         assert "train.jsonl line 1: field 'sources' is not a list" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda r: r["paths"][0].__setitem__(0, [0, 1, 2]), MALFORMED_LINK),
+            (lambda r: r["paths"][0].__setitem__(0, ["a", 1]), MALFORMED_LINK),
+            (lambda r: r["paths"][0].__setitem__(0, [0]), MALFORMED_LINK),
+            (
+                lambda r: r["runs"][0]["kpis"][0].__setitem__(1, [1.0]),
+                "run 0 has a KPI cell that is neither a number nor null",
+            ),
+        ],
+        ids=["link-triple", "link-letter", "link-single", "kpi-list"],
+    )
+    def test_malformed_route_or_kpi_cell_is_usage_error(
+        self, run_cli, tmp_path, toy_dataset_dir, capsys, edit, message
+    ):
+        index = copy_with_edited_record(toy_dataset_dir, tmp_path / "bad", edit)
+        assert run_cli(
+            "train", "--data", str(tmp_path / "bad"), "--out", str(tmp_path / "x")
+        ) == 2
+        assert f"train sample {index}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_missing_data_dir(self, run_cli, tmp_path):
@@ -868,6 +895,18 @@ class TestTrainDigests:
             for name in ("m.ckpt", "m.ckpt.state")
         }
         assert got == TRAIN_DIGESTS[kind]
+
+
+def test_parser_is_built_once_and_stays_usable(run_cli, toy_dataset_dir, capsys):
+    parser = cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        run_cli("inspect", "--no-such-flag")
+    assert exc.value.code == 2
+    assert run_cli("train") == 2  # a required option, checked after parsing
+    assert "--data is required" in capsys.readouterr().err
+    assert run_cli("inspect", "--data", toy_dataset_dir) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "dataset"
+    assert cli.build_parser() is parser
 
 
 class TestInspect:

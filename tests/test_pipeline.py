@@ -14,6 +14,7 @@ from numpy.testing import assert_array_equal
 from conftest import (
     BATCH_DIMS,
     TINY_DIMS,
+    copy_with_bad_route,
     copy_with_edited_record,
     copy_with_line,
     copy_with_missing_link,
@@ -23,6 +24,7 @@ from conftest import (
     mixed_samples,
 )
 from oracles import fd_gradient, max_rel_err
+from nettwin import pipeline
 from nettwin.autodiff import AdamState, DivergenceError, ParamSet, Tape
 from nettwin.pipeline import (
     DATASET_FORMAT,
@@ -62,7 +64,8 @@ from nettwin.pipeline import (
     transfer_model,
     write_learning_curves,
 )
-from nettwin.simulator import TASKS, default_sim_config
+from nettwin.routing import Path as RoutePath
+from nettwin.simulator import TASKS, default_sim_config, link_capacities
 from nettwin.twin import COMPACT, LARGE, GnnDims, TwinError, make_model
 
 
@@ -74,6 +77,22 @@ def zero_params(model):
 
 def param_bytes(params: ParamSet) -> dict[str, bytes]:
     return {n: params[n].tobytes() for n in params.names()}
+
+
+#: (test id, kind, edit): edits of a route of two or more links that each
+#: make one defect, the first that validate_table reports for that route
+ROUTE_DEFECTS = [
+    ("broken-chain", "broken-chain", lambda links: [links[1], links[0], *links[2:]]),
+    ("not-simple", "not-simple", lambda links: [links[0], links[0][::-1], *links]),
+    ("endpoint-mismatch", "endpoint-mismatch", lambda links: links[:-1]),
+    ("empty-path", "empty-path", lambda links: []),
+    ("path-too-long", "path-too-long", lambda links: links),
+    *(
+        (f"malformed-{name}", "malformed-link", lambda links, entry=entry: [entry, *links[1:]])
+        for name, entry in (("triple", [0, 1, 2]), ("letter", ["a", 1]), ("single", [0]),
+                            ("null", None))
+    ),
+]
 
 
 # -- scenarios and generation config -----------------------------------------
@@ -276,9 +295,20 @@ class TestLoadDataset:
                 r"9 flows, the manifest says 10",
             ),
             (lambda r: r.update(runs=[]), r"no runs"),
+            (lambda r: r["runs"][0].update(kpis=5), r"run 0 KPI matrix is not 10x4"),
+            (lambda r: r["runs"][0]["kpis"].__setitem__(2, "abcd"),
+             r"run 0 KPI matrix is not 10x4"),
+            *(
+                (lambda r, cell=cell: r["runs"][0]["kpis"][1].__setitem__(2, cell),
+                 r"run 0 has a KPI cell that is neither a number nor null$")
+                for cell in ([1.0], "7", True, {"v": 1.0})
+            ),
+            (lambda r: r["runs"][0]["kpis"][1].__setitem__(2, 10**400),
+             r"run 0 has a KPI cell beyond float range$"),
         ],
         ids=["short-run", "ragged-row", "short-tau", "long-tau", "short-run-and-tau",
-             "flow-count", "no-runs"],
+             "flow-count", "no-runs", "kpis-not-list", "row-not-list", "cell-list",
+             "cell-string", "cell-bool", "cell-object", "cell-huge-int"],
     )
     def test_malformed_record_rejected(self, tmp_path, toy_dataset_dir, edit, message):
         index = copy_with_edited_record(toy_dataset_dir, tmp_path / "bad", edit)
@@ -349,12 +379,79 @@ class TestLoadDataset:
         ):
             load_dataset(tmp_path / "bad")
 
+    @pytest.mark.parametrize(
+        "kind, edit", [(kind, edit) for _, kind, edit in ROUTE_DEFECTS],
+        ids=[name for name, _, _ in ROUTE_DEFECTS],
+    )
+    def test_route_defect_rejected(self, tmp_path, toy_dataset_dir, kind, edit):
+        f, index = copy_with_bad_route(toy_dataset_dir, tmp_path / "bad", edit)
+        if kind == "path-too-long":  # the route fits the graph, not the bound
+            manifest = tmp_path / "bad" / "manifest.json"
+            manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "l_max": 1}))
+        with pytest.raises(
+            DatasetError, match=rf"^train sample {index}: flow {f} bad route, {kind}: "
+        ):
+            load_dataset(tmp_path / "bad")
+
     def test_reload_round_trips_labels(self, toy_dataset_dir, toy_dataset):
         again = load_dataset(toy_dataset_dir)
         for split in SPLITS:
             for s1, s2 in zip(toy_dataset.splits[split], again.splits[split]):
                 assert s1.labels.tobytes() == s2.labels.tobytes()
                 assert s1.table.paths == s2.table.paths
+
+
+class TestSharedLoad:
+    """One graph and one capacities array per topology file, shared read-only."""
+
+    @pytest.mark.parametrize(
+        "scenario, files", [("nsfnet-fixed", 1), ("reggrid-fixed", 1), ("pertgrid-randtopo", 4)]
+    )
+    def test_capacities_once_per_topology_file(
+        self, monkeypatch, family_dataset_dirs, scenario, files
+    ):
+        calls = []
+
+        def counted(graph, config):
+            calls.append(graph)
+            return link_capacities(graph, config)
+
+        monkeypatch.setattr(pipeline, "link_capacities", counted)
+        ds = load_dataset(family_dataset_dirs[scenario])
+        samples = [s for split in SPLITS for s in ds.splits[split]]
+        assert len(calls) == files == len({s.graph_id for s in samples})
+        first: dict[str, object] = {}
+        for s in samples:
+            f = first.setdefault(s.graph_id, s)
+            assert s.graph is f.graph and s.capacities is f.capacities
+            want = link_capacities(s.graph, ds.sim_config())
+            assert s.capacities.tobytes() == want.tobytes()
+
+    def test_shared_arrays_are_read_only(self, toy_dataset):
+        s = toy_dataset.splits["train"][0]
+        inp = s.twin_input
+        shared = {
+            "capacities": s.capacities,
+            "degrees": s.graph.degrees,
+            "s_norm": s.graph.s_norm,
+            "link_tails": s.graph.link_tails,
+        }
+        assert inp.degrees is shared["degrees"]
+        assert inp.s_norm is shared["s_norm"]
+        assert inp.link_tails is shared["link_tails"]
+        for name, array in shared.items():
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+            assert not array.flags.writeable, name
+
+    def test_routes_pass_path_checks(self, toy_dataset):
+        # the loader builds its paths unchecked, behind validate_table: each
+        # must equal the path the checked constructor builds
+        for split in SPLITS:
+            for s in toy_dataset.splits[split]:
+                for p in s.table.paths:
+                    assert RoutePath(p.flow_index, p.links) == p
+                    assert all(type(n) is int for link in p.links for n in link)
 
 
 # -- cleaning -----------------------------------------------------------------

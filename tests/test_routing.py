@@ -226,6 +226,27 @@ class TestValidateTable:
         assert "not-simple" in kinds
         assert "endpoint-mismatch" in kinds
 
+    @pytest.mark.parametrize(
+        "entry",
+        [(0, 1, 2), ("a", 1), (0,), None, 5, (float("nan"), 1), (float("inf"), 1)],
+        ids=["triple", "letter", "single", "null", "number", "nan", "inf"],
+    )
+    def test_malformed_link_entry(self, line3, entry):
+        flows = FlowSet((0, 1), (2, 2))
+        out = validate_table([[(0, 1), (1, 2)], [entry]], line3, flows)
+        assert [(v.flow_index, v.kind) for v in out] == [(1, "malformed-link")]
+
+    def test_path_that_is_no_list(self, line3):
+        out = validate_table([5], line3, FlowSet((0,), (2,)))
+        assert [v.kind for v in out] == ["malformed-link"]
+
+    def test_missing_link_out_of_range_or_negative(self, line3):
+        # negative ids would wrap around in an adjacency lookup
+        flows = FlowSet((0,), (2,))
+        for links in ([(0, -2), (-2, 2)], [(0, 3), (3, 2)]):
+            kinds = [v.kind for v in validate_table([links], line3, flows)]
+            assert kinds == ["missing-link", "missing-link"]
+
     def test_never_raises_on_garbage(self, line3):
         out = validate_table([[(7, 9)], [(1, 0)]], line3, FlowSet((0,), (2,)))
         assert all(isinstance(v.kind, str) for v in out)

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from nettwin.manage import NetworkInput, mean_runs
 from nettwin.nettopo import (
@@ -198,6 +198,19 @@ class TestKpiRecord:
     def test_shape_checked(self):
         with pytest.raises(SimulationError):
             KpiRecord(np.zeros((2, 3)))
+
+    @given(st.lists(
+        st.lists(st.one_of(st.none(), st.floats(allow_nan=False), st.integers(-10**6, 10**6)),
+                 min_size=4, max_size=4),
+        min_size=1, max_size=5,
+    ))
+    @example([[None, 1.5, 2, -0.0]])
+    def test_from_jsonable_matches_cell_by_cell(self, rows):
+        # one numpy conversion gives the bytes of float() per cell, and a
+        # null cell the bits of math.nan
+        want = np.array([[math.nan if x is None else float(x) for x in row] for row in rows])
+        got = KpiRecord.from_jsonable(rows).kpis
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 class TestBenchmarks:

@@ -1,13 +1,16 @@
 """Twin models: input prep, the three forwards, symmetry properties, sizing."""
 
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from nettwin.autodiff import Tape
-from nettwin.nettopo import FlowSet, Graph, build_reg_grid
+from nettwin.nettopo import FlowSet, Graph, build_reg_grid, sym_normalized_operator
+from nettwin.pipeline import SPLITS, load_dataset
 from nettwin.routing import Path, RoutingTable, shortest_paths
 from nettwin.simulator import TASKS, TrafficParams, default_sim_config, link_capacities
 from nettwin.twin import (
@@ -21,10 +24,17 @@ from nettwin.twin import (
     init_embeddings,
     make_model,
     prepare_twin_input,
-    sym_normalized_operator,
 )
 
-from conftest import BATCH_DIMS, TINY_DIMS, embedding_names, mixed_samples, wired_graph
+from conftest import (
+    BATCH_DIMS,
+    FAMILY_SCENARIOS,
+    TINY_DIMS,
+    embedding_names,
+    mixed_samples,
+    wired_graph,
+)
+from oracles import random_connected_adjacency, reference_twin_input
 
 WEE_DIMS = GlanceDims(
     d_node=2, d_link=2, d_path=4, t_layers=1, l_max=2,
@@ -117,6 +127,94 @@ class TestTwinInput:
         assert np.array_equal(feats[0], [10.0, 3.0])
         assert np.array_equal(feats[1], [10.0, 3.0])
         assert np.array_equal(feats[2], [0.0, 0.0])  # node 2 is on no path
+
+
+def assert_same_input(got, want):
+    """Every field of two inputs, arrays byte for byte with dtype and shape."""
+    assert vars(got).keys() == vars(want).keys()
+    for name, w in vars(want).items():
+        g = getattr(got, name)
+        if isinstance(w, np.ndarray):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape), name
+            assert g.tobytes() == w.tobytes(), name
+        else:
+            assert type(g) is type(w) and g == w, name
+
+
+def random_simple_path(rng, graph, source, dest):
+    """A simple source -> dest path by randomized depth-first search."""
+    stack = [[source]]
+    while stack:
+        nodes = stack.pop()
+        if nodes[-1] == dest:
+            return tuple(zip(nodes, nodes[1:]))
+        nexts = [v for v in graph.neighbors[nodes[-1]] if v not in nodes]
+        rng.shuffle(nexts)
+        stack.extend(nodes + [v] for v in nexts)
+    raise AssertionError("graph is connected")
+
+
+class TestInputOracle:
+    """The index-array layout against the per-cell builder in oracles.py."""
+
+    @pytest.mark.parametrize("scenario", FAMILY_SCENARIOS)
+    def test_toy_sets(self, family_dataset_dirs, scenario):
+        ds = load_dataset(family_dataset_dirs[scenario])
+        samples = [s for split in SPLITS for s in ds.splits[split]]
+        args = [(s.graph, s.table, s.traffic, s.capacities) for s in samples]
+        got = [prepare_twin_input(*a) for a in args]
+        want = [reference_twin_input(*a) for a in args]
+        for g, w in zip(got, want):
+            assert_same_input(g, w)
+        assert_same_input(batch_inputs(got), batch_inputs(want))
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_random_routes(self, seed):
+        rng = np.random.default_rng(seed)
+        graph = Graph(random_connected_adjacency(rng, int(rng.integers(2, 9))), None, True)
+        n = graph.n_nodes
+        inputs = []
+        for _ in range(3):
+            pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
+            picks = rng.choice(len(pairs), size=int(rng.integers(1, min(6, len(pairs)) + 1)),
+                               replace=False)
+            flows = [pairs[int(k)] for k in picks]
+            table = RoutingTable(
+                tuple(Path(f, random_simple_path(rng, graph, s, d))
+                      for f, (s, d) in enumerate(flows)),
+                seed=0,
+            )
+            traffic = TrafficParams(
+                tuple(rng.uniform(1, 20, len(flows))), tuple(rng.uniform(1, 20, len(flows)))
+            )
+            caps = rng.uniform(1e5, 1e6, len(graph.links))
+            got = prepare_twin_input(graph, table, traffic, caps)
+            want = reference_twin_input(graph, table, traffic, caps)
+            assert_same_input(got, want)
+            inputs.append((got, want))
+        assert_same_input(
+            batch_inputs([g for g, _ in inputs]), batch_inputs([w for _, w in inputs])
+        )
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_foreign_link_message(self, seed):
+        # a path over a pair the graph does not link fails alike in both
+        rng = np.random.default_rng(seed)
+        graph = Graph(random_connected_adjacency(rng, int(rng.integers(3, 9))), None, True)
+        n = graph.n_nodes
+        absent = [(i, j) for i in range(n) for j in range(n)
+                  if i != j and (i, j) not in graph.link_index]
+        if not absent:
+            return
+        s, d = absent[int(rng.integers(len(absent)))]
+        other = next((a, b) for a, b in graph.links if (a, b) != (s, d))
+        table = RoutingTable((Path(0, (other,)), Path(1, ((s, d),))), seed=0)
+        traffic = TrafficParams((1.0, 2.0), (3.0, 4.0))
+        caps = np.ones(len(graph.links))
+        with pytest.raises(TwinError) as want:
+            reference_twin_input(graph, table, traffic, caps)
+        with pytest.raises(TwinError, match=f"^{re.escape(str(want.value))}$"):
+            prepare_twin_input(graph, table, traffic, caps)
 
 
 class TestInitEmbeddings:
