@@ -5,11 +5,11 @@ walks the node list in reverse, accumulating gradients. Gradients flow only
 toward leaves created with requires_grad, so constants (masks, adjacency
 operators, targets) cost nothing on the way back.
 
-The primitives are ``matmul``, ``concat``, ``relu``, ``gather``,
-``segment_sum`` and ``reshape``, and three fused nodes: the layers ``dense``
-and ``gru_step`` and the loss ``weighted_l1``. Also here: Glorot/zero
-parameter containers, the Adam optimizer with per-parameter L2 added to
-gradients, and the bit-exact checkpoint container used across the package.
+The primitives are ``matmul``, ``concat``, ``gather``, ``segment_sum`` and
+``reshape``, and three fused nodes: the layers ``dense`` and ``gru_step`` and
+the loss ``weighted_l1``. Also here: Glorot/zero parameter containers, the
+Adam optimizer with per-parameter L2 added to gradients, and the bit-exact
+checkpoint container used across the package.
 """
 
 from __future__ import annotations
@@ -165,16 +165,6 @@ class Tape:
             tuple(tensors),
             pullback,
             any(needs_each),
-        )
-
-    def relu(self, a: Tensor) -> Tensor:
-        mask = a.value > 0
-
-        def pullback(g):
-            return (g * mask,)
-
-        return self._record(
-            np.where(mask, a.value, 0.0), (a,), pullback, a.needs_grad
         )
 
     def gather(self, a: Tensor, indices) -> Tensor:

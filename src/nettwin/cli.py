@@ -60,7 +60,7 @@ from .pipeline import (
     training_defaults,
     write_learning_curves,
 )
-from .routing import RoutingError
+from .routing import RoutingError, bfs_distances
 from .seeding import derive_seed
 from .simulator import TASKS, SimulationError, TrafficParams
 from .twin import TwinError, TwinModel
@@ -484,6 +484,7 @@ def _manage_common(args: argparse.Namespace, solves_traffic: bool):
             f"({len(samples)} samples)"
         )
     sample = samples[idx]
+    _check_path_bound(model, sample, solves_traffic)
     objective_tasks = tuple(resolved["kpi"]) if resolved["kpi"] else model.tasks
     seeds = [derive_seed(resolved["seed"], "manage-eval", i) for i in range(9)]
     _emit({"resolved_config": resolved})
@@ -491,6 +492,22 @@ def _manage_common(args: argparse.Namespace, solves_traffic: bool):
     k_targ_raw = mean_runs(sample.graph, x_orig, dataset.sim_config(), seeds[:3])
     profile = TargetProfile.from_raw(k_targ_raw, normalizer.iqr, objective_tasks)
     return resolved, dataset, sample, model, normalizer, seeds, x_orig, profile
+
+
+def _check_path_bound(model: TwinModel, sample, solves_traffic: bool) -> None:
+    """Reject a path model whose l_max the solver's first forward exceeds:
+    gd_traffic reads the sample's routes, and the hill-climb's first sweep
+    routes every flow's source to its farthest node."""
+    if model.kind == "gnn":
+        return
+    if solves_traffic:
+        what, links = "a path of", [len(path) for path in sample.table.paths]
+    else:
+        what = "a source whose farthest node is"
+        links = [max(bfs_distances(sample.graph.neighbors, s)) for s in sample.flows.sources]
+    f, l_max = int(np.argmax(links)), model.dims.l_max
+    if links[f] > l_max:
+        raise _CliError(f"flow {f} has {what} {links[f]} links, exceeding l_max={l_max}")
 
 
 def _finish_manage(resolved, dataset, sample, result, x_orig, x_gen, normalizer, seeds):

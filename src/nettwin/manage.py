@@ -31,8 +31,6 @@ from .simulator import (
     TASKS,
     SimConfig,
     TrafficParams,
-    default_sim_config,
-    link_capacities,
     quiet_nanmean,
     run_sim,
 )
@@ -204,19 +202,9 @@ def _j_value(preds: np.ndarray, arrays) -> float:
     return float(np.sum(np.abs(preds * inv_iqr - targets) * weights))
 
 
-def twin_objective(
-    model: TwinModel,
-    inp,
-    profile: TargetProfile,
-    tau: np.ndarray | None = None,
-) -> float:
+def twin_objective(model: TwinModel, inp: TwinInput, profile: TargetProfile) -> float:
     """Forward-only J: masked mean |normalized prediction - target|."""
-    arrays = _objective_arrays(profile, model)
-    tape = Tape()
-    bound = {n: tape.constant(a) for n, a in model.params.items()}
-    tau_t = None if tau is None else tape.constant(np.asarray(tau, dtype=np.float64))
-    preds = model.forward(tape, bound, inp, tau_t)
-    return _j_value(preds.value, arrays)
+    return _j_value(model.predict(inp), _objective_arrays(profile, model))
 
 
 def _batch_objective(
@@ -238,8 +226,8 @@ def _batch_objective(
 def _objective_on_tape(
     model: TwinModel, inp: TwinInput, profile: TargetProfile, tau: np.ndarray
 ) -> tuple[float, Callable[[], np.ndarray]]:
-    """J at tau (the same value ``twin_objective`` gives) and a thunk that
-    runs the backward pass on the same tape for dJ/dtau."""
+    """J at tau (``twin_objective`` on an input with that traffic) and a
+    thunk that runs the backward pass on the same tape for dJ/dtau."""
     arrays = _objective_arrays(profile, model)
     tape = Tape()
     bound = {n: tape.constant(a) for n, a in model.params.items()}
@@ -269,12 +257,11 @@ def gd_traffic(
     table: RoutingTable,
     k_targ: TargetProfile,
     tau0: np.ndarray,
+    capacities: np.ndarray,
     alpha0: float = 0.1,
     max_iters: int = 500,
-    bounds: tuple[float, float] = TRAFFIC_BOUNDS,
-    capacities: np.ndarray | None = None,
 ) -> ManageResult:
-    """Minimize J over the (F, 2) on/off traffic means, projected into bounds.
+    """Minimize J over the (F, 2) on/off traffic means, projected into TRAFFIC_BOUNDS.
 
     The step size persists across iterations and is halved (up to 20 times
     per iteration) whenever a step would not strictly improve J, so the
@@ -283,9 +270,7 @@ def gd_traffic(
     own tape.
     """
     require_traffic_input(model)
-    lo, hi = float(bounds[0]), float(bounds[1])
-    if not lo < hi:
-        raise ManageError(f"bad bounds {bounds}")
+    lo, hi = TRAFFIC_BOUNDS
     tau = np.asarray(tau0, dtype=np.float64).copy()
     if tau.shape != (k_targ.n_flows, 2):
         raise ManageError(
@@ -293,8 +278,6 @@ def gd_traffic(
         )
     if np.any(tau < lo) or np.any(tau > hi):
         raise ManageError("tau0 lies outside the projection bounds")
-    if capacities is None:
-        capacities = link_capacities(graph, default_sim_config(graph.wired))
 
     traffic = TrafficParams(tuple(tau[:, 0]), tuple(tau[:, 1]))
     inp = prepare_twin_input(graph, table, traffic, capacities)
@@ -361,10 +344,10 @@ def hillclimb_destinations(
     f_src: tuple[int, ...],
     traffic: TrafficParams,
     k_targ: TargetProfile,
+    capacities: np.ndarray,
     n_init: int = 100,
     n_rand: int = 5,
     rng_seed: int = 0,
-    capacities: np.ndarray | None = None,
 ) -> ManageResult:
     """Best-of-restarts hill climbing over the destination vector.
 
@@ -391,8 +374,6 @@ def hillclimb_destinations(
     if n_init < 1 or n_rand < 1:
         raise ManageError("n_init and n_rand must be positive")
     n_nodes = graph.n_nodes
-    if capacities is None:
-        capacities = link_capacities(graph, default_sim_config(graph.wired))
     tie_seed = derive_seed(rng_seed, "ties")
 
     def twin_input(table: RoutingTable) -> TwinInput:
@@ -550,31 +531,18 @@ def _r2(pred: np.ndarray, targ: np.ndarray) -> float:
     return 1.0 - float(np.sum((p - t) ** 2)) / ss_tot
 
 
-def hinge_failure_ratio(
-    k_gen_set: list[np.ndarray] | np.ndarray,
-    k_targ_set: list[np.ndarray] | np.ndarray,
-) -> dict[str, float]:
+def hinge_failure_ratio(k_gen: np.ndarray, k_targ: np.ndarray) -> dict[str, float]:
     """Fraction of cells whose generated KPI violates the target bound.
 
     Delay, jitter and drops fail above the target; throughput fails below;
-    equal values pass. Pooled over every (instance, flow) cell finite in
-    both matrices.
+    equal values pass. Pooled over every flow cell finite in both matrices.
     """
-    if isinstance(k_gen_set, np.ndarray):
-        k_gen_set = [k_gen_set]
-    if isinstance(k_targ_set, np.ndarray):
-        k_targ_set = [k_targ_set]
-    if len(k_gen_set) != len(k_targ_set):
-        raise ManageError("hinge sets must pair up")
     out = {}
     for k, task in enumerate(TASKS):
-        fails = total = 0
-        for gen, targ in zip(k_gen_set, k_targ_set):
-            ok = np.isfinite(gen[:, k]) & np.isfinite(targ[:, k])
-            g, t = gen[ok, k], targ[ok, k]
-            total += int(ok.sum())
-            fails += int(np.sum(g > t) if HINGE_UPPER[task] else np.sum(g < t))
-        out[task] = fails / total if total else math.nan
+        ok = np.isfinite(k_gen[:, k]) & np.isfinite(k_targ[:, k])
+        g, t = k_gen[ok, k], k_targ[ok, k]
+        fails = int(np.sum(g > t) if HINGE_UPPER[task] else np.sum(g < t))
+        out[task] = fails / int(ok.sum()) if ok.any() else math.nan
     return out
 
 

@@ -20,7 +20,7 @@ from .seeding import make_rng
 
 #: connectivity cutoff for wireless links, meters
 CONNECTIVITY_RADIUS_M = 45.0
-#: default lattice spacing for grid topologies, meters
+#: lattice spacing of grid topologies, meters
 GRID_SPACING_M = 30.0
 #: default perturbation disc radius for perturbed grids, meters
 PERTURB_RADIUS_M = 10.0
@@ -139,19 +139,15 @@ def sym_normalized_operator(adjacency: np.ndarray) -> np.ndarray:
     return inv_sqrt[:, None] * a_hat * inv_sqrt[None, :]
 
 
-def wireless_adjacency(
-    positions: np.ndarray, conn_radius: float = CONNECTIVITY_RADIUS_M
-) -> np.ndarray:
+def wireless_adjacency(positions: np.ndarray) -> np.ndarray:
     """Inverse-log-of-squared-distance weights with a hard connectivity cutoff.
 
-    A_ij = 1 / ln(1 + d_ij^2) when 0 < d_ij <= conn_radius, else 0.
+    A_ij = 1 / ln(1 + d_ij^2) when 0 < d_ij <= CONNECTIVITY_RADIUS_M, else 0.
     Coincident distinct nodes are rejected (the weight would diverge).
     """
     pos = np.asarray(positions, dtype=np.float64)
     if pos.ndim != 2 or pos.shape[1] != 2:
         raise TopologyError(f"positions must be (N, 2), got {pos.shape}")
-    if conn_radius <= 0:
-        raise ValueError(f"connectivity radius must be positive, got {conn_radius}")
     n = pos.shape[0]
     delta = pos[:, None, :] - pos[None, :, :]
     dist_sq = np.einsum("ijk,ijk->ij", delta, delta)
@@ -160,7 +156,7 @@ def wireless_adjacency(
         i, j = divmod(int(np.flatnonzero((dist_sq == 0.0) & off_diag)[0]), n)
         raise TopologyError(f"nodes {i} and {j} are coincident")
     adjacency = np.zeros((n, n), dtype=np.float64)
-    in_range = off_diag & (dist_sq <= conn_radius * conn_radius)
+    in_range = off_diag & (dist_sq <= CONNECTIVITY_RADIUS_M * CONNECTIVITY_RADIUS_M)
     adjacency[in_range] = 1.0 / np.log1p(dist_sq[in_range])
     return adjacency
 
@@ -171,30 +167,18 @@ def build_nsfnet() -> Graph:
     return _graph_from_payload(json.loads(ref.read_text(encoding="utf-8")))
 
 
-def build_reg_grid(
-    rows: int = 4,
-    cols: int = 4,
-    spacing: float = GRID_SPACING_M,
-    conn_radius: float = CONNECTIVITY_RADIUS_M,
-) -> Graph:
-    """Regular rows x cols wireless lattice; node index is row * cols + col."""
+def build_reg_grid(rows: int = 4, cols: int = 4) -> Graph:
+    """Regular rows x cols wireless lattice, GRID_SPACING_M apart; node index
+    is row * cols + col."""
     if rows < 1 or cols < 1:
         raise ValueError("grid needs at least one row and one column")
-    if spacing <= 0:
-        raise ValueError(f"spacing must be positive, got {spacing}")
     rr, cc = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
-    positions = np.stack([cc.ravel() * spacing, rr.ravel() * spacing], axis=1)
-    positions = positions.astype(np.float64)
-    return Graph(wireless_adjacency(positions, conn_radius), positions, wired=False)
+    positions = np.stack([cc.ravel(), rr.ravel()], axis=1) * GRID_SPACING_M
+    return Graph(wireless_adjacency(positions), positions, wired=False)
 
 
 def build_pert_grid(
-    rows: int = 4,
-    cols: int = 4,
-    spacing: float = GRID_SPACING_M,
-    radius: float = PERTURB_RADIUS_M,
-    seed: int = 0,
-    conn_radius: float = CONNECTIVITY_RADIUS_M,
+    rows: int = 4, cols: int = 4, radius: float = PERTURB_RADIUS_M, seed: int = 0
 ) -> Graph:
     """Regular grid with per-node uniform-disc position perturbations.
 
@@ -204,7 +188,7 @@ def build_pert_grid(
     """
     if radius < 0:
         raise ValueError(f"perturbation radius must be non-negative, got {radius}")
-    base = build_reg_grid(rows, cols, spacing, conn_radius)
+    base = build_reg_grid(rows, cols)
     rng = make_rng(seed, "pert-grid")
     positions = np.array(base.positions, copy=True)
     for node in range(positions.shape[0]):
@@ -213,7 +197,7 @@ def build_pert_grid(
             if offset @ offset <= radius * radius:
                 break
         positions[node] += offset
-    return Graph(wireless_adjacency(positions, conn_radius), positions, wired=False)
+    return Graph(wireless_adjacency(positions), positions, wired=False)
 
 
 @dataclass(frozen=True)

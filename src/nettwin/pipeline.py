@@ -375,7 +375,7 @@ def _sample_from_record(
     # table that fails to convert goes to it raw, and it names the entry
     try:
         table = _unchecked_table(record["paths"], int(record["routing_seed"]))
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError):
         table = record["paths"]
     violations = validate_table(table, graph, flows, manifest.get("l_max"))
     if violations:

@@ -187,7 +187,7 @@ def validate_table(
 
     Accepts a RoutingTable or a raw list of per-flow link sequences (as read
     from a dataset file), and never raises on malformed content: a raw link
-    entry that is no pair of node ids is a ``malformed-link``.
+    entry that is no pair of integer node ids is a ``malformed-link``.
     """
     typed = isinstance(table, RoutingTable)
     routes = [path.links for path in table.paths] if typed else table
@@ -206,8 +206,8 @@ def validate_table(
             links = entries
         else:
             try:
-                links = [(int(i), int(j)) for i, j in entries]
-            except (TypeError, ValueError, OverflowError):
+                links = [_node_pair(entry) for entry in entries]
+            except (TypeError, ValueError):
                 violations.append(
                     Violation(
                         f,
@@ -249,15 +249,22 @@ def validate_table(
     return violations
 
 
+def _node_pair(entry) -> tuple[int, int]:
+    """A raw link entry as (i, j); raises unless it holds two JSON integers."""
+    i, j = entry
+    if type(i) is not int or type(j) is not int:
+        raise ValueError(f"link {entry!r} has a node id that is no integer")
+    return i, j
+
+
 def _unchecked_table(routes: list, seed: int) -> RoutingTable:
-    """Raw per-flow link sequences as a table, node ids converted as ``Path``
-    does but none of its checks run: only for a table that validate_table
-    is about to check. An entry that is no pair raises TypeError or
-    ValueError (OverflowError for a huge float)."""
+    """Raw per-flow link sequences as a table, with none of ``Path``'s
+    checks run: only for a table that validate_table is about to check. An
+    entry that is no pair of integers raises TypeError or ValueError."""
     paths = []
     for f, links in enumerate(routes):
         path = object.__new__(Path)
         object.__setattr__(path, "flow_index", f)
-        object.__setattr__(path, "links", tuple([(int(i), int(j)) for i, j in links]))
+        object.__setattr__(path, "links", tuple([_node_pair(e) for e in links]))
         paths.append(path)
     return RoutingTable(tuple(paths), seed)

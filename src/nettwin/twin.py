@@ -155,18 +155,7 @@ class TwinInput:
             f = order[step_row[k]]
             raise TwinError(f"flow {f} uses link ({i},{j}) not in the graph")
         step_tail = np.array([i for i, _ in steps], dtype=np.int64)
-
-        self.max_steps = int(lengths.max())
-        s_count = self.max_steps
-        self.link_ids = np.full((n_flows, s_count), self.n_links, dtype=np.int64)
-        self.tail_ids = np.zeros((n_flows, s_count), dtype=np.int64)
-        self.step_mask = np.zeros((n_flows, s_count))
-        self.link_ids[step_row, step_col] = step_link
-        self.tail_ids[step_row, step_col] = step_tail
-        self.step_mask[step_row, step_col] = 1.0
-        # step-major segment ids over the stacked (S*F, d_path) m states;
-        # padded slots carry the id n_links, which segment_sum drops
-        self.seg_ids = self.link_ids.T.reshape(-1).copy()
+        self._lay_out_steps(step_row, step_col, np.array(step_link), step_tail)
         self.flow_offsets = np.array([0, n_flows], dtype=np.int64)
         self.node_offsets = np.array([0, graph.n_nodes], dtype=np.int64)
 
@@ -176,6 +165,23 @@ class TwinInput:
         crosses[step_tail, self.order[step_row]] = 1.0
         crosses[[pairs[f][1] for f in order], order] = 1.0
         self.gnn_features_mask = np.repeat(crosses, 2, axis=1)
+
+    def _lay_out_steps(
+        self, row: np.ndarray, col: np.ndarray, link: np.ndarray, tail: np.ndarray
+    ) -> None:
+        """The (flow, step) index arrays from each step's flow row, step
+        column, link row and tail node; padding reads link n_links, node 0."""
+        self.max_steps = int(col.max()) + 1
+        shape = (self.n_flows, self.max_steps)
+        self.link_ids = np.full(shape, self.n_links, dtype=np.int64)
+        self.tail_ids = np.zeros(shape, dtype=np.int64)
+        self.step_mask = np.zeros(shape)
+        self.link_ids[row, col] = link
+        self.tail_ids[row, col] = tail
+        self.step_mask[row, col] = 1.0
+        # step-major segment ids over the stacked (S*F, d_path) m states;
+        # padded slots carry the id n_links, which segment_sum drops
+        self.seg_ids = self.link_ids.T.reshape(-1).copy()
 
     @property
     def n_samples(self) -> int:
@@ -241,7 +247,6 @@ def batch_inputs(inputs: list[TwinInput]) -> TwinInput:
     link_off = list(accumulate((inp.n_links for inp in inputs), initial=0))
     node_off = list(accumulate((inp.n_nodes for inp in inputs), initial=0))
     out.n_flows, out.n_links, out.n_nodes = flow_off[-1], link_off[-1], node_off[-1]
-    out.max_steps = max(inp.max_steps for inp in inputs)
     out.flow_offsets = np.array(flow_off, dtype=np.int64)
     out.node_offsets = np.array(node_off, dtype=np.int64)
 
@@ -259,18 +264,18 @@ def batch_inputs(inputs: list[TwinInput]) -> TwinInput:
     out.inv_order = cat("inv_order", flow_off)
     out.s_norm = _block_diag([inp.s_norm for inp in inputs])
 
-    steps = out.max_steps
-    out.link_ids = np.full((out.n_flows, steps), out.n_links, dtype=np.int64)
-    out.tail_ids = np.zeros((out.n_flows, steps), dtype=np.int64)
-    out.step_mask = np.zeros((out.n_flows, steps))
-    for inp, f0, l0, n0 in zip(inputs, flow_off, link_off, node_off):
-        rows = slice(f0, f0 + inp.n_flows)
-        cols = slice(0, inp.max_steps)
-        real = inp.step_mask > 0
-        out.link_ids[rows, cols] = np.where(real, inp.link_ids + l0, out.n_links)
-        out.tail_ids[rows, cols] = inp.tail_ids + n0
-        out.step_mask[rows, cols] = inp.step_mask
-    out.seg_ids = out.link_ids.T.reshape(-1).copy()
+    steps = [np.nonzero(inp.step_mask) for inp in inputs]
+    counts = [len(rows) for rows, _ in steps]
+
+    def joined(parts: list[np.ndarray], offsets: list[int]) -> np.ndarray:
+        return np.concatenate(parts) + np.repeat(offsets[:-1], counts)
+
+    out._lay_out_steps(
+        joined([rows for rows, _ in steps], flow_off),
+        np.concatenate([cols for _, cols in steps]),
+        joined([inp.link_ids[s] for inp, s in zip(inputs, steps)], link_off),
+        joined([inp.tail_ids[s] for inp, s in zip(inputs, steps)], node_off),
+    )
 
     masks = [inp.gnn_features_mask for inp in inputs]
     if len({m.shape[1] for m in masks}) == 1:
@@ -375,6 +380,12 @@ def _readouts(
     return tape.concat(cols, 1)
 
 
+def _padded(features: np.ndarray, width: int) -> np.ndarray:
+    """features with zero columns appended up to width."""
+    zeros = np.zeros((features.shape[0], width - features.shape[1]))
+    return np.concatenate([features, zeros], axis=1)
+
+
 def init_embeddings(
     tape: Tape,
     inp: TwinInput,
@@ -387,30 +398,16 @@ def init_embeddings(
     nodes from the weighted degree. ``tau`` optionally supplies a
     differentiable (F, 2) tensor in the caller's flow order.
     """
-    n_f, n_l = inp.n_flows, inp.n_links
+    n_f = inp.n_flows
     if tau is None:
-        tau_can = tape.constant(inp.tau_feat[inp.order])
+        h_p = tape.constant(_padded(inp.tau_feat[inp.order], dims.d_path))
     else:
         if tau.value.shape != (n_f, 2):
             raise TwinError(f"tau override must be ({n_f}, 2), got {tau.value.shape}")
         tau_can = tape.gather(tau, inp.order)
-    h_p = tape.concat(
-        [tau_can, tape.constant(np.zeros((n_f, dims.d_path - 2)))], 1
-    )
-    h_l = tape.concat(
-        [
-            tape.constant(inp.caps_scaled[:, None]),
-            tape.constant(np.zeros((n_l, dims.d_link - 1))),
-        ],
-        1,
-    )
-    h_n = tape.concat(
-        [
-            tape.constant(inp.degrees[:, None]),
-            tape.constant(np.zeros((inp.n_nodes, dims.d_node - 1))),
-        ],
-        1,
-    )
+        h_p = tape.concat([tau_can, tape.constant(np.zeros((n_f, dims.d_path - 2)))], 1)
+    h_l = tape.constant(_padded(inp.caps_scaled[:, None], dims.d_link))
+    h_n = tape.constant(_padded(inp.degrees[:, None], dims.d_node))
     return h_p, h_l, h_n
 
 
@@ -438,6 +435,9 @@ def path_forward(
     gru = {key: bound[f"gru/{key}"] for key in GRU_PARAM_KEYS}
     h_p, h_l, h_n = init_embeddings(tape, inp, dims, tau)
     zero_row = tape.constant(np.zeros((1, dims.d_link)))
+    if nodes:
+        s_norm = tape.constant(inp.s_norm)
+        no_bias = tape.constant(np.zeros(dims.d_node))
     for _ in range(dims.t_layers):
         h_l_ext = tape.concat([h_l, zero_row], 0)
         h = h_p
@@ -460,11 +460,11 @@ def path_forward(
         h_l = _run_mlp(tape, x, bound, "link", len(dims.link_hidden), "proj")
         if nodes:
             out_sums = tape.segment_sum(h_l, inp.link_tails, inp.n_nodes)
-            h_n = tape.relu(
-                tape.matmul(
-                    tape.constant(inp.s_norm),
-                    tape.matmul(tape.concat([h_n, out_sums], 1), bound["egc/w"]),
-                )
+            h_n = tape.dense(
+                s_norm,
+                tape.matmul(tape.concat([h_n, out_sums], 1), bound["egc/w"]),
+                no_bias,
+                relu=True,
             )
     preds = _readouts(tape, h_p, bound, dims, tasks)
     return tape.gather(preds, inp.inv_order)
@@ -549,9 +549,8 @@ class TwinModel:
         bound = {name: tape.constant(arr) for name, arr in self.params.items()}
         return self.forward(tape, bound, inp, None).value
 
-    def readout_names(self, task: str | None = None) -> list[str]:
-        prefix = "readout/" if task is None else f"readout/{task}/"
-        return [n for n in self.params.names() if n.startswith(prefix)]
+    def readout_names(self) -> list[str]:
+        return [n for n in self.params.names() if n.startswith("readout/")]
 
     def l2_map(self, l2_link: float, l2_readout: float) -> dict[str, float]:
         """Per-parameter L2 coefficients: link subnet and readouts only."""

@@ -126,6 +126,16 @@ class ComposedTape(Tape):
             np.asarray(a.value.sum()), (a,), pullback, a.needs_grad
         )
 
+    def relu(self, a: Tensor) -> Tensor:
+        mask = a.value > 0
+
+        def pullback(g):
+            return (g * mask,)
+
+        return self._record(
+            np.where(mask, a.value, 0.0), (a,), pullback, a.needs_grad
+        )
+
     def sigmoid(self, a: Tensor) -> Tensor:
         x = a.value
         out = np.empty_like(x)
@@ -481,11 +491,11 @@ def reference_gd_traffic(
     """Projected gradient descent with a fresh forward for every J and a
     second forward+backward at each accepted point for its gradient."""
 
-    def grad_at(tau):
+    def loss_at(tau, leaf):
         tape = ComposedTape()
         bound = {n: tape.constant(a) for n, a in model.params.items()}
-        leaf = tape.leaf(tau)
-        preds = model.forward(tape, bound, inp, leaf)
+        tau_t = tape.leaf(tau) if leaf else tape.constant(tau)
+        preds = model.forward(tape, bound, inp, tau_t)
         k = np.zeros((profile.n_flows, len(model.tasks)))
         w = np.zeros_like(k)
         scale = np.zeros_like(k)
@@ -498,19 +508,25 @@ def reference_gd_traffic(
                 k[ok, col] = profile.k_targ[ok, t]
                 w[ok, col] = 1.0
                 n_valid += int(ok.sum())
-        j = reference_weighted_l1(tape, preds, k, w / n_valid, scale)
+        return tape, tau_t, reference_weighted_l1(tape, preds, k, w / n_valid, scale)
+
+    def j_at(tau):
+        return float(loss_at(tau, leaf=False)[2].value)
+
+    def grad_at(tau):
+        tape, leaf, j = loss_at(tau, leaf=True)
         return tape.backward(j)[leaf]
 
     lo, hi = bounds
     tau = np.array(tau0, dtype=np.float64)
     alpha = alpha0
-    j_cur = twin_objective(model, inp, profile, tau)
+    j_cur = j_at(tau)
     trajectory = [j_cur]
     grad = grad_at(tau)
     for _ in range(max_iters):
         for _ in range(21):
             candidate = np.clip(tau - alpha * grad, lo, hi)
-            j_new = twin_objective(model, inp, profile, candidate)
+            j_new = j_at(candidate)
             if j_new < j_cur:
                 break
             alpha *= 0.5

@@ -390,21 +390,17 @@ def test_7_management_optimizers(capsys):
         caps = link_capacities(line, default_sim_config(wired=True))
         off0 = 5.0
 
-        def state(tau_on: float):
-            traffic = TrafficParams((tau_on,), (off0,))
+        def state(tau_on: float, tau_off: float = off0):
+            traffic = TrafficParams((tau_on,), (tau_off,))
             return prepare_twin_input(line, table, traffic, caps)
 
         profile = TargetProfile.from_raw(model.predict(state(7.37)), np.ones(4))
-        base_inp = state(15.0)
-        j_lo = twin_objective(model, base_inp, profile, tau=np.array([[9.0, 2.0]]))
-        j_hi = twin_objective(model, base_inp, profile, tau=np.array([[9.0, 17.0]]))
+        j_lo = twin_objective(model, state(9.0, 2.0), profile)
+        j_hi = twin_objective(model, state(9.0, 17.0), profile)
         assert j_lo == j_hi  # the surgery really blinded the off mean
 
         grid = np.linspace(*TRAFFIC_BOUNDS, 381)
-        j_grid = [
-            twin_objective(model, base_inp, profile, tau=np.array([[g, off0]]))
-            for g in grid
-        ]
+        j_grid = [twin_objective(model, state(float(g)), profile) for g in grid]
         tau_grid = float(grid[int(np.argmin(j_grid))])
         res = gd_traffic(
             model, line, table, profile, np.array([[15.0, off0]]), capacities=caps
@@ -435,13 +431,13 @@ def test_7_management_optimizers(capsys):
                 rng.uniform(0.5, 2.0, size=(2, 4)), np.ones(4)
             )
             rng_seed = 1000 + trial
+            g_caps = link_capacities(graph, default_sim_config(graph.wired))
             result = hillclimb_destinations(
-                hc_model, graph, sources, traffic, profile,
+                hc_model, graph, sources, traffic, profile, g_caps,
                 n_init=16, n_rand=2, rng_seed=rng_seed,
             )
             # brute force must route exactly as the solver does: one tie seed
             tie_seed = derive_seed(rng_seed, "ties")
-            g_caps = link_capacities(graph, default_sim_config(graph.wired))
             brute = math.inf
             for d0 in range(5):
                 if d0 == sources[0]:

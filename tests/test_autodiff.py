@@ -45,7 +45,7 @@ def gru_shapes(d_in: int, d_h: int) -> dict[str, tuple[int, ...]]:
 
 class TestForwardValues:
     def test_relu(self):
-        t = Tape()
+        t = ComposedTape()
         out = t.relu(t.constant([[-1.0, 0.0, 2.0]]))
         assert np.array_equal(out.value, [[0.0, 0.0, 2.0]])
 

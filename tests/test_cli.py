@@ -720,6 +720,36 @@ class TestPathBound:
         assert "exceeding l_max=2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, reason",
+        [("manage-traffic", "a path of 3 links"),
+         ("manage-flows", "a source whose farthest node is 3 links")],
+        ids=["traffic", "flows"],
+    )
+    def test_manage_rejects_before_simulating(
+        self, run_cli, tmp_path, toy_dataset_dir, monkeypatch, capsys, command, reason
+    ):
+        ckpt = tmp_path / "short.ckpt"
+        write_ckpt(ckpt, dims=TINY_DIMS)
+        sims = []
+        real_run_sim = manage.run_sim
+
+        def counted(*args, **kwargs):
+            sims.append(1)
+            return real_run_sim(*args, **kwargs)
+
+        monkeypatch.setattr(manage, "run_sim", counted)
+        out = tmp_path / "out" / "m.json"
+        assert run_cli(
+            command, "--data", toy_dataset_dir, "--checkpoint", str(ckpt),
+            "--out", str(out), "--verify",
+        ) == 2
+        captured = capsys.readouterr()
+        assert f"{reason}, exceeding l_max=2" in captured.err
+        assert captured.out == ""  # not even the resolved config
+        assert sims == []
+        assert not (tmp_path / "out").exists()
+
 
 #: SHA-256 of every file a tiny `gen-data` writes, relative paths, taken when
 #: routing still walked every flow afresh on every call; the routing tables

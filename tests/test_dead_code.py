@@ -1,11 +1,16 @@
-"""Dead-code guard: every public definition has a user in the package.
+"""Dead-code guard: every public definition, option and import has a user
+in the package.
 
 The package's modules are parsed with ``ast``. A public name (no leading
 underscore) must be read somewhere in the package outside its own
 definition; an import alone does not count. This holds for module-level
 functions and classes, and for the methods and properties of those classes.
-The check goes by name: a method counts as used when any attribute of that
-name is read. Code that only tests need belongs in the tests.
+Every defaulted parameter of those functions and methods must be passed by
+some package call, and every imported name must be read in its module. The
+checks go by name: a method counts as used when any attribute of that name
+is read, and a parameter counts as passed when any call of a function or
+method of that name passes it. Code that only tests need belongs in the
+tests.
 """
 
 from __future__ import annotations
@@ -27,6 +32,23 @@ ORACLES = {
         "paired bootstrap interval behind the acceptance gate's repeat-average "
         "trend check"
     ),
+}
+
+#: defaulted parameters ("function.parameter") kept on purpose though no
+#: package call passes them, each with the reason
+OPTIONS = {
+    "main.argv": "the argument list that tests and the benchmark hand the CLI",
+    **{
+        f"build_pert_grid.{name}": (
+            "tests need grids small enough for the exhaustive routing oracle, "
+            "and an unperturbed one"
+        )
+        for name in ("rows", "cols", "radius")
+    },
+    **{
+        f"bootstrap_mean_diff_ci.{name}": "settings of the acceptance gate's oracle"
+        for name in ("n_boot", "seed", "alpha")
+    },
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -99,3 +121,106 @@ def test_every_public_method_has_a_user():
 def test_oracle_list_names_live_definitions():
     assert set(ORACLES) <= set(public_definitions())
     assert all(reason.strip() for reason in ORACLES.values())
+
+
+def defaulted_parameters() -> dict[str, tuple[str, ast.AST, str, int | None]]:
+    """Every defaulted parameter of a public function or method, as
+    "function.parameter" ("Class.method.parameter" for a method), with its
+    module file, the function's node and name, and the parameter's position
+    among the arguments a call passes (None for keyword-only)."""
+    out = {}
+    for label, (module, node) in public_definitions().items():
+        if not isinstance(node, FUNCTIONS):
+            continue
+        name = label.rsplit(".", 1)[-1]
+        args = node.args
+        positional = args.posonlyargs + args.args
+        skip = 1 if "." in label else 0  # a method's self or cls
+        first = len(positional) - len(args.defaults)
+        for k, arg in enumerate(positional[first:], start=first):
+            out[f"{label}.{arg.arg}"] = (module, node, name, k - skip)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                out[f"{label}.{arg.arg}"] = (module, node, name, None)
+    return out
+
+
+def calls() -> list[tuple[str, str, int, ast.Call]]:
+    """(called name, module file, line, node) of every package call."""
+    out = []
+    for module, tree in modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name):
+                    out.append((func.id, module, node.lineno, node))
+                elif isinstance(func, ast.Attribute):
+                    out.append((func.attr, module, node.lineno, node))
+    return out
+
+
+def passes(call: ast.Call, parameter: str, position: int | None) -> bool:
+    """Whether call passes parameter: by keyword, at its position, or
+    through ``*`` or ``**``."""
+    if any(kw.arg in (parameter, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    for k, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return position >= k
+        if k == position:
+            return True
+    return False
+
+
+def unpassed_parameters() -> list[tuple[str, str]]:
+    """(module file, "function.parameter") of the defaulted parameters no
+    package call outside their own function passes."""
+    by_name: dict[str, list[tuple[str, int, ast.Call]]] = {}
+    for name, module, line, node in calls():
+        by_name.setdefault(name, []).append((module, line, node))
+    out = []
+    for label, (module, node, name, position) in defaulted_parameters().items():
+        own = range(node.lineno, node.end_lineno + 1)
+        parameter = label.rsplit(".", 1)[-1]
+        if label not in OPTIONS and not any(
+            passes(call, parameter, position)
+            for m, line, call in by_name.get(name, [])
+            if m != module or line not in own
+        ):
+            out.append((module, label))
+    return sorted(out)
+
+
+def test_every_defaulted_parameter_is_passed():
+    unpassed = [f"{m}: {label}" for m, label in unpassed_parameters()]
+    assert not unpassed, f"parameters no package call passes: {unpassed}"
+
+
+def test_option_list_names_live_parameters():
+    assert set(OPTIONS) <= set(defaulted_parameters())
+    assert all(reason.strip() for reason in OPTIONS.values())
+
+
+def unread_imports() -> list[tuple[str, str]]:
+    """(module file, name) of every name a package module imports and never
+    reads."""
+    out = []
+    for module, tree in modules():
+        bound = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound += [
+                    alias.asname or alias.name.split(".")[0] for alias in node.names
+                ]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        out += [(module, name) for name in bound if name not in read]
+    return sorted(out)
+
+
+def test_every_import_is_read():
+    unread = [f"{m}: {name}" for m, name in unread_imports()]
+    assert not unread, f"imports nothing in their module reads: {unread}"

@@ -48,13 +48,16 @@ def zeroed(model):
     return model
 
 
+def capacities(graph):
+    return link_capacities(graph, default_sim_config(graph.wired))
+
+
 def line_state(graph, tau=(100.0, 100.0)):
     """Single 0 -> 2 flow on the 3-node line with its twin input."""
     flows = FlowSet((0,), (2,))
     traffic = TrafficParams((tau[0],), (tau[1],))
     table = shortest_paths(graph, flows, 0)
-    caps = link_capacities(graph, default_sim_config(graph.wired))
-    return prepare_twin_input(graph, table, traffic, caps)
+    return prepare_twin_input(graph, table, traffic, capacities(graph))
 
 
 class TestTargetProfile:
@@ -119,10 +122,9 @@ class TestTwinObjective:
 
     def test_tau_override_changes_objective(self, line3):
         model = glance()
-        inp = line_state(line3)
         profile = TargetProfile(np.full((1, 4), 0.5), (True,) * 4, UNIT_IQR)
-        j_base = twin_objective(model, inp, profile)
-        j_alt = twin_objective(model, inp, profile, tau=np.array([[5.0, 15.0]]))
+        j_base = twin_objective(model, line_state(line3), profile)
+        j_alt = twin_objective(model, line_state(line3, tau=(5.0, 15.0)), profile)
         assert j_base != j_alt
 
     def test_model_must_cover_masked_tasks(self, line3):
@@ -138,15 +140,16 @@ class TestGdTraffic:
         model = glance(seed=seed)
         flows = FlowSet((0,), (2,))
         table = shortest_paths(graph, flows, 0)
-        caps = link_capacities(graph, default_sim_config(graph.wired))
-        return model, table, caps
+        return model, table, capacities(graph)
 
     def test_gnn_has_no_traffic_gradient(self, line3):
         model = make_model("gnn", TASKS, 0, n_flows=1)
         table = shortest_paths(line3, FlowSet((0,), (2,)), 0)
         profile = TargetProfile(np.ones((1, 4)), (True,) * 4, UNIT_IQR)
         with pytest.raises(ManageError, match="gnn"):
-            gd_traffic(model, line3, table, profile, np.array([[5.0, 5.0]]))
+            gd_traffic(
+                model, line3, table, profile, np.array([[5.0, 5.0]]), capacities(line3)
+            )
 
     def test_tau0_validation(self, line3):
         model, table, caps = self.setup_case(line3)
@@ -155,11 +158,6 @@ class TestGdTraffic:
             gd_traffic(model, line3, table, profile, np.ones((2, 2)), capacities=caps)
         with pytest.raises(ManageError, match="outside the projection bounds"):
             gd_traffic(model, line3, table, profile, np.array([[0.5, 5.0]]), capacities=caps)
-        with pytest.raises(ManageError, match="bad bounds"):
-            gd_traffic(
-                model, line3, table, profile, np.array([[5.0, 5.0]]),
-                bounds=(3.0, 3.0), capacities=caps,
-            )
 
     def test_perfect_target_stops_at_start(self, line3):
         # aiming at the model's own prediction leaves nothing to improve
@@ -193,16 +191,18 @@ class TestGdTraffic:
 
     def test_iterates_stay_inside_bounds(self, line3):
         model, table, caps = self.setup_case(line3)
+        # the target's operating point lies below the box on both means
         star = prepare_twin_input(
-            line3, table, TrafficParams((19.0,), (1.5,)), caps
+            line3, table, TrafficParams((0.5,), (0.5,)), caps
         )
         profile = TargetProfile.from_raw(model.predict(star), UNIT_IQR)
         result = gd_traffic(
-            model, line3, table, profile, np.array([[2.0, 2.0]]),
-            bounds=(1.5, 2.5), capacities=caps,
+            model, line3, table, profile, np.array([[1.2, 1.2]]), capacities=caps
         )
-        assert np.all(result.optimized_traffic >= 1.5)
-        assert np.all(result.optimized_traffic <= 2.5)
+        lo, hi = TRAFFIC_BOUNDS
+        assert np.all(result.optimized_traffic >= lo)
+        assert np.all(result.optimized_traffic <= hi)
+        assert result.optimized_traffic.min() == lo  # the projection acted
 
     def test_deterministic(self, line3):
         model, table, caps = self.setup_case(line3)
@@ -262,7 +262,7 @@ class TestHillclimb:
         sources = (0, 1)
         model, traffic, profile = self.case(diamond4)
         result = hillclimb_destinations(
-            model, diamond4, sources, traffic, profile,
+            model, diamond4, sources, traffic, profile, capacities(diamond4),
             n_init=20, n_rand=2, rng_seed=3,
         )
         brute = self.exhaustive_best(model, diamond4, sources, traffic, profile, rng_seed=3)
@@ -279,7 +279,7 @@ class TestHillclimb:
         sources = (0, 1)
         model, traffic, profile = self.case(diamond4, seed=9)
         result = hillclimb_destinations(
-            model, diamond4, sources, traffic, profile,
+            model, diamond4, sources, traffic, profile, capacities(diamond4),
             n_init=4, n_rand=1, rng_seed=1,
         )
         dests = result.optimized_destinations
@@ -303,13 +303,14 @@ class TestHillclimb:
     def test_trajectory_strictly_improves(self, diamond4):
         model, traffic, profile = self.case(diamond4)
         result = hillclimb_destinations(
-            model, diamond4, (0, 1), traffic, profile, n_init=2, n_rand=3, rng_seed=0
+            model, diamond4, (0, 1), traffic, profile, capacities(diamond4),
+            n_init=2, n_rand=3, rng_seed=0,
         )
         assert np.all(np.diff(result.trajectory) < 0)
 
     def test_deterministic(self, diamond4):
         model, traffic, profile = self.case(diamond4)
-        kw = dict(n_init=5, n_rand=2, rng_seed=7)
+        kw = dict(capacities=capacities(diamond4), n_init=5, n_rand=2, rng_seed=7)
         r1 = hillclimb_destinations(model, diamond4, (0, 1), traffic, profile, **kw)
         r2 = hillclimb_destinations(model, diamond4, (0, 1), traffic, profile, **kw)
         assert r1.optimized_destinations == r2.optimized_destinations
@@ -321,7 +322,8 @@ class TestHillclimb:
         traffic = TrafficParams((5.0,) * 3, (5.0,) * 3)
         profile = TargetProfile.from_raw(np.full((3, 4), 2.0), UNIT_IQR)
         result = hillclimb_destinations(
-            model, diamond4, (0, 1, 0), traffic, profile, n_init=3, n_rand=1, rng_seed=2
+            model, diamond4, (0, 1, 0), traffic, profile, capacities(diamond4),
+            n_init=3, n_rand=1, rng_seed=2,
         )
         dests = result.optimized_destinations
         sources = (0, 1, 0)
@@ -331,10 +333,10 @@ class TestHillclimb:
     def test_input_validation(self, diamond4):
         model, traffic, profile = self.case(diamond4)
         with pytest.raises(ManageError, match="flow count"):
-            hillclimb_destinations(model, diamond4, (0,), traffic, profile)
+            hillclimb_destinations(model, diamond4, (0,), traffic, profile, capacities(diamond4))
         with pytest.raises(ManageError, match="must be positive"):
             hillclimb_destinations(
-                model, diamond4, (0, 1), traffic, profile, n_init=0
+                model, diamond4, (0, 1), traffic, profile, capacities(diamond4), n_init=0
             )
 
 
@@ -414,7 +416,9 @@ class TestBatchedScoring:
             model, graph, sources, traffic, profile, **kw
         )
         calls = self.routed(monkeypatch)
-        result = hillclimb_destinations(model, graph, sources, traffic, profile, **kw)
+        result = hillclimb_destinations(
+            model, graph, sources, traffic, profile, capacities(graph), **kw
+        )
         assert result.optimized_destinations == dests
         assert result.trajectory == trajectory
         assert result.restart_best == restart
@@ -435,7 +439,9 @@ class TestBatchedScoring:
 
         monkeypatch.setattr(manage, "_batch_objective", noisy)
         kw = dict(n_init=10, n_rand=2, rng_seed=8)
-        result = hillclimb_destinations(model, graph, sources, traffic, profile, **kw)
+        result = hillclimb_destinations(
+            model, graph, sources, traffic, profile, capacities(graph), **kw
+        )
         dests, trajectory, restart, _ = reference_hillclimb(
             model, graph, sources, traffic, profile, **kw
         )
@@ -467,7 +473,9 @@ class TestGdEvaluations:
     )
     def test_matches_two_forward_reference(self, topology, kind, seed):
         graph, model, table, inp, profile, tau0 = self.case(topology, kind, seed)
-        result = gd_traffic(model, graph, table, profile, tau0, max_iters=40)
+        result = gd_traffic(
+            model, graph, table, profile, tau0, capacities(graph), max_iters=40
+        )
         tau, trajectory = reference_gd_traffic(
             model, inp, profile, tau0, 0.1, 40, TRAFFIC_BOUNDS, GD_REL_TOL
         )
@@ -500,7 +508,9 @@ class TestGdEvaluations:
         monkeypatch.setattr(TwinModel, "forward", count("forward", forward_noting_output))
         monkeypatch.setattr(Tape, "backward", count("backward", backward_noting_loss))
         monkeypatch.setattr(manage, "_objective_on_tape", count("j", on_tape))
-        result = gd_traffic(model, graph, table, profile, tau0, max_iters=15)
+        result = gd_traffic(
+            model, graph, table, profile, tau0, capacities(graph), max_iters=15
+        )
         assert len(result.trajectory) > 5
         assert counts["forward"] == counts["j"]
         assert counts["backward"] == result.iterations
@@ -519,24 +529,14 @@ class TestHingeRatio:
         assert hinge_failure_ratio(below, targ) == {
             "delay": 0.0, "jitter": 0.0, "throughput": 1.0, "drops": 0.0,
         }
+        # a cell missing from either matrix drops out of its KPI's ratio
+        gaps = np.array([[2.0, 1.0, 1.0, 1.0], [math.nan, 1.0, 1.0, 1.0]])
+        out = hinge_failure_ratio(gaps, np.ones((2, 4)))
+        assert out["delay"] == 1.0 and out["jitter"] == 0.0
 
     def test_equality_passes(self):
         targ = np.ones((2, 4))
         assert all(v == 0.0 for v in hinge_failure_ratio(targ.copy(), targ).values())
-
-    def test_pooled_over_instances_with_gaps(self):
-        targ = np.ones((2, 4))
-        gen1 = np.ones((2, 4))
-        gen1[0, 0] = 2.0  # one delay failure
-        gen2 = np.ones((2, 4))
-        gen2[1, 0] = math.nan  # one delay cell drops out
-        out = hinge_failure_ratio([gen1, gen2], [targ, targ])
-        assert out["delay"] == pytest.approx(1.0 / 3.0)
-        assert out["jitter"] == 0.0
-
-    def test_mismatched_sets(self):
-        with pytest.raises(ManageError, match="pair up"):
-            hinge_failure_ratio([np.ones((1, 4))], [np.ones((1, 4))] * 2)
 
     def test_direction_table(self):
         assert HINGE_UPPER == {

@@ -193,8 +193,6 @@ class TestGrids:
         with pytest.raises(ValueError):
             build_reg_grid(0, 4)
         with pytest.raises(ValueError):
-            build_reg_grid(4, 4, spacing=0.0)
-        with pytest.raises(ValueError):
             build_pert_grid(4, 4, radius=-1.0)
 
 

@@ -90,7 +90,8 @@ ROUTE_DEFECTS = [
     *(
         (f"malformed-{name}", "malformed-link", lambda links, entry=entry: [entry, *links[1:]])
         for name, entry in (("triple", [0, 1, 2]), ("letter", ["a", 1]), ("single", [0]),
-                            ("null", None))
+                            ("null", None), ("float", [0.9, 1]), ("digit-string", ["1", 2]),
+                            ("bool", [True, 1]))
     ),
 ]
 

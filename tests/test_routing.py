@@ -228,8 +228,14 @@ class TestValidateTable:
 
     @pytest.mark.parametrize(
         "entry",
-        [(0, 1, 2), ("a", 1), (0,), None, 5, (float("nan"), 1), (float("inf"), 1)],
-        ids=["triple", "letter", "single", "null", "number", "nan", "inf"],
+        [
+            (0, 1, 2), ("a", 1), (0,), None, 5, (float("nan"), 1), (float("inf"), 1),
+            (0.9, 1), ("1", 2), (True, 1),
+        ],
+        ids=[
+            "triple", "letter", "single", "null", "number", "nan", "inf",
+            "float", "digit-string", "bool",
+        ],
     )
     def test_malformed_link_entry(self, line3, entry):
         flows = FlowSet((0, 1), (2, 2))
