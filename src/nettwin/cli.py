@@ -311,7 +311,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
             champion.result,
             champion.normalizer,
         )
-        histories = {fo.fold: fo.outcome.result.history for fo in cv.folds}
+        histories = {f: fold.result.history for f, fold in enumerate(cv.folds)}
         extra = {
             "cv": {
                 "folds": config.folds,
@@ -489,7 +489,7 @@ def _manage_common(args: argparse.Namespace, solves_traffic: bool):
     seeds = [derive_seed(resolved["seed"], "manage-eval", i) for i in range(9)]
     _emit({"resolved_config": resolved})
     x_orig = NetworkInput(sample.flows, sample.traffic)
-    k_targ_raw = mean_runs(sample.graph, x_orig, dataset.sim_config(), seeds[:3])
+    k_targ_raw = mean_runs(sample.graph, x_orig, dataset.sim_config, seeds[:3])
     profile = TargetProfile.from_raw(k_targ_raw, normalizer.iqr, objective_tasks)
     return resolved, dataset, sample, model, normalizer, seeds, x_orig, profile
 
@@ -516,7 +516,7 @@ def _finish_manage(resolved, dataset, sample, result, x_orig, x_gen, normalizer,
             sample.graph,
             x_orig,
             x_gen,
-            dataset.sim_config(),
+            dataset.sim_config,
             seeds,
             normalizer.iqr,
             result,

@@ -41,7 +41,7 @@ from .nettopo import (
     save_topology,
     topology_payload,
 )
-from .routing import RoutingTable, _unchecked_table, bfs_distances, validate_table
+from .routing import RoutingTable, bfs_distances, table_from_routes, validate_table
 from .seeding import derive_seed, make_rng
 from .simulator import (
     TASKS,
@@ -339,13 +339,11 @@ class Sample:
 class Dataset:
     manifest: dict
     splits: dict[str, list[Sample]]
+    sim_config: SimConfig  # the manifest's, built once at load
 
     @property
     def scenario(self) -> str:
         return self.manifest["scenario"]
-
-    def sim_config(self) -> SimConfig:
-        return SimConfig(**self.manifest["sim_config"])
 
 
 def _sample_from_record(
@@ -374,7 +372,7 @@ def _sample_from_record(
     # the routes are converted once and checked once, by validate_table; a
     # table that fails to convert goes to it raw, and it names the entry
     try:
-        table = _unchecked_table(record["paths"], int(record["routing_seed"]))
+        table = table_from_routes(record["paths"], int(record["routing_seed"]))
     except (TypeError, ValueError):
         table = record["paths"]
     violations = validate_table(table, graph, flows, manifest.get("l_max"))
@@ -503,7 +501,7 @@ def load_dataset(path: str | Path) -> Dataset:
                         _sample_from_record(record, split, manifest, topology)
                     )
         splits[split] = samples
-    return Dataset(manifest, splits)
+    return Dataset(manifest, splits, sim_config)
 
 
 # -- cleaning ----------------------------------------------------------------
@@ -650,7 +648,10 @@ class TrainConfig:
     def pretrain_tasks(self) -> tuple[str, ...]:
         return tuple(t for t in TASKS if t != self.target_task)
 
-    def dims(self) -> GlanceDims:
+    def dims(self, n_flows: int) -> GlanceDims | GnnDims:
+        """The dims of the model this run trains on n_flows-flow samples."""
+        if self.model_kind == "gnn":
+            return GnnDims(n_flows=n_flows)
         return LARGE if self.size == "large" else COMPACT
 
 
@@ -841,14 +842,6 @@ class StrategyOutcome:
     pretrain_model: TwinModel | None = None
 
 
-def _build_model(
-    config: TrainConfig, tasks: tuple[str, ...], n_flows: int, seed: int
-) -> TwinModel:
-    if config.model_kind == "gnn":
-        return make_model("gnn", tasks, seed, n_flows=n_flows)
-    return make_model(config.model_kind, tasks, seed, dims=config.dims())
-
-
 def transfer_model(pretrained: TwinModel, target_tasks: tuple[str, ...], seed: int) -> TwinModel:
     """Fresh readouts for the targets on top of copied embedding weights."""
     overlap = set(target_tasks) & set(pretrained.tasks)
@@ -856,12 +849,7 @@ def transfer_model(pretrained: TwinModel, target_tasks: tuple[str, ...], seed: i
         raise DatasetError(
             f"transfer targets {sorted(overlap)} were already trained upstream"
         )
-    if isinstance(pretrained.dims, GnnDims):
-        fresh = make_model("gnn", tuple(target_tasks), seed, gnn_dims=pretrained.dims)
-    else:
-        fresh = make_model(
-            pretrained.kind, tuple(target_tasks), seed, dims=pretrained.dims
-        )
+    fresh = make_model(pretrained.kind, target_tasks, seed, pretrained.dims)
     for name in fresh.params.names():
         if not name.startswith("readout/"):
             fresh.params[name] = pretrained.params[name].copy()
@@ -892,8 +880,11 @@ def run_strategy(
     )
     if config.strategy in ("stl", "mtl"):
         model, previous = resume or (
-            _build_model(
-                config, config.active_tasks(), n_flows, derive_seed(config.seed, "init")
+            make_model(
+                config.model_kind,
+                config.active_tasks(),
+                derive_seed(config.seed, "init"),
+                config.dims(n_flows),
             ),
             None,
         )
@@ -905,8 +896,11 @@ def run_strategy(
     if resume is not None:
         raise DatasetError("resuming supports the stl and mtl strategies only")
 
-    pre_model = _build_model(
-        config, config.pretrain_tasks(), n_flows, derive_seed(config.seed, "pre-init")
+    pre_model = make_model(
+        config.model_kind,
+        config.pretrain_tasks(),
+        derive_seed(config.seed, "pre-init"),
+        config.dims(n_flows),
     )
     pre_result = train_model(
         pre_model, train_samples, val_samples, normalizer,
@@ -926,20 +920,14 @@ def run_strategy(
 
 
 @dataclass
-class FoldOutcome:
-    fold: int
-    outcome: StrategyOutcome
-
-
-@dataclass
 class CvOutcome:
-    folds: list[FoldOutcome]
+    folds: list[StrategyOutcome]  # fold f at index f
     best_fold: int
     mean_best_val: float
     std_best_val: float
 
     def champion(self) -> StrategyOutcome:
-        return self.folds[self.best_fold].outcome
+        return self.folds[self.best_fold]
 
 
 def fold_split(n: int, fold: int, n_folds: int) -> tuple[list[int], list[int]]:
@@ -957,7 +945,7 @@ def cross_validate(
         raise DatasetError(
             f"{len(samples)} samples cannot fill {config.folds} folds"
         )
-    folds: list[FoldOutcome] = []
+    folds = []
     for f in range(config.folds):
         train_idx, val_idx = fold_split(len(samples), f, config.folds)
         fold_config = replace(config, seed=derive_seed(config.seed, "fold", f))
@@ -967,8 +955,8 @@ def cross_validate(
             fold_config,
             n_flows,
         )
-        folds.append(FoldOutcome(f, outcome))
-    best_vals = np.array([fo.outcome.result.best_val for fo in folds])
+        folds.append(outcome)
+    best_vals = np.array([fold.result.best_val for fold in folds])
     best_fold = int(np.argmin(best_vals))
     return CvOutcome(folds, best_fold, float(best_vals.mean()), float(best_vals.std()))
 
@@ -1118,11 +1106,7 @@ def model_from_checkpoint(params: ParamSet, manifest: dict) -> tuple[TwinModel, 
     ]
     if lacking:
         raise TwinError(f"checkpoint dims lack key {lacking[0]!r}")
-    dims = dims_type(**raw_dims)
-    if kind == "gnn":
-        fresh = make_model(kind, tasks, 0, gnn_dims=dims)
-    else:
-        fresh = make_model(kind, tasks, 0, dims=dims)
+    fresh = make_model(kind, tasks, 0, dims_type(**raw_dims))
     for name, want in fresh.params.items():
         if name not in params:
             raise TwinError(f"checkpoint lacks parameter {name!r} of its {kind} model")
@@ -1134,7 +1118,7 @@ def model_from_checkpoint(params: ParamSet, manifest: dict) -> tuple[TwinModel, 
     extra = [n for n in params.names() if n not in fresh.params]
     if extra:
         raise TwinError(f"checkpoint parameter {extra[0]!r} is not in its {kind} model")
-    model = TwinModel(kind, tasks, params, dims)
+    model = TwinModel(kind, tasks, params, fresh.dims)
     return model, Normalizer.from_jsonable(manifest["normalizer"])
 
 

@@ -24,32 +24,16 @@ PATH_MEMO_SIZE = 4096
 
 
 class RoutingError(ValueError):
-    """Raised when routing is impossible or a path is malformed."""
+    """Raised when a routing request cannot be served."""
 
 
 @dataclass(frozen=True)
 class Path:
-    """A simple path as the ordered directed links it traverses."""
+    """A path as the ordered directed links it traverses. It checks nothing
+    itself: validate_table is the one check of a route."""
 
     flow_index: int
     links: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        links = tuple((int(i), int(j)) for i, j in self.links)
-        object.__setattr__(self, "links", links)
-        if not links:
-            raise RoutingError(f"flow {self.flow_index}: empty link sequence")
-        for (a, b), (c, _) in zip(links, links[1:]):
-            if b != c:
-                raise RoutingError(
-                    f"flow {self.flow_index}: links {(a, b)} and ({c}, ...) do not chain"
-                )
-        if len(set(self.nodes)) != len(self.nodes):
-            raise RoutingError(f"flow {self.flow_index}: path revisits a node")
-
-    @property
-    def nodes(self) -> tuple[int, ...]:
-        return (self.links[0][0],) + tuple(j for _, j in self.links)
 
     @property
     def source(self) -> int:
@@ -257,14 +241,11 @@ def _node_pair(entry) -> tuple[int, int]:
     return i, j
 
 
-def _unchecked_table(routes: list, seed: int) -> RoutingTable:
-    """Raw per-flow link sequences as a table, with none of ``Path``'s
-    checks run: only for a table that validate_table is about to check. An
-    entry that is no pair of integers raises TypeError or ValueError."""
-    paths = []
-    for f, links in enumerate(routes):
-        path = object.__new__(Path)
-        object.__setattr__(path, "flow_index", f)
-        object.__setattr__(path, "links", tuple([_node_pair(e) for e in links]))
-        paths.append(path)
-    return RoutingTable(tuple(paths), seed)
+def table_from_routes(routes: list, seed: int) -> RoutingTable:
+    """Raw per-flow link sequences (as read from a dataset file) as a table,
+    for validate_table to check. An entry that is no pair of integers raises
+    TypeError or ValueError."""
+    return RoutingTable(
+        tuple(Path(f, tuple(map(_node_pair, links))) for f, links in enumerate(routes)),
+        seed,
+    )

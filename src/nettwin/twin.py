@@ -398,14 +398,12 @@ def init_embeddings(
     nodes from the weighted degree. ``tau`` optionally supplies a
     differentiable (F, 2) tensor in the caller's flow order.
     """
-    n_f = inp.n_flows
     if tau is None:
         h_p = tape.constant(_padded(inp.tau_feat[inp.order], dims.d_path))
     else:
-        if tau.value.shape != (n_f, 2):
-            raise TwinError(f"tau override must be ({n_f}, 2), got {tau.value.shape}")
         tau_can = tape.gather(tau, inp.order)
-        h_p = tape.concat([tau_can, tape.constant(np.zeros((n_f, dims.d_path - 2)))], 1)
+        zeros = np.zeros((inp.n_flows, dims.d_path - 2))
+        h_p = tape.concat([tau_can, tape.constant(zeros)], 1)
     h_l = tape.constant(_padded(inp.caps_scaled[:, None], dims.d_link))
     h_n = tape.constant(_padded(inp.degrees[:, None], dims.d_node))
     return h_p, h_l, h_n
@@ -535,13 +533,11 @@ class TwinModel:
         inp: TwinInput,
         tau: Tensor | None = None,
     ) -> Tensor:
-        if self.kind != "gnn":
-            return path_forward(
-                tape, bound, inp, self.dims, self.tasks, tau, nodes=self.kind == "glance"
-            )
-        if tau is not None:
-            raise TwinError("the gnn baseline does not take a tau override")
-        return gnn_forward(tape, bound, inp, self.dims, self.tasks)
+        if self.kind == "gnn":
+            return gnn_forward(tape, bound, inp, self.dims, self.tasks)
+        return path_forward(
+            tape, bound, inp, self.dims, self.tasks, tau, nodes=self.kind == "glance"
+        )
 
     def predict(self, inp: TwinInput) -> np.ndarray:
         """Inference convenience: fresh tape, constant-bound parameters."""
@@ -565,22 +561,13 @@ class TwinModel:
 
 
 def make_model(
-    kind: str,
-    tasks: tuple[str, ...],
-    seed: int,
-    dims: GlanceDims | None = None,
-    n_flows: int | None = None,
-    gnn_dims: GnnDims | None = None,
+    kind: str, tasks: tuple[str, ...], seed: int, dims: GlanceDims | GnnDims
 ) -> TwinModel:
-    """Build a freshly initialized model of the requested kind."""
+    """A freshly initialized model of the kind: glance and routenet take
+    ``GlanceDims``, gnn takes ``GnnDims``."""
     tasks = tuple(tasks)
     if kind in ("glance", "routenet"):
-        d = dims or COMPACT
-        return TwinModel(kind, tasks, init_path_params(kind, d, tasks, seed), d)
+        return TwinModel(kind, tasks, init_path_params(kind, dims, tasks, seed), dims)
     if kind == "gnn":
-        if gnn_dims is None:
-            if n_flows is None:
-                raise TwinError("gnn needs n_flows or gnn_dims")
-            gnn_dims = GnnDims(n_flows=n_flows)
-        return TwinModel(kind, tasks, init_gnn_params(gnn_dims, tasks, seed), gnn_dims)
+        return TwinModel(kind, tasks, init_gnn_params(dims, tasks, seed), dims)
     raise TwinError(f"unknown model kind {kind!r}")

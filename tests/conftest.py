@@ -16,7 +16,7 @@ from nettwin.pipeline import GenConfig, Sample, generate_dataset, load_dataset
 from nettwin.routing import Path as RoutePath
 from nettwin.routing import RoutingTable, shortest_paths
 from nettwin.simulator import TrafficParams, default_sim_config, link_capacities
-from nettwin.twin import GlanceDims
+from nettwin.twin import GlanceDims, GnnDims
 
 settings.register_profile(
     "suite",
@@ -41,6 +41,11 @@ TINY_DIMS = GlanceDims(
 
 #: TINY_DIMS with room for the 3-link paths of mixed_samples
 BATCH_DIMS = replace(TINY_DIMS, l_max=3)
+
+
+def kind_dims(kind: str, dims: GlanceDims, n_flows: int) -> GlanceDims | GnnDims:
+    """dims for a path model; for gnn, the default GnnDims of n_flows flows."""
+    return GnnDims(n_flows=n_flows) if kind == "gnn" else dims
 
 
 def embedding_names(model) -> list[str]:

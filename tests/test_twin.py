@@ -31,6 +31,7 @@ from conftest import (
     FAMILY_SCENARIOS,
     TINY_DIMS,
     embedding_names,
+    kind_dims,
     mixed_samples,
     wired_graph,
 )
@@ -240,12 +241,6 @@ class TestInitEmbeddings:
         # canonical order is (0,2) then (1,2), i.e. caller flows 1 then 0
         assert np.array_equal(h_p.value[:, :2], [[110.0, 130.0], [50.0, 70.0]])
 
-    def test_tau_override_shape_checked(self, line3):
-        inp = line_input(line3)
-        tape = Tape()
-        with pytest.raises(TwinError, match="tau"):
-            init_embeddings(tape, inp, WEE_DIMS, tape.leaf(np.zeros((2, 2))))
-
 
 class TestGlanceForward:
     def test_matches_manual_composition(self, line3):
@@ -438,7 +433,7 @@ class TestGnnForward:
 
     def test_zero_weights_predict_per_flow_bias(self, line3):
         inp = self.make_inp(line3)
-        model = make_model("gnn", ("delay", "jitter"), seed=0, n_flows=2)
+        model = make_model("gnn", ("delay", "jitter"), seed=0, dims=GnnDims(n_flows=2))
         for name in model.params.names():
             model.params[name] = np.zeros_like(model.params[name])
         model.params["readout/delay/b"] = np.array([1.5, -2.5])
@@ -447,7 +442,7 @@ class TestGnnForward:
         assert np.array_equal(preds[:, 1], [0.0, 0.0])
 
     def test_flow_swap_changes_output(self, line3):
-        model = make_model("gnn", TASKS, seed=3, n_flows=2)
+        model = make_model("gnn", TASKS, seed=3, dims=GnnDims(n_flows=2))
         inp1 = self.make_inp(line3, (10.0, 4.0), (3.0, 6.0))
         flows2 = FlowSet((2, 0), (0, 1))
         table2 = shortest_paths(line3, flows2, seed=0)
@@ -461,24 +456,18 @@ class TestGnnForward:
         assert not np.allclose(p2, p1[[1, 0]], atol=1e-9)
 
     def test_rejects_flow_count_mismatch(self, line3):
-        model = make_model("gnn", TASKS, seed=0, n_flows=3)
+        model = make_model("gnn", TASKS, seed=0, dims=GnnDims(n_flows=3))
         with pytest.raises(TwinError, match="flows"):
             model.predict(self.make_inp(line3))
 
-    def test_rejects_tau_override(self, line3):
-        model = make_model("gnn", TASKS, seed=0, n_flows=2)
-        inp = self.make_inp(line3)
-        tape = Tape()
-        bound = model.params.bind(tape)
-        with pytest.raises(TwinError, match="tau"):
-            model.forward(tape, bound, inp, tape.leaf(np.zeros((2, 2))))
 
 
 class TestModelContainer:
     def test_param_counts_frozen(self):
-        assert make_model("glance", TASKS, seed=0).params.count() == 47332
-        assert make_model("routenet", TASKS, seed=0).params.count() == 44260
-        assert make_model("gnn", TASKS, seed=0, n_flows=10).params.count() == 24520
+        assert make_model("glance", TASKS, seed=0, dims=COMPACT).params.count() == 47332
+        assert make_model("routenet", TASKS, seed=0, dims=COMPACT).params.count() == 44260
+        gnn = make_model("gnn", TASKS, seed=0, dims=GnnDims(n_flows=10))
+        assert gnn.params.count() == 24520
 
     def test_large_dims_bigger(self):
         small = make_model("glance", TASKS, seed=0, dims=COMPACT)
@@ -486,8 +475,8 @@ class TestModelContainer:
         assert large.params.count() > small.params.count()
 
     def test_param_count_deterministic(self):
-        a = make_model("glance", TASKS, seed=0).params.count()
-        b = make_model("glance", TASKS, seed=99).params.count()
+        a = make_model("glance", TASKS, seed=0, dims=COMPACT).params.count()
+        b = make_model("glance", TASKS, seed=99, dims=COMPACT).params.count()
         assert a == b
 
     def test_name_partitions(self):
@@ -506,18 +495,17 @@ class TestModelContainer:
         assert "gru/w_z" not in l2
         assert "egc/w" not in l2
         assert model.l2_map(0.0, 0.0) == {}
-        gnn = make_model("gnn", ("delay",), seed=0, n_flows=2)
+        gnn = make_model("gnn", ("delay",), seed=0, dims=GnnDims(n_flows=2))
         assert gnn.l2_map(0.2, 0.0)["gcn/w0"] == 0.2
 
     def test_validation(self):
         with pytest.raises(TwinError, match="kind"):
-            make_model("mlp", TASKS, seed=0)
-        with pytest.raises(TwinError, match="n_flows"):
-            make_model("gnn", TASKS, seed=0)
+            make_model("mlp", TASKS, seed=0, dims=COMPACT)
         with pytest.raises(TwinError, match="task"):
             make_model("glance", ("latency",), seed=0, dims=TINY_DIMS)
+        params = make_model("glance", TASKS, 0, dims=TINY_DIMS).params
         with pytest.raises(TwinError):
-            TwinModel("glance", (), make_model("glance", TASKS, 0, TINY_DIMS).params, TINY_DIMS)
+            TwinModel("glance", (), params, TINY_DIMS)
 
     def test_dims_validation(self):
         with pytest.raises(TwinError):
@@ -551,7 +539,7 @@ class TestModelContainer:
         # PCG64 uniform draws are platform-independent, so these hold anywhere;
         # a change to the draw order or a stream name moves them
         h = hashlib.sha256()
-        for name, arr in make_model(kind, TASKS, seed=0).params.items():
+        for name, arr in make_model(kind, TASKS, seed=0, dims=COMPACT).params.items():
             h.update(name.encode())
             h.update(np.asarray(arr, dtype="<f8").tobytes())
         assert h.hexdigest() == digest
@@ -570,7 +558,7 @@ class TestModelContainer:
         assert (inp.n_flows, inp.max_steps) == (10, 3)
         nodes = {}
         for kind in ("glance", "routenet", "gnn"):
-            model = make_model(kind, TASKS, seed=0, n_flows=10)
+            model = make_model(kind, TASKS, seed=0, dims=kind_dims(kind, COMPACT, 10))
             tape = Tape()
             nodes[kind] = model.forward(tape, model.params.bind(tape), inp).node_id + 1
         assert nodes == {"glance": 149, "routenet": 113, "gnn": 33}
@@ -588,7 +576,7 @@ class TestBatchInputs:
     """Disjoint-union batches against per-sample forwards."""
 
     def model(self, kind, seed=4):
-        return make_model(kind, TASKS, seed, dims=BATCH_DIMS, n_flows=2)
+        return make_model(kind, TASKS, seed, dims=kind_dims(kind, BATCH_DIMS, 2))
 
     def inputs(self, samples=None):
         return [s.twin_input for s in samples or mixed_samples()]
