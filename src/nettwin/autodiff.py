@@ -3,13 +3,17 @@
 A Tape records every primitive as a node with a pullback closure; backward()
 walks the node list in reverse, accumulating gradients. Gradients flow only
 toward leaves created with requires_grad, so constants (masks, adjacency
-operators, targets) cost nothing on the way back.
+operators, targets) cost nothing on the way back. A tape made with
+``record=False`` runs the same primitives and checks but keeps no node, so
+a forward whose gradient nobody needs frees each intermediate as soon as
+its tensor is dropped.
 
 The primitives are ``matmul``, ``concat``, ``gather``, ``segment_sum`` and
 ``reshape``, and three fused nodes: the layers ``dense`` and ``gru_step`` and
 the loss ``weighted_l1``. Also here: Glorot/zero parameter containers, the
-Adam optimizer with per-parameter L2 added to gradients, and the bit-exact
-checkpoint container used across the package.
+Adam optimizer with per-parameter L2 added to gradients, run over one flat
+buffer of every parameter, and the bit-exact checkpoint container used
+across the package.
 """
 
 from __future__ import annotations
@@ -72,8 +76,7 @@ GRU_PARAM_KEYS = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function that never overflows: exp only sees -|x|."""
     e = np.exp(-np.abs(x))
-    denom = 1.0 + e
-    return np.where(x >= 0, 1.0 / denom, e / denom)
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 class Tape:
@@ -82,9 +85,15 @@ class Tape:
     Pullbacks capture arrays and flags, never operand tensors: a tensor
     points at its tape, so a captured tensor would make a reference cycle
     and keep a finished tape's arrays alive until the cyclic collector ran.
+
+    With ``record=False`` the tape stores nothing per node (no parents, no
+    pullback, no shape) and ``backward`` refuses to run; node ids still
+    count the nodes made.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, record: bool = True) -> None:
+        self.recording = record
+        self._n_nodes = 0
         # parallel node storage: parents[i], pullbacks[i] for node i
         self._parents: list[tuple[int, ...]] = []
         self._pullbacks: list = []
@@ -92,16 +101,16 @@ class Tape:
         self._shapes: list[tuple[int, ...]] = []
 
     def _record(self, value, parents, pullback, needs_grad) -> Tensor:
-        ids = []
         for p in parents:
             if p.tape is not self:
                 raise AutodiffError("operand tensor belongs to a different tape")
-            ids.append(p.node_id)
-        node_id = len(self._parents)
-        self._parents.append(tuple(ids))
-        self._pullbacks.append(pullback)
-        self._needs.append(needs_grad)
-        self._shapes.append(value.shape)
+        node_id = self._n_nodes
+        self._n_nodes += 1
+        if self.recording:
+            self._parents.append(tuple([p.node_id for p in parents]))
+            self._pullbacks.append(pullback)
+            self._needs.append(needs_grad)
+            self._shapes.append(value.shape)
         return Tensor(self, node_id, value, needs_grad)
 
     # -- leaves ----------------------------------------------------------
@@ -234,10 +243,11 @@ class Tape:
             raise AutodiffError(f"dense shape mismatch: x {xv.shape}, w {wv.shape}")
         if b.value.shape != (wv.shape[1],):
             raise AutodiffError(f"dense bias {b.value.shape} for w {wv.shape}")
-        out = xv @ wv + b.value
+        out = xv @ wv
+        out += b.value
         if relu:
             mask = out > 0
-            out = np.where(mask, out, 0.0)
+            np.copyto(out, 0.0, where=~mask)  # NaN and -0.0 become +0.0 too
         need_x, need_w, need_b = x.needs_grad, w.needs_grad, b.needs_grad
 
         def pullback(g):
@@ -346,6 +356,8 @@ class Tape:
 
     def backward(self, loss: Tensor) -> "Gradients":
         """Accumulate d(loss)/d(node) for every grad-requiring node."""
+        if not self.recording:
+            raise AutodiffError("backward on a tape that records no nodes")
         if loss.tape is not self:
             raise AutodiffError("loss tensor belongs to a different tape")
         if loss.value.size != 1:
@@ -392,10 +404,20 @@ class Gradients:
 
 
 class ParamSet:
-    """Named float64 arrays with a stable iteration order."""
+    """Named float64 arrays with a stable iteration order.
 
-    def __init__(self, arrays: dict[str, np.ndarray] | None = None):
+    ``add`` copies its array in. The next read lays every array out, in
+    order, as a view into one 1-D buffer, ``flat``, so that whole-set updates
+    such as Adam's run as a few operations on that buffer. Arrays read from
+    a set are live: Adam and item assignment write into them in place, and
+    ``copy`` is the snapshot that shares nothing. (An ``add`` lays the set
+    out anew, which leaves the arrays read before it behind.)
+    """
+
+    def __init__(self, arrays: dict[str, np.ndarray] | ParamSet | None = None):
         self._arrays: dict[str, np.ndarray] = {}
+        self._flat: np.ndarray | None = None
+        self._layout: tuple[tuple[str, tuple[int, ...]], ...] = ()
         if arrays:
             for name, arr in arrays.items():
                 self.add(name, arr)
@@ -403,20 +425,45 @@ class ParamSet:
     def add(self, name: str, array) -> None:
         if name in self._arrays:
             raise ValueError(f"duplicate parameter name: {name}")
-        self._arrays[name] = _as_f64(array)
+        self._arrays[name] = np.array(array, dtype=np.float64)
+        self._flat = None
+
+    def _views(self) -> dict[str, np.ndarray]:
+        """The arrays, laid out as views into ``flat`` first if need be."""
+        arrays = self._arrays
+        if self._flat is None:
+            flat = np.concatenate([np.zeros(0), *arrays.values()], axis=None)
+            offset = 0
+            for name, arr in arrays.items():
+                arrays[name] = flat[offset : offset + arr.size].reshape(arr.shape)
+                offset += arr.size
+            self._layout = tuple((name, arr.shape) for name, arr in arrays.items())
+            self._flat = flat
+        return arrays
+
+    @property
+    def flat(self) -> np.ndarray:
+        """Every value, parameter after parameter: the buffer the arrays view."""
+        self._views()
+        return self._flat
+
+    @property
+    def layout(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        """(name, shape) of every parameter, in buffer order."""
+        self._views()
+        return self._layout
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._arrays[name]
+        return self._views()[name]
 
     def __setitem__(self, name: str, array) -> None:
+        """Write array's values into the parameter, in place."""
         if name not in self._arrays:
             raise KeyError(f"unknown parameter: {name}")
-        new = _as_f64(array)
-        if new.shape != self._arrays[name].shape:
-            raise ValueError(
-                f"parameter {name}: shape {new.shape} != {self._arrays[name].shape}"
-            )
-        self._arrays[name] = new
+        new, old = _as_f64(array), self[name]
+        if new.shape != old.shape:
+            raise ValueError(f"parameter {name}: shape {new.shape} != {old.shape}")
+        old[...] = new
 
     def __contains__(self, name: str) -> bool:
         return name in self._arrays
@@ -425,17 +472,20 @@ class ParamSet:
         return list(self._arrays)
 
     def items(self):
-        return self._arrays.items()
+        return self._views().items()
 
     def count(self) -> int:
         return int(sum(a.size for a in self._arrays.values()))
 
     def copy(self) -> "ParamSet":
-        return ParamSet({k: v.copy() for k, v in self._arrays.items()})
+        return ParamSet(self._arrays)
 
     def bind(self, tape: Tape) -> dict[str, Tensor]:
-        """Register every parameter as a differentiable leaf on a tape."""
-        return {name: tape.leaf(arr) for name, arr in self._arrays.items()}
+        """Register every parameter as a differentiable leaf on a tape.
+
+        The leaves hold the live arrays, so an Adam step changes their
+        values: take the gradients before the step."""
+        return {name: tape.leaf(arr) for name, arr in self.items()}
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -451,20 +501,39 @@ ADAM_EPS = 1e-8
 
 
 class AdamState:
-    """First/second moment estimates plus the step counter."""
+    """First/second moment estimates, each a ParamSet laid out like the
+    parameters, plus the step counter."""
 
-    def __init__(self, m: dict[str, np.ndarray], v: dict[str, np.ndarray], step: int):
-        self.m = m
-        self.v = v
+    def __init__(
+        self,
+        m: dict[str, np.ndarray] | ParamSet,
+        v: dict[str, np.ndarray] | ParamSet,
+        step: int,
+    ):
+        self.m = ParamSet(m)
+        self.v = ParamSet(v)
         self.step = step
+        self._work: _AdamWork | None = None
 
     @classmethod
     def zeros_like(cls, params: ParamSet) -> "AdamState":
-        return cls(
-            {k: np.zeros_like(a) for k, a in params.items()},
-            {k: np.zeros_like(a) for k, a in params.items()},
-            0,
-        )
+        zeros = {k: np.zeros_like(a) for k, a in params.items()}
+        return cls(zeros, zeros, 0)
+
+
+class _AdamWork:
+    """adam_step's masks and scratch buffers for one layout, update set and
+    L2 map, kept between steps: fresh whole-buffer temporaries each step
+    would cost more than the arithmetic."""
+
+    def __init__(self, layout: tuple, live: tuple, coefs: tuple):
+        self.key = (layout, live, coefs)
+        self.sizes = [math.prod(shape) for _, shape in layout]
+        self.where = True if all(live) else np.repeat(live, self.sizes)
+        self.coef = np.repeat(coefs, self.sizes) if any(coefs) else None
+        self.l2_mask = None if self.coef is None else self.coef != 0.0
+        n = sum(self.sizes)
+        self.g, self.a, self.b = np.empty(n), np.empty(n), np.empty(n)
 
 
 class DivergenceError(RuntimeError):
@@ -483,35 +552,71 @@ def adam_step(
 
     update_only restricts which parameters move (their moments update too);
     all other parameters and moments are left untouched, which keeps frozen
-    weights byte-identical.
+    weights byte-identical. Every gradient in use is checked before anything
+    moves. The update runs over the flat buffers, element by element, with
+    the arithmetic of an update array by array, so it gives the same bits;
+    L2 and update_only act through masks, since adding a zero would turn a
+    -0.0 into +0.0.
     """
+    layout = params.layout
+    if state.m.layout != layout or state.v.layout != layout:
+        raise AutodiffError("Adam moments are not laid out like the parameters")
+    live = tuple(update_only is None or name in update_only for name, _ in layout)
+    coefs = tuple(
+        l2.get(name, 0.0) if keep else 0.0 for (name, _), keep in zip(layout, live)
+    ) if l2 else ()
+    work = state._work
+    if work is None or work.key != (layout, live, coefs):
+        work = state._work = _AdamWork(layout, live, coefs)
+    g, a, b = work.g, work.a, work.b
+    parts = [np.zeros(0)]
+    for (name, shape), keep in zip(layout, live):
+        part = grads[name] if keep else np.broadcast_to(0.0, shape)
+        if part.shape != shape:
+            raise AutodiffError(
+                f"gradient for parameter {name!r} has shape {part.shape}, not {shape}"
+            )
+        parts.append(part)
+    np.concatenate(parts, axis=None, out=g)
+    if not np.isfinite(g).all():
+        offset = 0
+        for (name, _), size in zip(layout, work.sizes):
+            if not np.isfinite(g[offset : offset + size]).all():
+                raise DivergenceError(f"non-finite gradient for parameter {name!r}")
+            offset += size
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    for name, _ in params.items():
-        if update_only is not None and name not in update_only:
-            continue
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(f"non-finite gradient for parameter {name!r}")
-        coef = l2.get(name, 0.0) if l2 else 0.0
-        if coef:
-            g = g + coef * params[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        step = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        params[name] = params[name] - step
+    w, m, v, where = params.flat, state.m.flat, state.v.flat, work.where
+    # the per-array update's expressions, one operation at a time
+    if work.coef is not None:  # g + coef * w
+        np.multiply(work.coef, w, out=a)
+        np.add(g, a, out=g, where=work.l2_mask)
+    np.multiply(m, ADAM_BETA1, out=m, where=where)  # m = b1 m + (1 - b1) g
+    np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+    np.add(m, a, out=m, where=where)
+    np.multiply(v, ADAM_BETA2, out=v, where=where)  # v = b2 v + (1 - b2) (g g)
+    np.multiply(g, g, out=a)
+    np.multiply(a, 1.0 - ADAM_BETA2, out=a)
+    np.add(v, a, out=v, where=where)
+    np.divide(m, bc1, out=a)  # w -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+    np.multiply(a, lr, out=a)
+    np.divide(v, bc2, out=b)
+    np.sqrt(b, out=b)
+    np.add(b, ADAM_EPS, out=b)
+    np.divide(a, b, out=a)
+    np.subtract(w, a, out=w, where=where)
 
 
 # -- checkpoint container --------------------------------------------------
 
 CHECKPOINT_FORMAT = "nettwin-checkpoint"
 CHECKPOINT_VERSION = 1
+
+
+class CheckpointError(ValueError):
+    """Raised for a checkpoint file whose layout is not a nettwin checkpoint's."""
 
 
 def _encode_array(arr: np.ndarray) -> dict:
@@ -522,10 +627,13 @@ def _encode_array(arr: np.ndarray) -> dict:
     }
 
 
-def _decode_array(entry: dict) -> np.ndarray:
-    raw = base64.b64decode(entry["data"])
-    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return arr.reshape(entry["shape"])
+def _decode_array(entry: dict, what: str) -> np.ndarray:
+    try:
+        raw = base64.b64decode(entry["data"])
+        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        return arr.reshape(entry["shape"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint {what} does not decode: {exc}") from None
 
 
 def checkpoint_payload(
@@ -548,20 +656,75 @@ def checkpoint_payload(
     return payload
 
 
+def _moments(entries, key: str, params: ParamSet) -> dict[str, np.ndarray]:
+    """One Adam moment of a checkpoint, checked to name and shape exactly
+    the parameters."""
+    if not isinstance(entries, dict):
+        raise CheckpointError(f"checkpoint Adam {key!r} is not an object")
+    extra = [name for name in entries if name not in params]
+    if extra:
+        raise CheckpointError(
+            f"checkpoint Adam {key!r} names parameter {extra[0]!r}, which the "
+            f"checkpoint lacks"
+        )
+    out = {}
+    for name, want in params.items():
+        if name not in entries:
+            raise CheckpointError(f"checkpoint parameter {name!r} has no Adam {key!r}")
+        out[name] = _decode_array(entries[name], f"Adam {key!r} of {name!r}")
+        if out[name].shape != want.shape:
+            raise CheckpointError(
+                f"checkpoint parameter {name!r} has shape {want.shape}, "
+                f"its Adam {key!r} {out[name].shape}"
+            )
+    return out
+
+
 def parse_checkpoint(payload: dict) -> tuple[ParamSet, dict, AdamState | None]:
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError("not a nettwin checkpoint file")
+    """The parameters, manifest and Adam state of a checkpoint payload.
+
+    Raises CheckpointError, naming the parameter, unless ``order`` lists the
+    keys of ``params`` exactly once each, and an Adam blob's ``m`` and ``v``
+    name and shape exactly the parameters, with a non-negative int ``step``.
+    """
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
+        raise CheckpointError("not a nettwin checkpoint file")
     if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
-    order = payload["order"]
-    params = ParamSet({name: _decode_array(payload["params"][name]) for name in order})
+        raise CheckpointError(
+            f"unsupported checkpoint version {payload.get('version')}"
+        )
+    order, encoded = payload.get("order"), payload.get("params")
+    if not isinstance(order, list) or not all(isinstance(n, str) for n in order):
+        raise CheckpointError("checkpoint 'order' is not a list of names")
+    if not isinstance(encoded, dict):
+        raise CheckpointError("checkpoint 'params' is not an object")
+    if not isinstance(payload.get("manifest"), dict):
+        raise CheckpointError("checkpoint 'manifest' is not an object")
+    stray = [name for name in order if name not in encoded]
+    stray += [name for name in encoded if name not in order]
+    stray += [name for k, name in enumerate(order) if name in order[:k]]
+    if stray:
+        raise CheckpointError(
+            f"checkpoint parameter {stray[0]!r} is not listed exactly once in "
+            f"both 'order' and 'params'"
+        )
+    params = ParamSet(
+        {name: _decode_array(encoded[name], f"parameter {name!r}") for name in order}
+    )
     adam = None
-    if payload.get("adam") is not None:
-        blob = payload["adam"]
+    blob = payload.get("adam")
+    if blob is not None:
+        if not isinstance(blob, dict):
+            raise CheckpointError("checkpoint 'adam' is not an object")
+        step = blob.get("step")
+        if type(step) is not int or step < 0:
+            raise CheckpointError(
+                f"checkpoint Adam step must be a non-negative integer, got {step!r}"
+            )
         adam = AdamState(
-            {name: _decode_array(blob["m"][name]) for name in order},
-            {name: _decode_array(blob["v"][name]) for name in order},
-            int(blob["step"]),
+            _moments(blob.get("m"), "m", params),
+            _moments(blob.get("v"), "v", params),
+            step,
         )
     return params, payload["manifest"], adam
 

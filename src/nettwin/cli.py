@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import DivergenceError, load_checkpoint, save_checkpoint
+from .autodiff import CheckpointError, DivergenceError, load_checkpoint, save_checkpoint
 from .fileio import open_fresh, write_json
 from .manage import (
     TRAFFIC_BOUNDS,
@@ -66,6 +66,7 @@ from .simulator import TASKS, SimulationError, TrafficParams
 from .twin import TwinError, TwinModel
 
 USAGE_ERRORS = (
+    CheckpointError,
     DatasetError,
     ManageError,
     RoutingError,

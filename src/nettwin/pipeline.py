@@ -852,7 +852,7 @@ def transfer_model(pretrained: TwinModel, target_tasks: tuple[str, ...], seed: i
     fresh = make_model(pretrained.kind, target_tasks, seed, pretrained.dims)
     for name in fresh.params.names():
         if not name.startswith("readout/"):
-            fresh.params[name] = pretrained.params[name].copy()
+            fresh.params[name] = pretrained.params[name]  # copies the values in
     return fresh
 
 

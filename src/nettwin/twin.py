@@ -540,8 +540,9 @@ class TwinModel:
         )
 
     def predict(self, inp: TwinInput) -> np.ndarray:
-        """Inference convenience: fresh tape, constant-bound parameters."""
-        tape = Tape()
+        """Inference: constant-bound parameters on a fresh tape that records
+        nothing, so each intermediate is freed once the forward is past it."""
+        tape = Tape(record=False)
         bound = {name: tape.constant(arr) for name, arr in self.params.items()}
         return self.forward(tape, bound, inp, None).value
 

@@ -9,8 +9,9 @@ composed from elementwise primitives, a plain event loop for the
 simulator (which takes only its inputs from the package: seeded RNG
 streams, link capacities and the KPI record type), and the two management
 solvers in their plainest form, where every state is scored alone on its
-own tape (taking the twin, routing and seeding from the package), and the
-twin-input builder as per-cell loops that recompute every per-graph feature.
+own tape (taking the twin, routing and seeding from the package), the
+twin-input builder as per-cell loops that recompute every per-graph feature,
+the logistic function with two divisions, and Adam run array by array.
 """
 
 from __future__ import annotations
@@ -21,7 +22,15 @@ from collections import deque
 
 import numpy as np
 
-from nettwin.autodiff import AutodiffError, Tape, Tensor
+from nettwin.autodiff import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    AutodiffError,
+    DivergenceError,
+    Tape,
+    Tensor,
+)
 from nettwin.manage import TargetProfile, twin_objective
 from nettwin.nettopo import FlowSet, degree_vector, sym_normalized_operator
 from nettwin.routing import shortest_paths
@@ -156,6 +165,14 @@ class ComposedTape(Tape):
             return (g * (1.0 - out * out),)
 
         return self._record(out, (a,), pullback, a.needs_grad)
+
+
+def reference_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function as 1 / (1 + e) where x >= 0 and e / (1 + e)
+    elsewhere, with e = exp(-|x|): one division per branch."""
+    e = np.exp(-np.abs(x))
+    denom = 1.0 + e
+    return np.where(x >= 0, 1.0 / denom, e / denom)
 
 
 def reference_dense(
@@ -596,3 +613,32 @@ def reference_twin_input(graph, table, traffic, capacities) -> TwinInput:
             inp.gnn_features_mask[node, 2 * f] = 1.0
             inp.gnn_features_mask[node, 2 * f + 1] = 1.0
     return inp
+
+
+# -- Adam, one array at a time ---------------------------------------------------
+
+
+def reference_adam_step(params, grads, state, lr, l2=None, update_only=None) -> None:
+    """Adam as a loop over the parameters, each array updated and replaced
+    on its own; ``params``, ``state.m`` and ``state.v`` may be plain dicts."""
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
+    for name, _ in params.items():
+        if update_only is not None and name not in update_only:
+            continue
+        g = grads[name]
+        if not np.all(np.isfinite(g)):
+            raise DivergenceError(f"non-finite gradient for parameter {name!r}")
+        coef = l2.get(name, 0.0) if l2 else 0.0
+        if coef:
+            g = g + coef * params[name]
+        m = state.m[name]
+        v = state.v[name]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        step = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        params[name] = params[name] - step

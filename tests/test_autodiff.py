@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from nettwin.autodiff import (
     GRU_PARAM_KEYS,
     AdamState,
     AutodiffError,
+    CheckpointError,
     DivergenceError,
     ParamSet,
     Tape,
@@ -24,13 +26,16 @@ from nettwin.autodiff import (
     parse_checkpoint,
     save_checkpoint,
 )
+from nettwin.autodiff import _sigmoid
 
 from oracles import (
     ComposedTape,
     fd_gradient,
     max_rel_err,
+    reference_adam_step,
     reference_dense,
     reference_gru_step,
+    reference_sigmoid,
     reference_weighted_l1,
 )
 
@@ -201,6 +206,60 @@ class TestTapeLifetime:
             ref = weakref.ref(t)
             del t, x, w, b, h, both, loss, grads
             assert ref() is None
+        finally:
+            gc.enable()
+
+
+class TestValueOnlyTape:
+    """A tape made with record=False: same values and checks, no nodes kept."""
+
+    def test_backward_refused(self):
+        t = Tape(record=False)
+        x = t.leaf(np.ones((2, 2)))
+        loss = t.weighted_l1(x, np.zeros((2, 2)), np.ones((2, 2)))
+        with pytest.raises(AutodiffError, match="records no nodes"):
+            t.backward(loss)
+
+    def test_keeps_checks_and_stores_no_node(self):
+        t = Tape(record=False)
+        a = t.constant(np.ones((2, 3)))
+        with pytest.raises(AutodiffError, match="matmul shape mismatch"):
+            t.matmul(a, a)
+        with pytest.raises(AutodiffError, match="gather index out of range"):
+            t.gather(a, [2])
+        with pytest.raises(AutodiffError, match="segment id out of range"):
+            t.segment_sum(a, [0, 3], 2)
+        with pytest.raises(AutodiffError, match="different tape"):
+            t.matmul(a, Tape(record=False).constant(np.ones((3, 1))))
+        h = t.dense(a, t.leaf(np.ones((3, 2))), t.leaf(np.zeros(2)), relu=True)
+        assert h.node_id == 3  # ids still count the nodes made
+        assert (t._parents, t._pullbacks, t._needs, t._shapes) == ([], [], [], [])
+
+    def test_values_match_recording_tape(self):
+        rng = np.random.default_rng(11)
+        x, w, b = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
+        outs = []
+        for record in (True, False):
+            t = Tape(record=record)
+            h = t.dense(t.constant(x), t.constant(w), t.constant(b), relu=True)
+            y = t.segment_sum(t.concat([h, h], 0), [0, 1, 2, 3, 3, 0, 1, 2, 3, 3], 3)
+            outs.append(t.gather(y, [2, 0]).value.tobytes())
+        assert outs[0] == outs[1]
+
+    def test_intermediate_freed_once_dropped(self):
+        # with record=False nothing but its tensor holds an intermediate's
+        # array; a recording tape keeps it for the next node's pullback
+        gc.disable()
+        try:
+            for record in (True, False):
+                t = Tape(record=record)
+                w, b = t.leaf(np.ones((2, 2))), t.leaf(np.zeros(2))
+                h = t.dense(t.constant(np.ones((3, 2))), w, b, relu=True)
+                out = t.dense(h, w, b, relu=False)
+                ref = weakref.ref(h.value)
+                del h
+                assert (ref() is not None) == record
+                del t, w, b, out
         finally:
             gc.enable()
 
@@ -404,6 +463,18 @@ class TestDense:
             fd = fd_gradient(lambda a: forward()[2].value.item(), values[name])
             assert max_rel_err(grads[ts[name]], fd) < 1e-5
 
+    def test_relu_gives_positive_zero_for_nan(self):
+        t = Tape()
+        x = t.constant([[np.nan], [-1e-200], [1.0], [-1.0], [0.0], [np.inf], [-np.inf]])
+        w = t.constant([[1e-200]])
+        b = t.constant([-0.0])
+        pre = x.value @ w.value + b.value
+        got = t.dense(x, w, b, relu=True).value
+        want = np.where(pre > 0, pre, 0.0)
+        assert np.isnan(pre[0, 0])
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got).any()
+
     def test_values(self):
         t = Tape()
         x = t.constant([[1.0, -2.0]])
@@ -527,6 +598,37 @@ class TestFusedBytes:
         self.run(build, seed, {"pred": shape}, 1, 1.0)
 
 
+SIGMOID_SPECIALS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 709.0, -709.0,
+    746.0, -746.0, 5e-324, -5e-324,
+]
+
+
+class TestSigmoidBytes:
+    """The one-division logistic against the two-division form, bit for bit."""
+
+    @settings(max_examples=200)
+    @given(
+        values=st.lists(
+            st.floats(allow_nan=True, allow_infinity=True)
+            | st.sampled_from(SIGMOID_SPECIALS),
+            min_size=1,
+            max_size=64,
+        )
+    )
+    def test_matches_two_division_form(self, values):
+        x = np.array(values)
+        assert _sigmoid(x).tobytes() == reference_sigmoid(x).tobytes()
+
+    def test_every_scale(self):
+        rng = np.random.default_rng(2)
+        for scale in 10.0 ** np.arange(-300, 309, 7):
+            x = rng.normal(size=(40, 8)) * scale
+            assert _sigmoid(x).tobytes() == reference_sigmoid(x).tobytes()
+        x = np.array(SIGMOID_SPECIALS)
+        assert _sigmoid(x).tobytes() == reference_sigmoid(x).tobytes()
+
+
 class TestWeightedL1:
     def test_values_and_subgradient_at_kink(self):
         t = Tape()
@@ -588,6 +690,133 @@ class TestParamSet:
         w = glorot_uniform(rng, 30, 50)
         assert w.shape == (30, 50)
         assert np.max(np.abs(w)) <= math.sqrt(6.0 / 80.0)
+
+
+class TestParamSetBuffer:
+    def test_arrays_view_one_flat_buffer(self):
+        ps = ParamSet({"a": np.arange(6.0).reshape(2, 3), "b": np.ones(2)})
+        assert ps.flat.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 1.0, 1.0]
+        assert ps.layout == (("a", (2, 3)), ("b", (2,)))
+        for name in ps.names():
+            assert np.shares_memory(ps[name], ps.flat)
+
+    def test_holds_no_array_of_the_caller(self):
+        src = np.zeros(3)
+        ps = ParamSet({"a": src})
+        ps["a"] = np.ones(3)
+        new = np.full(3, 2.0)
+        ps["a"] = new
+        new[:] = 5.0
+        assert np.all(src == 0.0) and np.all(ps["a"] == 2.0)
+
+    def test_copy_is_a_snapshot(self):
+        ps = ParamSet({"a": np.ones(2), "b": np.ones(3)})
+        snap = ps.copy()
+        held = ps["b"]
+        adam_step(ps, {"a": np.ones(2), "b": np.ones(3)}, AdamState.zeros_like(ps), 0.1)
+        assert np.all(snap["a"] == 1.0) and np.all(snap["b"] == 1.0)
+        assert not np.shares_memory(snap.flat, ps.flat)
+        assert np.all(held < 1.0)  # a held array is live
+
+    def test_add_lays_out_again(self):
+        ps = ParamSet({"a": np.ones(2)})
+        assert ps.flat.size == 2
+        ps.add("b", np.zeros((1, 3)))
+        assert ps.flat.tolist() == [1.0, 1.0, 0.0, 0.0, 0.0]
+        assert ps.layout == (("a", (2,)), ("b", (1, 3)))
+
+    def test_adam_rejects_moments_of_another_layout(self):
+        ps = ParamSet({"a": np.ones(2), "b": np.ones(2)})
+        swapped = AdamState({"b": np.zeros(2), "a": np.zeros(2)}, {"a": np.zeros(2), "b": np.zeros(2)}, 0)
+        with pytest.raises(AutodiffError, match="laid out"):
+            adam_step(ps, {"a": np.ones(2), "b": np.ones(2)}, swapped, 0.1)
+
+    def test_adam_rejects_gradient_of_another_shape(self):
+        ps = ParamSet({"a": np.ones((2, 2))})
+        with pytest.raises(AutodiffError, match="gradient for parameter 'a'"):
+            adam_step(ps, {"a": np.ones(4)}, AdamState.zeros_like(ps), 0.1)
+
+
+ADAM_SHAPES = {"w0": (3, 2), "b0": (2,), "w1": (1, 4), "b1": (4,), "out": (2, 1)}
+
+
+def signed_zeros(rng, shape):
+    """Normal draws with some cells +0.0 and some -0.0."""
+    a = rng.normal(size=shape)
+    a[rng.random(shape) < 0.15] = 0.0
+    a[rng.random(shape) < 0.15] = -0.0
+    return a
+
+
+class TestFlatAdam:
+    """adam_step over the flat buffers against Adam array by array, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        l2=st.dictionaries(
+            st.sampled_from(sorted(ADAM_SHAPES)), st.sampled_from([0.0, 1e-4, 0.05, 2.0])
+        ),
+        update_only=st.none() | st.frozensets(st.sampled_from(sorted(ADAM_SHAPES))),
+        steps=st.integers(1, 25),
+        lr=st.sampled_from([1e-3, 0.1]),
+        start_step=st.integers(0, 5),
+    )
+    def test_matches_array_by_array(self, seed, l2, update_only, steps, lr, start_step):
+        rng = np.random.default_rng(seed)
+        init = {n: signed_zeros(rng, s) for n, s in ADAM_SHAPES.items()}
+        m0 = {n: signed_zeros(rng, s) for n, s in ADAM_SHAPES.items()}
+        v0 = {n: np.abs(rng.normal(size=s)) for n, s in ADAM_SHAPES.items()}
+        flat = ParamSet(init)
+        state = AdamState(m0, v0, start_step)
+        ref = {n: a.copy() for n, a in init.items()}
+        ref_state = SimpleNamespace(
+            m={n: a.copy() for n, a in m0.items()},
+            v={n: a.copy() for n, a in v0.items()},
+            step=start_step,
+        )
+        for _ in range(steps):
+            grads = {n: signed_zeros(rng, s) for n, s in ADAM_SHAPES.items()}
+            adam_step(flat, grads, state, lr, l2=l2, update_only=update_only)
+            reference_adam_step(ref, grads, ref_state, lr, l2=l2, update_only=update_only)
+        assert state.step == ref_state.step
+        for name in ADAM_SHAPES:
+            assert flat[name].tobytes() == ref[name].tobytes()
+            assert state.m[name].tobytes() == ref_state.m[name].tobytes()
+            assert state.v[name].tobytes() == ref_state.v[name].tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gradient_checked_before_anything_moves(self, bad):
+        rng = np.random.default_rng(8)
+        init = {n: rng.normal(size=s) for n, s in ADAM_SHAPES.items()}
+        grads = {n: rng.normal(size=s) for n, s in ADAM_SHAPES.items()}
+        grads["w1"][0, 2] = bad
+        grads["out"][1, 0] = math.nan
+        flat = ParamSet(init)
+        state = AdamState.zeros_like(flat)
+        with pytest.raises(DivergenceError) as got:
+            adam_step(flat, grads, state, 0.1)
+        ref_state = SimpleNamespace(
+            m={n: np.zeros(s) for n, s in ADAM_SHAPES.items()},
+            v={n: np.zeros(s) for n, s in ADAM_SHAPES.items()},
+            step=0,
+        )
+        with pytest.raises(DivergenceError) as want:
+            reference_adam_step(dict(init), grads, ref_state, 0.1)
+        assert str(got.value) == str(want.value) == (
+            "non-finite gradient for parameter 'w1'"
+        )
+        # nothing moved, not even the parameters ahead of the bad one
+        assert state.step == 0
+        for name, arr in init.items():
+            assert flat[name].tobytes() == arr.tobytes()
+        assert not state.m.flat.any() and not state.v.flat.any()
+
+    def test_frozen_non_finite_gradient_is_ignored(self):
+        ps = ParamSet({"a": np.ones(2), "b": np.ones(2)})
+        grads = {"a": np.ones(2), "b": np.array([math.nan, 1.0])}
+        adam_step(ps, grads, AdamState.zeros_like(ps), 0.1, update_only={"a"})
+        assert np.all(ps["b"] == 1.0) and np.all(ps["a"] < 1.0)
 
 
 class TestAdam:
@@ -694,3 +923,54 @@ class TestCheckpoint:
     def test_json_payload_is_plain_data(self):
         ps, adam = self.build()
         json.dumps(checkpoint_payload(ps, {"x": [1, 2]}, adam))
+
+
+class TestCheckpointLayout:
+    """parse_checkpoint checks the layout of what it reads, naming the parameter."""
+
+    def payload(self):
+        rng = np.random.default_rng(5)
+        ps = ParamSet({"w": rng.normal(size=(3, 2)), "b": rng.normal(size=(2,))})
+        adam = AdamState.zeros_like(ps)
+        adam.step = 4
+        return json.loads(json.dumps(checkpoint_payload(ps, {"k": 1}, adam)))
+
+    @staticmethod
+    def encoded(shape):
+        return checkpoint_payload(ParamSet({"x": np.zeros(shape)}), {})["params"]["x"]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p["order"].remove("b"), "parameter 'b' is not listed exactly once"),
+            (lambda p: p["order"].append("w"), "parameter 'w' is not listed exactly once"),
+            (lambda p: p["params"].pop("w"), "parameter 'w' is not listed exactly once"),
+            (lambda p: p.update(order="w"), "'order' is not a list"),
+            (lambda p: p.pop("manifest"), "'manifest' is not an object"),
+            (lambda p: p["params"]["w"].update(data="%%"), "parameter 'w' does not decode"),
+            (lambda p: p["params"]["b"].update(shape=[3]), "parameter 'b' does not decode"),
+            (lambda p: p["adam"]["m"].pop("w"), "parameter 'w' has no Adam 'm'"),
+            (lambda p: p["adam"]["v"].update(z=p["adam"]["v"]["b"]),
+             "Adam 'v' names parameter 'z'"),
+            (lambda p: p["adam"]["m"].update(w=TestCheckpointLayout.encoded((6,))),
+             r"parameter 'w' has shape \(3, 2\), its Adam 'm' \(6,\)"),
+            (lambda p: p["adam"]["v"].update(b=TestCheckpointLayout.encoded((2, 1))),
+             r"parameter 'b' has shape \(2,\), its Adam 'v' \(2, 1\)"),
+            (lambda p: p["adam"].update(step=-1), "non-negative integer, got -1"),
+            (lambda p: p["adam"].update(step=4.0), "non-negative integer, got 4.0"),
+            (lambda p: p["adam"].update(step=True), "non-negative integer, got True"),
+            (lambda p: p["adam"].pop("v"), "Adam 'v' is not an object"),
+        ],
+        ids=[
+            "order-lacks", "order-repeats", "params-lack", "order-not-list",
+            "no-manifest", "bad-base64", "bad-shape", "m-lacks", "v-extra",
+            "m-shape-same-size", "v-shape", "negative-step", "float-step",
+            "bool-step", "no-v",
+        ],
+    )
+    def test_layout_mismatch_is_named(self, edit, message):
+        payload = self.payload()
+        parse_checkpoint(self.payload())  # the untouched payload loads
+        edit(payload)
+        with pytest.raises(CheckpointError, match=message):
+            parse_checkpoint(payload)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -362,6 +363,37 @@ class TestTrain:
         assert run_cli(*base[:-2], "--epochs", "2", "--resume") == 2
         assert "checkpoint parameter 'gru/w_z' has shape" in capsys.readouterr().err
         assert out.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda adam: adam["m"].pop("egc/w"),
+             "checkpoint parameter 'egc/w' has no Adam 'm'"),
+            # a moment of the right size but another shape would misalign
+            # every later parameter's in the flat buffer
+            (lambda adam: adam["v"]["link/w1"].update(
+                shape=[math.prod(adam["v"]["link/w1"]["shape"])]
+            ), "checkpoint parameter 'link/w1' has shape"),
+            (lambda adam: adam.update(step=-3),
+             "Adam step must be a non-negative integer, got -3"),
+        ],
+        ids=["moment-lacks-parameter", "moment-of-same-size", "negative-step"],
+    )
+    def test_resume_state_with_bad_adam_layout_is_usage_error(
+        self, run_cli, tmp_path, toy_dataset_dir, capsys, edit, message
+    ):
+        out = tmp_path / "m.ckpt"
+        base = ["train", "--data", toy_dataset_dir, "--out", str(out), "--batch-size", "4"]
+        assert run_cli(*base, "--epochs", "1") == 0
+        state_path = out.with_name(out.name + ".state")
+        payload = json.loads(state_path.read_text())
+        edit(payload["adam"])
+        state_path.write_text(json.dumps(payload, sort_keys=True) + "\n")
+        before = read_tree(tmp_path)
+        capsys.readouterr()
+        assert run_cli(*base, "--epochs", "2", "--resume") == 2
+        assert message in capsys.readouterr().err
+        assert read_tree(tmp_path) == before
 
     def test_poisoned_resume_state_is_numerical_failure(
         self, run_cli, tmp_path, toy_dataset_dir

@@ -617,6 +617,18 @@ class TestBatchInputs:
             assert model.predict(batch_inputs([inp])).tobytes() == model.predict(inp).tobytes()
 
     @pytest.mark.parametrize("kind", ["glance", "routenet", "gnn"])
+    def test_predict_matches_recording_forward(self, kind):
+        # predict runs on a tape that records nothing, with the values of a
+        # recording tape's forward over constant-bound parameters
+        inputs = self.inputs()
+        model = self.model(kind)
+        for inp in [*inputs, batch_inputs(inputs)]:
+            tape = Tape()
+            bound = {name: tape.constant(arr) for name, arr in model.params.items()}
+            want = model.forward(tape, bound, inp).value
+            assert model.predict(inp).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["glance", "routenet", "gnn"])
     def test_batched_predictions_match_per_sample(self, kind):
         inputs = self.inputs()
         assert len({inp.max_steps for inp in inputs}) == 3
