@@ -478,7 +478,10 @@ class ParamSet:
         return int(sum(a.size for a in self._arrays.values()))
 
     def copy(self) -> "ParamSet":
-        return ParamSet(self._arrays)
+        out = ParamSet()
+        out._arrays = dict(self.items())
+        out._views()  # lays the values out in a buffer of its own
+        return out
 
     def bind(self, tape: Tape) -> dict[str, Tensor]:
         """Register every parameter as a differentiable leaf on a tape.
@@ -532,8 +535,7 @@ class _AdamWork:
         self.where = True if all(live) else np.repeat(live, self.sizes)
         self.coef = np.repeat(coefs, self.sizes) if any(coefs) else None
         self.l2_mask = None if self.coef is None else self.coef != 0.0
-        n = sum(self.sizes)
-        self.g, self.a, self.b = np.empty(n), np.empty(n), np.empty(n)
+        self.g, self.a = np.empty(sum(self.sizes)), np.empty(sum(self.sizes))
 
 
 class DivergenceError(RuntimeError):
@@ -568,7 +570,7 @@ def adam_step(
     work = state._work
     if work is None or work.key != (layout, live, coefs):
         work = state._work = _AdamWork(layout, live, coefs)
-    g, a, b = work.g, work.a, work.b
+    g, a = work.g, work.a
     parts = [np.zeros(0)]
     for (name, shape), keep in zip(layout, live):
         part = grads[name] if keep else np.broadcast_to(0.0, shape)
@@ -602,10 +604,10 @@ def adam_step(
     np.add(v, a, out=v, where=where)
     np.divide(m, bc1, out=a)  # w -= lr (m / bc1) / (sqrt(v / bc2) + eps)
     np.multiply(a, lr, out=a)
-    np.divide(v, bc2, out=b)
-    np.sqrt(b, out=b)
-    np.add(b, ADAM_EPS, out=b)
-    np.divide(a, b, out=a)
+    np.divide(v, bc2, out=g)  # g is spent: its buffer takes the denominator
+    np.sqrt(g, out=g)
+    np.add(g, ADAM_EPS, out=g)
+    np.divide(a, g, out=a)
     np.subtract(w, a, out=w, where=where)
 
 
