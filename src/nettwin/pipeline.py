@@ -47,6 +47,7 @@ from .simulator import (
     TASKS,
     KpiRecord,
     SimConfig,
+    SimulationError,
     TrafficParams,
     default_sim_config,
     link_capacities,
@@ -156,8 +157,8 @@ class GenConfig:
             raise DatasetError("dataset must contain at least one sample")
         if self.n_r_test < 2:
             raise DatasetError("test samples need >= 2 runs (reference + benchmark)")
-        if self.n_flows < 1 or self.l_max < 1 or self.t_gen <= 0:
-            raise DatasetError("n_flows, l_max and t_gen must be positive")
+        if self.n_flows < 1 or self.l_max < 1 or not 0 < self.t_gen < math.inf:
+            raise DatasetError("n_flows, l_max and t_gen must be positive, t_gen finite")
 
     def sim_config(self, wired: bool) -> SimConfig:
         return default_sim_config(wired, t_gen=self.t_gen)
@@ -464,7 +465,10 @@ def load_dataset(path: str | Path) -> Dataset:
         raise DatasetError(f"{manifest_file} is not a dataset manifest")
     if manifest.get("version") != DATASET_VERSION:
         raise DatasetError(f"unsupported dataset version {manifest.get('version')}")
-    sim_config = SimConfig(**manifest["sim_config"])
+    try:
+        sim_config = SimConfig(**manifest.get("sim_config"))
+    except (TypeError, SimulationError) as exc:
+        raise DatasetError(f"{manifest_file}: bad sim_config ({exc})") from None
     # one graph and one read-only capacities array per topology file
     topologies: dict[str, tuple[Graph, np.ndarray]] = {}
 

@@ -110,12 +110,12 @@ class SimConfig:
     wireless_contention: bool = True
 
     def __post_init__(self) -> None:
-        if self.t_gen <= 0 or self.t_prep < 0:
-            raise SimulationError("t_gen must be positive and t_prep non-negative")
-        if self.packet_bytes <= 0 or self.cbr_rate <= 0:
-            raise SimulationError("packet size and CBR rate must be positive")
-        if self.link_capacity_default <= 0:
-            raise SimulationError("default link capacity must be positive")
+        if not (0 < self.t_gen < math.inf and 0 <= self.t_prep < math.inf):
+            raise SimulationError("t_gen must be finite and > 0, t_prep finite and >= 0")
+        if self.packet_bytes <= 0 or not 0 < self.cbr_rate < math.inf:
+            raise SimulationError("packet size and CBR rate must be positive and finite")
+        if not 0 < self.link_capacity_default < math.inf:
+            raise SimulationError("default link capacity must be positive and finite")
         if self.queue_buffer_pkts < 1:
             raise SimulationError("queue buffer must hold at least one packet")
 
@@ -262,18 +262,18 @@ def run_sim(
             if r is None:
                 raise SimulationError(f"path uses link {link} absent from the graph")
             if r not in states:
-                # tx_time stays a numpy float, so the delays summed below
-                # keep their type, and `sum` its rounding, on every Python
+                # a plain float: event times and delays stay Python floats,
+                # whose arithmetic is cheaper than numpy scalars' and the same
                 hood = (link[0],) + graph.neighbors[link[0]] if wireless else ()
-                states[r] = _LinkState(r, link[0], pkt_bits / caps[r], hood)
+                states[r] = _LinkState(r, link[0], float(pkt_bits / caps[r]), hood)
             hops.append(states[r])
         flow_paths.append(hops)
 
     # busy[u] counts the transmitting link tails in u's closed neighbourhood
     # (the adjacency is symmetric), so a wireless link may start iff
-    # busy[tail] is 0; wired links have an empty hood and never touch the
-    # counter. pending holds the idle links with a queue that contention
-    # blocks, keyed by link index, the order they are granted in.
+    # busy[tail] is 0; wired links have an empty hood, serve their own queue
+    # and never touch the counter. pending holds the idle wireless links with
+    # a queue that contention blocks, keyed by link index, the grant order.
     busy = [0] * graph.n_nodes
     pending: dict[int, _LinkState] = {}
 
@@ -306,38 +306,42 @@ def run_sim(
     buffer_pkts = config.queue_buffer_pkts
     heappush, heappop = heapq.heappush, heapq.heappop
 
-    def start_tx(link: _LinkState, now: float) -> None:
-        nonlocal seq
-        pkt = link.queue.popleft()
-        link.busy = pkt
-        for v in link.hood:
-            busy[v] += 1
-        heappush(heap, (now + link.tx_time, seq, _TX_END, pkt, link))
-        seq += 1
-
-    while heap and heap[0][0] <= t_gen:
+    while heap:
         now, s, kind, pkt, link = heappop(heap)
+        if now > t_gen:
+            break
         if kind == _TX_END:
-            link.busy = None
-            for v in link.hood:
-                busy[v] -= 1
-            if link.queue:
-                pending[link.index] = link
+            ended, link = link, None
             pkt.hop += 1
             path = flow_paths[pkt.flow]
             if pkt.hop == len(path):
                 delivered[pkt.flow].append(now - pkt.emit)
-                link = None
             else:
                 link = path[pkt.hop]
                 s = seq
                 seq += 1
-            # grant in link-index order; each grant may block later candidates
-            for r in sorted(pending):
-                waiting = pending[r]
-                if not busy[waiting.tail]:
-                    del pending[r]
-                    start_tx(waiting, now)
+            ended.busy = None
+            if not ended.hood:
+                # no contention: serve the queue, after the next hop's number
+                if ended.queue:
+                    sent = ended.busy = ended.queue.popleft()
+                    heappush(heap, (now + ended.tx_time, seq, _TX_END, sent, ended))
+                    seq += 1
+            else:
+                for v in ended.hood:
+                    busy[v] -= 1
+                if ended.queue:
+                    pending[ended.index] = ended
+                # grant in link-index order; each grant may block later candidates
+                for r in sorted(pending) if pending else ():
+                    idle = pending[r]
+                    if not busy[idle.tail]:
+                        del pending[r]
+                        sent = idle.busy = idle.queue.popleft()
+                        for v in idle.hood:
+                            busy[v] += 1
+                        heappush(heap, (now + idle.tx_time, seq, _TX_END, sent, idle))
+                        seq += 1
             if link is None:
                 continue
             # the next-hop arrival at (now, s) is handled here unless an
@@ -351,16 +355,20 @@ def run_sim(
             if k < len(emissions[f]):
                 t = emissions[f][k]
                 heappush(heap, (t, s + 1, _EMIT, _Packet(f, t), link))
-        # arrival of pkt at link (an emission arrives at its first hop)
-        if len(link.queue) >= buffer_pkts:
+        # arrival at link (an emission arrives at its first hop); an idle link
+        # whose tail may send has an empty queue, as each TX end grants all it can
+        if link.busy is None and not busy[link.tail]:
+            link.busy = pkt
+            for v in link.hood:
+                busy[v] += 1
+            heappush(heap, (now + link.tx_time, seq, _TX_END, pkt, link))
+            seq += 1
+        elif len(link.queue) >= buffer_pkts:
             overflow[pkt.flow] += 1
-            continue
-        link.queue.append(pkt)
-        if link.busy is None:
-            if busy[link.tail]:
+        else:
+            link.queue.append(pkt)
+            if link.busy is None:
                 pending[link.index] = link
-            else:
-                start_tx(link, now)
 
     in_flight = np.zeros(n_flows, dtype=np.int64)
     for state in states.values():
@@ -375,18 +383,18 @@ def run_sim(
         delays = delivered[f]
         n_del = len(delays)
         if n_del == 0:
-            delay_ms = math.nan
-            jitter_ms = math.nan
+            delay_ms = jitter_ms = math.nan
         else:
-            delay_ms = 1000.0 * sum(delays) / n_del
-            if n_del == 1:
-                jitter_ms = 0.0
-            else:
-                jitter_ms = (
-                    1000.0
-                    * sum(abs(b - a) for a, b in zip(delays, delays[1:]))
-                    / (n_del - 1)
-                )
+            # explicit left-to-right sums from 0: `sum` does that on numpy
+            # scalars, but compensates plain floats from Python 3.12 on
+            total = gaps = 0
+            prev = delays[0]
+            for d in delays:
+                total += d
+                gaps += abs(d - prev)  # 0.0 for the first delay
+                prev = d
+            delay_ms = 1000.0 * total / n_del
+            jitter_ms = 1000.0 * gaps / (n_del - 1) if n_del > 1 else 0.0
         throughput_kbps = n_del * pkt_bits / config.t_gen / 1000.0
         drops = int(overflow[f] + in_flight[f])
         kpis[f] = (delay_ms, jitter_ms, throughput_kbps, drops)

@@ -17,7 +17,7 @@ from conftest import (
     copy_with_missing_link,
     copy_with_truncated_line,
 )
-from nettwin import cli, manage
+from nettwin import cli, manage, pipeline
 from nettwin.autodiff import AdamState, ParamSet, load_checkpoint, save_checkpoint
 from nettwin.pipeline import (
     Normalizer,
@@ -164,6 +164,28 @@ class TestGenData:
         monkeypatch.delenv("NETTWIN_OUT", raising=False)
         assert run_cli(*argv) == 2
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("t_gen", ["nan", "inf"])
+    def test_non_finite_t_gen_is_usage_error(self, run_cli, tmp_path, monkeypatch, t_gen):
+        def never(*args, **kwargs):
+            raise AssertionError("simulated with a non-finite t_gen")
+
+        monkeypatch.setattr(pipeline, "run_benchmarks", never)
+        out = tmp_path / "ds"
+        argv = ["gen-data", "--scenario", "reggrid-fixed", *TINY_GEN, "--out", str(out)]
+        assert run_cli(*argv, "--t-gen", t_gen) == 2
+        assert not out.exists()
+
+    def test_manifest_with_nan_t_gen_is_usage_error(
+        self, run_cli, tmp_path, toy_dataset_dir, capsys
+    ):
+        data = tmp_path / "ds"
+        shutil.copytree(toy_dataset_dir, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["sim_config"]["t_gen"] = math.nan
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        assert run_cli("inspect", "--data", str(data)) == 2
+        assert "bad sim_config" in capsys.readouterr().err
 
     def test_out_root_env(self, run_cli, tmp_path, monkeypatch):
         monkeypatch.setenv("NETTWIN_OUT", str(tmp_path))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -134,6 +135,11 @@ class TestScenarioDefaults:
         for kw in ({"n_flows": 0}, {"l_max": 0}, {"t_gen": 0.0}):
             with pytest.raises(DatasetError, match="must be positive"):
                 GenConfig(scenario="reggrid-fixed", **kw)
+
+    @pytest.mark.parametrize("t_gen", [math.nan, math.inf])
+    def test_non_finite_t_gen_rejected(self, t_gen):
+        with pytest.raises(DatasetError, match="t_gen finite"):
+            GenConfig(scenario="reggrid-fixed", t_gen=t_gen)
 
     def test_sim_config_takes_t_gen(self):
         config = GenConfig(scenario="reggrid-fixed", t_gen=12.0)
@@ -271,6 +277,25 @@ class TestLoadDataset:
         out.mkdir()
         (out / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(DatasetError, match="unsupported dataset version"):
+            load_dataset(out)
+
+    @pytest.mark.parametrize(
+        "sim_config",
+        [{"t_gen": math.nan}, {"t_prep": math.inf}, {"cbr_rate": -math.inf},
+         {"link_capacity_default": math.nan}, {"t_gen": "5"}, {"no_such": 1}, None],
+        ids=["nan-t_gen", "inf-t_prep", "neg-inf-rate", "nan-capacity", "str-t_gen",
+             "unknown-key", "missing"],
+    )
+    def test_bad_sim_config_rejected(self, tmp_path, toy_dataset_dir, sim_config):
+        out = tmp_path / "bad"
+        shutil.copytree(toy_dataset_dir, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        if sim_config is None:
+            del manifest["sim_config"]
+        else:
+            manifest["sim_config"].update(sim_config)
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DatasetError, match="bad sim_config"):
             load_dataset(out)
 
     def test_route_over_missing_link_rejected(self, tmp_path, toy_dataset_dir):

@@ -101,6 +101,15 @@ class TestSimConfig:
         with pytest.raises(SimulationError):
             SimConfig(cbr_rate=-1.0)
 
+    @pytest.mark.parametrize(
+        "field", ["t_gen", "t_prep", "cbr_rate", "link_capacity_default"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_settings_rejected(self, field, value):
+        # an infinite t_gen would make the emission loop run without end
+        with pytest.raises(SimulationError, match="finite"):
+            SimConfig(**{field: value})
+
     def test_link_capacities(self, reg44, line3):
         config = default_sim_config(wired=False)
         caps = link_capacities(reg44, config)
@@ -356,9 +365,10 @@ def _case_runs(graph, n_runs, n_flows, mode, seed):
 
 
 def _sim_case(name):
+    wired = default_sim_config(wired=True, t_gen=20.0)
     wireless = default_sim_config(wired=False, t_gen=20.0)
     return {
-        "nsfnet": (build_nsfnet(), default_sim_config(wired=True, t_gen=20.0)),
+        "nsfnet": (build_nsfnet(), wired),
         "reggrid": (build_reg_grid(), wireless),
         "pertgrid": (build_pert_grid(seed=3), wireless),
         "reggrid-no-contention": (
@@ -367,6 +377,11 @@ def _sim_case(name):
         # 100 kb/s sources fill the two-packet buffers, so packets overflow
         "reggrid-buffer2": (
             build_reg_grid(), replace(wireless, queue_buffer_pkts=2, cbr_rate=100_000.0)
+        ),
+        # wired links serve their own queues; 500 kb/s sources overflow them
+        "nsfnet-buffer2": (
+            build_nsfnet(),
+            replace(wired, queue_buffer_pkts=2, cbr_rate=500_000.0),
         ),
     }[name]
 
@@ -377,7 +392,10 @@ class TestAgainstReferenceLoop:
     @pytest.mark.parametrize("mode", ["discrete", "continuous"])
     @pytest.mark.parametrize(
         "name",
-        ["nsfnet", "reggrid", "pertgrid", "reggrid-no-contention", "reggrid-buffer2"],
+        [
+            "nsfnet", "reggrid", "pertgrid", "reggrid-no-contention",
+            "reggrid-buffer2", "nsfnet-buffer2",
+        ],
     )
     def test_bytes_match(self, name, mode):
         graph, config = _sim_case(name)
@@ -391,7 +409,7 @@ class TestAgainstReferenceLoop:
             overflow += int(want.counts[:, 2].sum())
         # same-time events occur, so the tie-break order is compared, not assumed
         assert ties > 0
-        if name == "reggrid-buffer2":
+        if name.endswith("-buffer2"):
             assert overflow > 0
 
     @given(
@@ -431,3 +449,24 @@ def test_run_sim_bytes_pinned(name, digest):
             rec = run_sim(graph, table, traffic, config, sim_seed)
             h.update(rec.kpis.tobytes() + rec.counts.tobytes())
     assert h.hexdigest() == digest
+
+
+def test_kpi_bytes_do_not_depend_on_sum(monkeypatch):
+    # Python 3.12's sum adds plain floats with compensation, so a KPI mean
+    # taken with sum would move bits between Pythons; shadowing it with fsum
+    # shows that no reduction in the module calls it
+    import nettwin.simulator as simulator
+
+    def digests():
+        out = []
+        for name in ("nsfnet", "reggrid"):
+            graph, config = _sim_case(name)
+            for mode in ("discrete", "continuous"):
+                for table, traffic, sim_seed in _case_runs(graph, 2, 10, mode, seed=17):
+                    rec = run_sim(graph, table, traffic, config, sim_seed)
+                    out.append(rec.kpis.tobytes() + rec.counts.tobytes())
+        return out
+
+    plain = digests()
+    monkeypatch.setattr(simulator, "sum", math.fsum, raising=False)
+    assert digests() == plain
