@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from nettwin import simulator
 from nettwin.manage import NetworkInput, mean_runs
 from nettwin.nettopo import (
     FlowSet,
@@ -455,8 +456,6 @@ def test_kpi_bytes_do_not_depend_on_sum(monkeypatch):
     # Python 3.12's sum adds plain floats with compensation, so a KPI mean
     # taken with sum would move bits between Pythons; shadowing it with fsum
     # shows that no reduction in the module calls it
-    import nettwin.simulator as simulator
-
     def digests():
         out = []
         for name in ("nsfnet", "reggrid"):
