@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import open_fresh
+from .fileio import ListOf, MapOf, OneOf, check_json, open_fresh
 
 
 class AutodiffError(ValueError):
@@ -634,7 +634,7 @@ def _decode_array(entry: dict, what: str) -> np.ndarray:
         raw = base64.b64decode(entry["data"])
         arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
         return arr.reshape(entry["shape"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CheckpointError(f"checkpoint {what} does not decode: {exc}") from None
 
 
@@ -658,11 +658,22 @@ def checkpoint_payload(
     return payload
 
 
-def _moments(entries, key: str, params: ParamSet) -> dict[str, np.ndarray]:
+_ARRAYS = MapOf({"shape": ListOf(int), "data": str})  # parameter name -> array
+
+#: a checkpoint file; its manifest is the caller's
+CHECKPOINT = {
+    "format": OneOf(CHECKPOINT_FORMAT),
+    "version": OneOf(CHECKPOINT_VERSION),
+    "manifest": dict,
+    "order": ListOf(str),
+    "params": _ARRAYS,
+    "adam": ({"step": int, "m": _ARRAYS, "v": _ARRAYS}, None),
+}
+
+
+def _moments(entries: dict, key: str, params: ParamSet) -> dict[str, np.ndarray]:
     """One Adam moment of a checkpoint, checked to name and shape exactly
     the parameters."""
-    if not isinstance(entries, dict):
-        raise CheckpointError(f"checkpoint Adam {key!r} is not an object")
     extra = [name for name in entries if name not in params]
     if extra:
         raise CheckpointError(
@@ -682,26 +693,16 @@ def _moments(entries, key: str, params: ParamSet) -> dict[str, np.ndarray]:
     return out
 
 
-def parse_checkpoint(payload: dict) -> tuple[ParamSet, dict, AdamState | None]:
-    """The parameters, manifest and Adam state of a checkpoint payload.
+def parse_checkpoint(payload, where: str) -> tuple[ParamSet, dict, AdamState | None]:
+    """The parameters, manifest and Adam state of the checkpoint payload read
+    from ``where``, once it fits CHECKPOINT.
 
     Raises CheckpointError, naming the parameter, unless ``order`` lists the
     keys of ``params`` exactly once each, and an Adam blob's ``m`` and ``v``
-    name and shape exactly the parameters, with a non-negative int ``step``.
+    name and shape exactly the parameters, with a non-negative ``step``.
     """
-    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError("not a nettwin checkpoint file")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {payload.get('version')}"
-        )
-    order, encoded = payload.get("order"), payload.get("params")
-    if not isinstance(order, list) or not all(isinstance(n, str) for n in order):
-        raise CheckpointError("checkpoint 'order' is not a list of names")
-    if not isinstance(encoded, dict):
-        raise CheckpointError("checkpoint 'params' is not an object")
-    if not isinstance(payload.get("manifest"), dict):
-        raise CheckpointError("checkpoint 'manifest' is not an object")
+    check_json(CHECKPOINT, payload, where, {})
+    order, encoded = payload["order"], payload["params"]
     stray = [name for name in order if name not in encoded]
     stray += [name for name in encoded if name not in order]
     stray += [name for k, name in enumerate(order) if name in order[:k]]
@@ -714,19 +715,16 @@ def parse_checkpoint(payload: dict) -> tuple[ParamSet, dict, AdamState | None]:
         {name: _decode_array(encoded[name], f"parameter {name!r}") for name in order}
     )
     adam = None
-    blob = payload.get("adam")
+    blob = payload["adam"]
     if blob is not None:
-        if not isinstance(blob, dict):
-            raise CheckpointError("checkpoint 'adam' is not an object")
-        step = blob.get("step")
-        if type(step) is not int or step < 0:
+        if blob["step"] < 0:
             raise CheckpointError(
-                f"checkpoint Adam step must be a non-negative integer, got {step!r}"
+                f"checkpoint Adam step must be a non-negative integer, got {blob['step']}"
             )
         adam = AdamState(
-            _moments(blob.get("m"), "m", params),
-            _moments(blob.get("v"), "v", params),
-            step,
+            _moments(blob["m"], "m", params),
+            _moments(blob["v"], "v", params),
+            blob["step"],
         )
     return params, payload["manifest"], adam
 
@@ -741,4 +739,4 @@ def save_checkpoint(
 
 def load_checkpoint(path: str | Path) -> tuple[ParamSet, dict, AdamState | None]:
     with open(path, encoding="utf-8") as fh:
-        return parse_checkpoint(json.load(fh))
+        return parse_checkpoint(json.load(fh), str(path))

@@ -8,8 +8,11 @@ stdout and into its outputs, so any run can be reproduced from what it
 wrote. No output ever contains a timestamp; rerunning a command with the
 same inputs rewrites byte-identical files.
 
-Exit codes: 0 success, 2 usage or configuration problems (bad flags,
-missing files, mismatched checkpoints), 3 numerical failure (divergence).
+Exit codes: 0 success, 1 internal error (a bug, with its traceback), 2 usage
+or configuration problems (bad flags, missing files, malformed or mismatched
+inputs), 3 numerical failure (divergence). Each JSON input is checked against
+its schema as it is read (``fileio.check_json``); a config file's is built
+from the command's ``Option`` table.
 
 The environment variable NETTWIN_OUT, when set, is the root under which
 relative output paths are created.
@@ -28,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import CheckpointError, DivergenceError, load_checkpoint, save_checkpoint
-from .fileio import open_fresh, write_json
+from .fileio import ListOf, OneOf, SchemaError, check_json, open_fresh, write_json
 from .manage import (
     TRAFFIC_BOUNDS,
     ManageError,
@@ -43,6 +46,7 @@ from .manage import (
 )
 from .nettopo import FlowSet, TopologyError
 from .pipeline import (
+    STRATEGIES,
     DatasetError,
     GenConfig,
     Normalizer,
@@ -61,7 +65,7 @@ from .pipeline import (
     write_learning_curves,
 )
 from .routing import RoutingError, bfs_distances
-from .seeding import derive_seed
+from .seeding import SeedError, derive_seed
 from .simulator import TASKS, SimulationError, TrafficParams
 from .twin import TwinError, TwinModel
 
@@ -70,14 +74,16 @@ USAGE_ERRORS = (
     DatasetError,
     ManageError,
     RoutingError,
+    SchemaError,
+    SeedError,
     SimulationError,
     TopologyError,
     TwinError,
     FileNotFoundError,
+    IsADirectoryError,
     NotADirectoryError,
     json.JSONDecodeError,
-    KeyError,
-    ValueError,
+    UnicodeDecodeError,
 )
 
 
@@ -99,16 +105,6 @@ def _out_path(raw: str) -> Path:
 
 def _emit(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
-
-
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise _CliError(f"config file {path} must hold a JSON object")
-    return payload
 
 
 @dataclass(frozen=True)
@@ -136,53 +132,33 @@ def _flag(opt: Option) -> str | None:
     return None if name is None else "--" + name.replace("_", "-")
 
 
-_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
-
-
-def _accepts(opt: Option, value, element: bool = False) -> bool:
-    """Whether a config-file value fits opt; JSON true/false is no number."""
-    if value is None and not element:
-        return opt.default is None
-    if opt.action == "append" and not element:
-        return isinstance(value, list) and all(_accepts(opt, v, True) for v in value)
-    if isinstance(value, bool) or opt.type is bool:
-        return isinstance(value, bool) and opt.type is bool
-    kinds = (int, float) if opt.type is float else opt.type
-    return isinstance(value, kinds) and (opt.choices is None or value in opt.choices)
+def _config_spec(options: tuple[Option, ...]) -> dict:
+    """A command's config file: any of its option keys, each holding a value
+    of the option's type, or null where the option defaults to null."""
+    spec = {}
+    for opt in options:
+        value = OneOf(*opt.choices) if opt.choices else opt.type
+        if opt.action == "append":
+            value = ListOf(value)
+        spec[opt.key + "?"] = (value, None) if opt.default is None else value
+    return spec
 
 
 def _resolve(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags, over the command's options.
 
-    Config-file values must fit their option and are kept as written; a
-    missing required option fails here, before any work starts.
+    Config-file values must fit the command's config schema and are kept as
+    written; a missing required option fails here, before any work starts.
     """
-    file_values = _load_config_file(args.config)
-    unknown = set(file_values) - {opt.key for opt in args.options}
-    if unknown:
-        raise _CliError(f"config file keys not understood: {sorted(unknown)}")
+    file_values = {}
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            file_values = json.load(fh)
+        check_json(_config_spec(args.options), file_values, f"config file {args.config}", {})
     resolved = {}
     for opt in args.options:
         flag = getattr(args, opt.key, None)
-        if flag is not None:
-            resolved[opt.key] = flag
-        elif opt.key in file_values:
-            value = file_values[opt.key]
-            if not _accepts(opt, value):
-                what = _KINDS[opt.type]
-                if opt.choices:
-                    what = f"one of {list(opt.choices)}"
-                if opt.action == "append":
-                    what = f"a list, each {what}"
-                if opt.default is None:
-                    what += " or null"
-                raise _CliError(
-                    f"config file {args.config}: {opt.key!r} must be {what}, "
-                    f"not {json.dumps(value)}"
-                )
-            resolved[opt.key] = value
-        else:
-            resolved[opt.key] = opt.default
+        resolved[opt.key] = flag if flag is not None else file_values.get(opt.key, opt.default)
         if opt.required and resolved[opt.key] in (None, []):
             raise _CliError(f"{_flag(opt)} is required")
     return resolved
@@ -237,7 +213,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 TRAIN_OPTIONS = (
     _DATA,
     _OUT,
-    Option("strategy", default="mtl", choices=("stl", "mtl", "tl")),
+    Option("strategy", default="mtl", choices=STRATEGIES),
     Option("target_task", choices=TASKS),
     Option("model", default="glance", choices=("glance", "routenet", "gnn")),
     Option("size", default="compact", choices=("compact", "large")),
@@ -272,17 +248,20 @@ def _state_path(out: Path) -> Path:
 
 def _resume_state(out: Path) -> tuple[tuple[TwinModel, TrainResult], Normalizer]:
     """The run saved at out: its last model and result, and its normalizer."""
-    params, state_manifest, adam = load_checkpoint(_state_path(out))
+    state = _state_path(out)
+    params, state_manifest, adam = load_checkpoint(state)
+    if adam is None or "history" not in state_manifest:
+        raise _CliError(f"{state} holds no training state: no Adam state or history")
     best_params, best_manifest, _ = load_checkpoint(out)
-    model, normalizer = model_from_checkpoint(params, state_manifest)
-    best_model, _ = model_from_checkpoint(best_params, best_manifest)
+    model, normalizer = model_from_checkpoint(params, state_manifest, str(state))
+    best_model, _ = model_from_checkpoint(best_params, best_manifest, str(out))
     result = TrainResult(
         best_params=best_model.params,
         adam=adam,
         history=state_manifest["history"],
-        best_epoch=int(best_manifest["best_epoch"]),
+        best_epoch=best_manifest["best_epoch"],
         best_val=float(best_manifest["best_val"]),
-        epochs_run=int(state_manifest["epochs_run"]),
+        epochs_run=state_manifest["epochs_run"],
     )
     return (model, result), normalizer
 
@@ -296,7 +275,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
     cleaned, clean_report = filter_and_impute(dataset)
     train_samples, val_samples = cleaned["train"], cleaned["val"]
-    n_flows = int(dataset.manifest["n_flows"])
+    n_flows = dataset.manifest["n_flows"]
 
     if resolved["cv"] and resolved["resume"]:
         raise _CliError("--resume does not combine with --cv")
@@ -372,7 +351,7 @@ BENCHMARK_OPTIONS = (_DATA, _OUT)
 def _load_model(path: str, scenario: str) -> tuple[TwinModel, Normalizer, dict]:
     """Model, normalizer and manifest of a checkpoint trained on scenario."""
     params, manifest, _ = load_checkpoint(path)
-    model, normalizer = model_from_checkpoint(params, manifest)
+    model, normalizer = model_from_checkpoint(params, manifest, path)
     ckpt_scenario = manifest.get("dataset", {}).get("scenario")
     if ckpt_scenario is not None and ckpt_scenario != scenario:
         raise _CliError(
@@ -383,10 +362,8 @@ def _load_model(path: str, scenario: str) -> tuple[TwinModel, Normalizer, dict]:
 
 
 def _row_name(manifest: dict, taken: set[str]) -> str:
-    kind = manifest["kind"]
-    strategy = manifest.get("strategy", "mtl")
-    target = manifest.get("target_task")
-    name = kind if strategy == "mtl" else f"{kind}-{strategy}-{target}"
+    kind, strategy = manifest["kind"], manifest["strategy"]
+    name = kind if strategy == "mtl" else f"{kind}-{strategy}-{manifest['target_task']}"
     base, k = name, 2
     while name in taken:
         name = f"{base}-{k}"

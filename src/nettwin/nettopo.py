@@ -8,6 +8,7 @@ nodes get stronger (higher-capacity) links. Wired graphs carry unit weights.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import write_json
+from .fileio import ListOf, check_json, write_json
 from .seeding import make_rng
 
 #: connectivity cutoff for wireless links, meters
@@ -164,7 +165,7 @@ def wireless_adjacency(positions: np.ndarray) -> np.ndarray:
 def build_nsfnet() -> Graph:
     """The bundled 14-node, 21-edge wired backbone (42 directed links)."""
     ref = resources.files("nettwin.data").joinpath("nsfnet.json")
-    return _graph_from_payload(json.loads(ref.read_text(encoding="utf-8")))
+    return _graph_from_payload(json.loads(ref.read_text(encoding="utf-8")), ref.name)
 
 
 def build_reg_grid(rows: int = 4, cols: int = 4) -> Graph:
@@ -208,8 +209,8 @@ class FlowSet:
     destinations: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        src = tuple([int(s) for s in self.sources])
-        dst = tuple([int(d) for d in self.destinations])
+        src = tuple(map(int, self.sources))
+        dst = tuple(map(int, self.destinations))
         object.__setattr__(self, "sources", src)
         object.__setattr__(self, "destinations", dst)
         if len(src) != len(dst):
@@ -218,12 +219,10 @@ class FlowSet:
             raise TopologyError("flow set must contain at least one flow")
         if min(src) < 0 or min(dst) < 0:
             raise TopologyError("flow endpoints must be non-negative node ids")
-        pairs = list(zip(src, dst))
-        loops = [i for i, (s, d) in enumerate(pairs) if s == d]
-        if loops:
-            bad = loops[0]
+        if any(map(operator.eq, src, dst)):
+            bad = list(map(operator.eq, src, dst)).index(True)
             raise TopologyError(f"flow {bad} has identical endpoints ({src[bad]})")
-        if len(set(pairs)) != len(pairs):
+        if len(set(zip(src, dst))) != len(src):
             raise TopologyError("duplicate (source, destination) pair in flow set")
 
     def __len__(self) -> int:
@@ -248,7 +247,7 @@ def sample_flows(graph: Graph, n_flows: int, seed: int) -> FlowSet:
     n = graph.n_nodes
     n_pairs = n * (n - 1)
     if not 1 <= n_flows <= n_pairs:
-        raise ValueError(
+        raise TopologyError(
             f"cannot draw {n_flows} distinct flows from {n_pairs} ordered pairs"
         )
     rng = make_rng(seed, "flows")
@@ -262,44 +261,46 @@ def sample_flows(graph: Graph, n_flows: int, seed: int) -> FlowSet:
     return FlowSet(tuple(sources), tuple(destinations))
 
 
-def _graph_from_payload(payload: dict) -> Graph:
-    try:
-        n = int(payload["nodes"])
-        raw_edges = payload["edges"]
-        wired = bool(payload["wired"])
-        raw_positions = payload.get("positions")
-    except (KeyError, TypeError) as exc:
-        raise TopologyError(f"malformed topology payload: {exc}") from exc
+#: a topology file; its edges are undirected, [i, j, weight] with i < j
+TOPOLOGY = {
+    "name?": str,
+    "nodes": int,
+    "positions": (ListOf([float, float], "nodes"), None),
+    "wired": bool,
+    "edges": ListOf([int, int, float]),
+}
+
+
+def _graph_from_payload(payload, where: str) -> Graph:
+    check_json(TOPOLOGY, payload, where, {})
+    n = payload["nodes"]
     if n < 1:
-        raise TopologyError(f"node count must be positive, got {n}")
-    adjacency = np.zeros((n, n), dtype=np.float64)
+        raise TopologyError(f"{where}: node count must be positive, got {n}")
+    try:
+        adjacency = np.zeros((n, n), dtype=np.float64)
+    except (ValueError, MemoryError):  # numpy refuses the size before allocating
+        raise TopologyError(f"{where}: node count {n} is too large") from None
     seen: set[tuple[int, int]] = set()
-    for entry in raw_edges:
-        if len(entry) != 3:
-            raise TopologyError(f"edge entries must be [i, j, weight], got {entry}")
-        i, j, w = int(entry[0]), int(entry[1]), float(entry[2])
+    for i, j, w in payload["edges"]:
         if i == j:
-            raise TopologyError(f"self-edge on node {i}")
+            raise TopologyError(f"{where}: self-edge on node {i}")
         if not (0 <= i < n and 0 <= j < n):
-            raise TopologyError(f"edge ({i}, {j}) out of range for {n} nodes")
+            raise TopologyError(f"{where}: edge ({i}, {j}) out of range for {n} nodes")
         key = (min(i, j), max(i, j))
         if key in seen:
-            raise TopologyError(f"duplicate edge between {key[0]} and {key[1]}")
+            raise TopologyError(f"{where}: duplicate edge between {key[0]} and {key[1]}")
         seen.add(key)
         if w <= 0:
-            raise TopologyError(f"edge ({i}, {j}) has non-positive weight {w}")
+            raise TopologyError(f"{where}: edge ({i}, {j}) has non-positive weight {w}")
         adjacency[i, j] = w
         adjacency[j, i] = w
-    positions = None
-    if raw_positions is not None:
-        positions = np.asarray(raw_positions, dtype=np.float64)
-    return Graph(adjacency, positions, wired)
+    return Graph(adjacency, payload["positions"], payload["wired"])
 
 
 def load_topology(path: str | Path) -> Graph:
     """Read a topology JSON file, validating every graph invariant."""
     with open(path, encoding="utf-8") as fh:
-        return _graph_from_payload(json.load(fh))
+        return _graph_from_payload(json.load(fh), str(path))
 
 
 def topology_payload(graph: Graph) -> dict:

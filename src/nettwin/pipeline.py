@@ -21,18 +21,19 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
-from pathlib import Path
+from pathlib import Path, PurePath
 from typing import Callable
 
 import numpy as np
 
 from .autodiff import AdamState, ParamSet, Tape, Tensor, adam_step
-from .fileio import open_fresh, write_json
+from .fileio import ListOf, MapOf, OneOf, check_json, dataclass_spec, open_fresh, write_json
 from .nettopo import (
     FlowSet,
     Graph,
+    TopologyError,
     build_nsfnet,
     build_pert_grid,
     build_reg_grid,
@@ -61,6 +62,7 @@ from .twin import (
     COMPACT,
     EVAL_CHUNK,
     LARGE,
+    MODEL_KINDS,
     GlanceDims,
     GnnDims,
     TwinError,
@@ -82,6 +84,8 @@ JITTER_LIMIT_MS = 200.0
 IQR_EPS = 1e-9
 
 SPLITS = ("train", "val", "test")
+
+STRATEGIES = ("stl", "mtl", "tl")
 
 
 class DatasetError(ValueError):
@@ -256,12 +260,10 @@ def generate_dataset(config: GenConfig, out_dir: str | Path, jobs: int = 1) -> d
     out = Path(out_dir)
 
     base = _base_graph(config)
-    if not scenario.per_sample_topology:
-        if _hop_diameter(base) > config.l_max:
-            raise DatasetError(
-                f"{scenario.topology} hop diameter exceeds l_max={config.l_max}"
-            )
-        save_topology(base, out / "topology.json")
+    if not scenario.per_sample_topology and _hop_diameter(base) > config.l_max:
+        raise DatasetError(
+            f"{scenario.topology} hop diameter exceeds l_max={config.l_max}"
+        )
 
     tasks = [
         (config, split, i)
@@ -277,6 +279,11 @@ def generate_dataset(config: GenConfig, out_dir: str | Path, jobs: int = 1) -> d
     by_split: dict[str, list[tuple[int, dict, dict | None]]] = {s: [] for s in SPLITS}
     for split, index, record, topo in results:
         by_split[split].append((index, record, topo))
+
+    # nothing is written until every sample is made, so a config that fails
+    # (a negative seed, more flows than node pairs) leaves no files behind
+    if not scenario.per_sample_topology:
+        save_topology(base, out / "topology.json")
 
     counts = {}
     for split in SPLITS:
@@ -311,6 +318,49 @@ def generate_dataset(config: GenConfig, out_dir: str | Path, jobs: int = 1) -> d
     }
     write_json(out / "manifest.json", manifest)
     return manifest
+
+
+#: the manifest.json of a dataset directory
+DATASET_MANIFEST = {
+    "format": OneOf(DATASET_FORMAT),
+    "version": OneOf(DATASET_VERSION),
+    "scenario": OneOf(*SCENARIOS),
+    "seed": int,
+    "splits": {split: int for split in SPLITS},
+    "n_runs_test": int,
+    "n_flows": int,
+    "l_max": int,
+    "wired": bool,
+    "sim_config": dataclass_spec(SimConfig),
+    "traffic_mode": OneOf(*sorted({s.traffic_mode for s in SCENARIOS.values()})),
+    "filters": {"delay_limit_ms": float, "jitter_limit_ms": float},
+    "capacity_scale": float,
+}
+
+#: one line of a split's JSON-lines file; a test sample holds the manifest's
+#: n_runs_test runs and any other sample one, and each KPI cell is a number
+#: or null for a missing one
+RECORD = {
+    "index": int,
+    "topology": str,
+    "sources": ListOf(int, "n_flows"),
+    "destinations": ListOf(int, "n_flows"),
+    "tau_on": ListOf(float, "n_flows"),
+    "tau_off": ListOf(float, "n_flows"),
+    "paths": ListOf(ListOf([int, int]), "n_flows"),
+    "routing_seed": int,
+    "runs": ListOf(
+        {
+            "seeds": {"routing": int, "sim": int},
+            "kpis": ListOf(ListOf((float, None), len(TASKS)), "n_flows"),
+        },
+        "n_runs",
+    ),
+}
+
+
+#: the records of a split's JSON-lines file, one a line
+SPLIT_FILE = ListOf(RECORD)
 
 
 # -- loading -----------------------------------------------------------------
@@ -350,60 +400,34 @@ class Dataset:
 def _sample_from_record(
     record: dict,
     split: str,
-    manifest: dict,
+    l_max: int,
     topology: Callable[[str, str], tuple[Graph, np.ndarray]],
+    line: str,
 ) -> Sample:
-    """One validated sample; ``topology(graph_id, where)`` gives its graph
-    and the capacities that every sample of that file shares."""
-    where = f"{split} sample {record['index']}"
+    """The sample of a record that fits RECORD, read from ``line`` of its
+    split file; ``topology(graph_id, line)`` gives its graph and the
+    capacities that every sample of that file shares."""
     graph_id = record["topology"]
-    graph, capacities = topology(graph_id, where)
-    flows = FlowSet(tuple(record["sources"]), tuple(record["destinations"]))
-    n_flows = len(flows.sources)
-    if manifest.get("n_flows", n_flows) != n_flows:
-        raise DatasetError(
-            f"{where}: {n_flows} flows, the manifest says {manifest['n_flows']}"
-        )
-    for key in ("tau_on", "tau_off"):
-        if len(record[key]) != n_flows:
-            raise DatasetError(
-                f"{where}: {key} has {len(record[key])} entries for {n_flows} flows"
-            )
-    traffic = TrafficParams(tuple(record["tau_on"]), tuple(record["tau_off"]))
-    # the routes are converted once and checked once, by validate_table; a
-    # table that fails to convert goes to it raw, and it names the entry
+    graph, capacities = topology(graph_id, line)
     try:
-        table = table_from_routes(record["paths"], int(record["routing_seed"]))
-    except (TypeError, ValueError):
-        table = record["paths"]
-    violations = validate_table(table, graph, flows, manifest.get("l_max"))
+        flows = FlowSet(tuple(record["sources"]), tuple(record["destinations"]))
+        traffic = TrafficParams(tuple(record["tau_on"]), tuple(record["tau_off"]))
+    except (TopologyError, SimulationError, OverflowError) as exc:
+        raise DatasetError(f"{line}: {exc}") from None
+    table = table_from_routes(record["paths"], record["routing_seed"])
+    violations = validate_table(table, graph, flows, l_max)
     if violations:
         v = violations[0]
         flow = "" if v.flow_index < 0 else f" flow {v.flow_index}"
-        raise DatasetError(f"{where}:{flow} bad route, {v.kind}: {v.detail}")
-    if not record["runs"]:
-        raise DatasetError(f"{where}: no runs")
+        raise DatasetError(f"{line}:{flow} bad route, {v.kind}: {v.detail}")
     runs = []
     for r, run in enumerate(record["runs"]):
-        rows = run["kpis"]
-        if (
-            not isinstance(rows, list)
-            or len(rows) != n_flows
-            or {len(row) if isinstance(row, list) else -1 for row in rows} != {len(TASKS)}
-        ):
-            raise DatasetError(
-                f"{where}: run {r} KPI matrix is not {n_flows}x{len(TASKS)}"
-            )
-        if not {type(x) for row in rows for x in row} <= _KPI_CELL_TYPES:
-            raise DatasetError(
-                f"{where}: run {r} has a KPI cell that is neither a number nor null"
-            )
         try:
-            runs.append(KpiRecord.from_jsonable(rows).kpis)
+            runs.append(KpiRecord.from_jsonable(run["kpis"]).kpis)
         except OverflowError:  # an integer cell beyond the float range
-            raise DatasetError(f"{where}: run {r} has a KPI cell beyond float range") from None
+            raise DatasetError(f"{line}: run {r} has a KPI cell beyond float range") from None
     return Sample(
-        index=int(record["index"]),
+        index=record["index"],
         split=split,
         graph_id=graph_id,
         graph=graph,
@@ -416,66 +440,34 @@ def _sample_from_record(
     )
 
 
-#: JSON types a KPI cell may have: a number, or null for a missing cell
-_KPI_CELL_TYPES = {int, float, type(None)}
-
-
-#: fields of every dataset record and their JSON types; each of its runs
-#: holds a "kpis" matrix
-RECORD_FIELDS = {
-    "index": int,
-    "topology": str,
-    "sources": list,
-    "destinations": list,
-    "tau_on": list,
-    "tau_off": list,
-    "paths": list,
-    "routing_seed": int,
-    "runs": list,
-}
-
-_JSON_TYPE_NAMES = {int: "an integer", str: "a string", list: "a list"}
-
-
-def _record_defect(record) -> str | None:
-    """What keeps a parsed JSONL line from being read as a record, if anything."""
-    if not isinstance(record, dict):
-        return "record is not a JSON object"
-    missing = [k for k in RECORD_FIELDS if k not in record]
-    if missing:
-        return f"record lacks field {missing[0]!r}"
-    for key, kind in RECORD_FIELDS.items():
-        value = record[key]
-        if not isinstance(value, kind) or isinstance(value, bool):
-            return f"field {key!r} is not {_JSON_TYPE_NAMES[kind]}"
-    for r, run in enumerate(record["runs"]):
-        if not isinstance(run, dict) or "kpis" not in run:
-            return f"run {r} lacks field 'kpis'"
-    return None
-
-
 def load_dataset(path: str | Path) -> Dataset:
+    """The dataset directory at path. Each file is checked against its
+    schema as it is read: the manifest against DATASET_MANIFEST, the records
+    of a split file against RECORD, all at once, and each topology file
+    against nettopo's TOPOLOGY."""
     root = Path(path)
     manifest_file = root / "manifest.json"
     if not manifest_file.exists():
         raise DatasetError(f"no manifest.json under {root}")
     with open(manifest_file, encoding="utf-8") as fh:
         manifest = json.load(fh)
-    if manifest.get("format") != DATASET_FORMAT:
-        raise DatasetError(f"{manifest_file} is not a dataset manifest")
-    if manifest.get("version") != DATASET_VERSION:
-        raise DatasetError(f"unsupported dataset version {manifest.get('version')}")
+    check_json(DATASET_MANIFEST, manifest, str(manifest_file), {})
     try:
-        sim_config = SimConfig(**manifest.get("sim_config"))
-    except (TypeError, SimulationError) as exc:
+        sim_config = SimConfig(**manifest["sim_config"])
+    except SimulationError as exc:
         raise DatasetError(f"{manifest_file}: bad sim_config ({exc})") from None
     # one graph and one read-only capacities array per topology file
     topologies: dict[str, tuple[Graph, np.ndarray]] = {}
 
-    def topology(graph_id: str, where: str) -> tuple[Graph, np.ndarray]:
+    def topology(graph_id: str, line: str) -> tuple[Graph, np.ndarray]:
         if graph_id not in topologies:
+            name = PurePath(graph_id)
+            if name.is_absolute() or ".." in name.parts:
+                raise DatasetError(
+                    f"{line}: topology {graph_id!r} names no file inside the dataset"
+                )
             if not (root / graph_id).is_file():
-                raise DatasetError(f"{where}: topology file {graph_id} not found")
+                raise DatasetError(f"{line}: topology file {graph_id} not found")
             graph = load_topology(root / graph_id)
             capacities = link_capacities(graph, sim_config)
             capacities.flags.writeable = False
@@ -485,26 +477,27 @@ def load_dataset(path: str | Path) -> Dataset:
     splits: dict[str, list[Sample]] = {}
     for split in SPLITS:
         split_file = root / f"{split}.jsonl"
-        samples: list[Sample] = []
+        lines, records = [], []
         if split_file.exists():
             with open(split_file, encoding="utf-8") as fh:
-                for number, line in enumerate(fh, start=1):
-                    if not line.strip():
+                for number, text in enumerate(fh, start=1):
+                    if not text.strip():
                         continue
+                    line = f"{split_file.name} line {number}"
                     try:
-                        record = json.loads(line)
+                        records.append(json.loads(text))
                     except json.JSONDecodeError as exc:
                         raise DatasetError(
-                            f"{split}.jsonl line {number}: truncated or invalid "
-                            f"JSON ({exc.msg})"
+                            f"{line}: truncated or invalid JSON ({exc.msg})"
                         ) from None
-                    defect = _record_defect(record)
-                    if defect:
-                        raise DatasetError(f"{split}.jsonl line {number}: {defect}")
-                    samples.append(
-                        _sample_from_record(record, split, manifest, topology)
-                    )
-        splits[split] = samples
+                    lines.append(line)
+        n_runs = manifest["n_runs_test"] if split == "test" else 1
+        sizes = {"n_flows": manifest["n_flows"], "n_runs": n_runs}
+        check_json(SPLIT_FILE, records, lines, sizes)
+        splits[split] = [
+            _sample_from_record(record, split, manifest["l_max"], topology, line)
+            for line, record in zip(lines, records)
+        ]
     return Dataset(manifest, splits, sim_config)
 
 
@@ -580,6 +573,8 @@ class Normalizer:
         self.mean = np.asarray(mean, dtype=np.float64)
         if self.iqr.shape != (len(TASKS),):
             raise DatasetError(f"iqr must have {len(TASKS)} entries")
+        if not np.all((self.iqr > 0) & (self.iqr < math.inf)):  # NaN fails too
+            raise DatasetError(f"iqr entries must be positive and finite, got {self.iqr}")
 
     def to_jsonable(self) -> dict:
         return {
@@ -587,14 +582,6 @@ class Normalizer:
             "median": self.median.tolist(),
             "mean": self.mean.tolist(),
         }
-
-    @classmethod
-    def from_jsonable(cls, payload: dict) -> "Normalizer":
-        return cls(
-            np.array(payload["iqr"]),
-            np.array(payload["median"]),
-            np.array(payload["mean"]),
-        )
 
 
 def fit_normalizer(train_samples: list[Sample]) -> Normalizer:
@@ -630,7 +617,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.strategy not in ("stl", "mtl", "tl"):
+        if self.strategy not in STRATEGIES:
             raise DatasetError(f"unknown strategy {self.strategy!r}")
         if self.strategy in ("stl", "tl"):
             if self.target_task not in TASKS:
@@ -1064,66 +1051,84 @@ def checkpoint_manifest(
         "normalizer": normalizer.to_jsonable(),
         "strategy": config.strategy,
         "target_task": config.target_task,
-        "train_config": {
-            "epochs": config.epochs,
-            "batch_size": config.batch_size,
-            "lr": config.lr,
-            "l2_link": config.l2_link,
-            "l2_readout": config.l2_readout,
-            "seed": config.seed,
-        },
+        "train_config": {key: getattr(config, key) for key in _TRAIN_CONFIG_KEYS},
         "best_epoch": result.best_epoch,
         "best_val": result.best_val,
         "epochs_run": result.epochs_run,
     }
     if dataset_manifest is not None:
-        manifest["dataset"] = {
-            "scenario": dataset_manifest["scenario"],
-            "seed": dataset_manifest["seed"],
-            "n_flows": dataset_manifest["n_flows"],
-        }
+        manifest["dataset"] = {key: dataset_manifest[key] for key in _DATASET_KEYS}
     return manifest
 
 
-def model_from_checkpoint(params: ParamSet, manifest: dict) -> tuple[TwinModel, Normalizer]:
-    """The checkpoint's model, once its parameters match the manifest's.
+#: the TrainConfig fields, and the dataset manifest fields, a checkpoint records
+_TRAIN_CONFIG_KEYS = ("epochs", "batch_size", "lr", "l2_link", "l2_readout", "seed")
+_DATASET_KEYS = ("scenario", "seed", "n_flows")
+
+
+def _checkpoint_manifest_spec(dims_type: type) -> dict:
+    """The manifest of a checkpoint of a model with dims_type dims. A
+    training state file's also holds the history; the command line adds the
+    run's clean_report and resolved_config, and cv for a cross-validation."""
+    train_config = dataclass_spec(TrainConfig)
+    per_task = MapOf(float)  # task name -> loss
+    return {
+        "kind": OneOf(*MODEL_KINDS),
+        "tasks": ListOf(OneOf(*TASKS)),
+        "dims": dataclass_spec(dims_type),
+        "normalizer": dict.fromkeys(("iqr", "median", "mean"), ListOf(float, len(TASKS))),
+        "strategy": OneOf(*STRATEGIES),
+        "target_task": (OneOf(*TASKS), None),
+        "train_config": {key: train_config[key] for key in _TRAIN_CONFIG_KEYS},
+        "best_epoch": int,
+        "best_val": float,
+        "epochs_run": int,
+        "dataset?": {key: DATASET_MANIFEST[key] for key in _DATASET_KEYS},
+        "history?": ListOf({
+            "epoch": int, "train_loss": float, "train_per_task": per_task,
+            "val_loss": float, "val_per_task": per_task,
+        }),
+        "clean_report?": dict,
+        "resolved_config?": dict,
+        "cv?": dict,
+    }
+
+
+#: checkpoint manifest schemas by the dims type of the manifest's kind
+CHECKPOINT_MANIFESTS = {t: _checkpoint_manifest_spec(t) for t in (GlanceDims, GnnDims)}
+
+
+def model_from_checkpoint(
+    params: ParamSet, manifest: dict, where: str
+) -> tuple[TwinModel, Normalizer]:
+    """The model of the checkpoint at ``where``, once its manifest fits
+    CHECKPOINT_MANIFESTS and its parameters match the manifest's.
 
     Every parameter name and shape is compared with a freshly built model of
     the manifest's kind, tasks and dims; a mismatch raises TwinError naming
     the parameter.
     """
-    missing = [k for k in ("kind", "tasks", "dims", "normalizer") if k not in manifest]
-    if missing:
-        raise TwinError(f"checkpoint manifest lacks field {missing[0]!r}")
-    kind = manifest["kind"]
-    tasks = tuple(manifest["tasks"])
+    kind = manifest.get("kind")
     dims_type = GnnDims if kind == "gnn" else GlanceDims
-    raw_dims = manifest["dims"]
-    if not isinstance(raw_dims, dict):
-        raise TwinError("checkpoint manifest field 'dims' is not an object")
-    dim_fields = fields(dims_type)
-    unknown = sorted(set(raw_dims) - {f.name for f in dim_fields})
-    if unknown:
-        raise TwinError(f"checkpoint dims key {unknown[0]!r} is not a {kind} dimension")
-    lacking = [
-        f.name for f in dim_fields if f.name not in raw_dims and f.default is MISSING
-    ]
-    if lacking:
-        raise TwinError(f"checkpoint dims lack key {lacking[0]!r}")
-    fresh = make_model(kind, tasks, 0, dims_type(**raw_dims))
+    check_json(CHECKPOINT_MANIFESTS[dims_type], manifest, where, {})
+    tasks = tuple(manifest["tasks"])
+    try:
+        fresh = make_model(kind, tasks, 0, dims_type(**manifest["dims"]))
+        normalizer = Normalizer(**manifest["normalizer"])
+    except (TwinError, DatasetError) as exc:  # a value out of range
+        raise type(exc)(f"{where}: {exc}") from None
     for name, want in fresh.params.items():
         if name not in params:
-            raise TwinError(f"checkpoint lacks parameter {name!r} of its {kind} model")
+            raise TwinError(f"{where}: checkpoint lacks parameter {name!r} of its {kind} model")
         if params[name].shape != want.shape:
             raise TwinError(
-                f"checkpoint parameter {name!r} has shape {params[name].shape}, "
+                f"{where}: checkpoint parameter {name!r} has shape {params[name].shape}, "
                 f"its {kind} model needs {want.shape}"
             )
     extra = [n for n in params.names() if n not in fresh.params]
     if extra:
-        raise TwinError(f"checkpoint parameter {extra[0]!r} is not in its {kind} model")
-    model = TwinModel(kind, tasks, params, fresh.dims)
-    return model, Normalizer.from_jsonable(manifest["normalizer"])
+        raise TwinError(f"{where}: checkpoint parameter {extra[0]!r} is not in its {kind} model")
+    return TwinModel(kind, tasks, params, fresh.dims), normalizer
 
 
 def write_learning_curves(path: str | Path, histories: dict[int, list[dict]]) -> None:

@@ -162,44 +162,24 @@ def enumerate_shortest_paths(
 
 
 def validate_table(
-    table,
+    table: RoutingTable,
     graph: Graph,
     flows: FlowSet,
     l_max: int | None = None,
 ) -> list[Violation]:
-    """Collect structural defects of a routing table; empty list means valid.
-
-    Accepts a RoutingTable or a raw list of per-flow link sequences (as read
-    from a dataset file), and never raises on malformed content: a raw link
-    entry that is no pair of integer node ids is a ``malformed-link``.
-    """
-    typed = isinstance(table, RoutingTable)
-    routes = [path.links for path in table.paths] if typed else table
+    """Collect structural defects of a routing table; empty list means valid."""
     violations: list[Violation] = []
-    if len(routes) != len(flows):
+    if len(table.paths) != len(flows):
         violations.append(
             Violation(
                 -1,
                 "count-mismatch",
-                f"table has {len(routes)} paths for {len(flows)} flows",
+                f"table has {len(table.paths)} paths for {len(flows)} flows",
             )
         )
     link_index = graph.link_index
-    for f, entries in enumerate(routes[: len(flows)]):
-        if typed:  # a Path's links are int pairs already
-            links = entries
-        else:
-            try:
-                links = [_node_pair(entry) for entry in entries]
-            except (TypeError, ValueError):
-                violations.append(
-                    Violation(
-                        f,
-                        "malformed-link",
-                        f"{entries!r} holds a link that is no [i, j] pair",
-                    )
-                )
-                continue
+    for f, path in enumerate(table.paths[: len(flows)]):
+        links = path.links
         s, d = flows.sources[f], flows.destinations[f]
         if not links:
             violations.append(Violation(f, "empty-path", "no links"))
@@ -233,19 +213,10 @@ def validate_table(
     return violations
 
 
-def _node_pair(entry) -> tuple[int, int]:
-    """A raw link entry as (i, j); raises unless it holds two JSON integers."""
-    i, j = entry
-    if type(i) is not int or type(j) is not int:
-        raise ValueError(f"link {entry!r} has a node id that is no integer")
-    return i, j
-
-
-def table_from_routes(routes: list, seed: int) -> RoutingTable:
-    """Raw per-flow link sequences (as read from a dataset file) as a table,
-    for validate_table to check. An entry that is no pair of integers raises
-    TypeError or ValueError."""
+def table_from_routes(routes: list[list[list[int]]], seed: int) -> RoutingTable:
+    """Per-flow link sequences of [i, j] node pairs, as read from a dataset
+    file, as a table for validate_table to check."""
     return RoutingTable(
-        tuple(Path(f, tuple(map(_node_pair, links))) for f, links in enumerate(routes)),
+        tuple(Path(f, tuple(map(tuple, links))) for f, links in enumerate(routes)),
         seed,
     )

@@ -14,13 +14,17 @@ import numpy as np
 _U32 = 1 << 32
 
 
+class SeedError(ValueError):
+    """Raised for a seed component that no seed can be derived from."""
+
+
 def _as_words(part: int | str) -> list[int]:
     if isinstance(part, bool):  # bool is an int subclass; keep it explicit
         return [int(part)]
     if isinstance(part, (int, np.integer)):
         value = int(part)
         if value < 0:
-            raise ValueError(f"seed components must be non-negative, got {value}")
+            raise SeedError(f"seed components must be non-negative, got {value}")
         words = []
         while True:
             words.append(value % _U32)

@@ -76,6 +76,8 @@ class GlanceDims:
             raise TwinError("t_layers and l_max must be >= 1")
         if not self.link_hidden or not self.readout_hidden:
             raise TwinError("hidden size lists must be non-empty")
+        if min(self.link_hidden + self.readout_hidden) < 1:
+            raise TwinError("hidden sizes must be >= 1")
 
 
 COMPACT = GlanceDims()

@@ -27,6 +27,7 @@ from nettwin.autodiff import (
     save_checkpoint,
 )
 from nettwin.autodiff import _sigmoid
+from nettwin.fileio import SchemaError
 
 from oracles import (
     ComposedTape,
@@ -907,11 +908,11 @@ class TestCheckpoint:
         payload = checkpoint_payload(ps, {})
         assert payload["format"] == "nettwin-checkpoint"
         with pytest.raises(ValueError, match="checkpoint"):
-            parse_checkpoint({"format": "something-else"})
+            parse_checkpoint({"format": "something-else"}, "c.json")
         bad = dict(payload)
         bad["version"] = 99
         with pytest.raises(ValueError, match="version"):
-            parse_checkpoint(bad)
+            parse_checkpoint(bad, "c.json")
 
     def test_save_is_byte_deterministic(self, tmp_path):
         ps, adam = self.build()
@@ -926,7 +927,8 @@ class TestCheckpoint:
 
 
 class TestCheckpointLayout:
-    """parse_checkpoint checks the layout of what it reads, naming the parameter."""
+    """parse_checkpoint checks the layout of what it reads, naming the field or
+    the parameter."""
 
     def payload(self):
         rng = np.random.default_rng(5)
@@ -945,8 +947,8 @@ class TestCheckpointLayout:
             (lambda p: p["order"].remove("b"), "parameter 'b' is not listed exactly once"),
             (lambda p: p["order"].append("w"), "parameter 'w' is not listed exactly once"),
             (lambda p: p["params"].pop("w"), "parameter 'w' is not listed exactly once"),
-            (lambda p: p.update(order="w"), "'order' is not a list"),
-            (lambda p: p.pop("manifest"), "'manifest' is not an object"),
+            (lambda p: p.update(order="w"), "'order' must be a list"),
+            (lambda p: p.pop("manifest"), "'manifest' is missing"),
             (lambda p: p["params"]["w"].update(data="%%"), "parameter 'w' does not decode"),
             (lambda p: p["params"]["b"].update(shape=[3]), "parameter 'b' does not decode"),
             (lambda p: p["adam"]["m"].pop("w"), "parameter 'w' has no Adam 'm'"),
@@ -957,9 +959,9 @@ class TestCheckpointLayout:
             (lambda p: p["adam"]["v"].update(b=TestCheckpointLayout.encoded((2, 1))),
              r"parameter 'b' has shape \(2,\), its Adam 'v' \(2, 1\)"),
             (lambda p: p["adam"].update(step=-1), "non-negative integer, got -1"),
-            (lambda p: p["adam"].update(step=4.0), "non-negative integer, got 4.0"),
-            (lambda p: p["adam"].update(step=True), "non-negative integer, got True"),
-            (lambda p: p["adam"].pop("v"), "Adam 'v' is not an object"),
+            (lambda p: p["adam"].update(step=4.0), "'adam.step' must be an integer, not 4.0"),
+            (lambda p: p["adam"].update(step=True), "'adam.step' must be an integer, not true"),
+            (lambda p: p["adam"].pop("v"), "'adam.v' is missing"),
         ],
         ids=[
             "order-lacks", "order-repeats", "params-lack", "order-not-list",
@@ -970,7 +972,8 @@ class TestCheckpointLayout:
     )
     def test_layout_mismatch_is_named(self, edit, message):
         payload = self.payload()
-        parse_checkpoint(self.payload())  # the untouched payload loads
+        parse_checkpoint(self.payload(), "c.json")  # the untouched payload loads
         edit(payload)
-        with pytest.raises(CheckpointError, match=message):
-            parse_checkpoint(payload)
+        # the schema names a field of the wrong type, the layout check a parameter
+        with pytest.raises((CheckpointError, SchemaError), match=message):
+            parse_checkpoint(payload, "c.json")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nettwin import nettopo
+from nettwin.fileio import SchemaError
 from nettwin.nettopo import (
     CONNECTIVITY_RADIUS_M,
     FlowSet,
@@ -269,7 +270,15 @@ class TestTopologyIo:
     def test_rejects_malformed_payload(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"nodes": 2}), encoding="utf-8")
-        with pytest.raises(TopologyError):
+        with pytest.raises(SchemaError, match=rf"^{path}: 'positions' is missing$"):
+            load_topology(path)
+
+    def test_rejects_a_node_count_no_array_can_hold(self, tmp_path):
+        # numpy refuses 1e10 x 1e10 before it allocates anything
+        path = tmp_path / "big.json"
+        payload = {"nodes": 10**10, "positions": None, "wired": True, "edges": []}
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(TopologyError, match=rf"^{path}: node count 10000000000 is too large$"):
             load_topology(path)
 
     def test_constants(self):

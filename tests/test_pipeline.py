@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -28,6 +29,7 @@ from conftest import (
 from oracles import fd_gradient, max_rel_err
 from nettwin import pipeline
 from nettwin.autodiff import AdamState, DivergenceError, ParamSet, Tape
+from nettwin.fileio import SchemaError
 from nettwin.pipeline import (
     DATASET_FORMAT,
     DELAY_LIMIT_MS,
@@ -82,7 +84,8 @@ def param_bytes(params: ParamSet) -> dict[str, bytes]:
 
 
 #: (test id, kind, edit): edits of a route of two or more links that each
-#: make one defect, the first that validate_table reports for that route
+#: make one defect, the first that validate_table reports for that route; a
+#: link that is no [i, j] pair of integers, kind None, fails the record schema
 ROUTE_DEFECTS = [
     ("broken-chain", "broken-chain", lambda links: [links[1], links[0], *links[2:]]),
     ("not-simple", "not-simple", lambda links: [links[0], links[0][::-1], *links]),
@@ -90,7 +93,7 @@ ROUTE_DEFECTS = [
     ("empty-path", "empty-path", lambda links: []),
     ("path-too-long", "path-too-long", lambda links: links),
     *(
-        (f"malformed-{name}", "malformed-link", lambda links, entry=entry: [entry, *links[1:]])
+        (f"malformed-{name}", None, lambda links, entry=entry: [entry, *links[1:]])
         for name, entry in (("triple", [0, 1, 2]), ("letter", ["a", 1]), ("single", [0]),
                             ("null", None), ("float", [0.9, 1]), ("digit-string", ["1", 2]),
                             ("bool", [True, 1]))
@@ -267,7 +270,9 @@ class TestLoadDataset:
         out = tmp_path / "bad"
         out.mkdir()
         (out / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(DatasetError, match="not a dataset manifest"):
+        with pytest.raises(
+            SchemaError, match=r'manifest.json: .format. must be one of \["nettwin-dataset"\]'
+        ):
             load_dataset(out)
 
     def test_unsupported_version(self, tmp_path, toy_dataset_dir):
@@ -276,17 +281,27 @@ class TestLoadDataset:
         out = tmp_path / "bad"
         out.mkdir()
         (out / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(DatasetError, match="unsupported dataset version"):
+        with pytest.raises(SchemaError, match=r"'version' must be one of \[1\], not 99$"):
             load_dataset(out)
 
     @pytest.mark.parametrize(
-        "sim_config",
-        [{"t_gen": math.nan}, {"t_prep": math.inf}, {"cbr_rate": -math.inf},
-         {"link_capacity_default": math.nan}, {"t_gen": "5"}, {"no_such": 1}, None],
+        "sim_config, error, message",
+        [
+            *(
+                (edit, DatasetError, "bad sim_config")
+                for edit in ({"t_gen": math.nan}, {"t_prep": math.inf},
+                             {"cbr_rate": -math.inf}, {"link_capacity_default": math.nan})
+            ),
+            ({"t_gen": "5"}, SchemaError, r"'sim_config.t_gen' must be a number, not \"5\"$"),
+            ({"no_such": 1}, SchemaError, r"'sim_config.no_such' is not a field of this file$"),
+            (None, SchemaError, r"'sim_config' is missing$"),
+        ],
         ids=["nan-t_gen", "inf-t_prep", "neg-inf-rate", "nan-capacity", "str-t_gen",
              "unknown-key", "missing"],
     )
-    def test_bad_sim_config_rejected(self, tmp_path, toy_dataset_dir, sim_config):
+    def test_bad_sim_config_rejected(
+        self, tmp_path, toy_dataset_dir, sim_config, error, message
+    ):
         out = tmp_path / "bad"
         shutil.copytree(toy_dataset_dir, out)
         manifest = json.loads((out / "manifest.json").read_text())
@@ -295,59 +310,79 @@ class TestLoadDataset:
         else:
             manifest["sim_config"].update(sim_config)
         (out / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(DatasetError, match="bad sim_config"):
+        with pytest.raises(error, match=message):
             load_dataset(out)
 
     def test_route_over_missing_link_rejected(self, tmp_path, toy_dataset_dir):
-        f, index = copy_with_missing_link(toy_dataset_dir, tmp_path / "bad")
+        f, _ = copy_with_missing_link(toy_dataset_dir, tmp_path / "bad")
         with pytest.raises(
             DatasetError,
-            match=rf"train sample {index}: flow {f} bad route, missing-link",
+            match=rf"^train.jsonl line 1: flow {f} bad route, missing-link",
         ):
             load_dataset(tmp_path / "bad")
 
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda r: r["runs"][0]["kpis"].pop(), r"run 0 KPI matrix is not 10x4"),
-            (lambda r: r["runs"][-1]["kpis"][3].pop(), r"run 0 KPI matrix is not 10x4"),
-            (lambda r: r["tau_on"].pop(), r"tau_on has 9 entries for 10 flows"),
-            (lambda r: r["tau_off"].append(1.0), r"tau_off has 11 entries for 10 flows"),
+            (lambda r: r["runs"][0]["kpis"].pop(),
+             r"'runs\[0\].kpis' must have length 10 \(n_flows\), not 9"),
+            (lambda r: r["runs"][-1]["kpis"][3].pop(),
+             r"'runs\[0\].kpis\[3\]' must have length 4, not 3"),
+            (lambda r: r["tau_on"].pop(), r"'tau_on' must have length 10 \(n_flows\), not 9"),
+            (lambda r: r["tau_off"].append(1.0),
+             r"'tau_off' must have length 10 \(n_flows\), not 11"),
             (
                 lambda r: (r["runs"][0]["kpis"].pop(), r["tau_on"].pop(), r["tau_off"].pop()),
-                r"tau_on has 9 entries for 10 flows",
+                r"'tau_on' must have length 10 \(n_flows\), not 9",
             ),
             (
                 lambda r: [r[k].pop() for k in ("sources", "destinations", "paths")],
-                r"9 flows, the manifest says 10",
+                r"'sources' must have length 10 \(n_flows\), not 9",
             ),
-            (lambda r: r.update(runs=[]), r"no runs"),
-            (lambda r: r["runs"][0].update(kpis=5), r"run 0 KPI matrix is not 10x4"),
+            (lambda r: r.update(runs=[]), r"'runs' must have length 1 \(n_runs\), not 0"),
+            (lambda r: r["runs"][0].update(kpis=5), r"'runs\[0\].kpis' must be a list, not 5"),
             (lambda r: r["runs"][0]["kpis"].__setitem__(2, "abcd"),
-             r"run 0 KPI matrix is not 10x4"),
+             r"'runs\[0\].kpis\[2\]' must be a list, not \"abcd\""),
             *(
                 (lambda r, cell=cell: r["runs"][0]["kpis"][1].__setitem__(2, cell),
-                 r"run 0 has a KPI cell that is neither a number nor null$")
-                for cell in ([1.0], "7", True, {"v": 1.0})
+                 rf"'runs\[0\].kpis\[1\]\[2\]' must be a number or null, not {shown}")
+                for cell, shown in (([1.0], r"\[1.0\]"), ("7", '"7"'), (True, "true"),
+                                    ({"v": 1.0}, r"\{\"v\": 1.0\}"))
             ),
             (lambda r: r["runs"][0]["kpis"][1].__setitem__(2, 10**400),
-             r"run 0 has a KPI cell beyond float range$"),
+             r"run 0 has a KPI cell beyond float range"),
         ],
         ids=["short-run", "ragged-row", "short-tau", "long-tau", "short-run-and-tau",
              "flow-count", "no-runs", "kpis-not-list", "row-not-list", "cell-list",
              "cell-string", "cell-bool", "cell-object", "cell-huge-int"],
     )
     def test_malformed_record_rejected(self, tmp_path, toy_dataset_dir, edit, message):
-        index = copy_with_edited_record(toy_dataset_dir, tmp_path / "bad", edit)
-        with pytest.raises(DatasetError, match=rf"^train sample {index}: {message}"):
+        copy_with_edited_record(toy_dataset_dir, tmp_path / "bad", edit)
+        # the record schema names a field of the wrong shape, the load a value
+        # that fits no float
+        with pytest.raises((SchemaError, DatasetError), match=rf"^train.jsonl line 1: {message}$"):
             load_dataset(tmp_path / "bad")
 
     def test_missing_topology_file(self, tmp_path, toy_dataset_dir):
-        index = copy_with_edited_record(
+        copy_with_edited_record(
             toy_dataset_dir, tmp_path / "bad", lambda r: r.update(topology="gone.json")
         )
         with pytest.raises(
-            DatasetError, match=rf"^train sample {index}: topology file gone.json not found"
+            DatasetError, match=r"^train.jsonl line 1: topology file gone.json not found"
+        ):
+            load_dataset(tmp_path / "bad")
+
+    @pytest.mark.parametrize(
+        "name", ["../toy/topology.json", "/etc/topology.json", "topologies/../../t.json"]
+    )
+    def test_topology_outside_the_dataset_rejected(self, tmp_path, toy_dataset_dir, name):
+        # the names would reach a file: the dataset's own, or any file at all
+        copy_with_edited_record(
+            toy_dataset_dir, tmp_path / "bad", lambda r: r.update(topology=name)
+        )
+        with pytest.raises(
+            DatasetError,
+            match=rf"^train.jsonl line 1: topology '{name}' names no file inside the dataset$",
         ):
             load_dataset(tmp_path / "bad")
 
@@ -359,24 +394,25 @@ class TestLoadDataset:
     def test_non_object_record_rejected(self, tmp_path, toy_dataset_dir):
         copy_with_line(toy_dataset_dir, tmp_path / "bad", "train", 2, lambda _: "[1, 2]")
         with pytest.raises(
-            DatasetError, match=r"^train.jsonl line 2: record is not a JSON object$"
+            SchemaError, match=r"^train.jsonl line 2: the top level must be an object, not \[1, 2\]$"
         ):
             load_dataset(tmp_path / "bad")
 
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda r: r.pop("routing_seed"), r"record lacks field 'routing_seed'"),
-            (lambda r: r.pop("sources"), r"record lacks field 'sources'"),
-            (lambda r: r["runs"][0].pop("kpis"), r"run 0 lacks field 'kpis'"),
-            (lambda r: r["runs"].append([1.0]), r"run 1 lacks field 'kpis'"),
-            (lambda r: r.update(runs=5), r"field 'runs' is not a list"),
+            (lambda r: r.pop("routing_seed"), r"'routing_seed' is missing"),
+            (lambda r: r.pop("sources"), r"'sources' is missing"),
+            (lambda r: r["runs"][0].pop("kpis"), r"'runs\[0\].kpis' is missing"),
+            (lambda r: r["runs"].__setitem__(0, [1.0]),
+             r"'runs\[0\]' must be an object, not \[1.0\]"),
+            (lambda r: r.update(runs=5), r"'runs' must be a list, not 5"),
         ],
         ids=["routing-seed", "sources", "run-kpis", "run-not-object", "runs-not-list"],
     )
     def test_missing_field_rejected(self, tmp_path, toy_dataset_dir, edit, message):
         copy_with_edited_record(toy_dataset_dir, tmp_path / "bad", edit)
-        with pytest.raises(DatasetError, match=rf"^train.jsonl line 1: {message}$"):
+        with pytest.raises(SchemaError, match=rf"^train.jsonl line 1: {message}$"):
             load_dataset(tmp_path / "bad")
 
     @pytest.mark.parametrize(
@@ -401,8 +437,9 @@ class TestLoadDataset:
         copy_with_edited_record(
             toy_dataset_dir, tmp_path / "bad", lambda r: r.update({key: value})
         )
+        shown = re.escape(json.dumps(value))
         with pytest.raises(
-            DatasetError, match=rf"^train.jsonl line 1: field '{key}' is not {kind}$"
+            SchemaError, match=rf"^train.jsonl line 1: '{key}' must be {kind}, not {shown}$"
         ):
             load_dataset(tmp_path / "bad")
 
@@ -411,13 +448,14 @@ class TestLoadDataset:
         ids=[name for name, _, _ in ROUTE_DEFECTS],
     )
     def test_route_defect_rejected(self, tmp_path, toy_dataset_dir, kind, edit):
-        f, index = copy_with_bad_route(toy_dataset_dir, tmp_path / "bad", edit)
+        f, _ = copy_with_bad_route(toy_dataset_dir, tmp_path / "bad", edit)
         if kind == "path-too-long":  # the route fits the graph, not the bound
             manifest = tmp_path / "bad" / "manifest.json"
             manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "l_max": 1}))
-        with pytest.raises(
-            DatasetError, match=rf"^train sample {index}: flow {f} bad route, {kind}: "
-        ):
+        error, message = DatasetError, rf"^train.jsonl line 1: flow {f} bad route, {kind}: "
+        if kind is None:
+            error, message = SchemaError, rf"^train.jsonl line 1: 'paths\[{f}\]\[0\]"
+        with pytest.raises(error, match=message):
             load_dataset(tmp_path / "bad")
 
     def test_reload_round_trips_labels(self, toy_dataset_dir, toy_dataset):
@@ -599,7 +637,7 @@ class TestNormalizer:
 
     def test_jsonable_round_trip(self, line3):
         norm = self.fit_on_delays(line3, [1.0, 2.0, 9.0])
-        back = Normalizer.from_jsonable(json.loads(json.dumps(norm.to_jsonable())))
+        back = Normalizer(**json.loads(json.dumps(norm.to_jsonable())))
         assert_array_equal(back.iqr, norm.iqr)
         assert_array_equal(back.median, norm.median)
         assert_array_equal(back.mean, norm.mean)
@@ -611,6 +649,12 @@ class TestNormalizer:
     def test_iqr_shape_checked(self):
         with pytest.raises(DatasetError, match="entries"):
             Normalizer(np.ones(3), np.zeros(3), np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_iqr_must_be_positive_and_finite(self, bad):
+        Normalizer(np.ones(4), np.zeros(4), np.zeros(4))
+        with pytest.raises(DatasetError, match="iqr entries must be positive and finite"):
+            Normalizer(np.array([1.0, 1.0, bad, 1.0]), np.zeros(4), np.zeros(4))
 
 
 # -- training configuration ---------------------------------------------------
@@ -1046,7 +1090,7 @@ class TestCheckpointManifest:
         manifest = checkpoint_manifest(model, norm, config, self.result_for(model))
         manifest = json.loads(json.dumps(manifest))  # must survive serialization
 
-        loaded, norm2 = model_from_checkpoint(model.params, manifest)
+        loaded, norm2 = model_from_checkpoint(model.params, manifest, "ckpt.json")
         assert loaded.kind == "glance"
         assert loaded.tasks == ("delay", "jitter")
         assert loaded.dims == TINY_DIMS
@@ -1083,7 +1127,7 @@ class TestCheckpointManifest:
             checkpoint_manifest(model, UNIT_NORM, TrainConfig(model_kind="gnn"), self.result_for(model))
         ))
         assert manifest["kind"] == "gnn"
-        loaded, _ = model_from_checkpoint(model.params, manifest)
+        loaded, _ = model_from_checkpoint(model.params, manifest, "ckpt.json")
         assert isinstance(loaded.dims, GnnDims)
         assert loaded.dims == model.dims
         inp = line_sample(line3, 100.0, 100.0, [1.0, 1.0, 1.0, 1.0]).twin_input
@@ -1092,29 +1136,31 @@ class TestCheckpointManifest:
     @pytest.mark.parametrize("kind", ["glance", "gnn"])
     def test_params_checked_against_manifest(self, kind):
         model = make_model(kind, ("delay", "drops"), 2, dims=kind_dims(kind, TINY_DIMS, 3))
-        manifest = checkpoint_manifest(model, UNIT_NORM, TrainConfig(), self.result_for(model))
+        manifest = json.loads(json.dumps(
+            checkpoint_manifest(model, UNIT_NORM, TrainConfig(), self.result_for(model))
+        ))
         name = model.params.names()[0]
 
         cut = ParamSet({n: a[1:] if n == name else a for n, a in model.params.items()})
         with pytest.raises(TwinError, match=rf"parameter '{name}' has shape"):
-            model_from_checkpoint(cut, manifest)
+            model_from_checkpoint(cut, manifest, "ckpt.json")
 
         missing = ParamSet({n: a for n, a in model.params.items() if n != name})
         with pytest.raises(TwinError, match=rf"lacks parameter '{name}'"):
-            model_from_checkpoint(missing, manifest)
+            model_from_checkpoint(missing, manifest, "ckpt.json")
 
         extra = model.params.copy()
         extra.add("readout/jitter/out_b", np.zeros(1))
         with pytest.raises(TwinError, match=r"'readout/jitter/out_b' is not in its"):
-            model_from_checkpoint(extra, manifest)
+            model_from_checkpoint(extra, manifest, "ckpt.json")
 
     @pytest.mark.parametrize(
         "kind, edit, message",
         [
             ("glance", lambda m: m["dims"].update(n_flows=3),
-             r"dims key 'n_flows' is not a glance dimension"),
-            ("gnn", lambda m: m["dims"].pop("n_flows"), r"dims lack key 'n_flows'"),
-            ("gnn", lambda m: m.pop("normalizer"), r"manifest lacks field 'normalizer'"),
+             r"'dims.n_flows' is not a field of this file"),
+            ("gnn", lambda m: m["dims"].pop("n_flows"), r"'dims.n_flows' is missing"),
+            ("gnn", lambda m: m.pop("normalizer"), r"'normalizer' is missing"),
         ],
         ids=["glance-extra-key", "gnn-missing-key", "no-normalizer"],
     )
@@ -1124,8 +1170,8 @@ class TestCheckpointManifest:
             checkpoint_manifest(model, UNIT_NORM, TrainConfig(), self.result_for(model))
         ))
         edit(manifest)
-        with pytest.raises(TwinError, match=message):
-            model_from_checkpoint(model.params, manifest)
+        with pytest.raises(SchemaError, match=rf"^ckpt.json: {message}$"):
+            model_from_checkpoint(model.params, manifest, "ckpt.json")
 
 
 class TestLearningCurves:

@@ -1,11 +1,15 @@
 """Shortest-path routing against an exhaustive enumeration oracle."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from nettwin import routing
+from nettwin.fileio import SchemaError, check_json
 from nettwin.nettopo import FlowSet, Graph
+from nettwin.pipeline import RECORD
 from nettwin.routing import (
     ENUMERATION_NODE_LIMIT,
     PATH_MEMO_SIZE,
@@ -14,6 +18,7 @@ from nettwin.routing import (
     RoutingTable,
     enumerate_shortest_paths,
     shortest_paths,
+    table_from_routes,
     validate_table,
 )
 
@@ -175,6 +180,20 @@ class TestEnumeration:
         assert got == minimal_node_paths(g.adjacency, s, d)
 
 
+def check_raw(raw, graph, flows, l_max=None):
+    """validate_table of raw per-flow link sequences, as a dataset file holds them."""
+    return validate_table(table_from_routes(raw, 0), graph, flows, l_max)
+
+
+def check_paths(paths):
+    """The record schema's check of a record's paths, one per flow."""
+    paths = json.loads(json.dumps(paths))  # as read from a file: tuples become lists
+    check_json(
+        {"paths": RECORD["paths"]}, {"paths": paths}, "train.jsonl line 1",
+        {"n_flows": len(paths)},
+    )
+
+
 class TestValidateTable:
     def test_valid_table(self, cycle4):
         flows = FlowSet((0, 1), (2, 3))
@@ -183,7 +202,7 @@ class TestValidateTable:
 
     def test_broken_chain_flagged(self, line3):
         raw = [[(0, 1), (2, 1)]]
-        kinds = {v.kind for v in validate_table(raw, line3, FlowSet((0,), (2,)))}
+        kinds = {v.kind for v in check_raw(raw, line3, FlowSet((0,), (2,)))}
         assert "broken-chain" in kinds
         # the endpoints 0 -> 1 also disagree with the flow 0 -> 2
         assert "endpoint-mismatch" in kinds
@@ -191,25 +210,25 @@ class TestValidateTable:
     def test_path_too_long(self, line3):
         raw = [[(0, 1), (1, 2)]]
         flows = FlowSet((0,), (2,))
-        assert validate_table(raw, line3, flows, l_max=2) == []
-        kinds = [v.kind for v in validate_table(raw, line3, flows, l_max=1)]
+        assert check_raw(raw, line3, flows, l_max=2) == []
+        kinds = [v.kind for v in check_raw(raw, line3, flows, l_max=1)]
         assert kinds == ["path-too-long"]
 
     def test_missing_link(self, line3):
         raw = [[(0, 2)]]
-        kinds = [v.kind for v in validate_table(raw, line3, FlowSet((0,), (2,)))]
+        kinds = [v.kind for v in check_raw(raw, line3, FlowSet((0,), (2,)))]
         assert kinds == ["missing-link"]
 
     def test_count_mismatch_and_empty(self, line3):
         flows = FlowSet((0, 2), (2, 0))
-        out = validate_table([[]], line3, flows)
+        out = check_raw([[]], line3, flows)
         kinds = {(v.flow_index, v.kind) for v in out}
         assert (-1, "count-mismatch") in kinds
         assert (0, "empty-path") in kinds
 
     def test_not_simple(self, cycle4):
         raw = [[(0, 1), (1, 2), (2, 3), (3, 0)]]
-        kinds = {v.kind for v in validate_table(raw, cycle4, FlowSet((0,), (3,)))}
+        kinds = {v.kind for v in check_raw(raw, cycle4, FlowSet((0,), (3,)))}
         assert "not-simple" in kinds
         assert "endpoint-mismatch" in kinds
 
@@ -224,24 +243,26 @@ class TestValidateTable:
             "float", "digit-string", "bool",
         ],
     )
-    def test_malformed_link_entry(self, line3, entry):
-        flows = FlowSet((0, 1), (2, 2))
-        out = validate_table([[(0, 1), (1, 2)], [entry]], line3, flows)
-        assert [(v.flow_index, v.kind) for v in out] == [(1, "malformed-link")]
+    def test_malformed_link_entry(self, entry):
+        # a raw link entry that is no [i, j] pair of integers fails the record
+        # schema as the dataset loads, so validate_table never sees one
+        check_paths([[(0, 1), (1, 2)]])
+        with pytest.raises(SchemaError, match=r"^train.jsonl line 1: 'paths\[1\]\[0\]"):
+            check_paths([[(0, 1), (1, 2)], [entry]])
 
-    def test_path_that_is_no_list(self, line3):
-        out = validate_table([5], line3, FlowSet((0,), (2,)))
-        assert [v.kind for v in out] == ["malformed-link"]
+    def test_path_that_is_no_list(self):
+        with pytest.raises(SchemaError, match=r"'paths\[0\]' must be a list, not 5$"):
+            check_paths([5])
 
     def test_missing_link_out_of_range_or_negative(self, line3):
         # negative ids would wrap around in an adjacency lookup
         flows = FlowSet((0,), (2,))
         for links in ([(0, -2), (-2, 2)], [(0, 3), (3, 2)]):
-            kinds = [v.kind for v in validate_table([links], line3, flows)]
+            kinds = [v.kind for v in check_raw([links], line3, flows)]
             assert kinds == ["missing-link", "missing-link"]
 
     def test_never_raises_on_garbage(self, line3):
-        out = validate_table([[(7, 9)], [(1, 0)]], line3, FlowSet((0,), (2,)))
+        out = check_raw([[(7, 9)], [(1, 0)]], line3, FlowSet((0,), (2,)))
         assert all(isinstance(v.kind, str) for v in out)
 
 

@@ -514,6 +514,9 @@ class TestModelContainer:
             GlanceDims(t_layers=0)
         with pytest.raises(TwinError):
             GlanceDims(link_hidden=())
+        for hidden in ((8, 0), (-1,)):  # each a width no layer can have
+            with pytest.raises(TwinError, match="hidden sizes must be >= 1"):
+                GlanceDims(readout_hidden=hidden)
         with pytest.raises(TwinError):
             GnnDims(n_flows=0)
 
