@@ -89,10 +89,23 @@ class Tape:
     With ``record=False`` the tape stores nothing per node (no parents, no
     pullback, no shape) and ``backward`` refuses to run; node ids still
     count the nodes made.
+
+    Such a tape may also run ``blocks`` > 1 samples stacked on one graph
+    (``twin.stack_inputs``). Its products then run one row block at a time,
+    through numpy's stacked matmul, which calls one gemm per block at the
+    shape of that sample's own forward; so each sample's values carry the
+    bytes of its forward alone. A row operand is ``blocks`` equal row
+    blocks; the right operand of a left operand whose columns are a block's
+    rows (the node operator a stacked batch shares) is ``blocks`` blocks.
     """
 
-    def __init__(self, record: bool = True) -> None:
+    def __init__(self, record: bool = True, blocks: int = 1) -> None:
+        if blocks < 1 or (record and blocks > 1):
+            raise AutodiffError(
+                f"{blocks} stacked blocks: a tape takes 1, or more only without recording"
+            )
         self.recording = record
+        self.blocks = blocks
         self._n_nodes = 0
         # parallel node storage: parents[i], pullbacks[i] for node i
         self._parents: list[tuple[int, ...]] = []
@@ -123,14 +136,26 @@ class Tape:
         """Non-differentiable input; backward never visits it."""
         return self._record(_as_f64(value), (), None, False)
 
+    def _product(self, av: np.ndarray, bv: np.ndarray, what: str) -> np.ndarray:
+        """av @ bv, one block at a time on a stacked tape (see the class)."""
+        k = self.blocks
+        if av.ndim == 2 and bv.ndim == 2:
+            (m, n), cols = av.shape, bv.shape[1]
+            if n == bv.shape[0] and m % k == 0:
+                if k == 1:
+                    return av @ bv
+                return (av.reshape(k, m // k, n) @ bv).reshape(m, cols)
+            if k > 1 and n * k == bv.shape[0]:
+                return (av @ bv.reshape(k, n, cols)).reshape(k * m, cols)
+        raise AutodiffError(
+            f"{what} shape mismatch: {av.shape} @ {bv.shape} on {k} blocks"
+        )
+
     # -- primitives ------------------------------------------------------
 
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
         av, bv = a.value, b.value
-        if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
-            raise AutodiffError(
-                f"matmul shape mismatch: left {av.shape}, right {bv.shape}"
-            )
+        out = self._product(av, bv, "matmul")
         need_a, need_b = a.needs_grad, b.needs_grad
 
         def pullback(g):
@@ -138,7 +163,7 @@ class Tape:
             gb = av.T @ g if need_b else None
             return ga, gb
 
-        return self._record(av @ bv, (a, b), pullback, need_a or need_b)
+        return self._record(out, (a, b), pullback, need_a or need_b)
 
     def concat(self, tensors: list[Tensor], axis: int) -> Tensor:
         if not tensors:
@@ -239,11 +264,9 @@ class Tape:
     def dense(self, x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
         """x @ w + b, then relu if asked."""
         xv, wv = x.value, w.value
-        if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]:
-            raise AutodiffError(f"dense shape mismatch: x {xv.shape}, w {wv.shape}")
+        out = self._product(xv, wv, "dense")
         if b.value.shape != (wv.shape[1],):
             raise AutodiffError(f"dense bias {b.value.shape} for w {wv.shape}")
-        out = xv @ wv
         out += b.value
         if relu:
             mask = out > 0
@@ -284,10 +307,15 @@ class Tape:
                 f"gru_step shape mismatch: x {xv.shape}, h {hv.shape}, "
                 f"mask {mask.shape}, w_z {w_z.shape}, u_z {u_z.shape}"
             )
-        z = _sigmoid((xv @ w_z + hv @ u_z) + b_z)
-        r = _sigmoid((xv @ w_r + hv @ u_r) + b_r)
+        if self.blocks == 1:
+            mm = np.matmul
+        else:
+            def mm(a, b):
+                return self._product(a, b, "gru_step")
+        z = _sigmoid((mm(xv, w_z) + mm(hv, u_z)) + b_z)
+        r = _sigmoid((mm(xv, w_r) + mm(hv, u_r)) + b_r)
         rh = r * hv
-        h_tilde = np.tanh((xv @ w_h + rh @ u_h) + b_h)
+        h_tilde = np.tanh((mm(xv, w_h) + mm(rh, u_h)) + b_h)
         gap = h_tilde - hv
         out = hv + mask * ((hv + z * gap) - hv)
         need_x, need_h = x.needs_grad, h.needs_grad

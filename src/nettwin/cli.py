@@ -165,13 +165,20 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 
 def _typed(args: argparse.Namespace, resolved: dict) -> dict:
-    """resolved cast to the option types: a file may give 5 for a float, 5.0."""
-    return {
-        opt.key: resolved[opt.key]
-        if resolved[opt.key] is None or opt.action == "append"
-        else opt.type(resolved[opt.key])
-        for opt in args.options
-    }
+    """resolved cast to the option types: a file may give 5 for a float, 5.0,
+    but not an integer beyond the float range."""
+    typed = {}
+    for opt in args.options:
+        value = resolved[opt.key]
+        if value is not None and opt.action != "append":
+            try:
+                value = opt.type(value)
+            except OverflowError:
+                raise _CliError(
+                    f"config file {args.config}: '{opt.key}' is too large for a float"
+                ) from None
+        typed[opt.key] = value
+    return typed
 
 
 _DATA = Option("data", required=True)

@@ -5,7 +5,9 @@ trained model instead of the simulator: projected gradient descent over the
 traffic means, and hill-climbing over flow destinations with random inits
 and restarts. Both only ever accept strict improvements, so their objective
 trajectories are non-increasing and identical seeds reproduce identical
-results.
+results. The hill-climb scores its candidates in stacked forwards, whose
+products run one candidate at a time, so each J is the one that candidate's
+own forward gives, bit for bit, and no J needs scoring twice.
 
 The evaluation protocol then checks a proposal against reality: the target
 is a 3-run simulator average of the original input, the yardstick is a
@@ -34,18 +36,13 @@ from .simulator import (
     quiet_nanmean,
     run_sim,
 )
-from .twin import EVAL_CHUNK, TwinInput, TwinModel, batch_inputs, prepare_twin_input
+from .twin import EVAL_CHUNK, TwinInput, TwinModel, prepare_twin_input, stack_inputs
 
 #: projection box for traffic means, matching the continuous training range
 TRAFFIC_BOUNDS = (1.0, 20.0)
 
 #: gd_traffic stops once a step improves J by less than this fraction
 GD_REL_TOL = 1e-6
-
-#: a batched J rules a hill-climb candidate out only when it exceeds the J
-#: to beat by more than this fraction; batched and single-tape J agree to
-#: about 1e-16 relative
-MARGIN = 1e-6
 
 #: hinge direction: True means larger-than-target violates the bound
 HINGE_UPPER = {"delay": True, "jitter": True, "throughput": False, "drops": True}
@@ -210,14 +207,10 @@ def twin_objective(model: TwinModel, inp: TwinInput, profile: TargetProfile) -> 
 def _batch_objective(
     model: TwinModel, inputs: list[TwinInput], profile: TargetProfile
 ) -> list[float]:
-    """J of each input from one batched forward.
-
-    Agrees with ``twin_objective`` to about 1e-16 relative, not bit for
-    bit (the batch's matrix products have other shapes), so callers use it
-    to rule candidates out, never in.
-    """
+    """J of each input, on one graph with one flow count, from one stacked
+    forward: each is ``twin_objective`` of that input, bit for bit."""
     arrays = _objective_arrays(profile, model)
-    batch = batch_inputs(inputs)
+    batch = stack_inputs(inputs)
     preds = model.predict(batch)
     off = batch.flow_offsets
     return [_j_value(preds[a:b], arrays) for a, b in zip(off[:-1], off[1:])]
@@ -361,12 +354,10 @@ def hillclimb_destinations(
 
     A flow's candidates differ from the current vector in that flow only,
     so they are all known before the first is tried, as are a restart's
-    starts. Each such set is routed and scored by batched forwards: a
+    starts. Each such set is routed and scored by stacked forwards: a
     flow's candidates (fewer than the graph's nodes) in one, the starts
-    EVAL_CHUNK at a time. A batched J may only rule a vector out, when it
-    lies above the J to beat by more than MARGIN; every J that is compared,
-    accepted or kept comes from ``twin_objective`` on the vector's own
-    input, so results are those of scoring each vector alone.
+    EVAL_CHUNK at a time. Each vector's J is that of ``twin_objective`` on
+    its own input, bit for bit, so results do not depend on the batching.
     """
     sources = tuple(int(s) for s in f_src)
     if len(sources) != k_targ.n_flows or len(traffic) != len(sources):
@@ -376,40 +367,22 @@ def hillclimb_destinations(
     n_nodes = graph.n_nodes
     tie_seed = derive_seed(rng_seed, "ties")
 
-    def twin_input(table: RoutingTable) -> TwinInput:
-        return prepare_twin_input(graph, table, traffic, capacities)
-
-    # each vector routed so far has its exact J, or its batched J and its
-    # routes, so it is routed once; its tables share their ``Path`` objects
-    # through the routing memo; ``fresh`` has the last set's inputs
-    exact: dict[tuple[int, ...], float] = {}
-    rough: dict[tuple[int, ...], tuple[float, RoutingTable]] = {}
-    fresh: dict[tuple[int, ...], TwinInput] = {}
+    # the J of every vector scored so far, so each is routed once; their
+    # tables share ``Path`` objects through the routing memo
+    js: dict[tuple[int, ...], float] = {}
 
     def score(vectors: list[tuple[int, ...]], per_forward: int) -> None:
-        fresh.clear()
-        new = [v for v in dict.fromkeys(vectors) if v not in exact and v not in rough]
+        new = [v for v in dict.fromkeys(vectors) if v not in js]
         for c0 in range(0, len(new), per_forward):
             chunk = new[c0 : c0 + per_forward]
-            tables = [shortest_paths(graph, FlowSet(sources, v), tie_seed) for v in chunk]
-            inputs = [twin_input(t) for t in tables]
-            js = _batch_objective(model, inputs, k_targ)
-            for v, j, t in zip(chunk, js, tables):
-                rough[v] = (j, t)
-            fresh.update(zip(chunk, inputs))
-
-    def rough_j(v: tuple[int, ...]) -> float:
-        return exact[v] if v in exact else rough[v][0]
-
-    def j_of(v: tuple[int, ...]) -> float:
-        if v not in exact:
-            table = rough.pop(v)[1]
-            inp = fresh[v] if v in fresh else twin_input(table)
-            exact[v] = twin_objective(model, inp, k_targ)
-        return exact[v]
-
-    def ruled_out(v: tuple[int, ...], j: float) -> bool:
-        return rough_j(v) - j > MARGIN * abs(j)
+            inputs = [
+                prepare_twin_input(
+                    graph, shortest_paths(graph, FlowSet(sources, v), tie_seed),
+                    traffic, capacities,
+                )
+                for v in chunk
+            ]
+            js.update(zip(chunk, _batch_objective(model, inputs, k_targ)))
 
     best_overall: tuple[float, tuple[int, ...], list[float], int] | None = None
     for restart in range(n_rand):
@@ -418,8 +391,7 @@ def hillclimb_destinations(
             _valid_destination_vector(rng, sources, n_nodes) for _ in range(n_init)
         ]
         score(starts, EVAL_CHUNK)
-        j_floor = min(rough_j(v) for v in starts)
-        start_js = [math.inf if ruled_out(v, j_floor) else j_of(v) for v in starts]
+        start_js = [js[v] for v in starts]
         best_i = int(np.argmin(start_js))
         current = starts[best_i]
         j_cur = start_js[best_i]
@@ -445,9 +417,9 @@ def hillclimb_destinations(
                 score(list(trials.values()), n_nodes)  # one forward
                 for pick in rng.permutation(len(candidates)):
                     trial = trials.get(candidates[int(pick)])
-                    if trial is None or ruled_out(trial, j_cur):
+                    if trial is None:
                         continue
-                    j_new = j_of(trial)
+                    j_new = js[trial]
                     if j_new < j_cur:
                         current = trial
                         j_cur = j_new

@@ -70,6 +70,7 @@ from .twin import (
     TwinModel,
     batch_inputs,
     make_model,
+    param_layout,
     prepare_twin_input,
 )
 
@@ -688,25 +689,38 @@ def batch_loss(
     return loss, np.abs(preds.value - clean) * weights, inp
 
 
-def predict_samples(model: TwinModel, samples: list[Sample]) -> list[np.ndarray]:
+def _eval_batches(samples: list[Sample]) -> list[TwinInput]:
+    """The samples' inputs, batched EVAL_CHUNK samples to a forward."""
+    return [
+        batch_inputs([s.twin_input for s in samples[c0 : c0 + EVAL_CHUNK]])
+        for c0 in range(0, len(samples), EVAL_CHUNK)
+    ]
+
+
+def predict_samples(
+    model: TwinModel, samples: list[Sample], batches: list[TwinInput] | None = None
+) -> list[np.ndarray]:
     """Each sample's (F, len(model.tasks)) predictions.
 
-    One forward covers a chunk of EVAL_CHUNK samples.
+    One forward covers each of ``batches``, which default to the samples'
+    ``_eval_batches``.
     """
     out: list[np.ndarray] = []
-    for c0 in range(0, len(samples), EVAL_CHUNK):
-        chunk = samples[c0 : c0 + EVAL_CHUNK]
-        inp = batch_inputs([s.twin_input for s in chunk])
+    for inp in _eval_batches(samples) if batches is None else batches:
         out += np.split(model.predict(inp), inp.flow_offsets[1:-1])
     return out
 
 
 def loss_values(
-    model: TwinModel, samples: list[Sample], normalizer: Normalizer
+    model: TwinModel,
+    samples: list[Sample],
+    normalizer: Normalizer,
+    batches: list[TwinInput] | None = None,
 ) -> list[tuple[float, np.ndarray]]:
-    """Forward-only loss of each sample and its per-task components."""
+    """Forward-only loss of each sample and its per-task components;
+    ``batches`` are as for ``predict_samples``."""
     out = []
-    for s, preds in zip(samples, predict_samples(model, samples)):
+    for s, preds in zip(samples, predict_samples(model, samples, batches)):
         clean, weights = loss_targets(model, s, normalizer.iqr)
         per_task = np.sum(np.abs(preds - clean) * weights, axis=0)
         out.append((float(per_task.sum()), per_task))
@@ -762,6 +776,7 @@ def train_model(
         (s.twin_input, *loss_targets(model, s, normalizer.iqr))
         for s in train_samples
     ]
+    val_batches = _eval_batches(val_samples)
     for epoch in range(start_epoch, epochs):
         order = make_rng(seed, "epoch", epoch).permutation(len(prepared))
         epoch_loss = 0.0
@@ -797,7 +812,7 @@ def train_model(
         if val_samples:
             val_total = 0.0
             val_per_task = np.zeros(len(tasks))
-            for total, per_task in loss_values(model, val_samples, normalizer):
+            for total, per_task in loss_values(model, val_samples, normalizer, val_batches):
                 val_total += total
                 val_per_task += per_task
             row["val_loss"] = val_total / len(val_samples)
@@ -1104,31 +1119,32 @@ def model_from_checkpoint(
     """The model of the checkpoint at ``where``, once its manifest fits
     CHECKPOINT_MANIFESTS and its parameters match the manifest's.
 
-    Every parameter name and shape is compared with a freshly built model of
-    the manifest's kind, tasks and dims; a mismatch raises TwinError naming
-    the parameter.
+    Every parameter name and shape is compared with the ``param_layout`` of
+    the manifest's kind, tasks and dims, before anything of the dims' size
+    is allocated; a mismatch raises TwinError naming the parameter.
     """
     kind = manifest.get("kind")
     dims_type = GnnDims if kind == "gnn" else GlanceDims
     check_json(CHECKPOINT_MANIFESTS[dims_type], manifest, where, {})
-    tasks = tuple(manifest["tasks"])
     try:
-        fresh = make_model(kind, tasks, 0, dims_type(**manifest["dims"]))
+        model = TwinModel(kind, manifest["tasks"], params, dims_type(**manifest["dims"]))
         normalizer = Normalizer(**manifest["normalizer"])
     except (TwinError, DatasetError) as exc:  # a value out of range
         raise type(exc)(f"{where}: {exc}") from None
-    for name, want in fresh.params.items():
+    named = set()
+    for name, shape in param_layout(kind, model.tasks, model.dims):
         if name not in params:
             raise TwinError(f"{where}: checkpoint lacks parameter {name!r} of its {kind} model")
-        if params[name].shape != want.shape:
+        if params[name].shape != shape:
             raise TwinError(
                 f"{where}: checkpoint parameter {name!r} has shape {params[name].shape}, "
-                f"its {kind} model needs {want.shape}"
+                f"its {kind} model needs {shape}"
             )
-    extra = [n for n in params.names() if n not in fresh.params]
+        named.add(name)
+    extra = [n for n in params.names() if n not in named]
     if extra:
         raise TwinError(f"{where}: checkpoint parameter {extra[0]!r} is not in its {kind} model")
-    return TwinModel(kind, tasks, params, fresh.dims), normalizer
+    return model, normalizer
 
 
 def write_learning_curves(path: str | Path, histories: dict[int, list[dict]]) -> None:

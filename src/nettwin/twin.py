@@ -22,13 +22,17 @@ flow-permutation equivariance exact at the bit level.
 
 ``batch_inputs`` joins several samples' inputs into one disjoint-union input,
 so one forward (and one backward) covers a whole mini-batch; its output rows
-are the samples' rows, one sample after another.
+are the samples' rows, one sample after another. ``stack_inputs`` lays out
+samples on one graph with one flow count the same way, for a forward whose
+products run sample by sample, so that each sample's predictions keep the
+bytes of its forward alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import Iterator
 
 import numpy as np
 
@@ -108,8 +112,12 @@ class TwinInput:
     purpose (the baseline is order-sensitive by design).
 
     ``flow_offsets`` and ``node_offsets`` bound each sample's flow and node
-    rows: one sample here, several after ``batch_inputs``.
+    rows: one sample here, several after ``batch_inputs``. ``blocks`` is the
+    number of equal row blocks a forward may split its products into: 1,
+    except after ``stack_inputs``.
     """
+
+    blocks = 1
 
     def __init__(
         self,
@@ -244,6 +252,31 @@ def batch_inputs(inputs: list[TwinInput]) -> TwinInput:
         raise TwinError("a batch needs at least one input")
     if len(inputs) == 1:
         return inputs[0]
+    return _joined(inputs, _block_diag([inp.s_norm for inp in inputs]))
+
+
+def stack_inputs(inputs: list[TwinInput]) -> TwinInput:
+    """Inputs on one graph with one flow count, laid out as ``batch_inputs``
+    lays them out, but keeping the one graph's ``s_norm`` and marked as
+    ``blocks`` row blocks: ``TwinModel.predict`` then computes each product
+    block by block, so each sample's rows of its output are the bytes of
+    its own forward. A stack of one is the input itself.
+    """
+    if len(inputs) < 2:
+        return batch_inputs(inputs)  # the input itself, or no input's error
+    first = inputs[0]
+    for inp in inputs[1:]:
+        if (inp.n_flows, inp.n_links, inp.n_nodes) != (
+            first.n_flows, first.n_links, first.n_nodes
+        ) or not np.array_equal(inp.s_norm, first.s_norm):
+            raise TwinError("stacked inputs must share one graph and one flow count")
+    out = _joined(inputs, first.s_norm)
+    out.blocks = len(inputs)
+    return out
+
+
+def _joined(inputs: list[TwinInput], s_norm: np.ndarray) -> TwinInput:
+    """The rows of several inputs, one sample after another, with s_norm."""
     out = TwinInput.__new__(TwinInput)
     flow_off = list(accumulate((inp.n_flows for inp in inputs), initial=0))
     link_off = list(accumulate((inp.n_links for inp in inputs), initial=0))
@@ -264,7 +297,7 @@ def batch_inputs(inputs: list[TwinInput]) -> TwinInput:
     out.link_tails = cat("link_tails", node_off)
     out.order = cat("order", flow_off)
     out.inv_order = cat("inv_order", flow_off)
-    out.s_norm = _block_diag([inp.s_norm for inp in inputs])
+    out.s_norm = s_norm
 
     steps = [np.nonzero(inp.step_mask) for inp in inputs]
     counts = [len(rows) for rows, _ in steps]
@@ -290,64 +323,48 @@ def batch_inputs(inputs: list[TwinInput]) -> TwinInput:
 # -- parameter construction -------------------------------------------------
 
 
-def _add_mlp(
-    params: ParamSet,
-    rng: np.random.Generator,
-    prefix: str,
-    sizes: list[int],
-    final: tuple[str, int] | None,
-) -> None:
+def _mlp_layout(prefix: str, sizes: list[int], final: str, out: int):
     for i, (a, b) in enumerate(zip(sizes, sizes[1:])):
-        params.add(f"{prefix}/w{i}", glorot_uniform(rng, a, b))
-        params.add(f"{prefix}/b{i}", np.zeros(b))
-    if final is not None:
-        name, out = final
-        params.add(f"{prefix}/{name}_w", glorot_uniform(rng, sizes[-1], out))
-        params.add(f"{prefix}/{name}_b", np.zeros(out))
+        yield f"{prefix}/w{i}", (a, b)
+        yield f"{prefix}/b{i}", (b,)
+    yield f"{prefix}/{final}_w", (sizes[-1], out)
+    yield f"{prefix}/{final}_b", (out,)
 
 
-def init_path_params(
-    kind: str, dims: GlanceDims, tasks: tuple[str, ...], seed: int
-) -> ParamSet:
-    """Parameters of a path model; routenet has no node inputs and no ``egc/w``.
+def param_layout(
+    kind: str, tasks: tuple[str, ...], dims: GlanceDims | GnnDims
+) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Name and shape of each parameter of a model, in the order of its
+    draws. It allocates nothing, so shapes can be checked against dims of
+    any size.
 
-    Draws come from the kind's own stream in a fixed order: GRU gates, link
-    MLP, ``egc/w`` (glance only), readouts.
+    Path models: GRU gates, link MLP, ``egc/w`` (glance only; routenet has
+    no node inputs), readouts. The gnn: graph convolutions, then one dense
+    head per task.
     """
+    if kind == "gnn":
+        width = 2 * dims.n_flows
+        for i in range(dims.n_layers):
+            yield f"gcn/w{i}", (width, dims.channels)
+            yield f"gcn/b{i}", (dims.channels,)
+            width = dims.channels
+        for task in tasks:
+            yield f"readout/{task}/w", (dims.channels, dims.n_flows)
+            yield f"readout/{task}/b", (dims.n_flows,)
+        return
     nodes = kind == "glance"
-    rng = make_rng(seed, f"{kind}-init")
-    params = ParamSet()
     d_in = dims.d_link + (dims.d_node if nodes else 0)
     for gate in ("z", "r", "h"):
-        params.add(f"gru/w_{gate}", glorot_uniform(rng, d_in, dims.d_path))
-        params.add(f"gru/u_{gate}", glorot_uniform(rng, dims.d_path, dims.d_path))
-        params.add(f"gru/b_{gate}", np.zeros(dims.d_path))
-    link_in = d_in + dims.d_path
-    _add_mlp(
-        params, rng, "link", [link_in, *dims.link_hidden], ("proj", dims.d_link)
-    )
+        yield f"gru/w_{gate}", (d_in, dims.d_path)
+        yield f"gru/u_{gate}", (dims.d_path, dims.d_path)
+        yield f"gru/b_{gate}", (dims.d_path,)
+    yield from _mlp_layout("link", [d_in + dims.d_path, *dims.link_hidden], "proj", dims.d_link)
     if nodes:
-        params.add(
-            "egc/w", glorot_uniform(rng, dims.d_node + dims.d_link, dims.d_node)
-        )
+        yield "egc/w", (dims.d_node + dims.d_link, dims.d_node)
     for task in tasks:
-        _add_mlp(
-            params, rng, f"readout/{task}", [dims.d_path, *dims.readout_hidden], ("out", 1)
+        yield from _mlp_layout(
+            f"readout/{task}", [dims.d_path, *dims.readout_hidden], "out", 1
         )
-    return params
-
-
-def init_gnn_params(dims: GnnDims, tasks: tuple[str, ...], seed: int) -> ParamSet:
-    rng = make_rng(seed, "gnn-init")
-    params = ParamSet()
-    widths = [2 * dims.n_flows] + [dims.channels] * dims.n_layers
-    for i, (a, b) in enumerate(zip(widths, widths[1:])):
-        params.add(f"gcn/w{i}", glorot_uniform(rng, a, b))
-        params.add(f"gcn/b{i}", np.zeros(b))
-    for task in tasks:
-        params.add(f"readout/{task}/w", glorot_uniform(rng, dims.channels, dims.n_flows))
-        params.add(f"readout/{task}/b", np.zeros(dims.n_flows))
-    return params
 
 
 # -- forward passes ----------------------------------------------------------
@@ -493,8 +510,9 @@ def gnn_forward(
     for i in range(dims.n_layers):
         xw = tape.matmul(x, bound[f"gcn/w{i}"])
         x = tape.dense(s, xw, bound[f"gcn/b{i}"], relu=True)
-    sizes = np.diff(inp.node_offsets)
-    pool_op = _block_diag([np.full((1, n), 1.0 / n) for n in sizes])
+    rows = [np.full((1, n), 1.0 / n) for n in np.diff(inp.node_offsets)]
+    # a stacked batch's samples share one graph, and the tape pools each alone
+    pool_op = rows[0] if inp.blocks > 1 else _block_diag(rows)
     pool = tape.matmul(tape.constant(pool_op), x)
     cols = [
         tape.reshape(
@@ -525,7 +543,7 @@ class TwinModel:
             raise TwinError(f"unknown model kind {self.kind!r}")
         self.tasks = tuple(self.tasks)
         bad = [t for t in self.tasks if t not in TASKS]
-        if bad or not self.tasks:
+        if bad or not self.tasks or len(set(self.tasks)) < len(self.tasks):
             raise TwinError(f"invalid task list {self.tasks!r}")
 
     def forward(
@@ -543,8 +561,9 @@ class TwinModel:
 
     def predict(self, inp: TwinInput) -> np.ndarray:
         """Inference: constant-bound parameters on a fresh tape that records
-        nothing, so each intermediate is freed once the forward is past it."""
-        tape = Tape(record=False)
+        nothing, so each intermediate is freed once the forward is past it.
+        A stacked input's products run block by block."""
+        tape = Tape(record=False, blocks=inp.blocks)
         bound = {name: tape.constant(arr) for name, arr in self.params.items()}
         return self.forward(tape, bound, inp, None).value
 
@@ -567,10 +586,13 @@ def make_model(
     kind: str, tasks: tuple[str, ...], seed: int, dims: GlanceDims | GnnDims
 ) -> TwinModel:
     """A freshly initialized model of the kind: glance and routenet take
-    ``GlanceDims``, gnn takes ``GnnDims``."""
+    ``GlanceDims``, gnn takes ``GnnDims``. Weights are Glorot draws from the
+    kind's own stream, in ``param_layout`` order; biases are zeros."""
+    if kind not in MODEL_KINDS:
+        raise TwinError(f"unknown model kind {kind!r}")
     tasks = tuple(tasks)
-    if kind in ("glance", "routenet"):
-        return TwinModel(kind, tasks, init_path_params(kind, dims, tasks, seed), dims)
-    if kind == "gnn":
-        return TwinModel(kind, tasks, init_gnn_params(dims, tasks, seed), dims)
-    raise TwinError(f"unknown model kind {kind!r}")
+    rng = make_rng(seed, f"{kind}-init")
+    params = ParamSet()
+    for name, shape in param_layout(kind, tasks, dims):
+        params.add(name, glorot_uniform(rng, *shape) if len(shape) == 2 else np.zeros(shape))
+    return TwinModel(kind, tasks, params, dims)

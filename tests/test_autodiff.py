@@ -236,6 +236,33 @@ class TestValueOnlyTape:
         assert h.node_id == 3  # ids still count the nodes made
         assert (t._parents, t._pullbacks, t._needs, t._shapes) == ([], [], [], [])
 
+    def test_only_a_value_only_tape_stacks_blocks(self):
+        # a recording tape would need blocked pullbacks, which none has
+        with pytest.raises(AutodiffError, match="only without recording"):
+            Tape(blocks=2)
+        with pytest.raises(AutodiffError, match="only without recording"):
+            Tape(record=False, blocks=0)
+        assert Tape(record=False, blocks=3).blocks == 3
+
+    def test_stacked_products_are_the_blocks_own(self):
+        # each block's rows are those of its product alone, byte for byte,
+        # for row operands and for a shared left operator
+        rng = np.random.default_rng(12)
+        k, m, n = 3, 5, 4
+        x, w, b = rng.normal(size=(k * m, n)), rng.normal(size=(n, 7)), rng.normal(size=7)
+        op, rows = rng.normal(size=(m, m)), rng.normal(size=(k * m, n))
+        t = Tape(record=False, blocks=k)
+        got = t.dense(t.constant(x), t.constant(w), t.constant(b), relu=False).value
+        shared = t.matmul(t.constant(op), t.constant(rows)).value
+        for i in range(k):
+            lone = Tape(record=False)
+            blk = slice(i * m, (i + 1) * m)
+            want = lone.dense(lone.constant(x[blk]), lone.constant(w), lone.constant(b), False)
+            assert got[blk].tobytes() == want.value.tobytes()
+            assert shared[blk].tobytes() == (op @ rows[blk]).tobytes()
+        with pytest.raises(AutodiffError, match="matmul shape mismatch"):
+            t.matmul(t.constant(x[:4]), t.constant(w))  # 4 rows in 3 blocks
+
     def test_values_match_recording_tape(self):
         rng = np.random.default_rng(11)
         x, w, b = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)

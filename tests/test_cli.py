@@ -146,6 +146,13 @@ class TestGenData:
         assert run_cli("gen-data", "--config", str(tmp_path), "--out", str(tmp_path / "x")) == 2
         assert not (tmp_path / "x").exists()
 
+    def test_config_number_beyond_float_range_is_usage_error(self, run_cli, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"scenario": "reggrid-fixed", "t_gen": 1' + "0" * 400 + "}")
+        assert run_cli("gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
+        assert f"{cfg}: 't_gen' is too large for a float" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -485,6 +492,31 @@ class TestEval:
             "eval", "--data", toy_dataset_dir, "--checkpoint", str(ckpt), "--out", str(out)
         ) == 2
         assert f"bad.ckpt: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, key, message",
+        [
+            ("glance", "d_node", "checkpoint parameter 'gru/w_z' has shape"),
+            ("gnn", "channels", "checkpoint parameter 'gcn/w0' has shape"),
+            ("gnn", "n_layers", "checkpoint lacks parameter 'gcn/w1'"),
+        ],
+    )
+    def test_oversized_dims_are_usage_error(
+        self, run_cli, tmp_path, toy_dataset_dir, capsys, kind, key, message
+    ):
+        # the dims are checked against the stored shapes before any array
+        # of their size is asked for
+        ckpt = tmp_path / "bad.ckpt"
+        write_ckpt(ckpt, kind=kind)
+        params, manifest, _ = load_checkpoint(ckpt)
+        manifest["dims"][key] = 10**12
+        save_checkpoint(ckpt, params, manifest)
+        out = tmp_path / "report.json"
+        assert run_cli(
+            "eval", "--data", toy_dataset_dir, "--checkpoint", str(ckpt), "--out", str(out)
+        ) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_model_report_matches_library(

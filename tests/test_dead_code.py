@@ -32,6 +32,10 @@ ORACLES = {
         "paired bootstrap interval behind the acceptance gate's repeat-average "
         "trend check"
     ),
+    "twin_objective": (
+        "the lone-forward J that the hill-climb's stacked scores are checked "
+        "against, and that perfbench's tracer counts"
+    ),
 }
 
 #: defaulted parameters ("function.parameter") kept on purpose though no

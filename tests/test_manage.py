@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_array_equal
 
-from conftest import BATCH_DIMS, TINY_DIMS
+from conftest import BATCH_DIMS, TINY_DIMS, kind_dims
 from nettwin import manage
 from nettwin.autodiff import DivergenceError, Tape
 from nettwin.manage import (
     GD_REL_TOL,
     HINGE_UPPER,
-    MARGIN,
     TRAFFIC_BOUNDS,
     ManageError,
     ManageResult,
@@ -32,7 +31,7 @@ from nettwin.nettopo import FlowSet, build_nsfnet, build_reg_grid
 from nettwin.routing import shortest_paths
 from nettwin.seeding import derive_seed
 from nettwin.simulator import TASKS, TrafficParams, default_sim_config, link_capacities
-from nettwin.twin import GnnDims, TwinModel, make_model, prepare_twin_input
+from nettwin.twin import EVAL_CHUNK, GnnDims, TwinModel, make_model, prepare_twin_input
 from oracles import reference_gd_traffic, reference_hillclimb
 
 UNIT_IQR = np.ones(4)
@@ -347,7 +346,7 @@ def random_state(topology: str, kind: str, seed: int, n_flows: int):
     """A random twin, flow sources, traffic and target on a named graph."""
     graph = GRAPHS[topology]
     rng = np.random.default_rng(seed)
-    model = make_model(kind, TASKS, seed, dims=BATCH_DIMS)
+    model = make_model(kind, TASKS, seed, dims=kind_dims(kind, BATCH_DIMS, n_flows))
     sources = tuple(int(s) for s in rng.integers(graph.n_nodes, size=n_flows))
     traffic = TrafficParams(
         tuple(rng.uniform(1.0, 20.0, n_flows)), tuple(rng.uniform(1.0, 20.0, n_flows))
@@ -366,10 +365,10 @@ def random_destinations(rng, graph, sources) -> tuple[int, ...]:
 
 
 class TestBatchedScoring:
-    """The hill-climb scores candidate sets in batched forwards, and only
-    exact single-tape J values make its decisions."""
+    """The hill-climb scores candidate sets in stacked forwards, whose J
+    values are those of single-tape forwards, bit for bit."""
 
-    @pytest.mark.parametrize("kind", ["glance", "routenet"])
+    @pytest.mark.parametrize("kind", ["glance", "routenet", "gnn"])
     @pytest.mark.parametrize("topology", ["nsfnet", "reggrid"])
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -389,7 +388,7 @@ class TestBatchedScoring:
         batched = manage._batch_objective(model, inputs, profile)
         for inp, b in zip(inputs, batched):
             exact = twin_objective(model, inp, profile)
-            assert abs(b - exact) < MARGIN / 1000 * exact
+            assert b == exact
 
     def routed(self, monkeypatch) -> list:
         calls = []
@@ -426,29 +425,53 @@ class TestBatchedScoring:
         assert len(calls) == n_vectors
         assert len({f.destinations for f in calls}) == n_vectors
 
-    @pytest.mark.parametrize("target", [1.0, 1e5], ids=["near", "far"])
-    def test_batched_values_only_rule_candidates_out(self, monkeypatch, target):
-        # batched J off by up to 0.4 MARGIN must not change a decision; a far
-        # target puts many candidates' J closer together than that noise
-        graph, model, sources, traffic, profile, rng = random_state("nsfnet", "glance", 5, 6)
-        profile = TargetProfile.from_raw(profile.k_targ * target, UNIT_IQR)
-        real = manage._batch_objective
-
-        def noisy(*args):
-            return [j * (1.0 + rng.uniform(-0.4, 0.4) * MARGIN) for j in real(*args)]
-
-        monkeypatch.setattr(manage, "_batch_objective", noisy)
-        kw = dict(n_init=10, n_rand=2, rng_seed=8)
-        result = hillclimb_destinations(
-            model, graph, sources, traffic, profile, capacities(graph), **kw
-        )
+    def test_gnn_hillclimb_matches_one_tape_per_candidate(self):
+        graph, model, sources, traffic, profile, _ = random_state("nsfnet", "gnn", 5, 4)
+        kw = dict(n_init=12, n_rand=2, rng_seed=5)
         dests, trajectory, restart, _ = reference_hillclimb(
             model, graph, sources, traffic, profile, **kw
         )
-        assert len(trajectory) > 3
+        result = hillclimb_destinations(
+            model, graph, sources, traffic, profile, capacities(graph), **kw
+        )
+        assert len(trajectory) > 2
         assert (result.optimized_destinations, result.trajectory, result.restart_best) == (
             dests, trajectory, restart
         )
+
+    def test_one_forward_per_scored_chunk(self, monkeypatch):
+        # every J comes from a stacked forward of at most one flow's
+        # candidates or EVAL_CHUNK starts; none is scored again alone
+        graph, model, sources, traffic, profile, _ = random_state("nsfnet", "glance", 5, 6)
+        kw = dict(n_init=25, n_rand=2, rng_seed=8)
+        _, trajectory, _, n_vectors = reference_hillclimb(
+            model, graph, sources, traffic, profile, **kw
+        )
+        chunks, forwards = [], []
+        stack, predict = manage.stack_inputs, TwinModel.predict
+
+        def stack_noting_size(inputs):
+            chunks.append(len(inputs))
+            return stack(inputs)
+
+        def predict_noting_blocks(self, inp):
+            forwards.append(inp.blocks)
+            return predict(self, inp)
+
+        def lone(*args):
+            raise AssertionError("a J was rescored on a lone forward")
+
+        monkeypatch.setattr(manage, "stack_inputs", stack_noting_size)
+        monkeypatch.setattr(TwinModel, "predict", predict_noting_blocks)
+        monkeypatch.setattr(manage, "twin_objective", lone)
+        result = hillclimb_destinations(
+            model, graph, sources, traffic, profile, capacities(graph), **kw
+        )
+        assert result.trajectory == trajectory and len(trajectory) > 3
+        assert forwards == chunks
+        assert sum(chunks) == n_vectors
+        assert EVAL_CHUNK in chunks
+        assert all(c <= max(EVAL_CHUNK, graph.n_nodes - 2) for c in chunks)
 
 
 class TestGdEvaluations:

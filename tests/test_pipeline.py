@@ -784,6 +784,26 @@ class TestTrainModel:
         assert param_bytes(second.best_params) == param_bytes(full.best_params)
         assert second.adam.step == full.adam.step
 
+    def test_validation_batches_built_once_per_run(self, line3, monkeypatch):
+        joined = []
+        real = pipeline.batch_inputs
+
+        def counted(inputs):
+            joined.append(len(inputs))
+            return real(inputs)
+
+        monkeypatch.setattr(pipeline, "batch_inputs", counted)
+        val = [
+            line_sample(line3, 100.0, 100.0, [3.0, 2.0, 60.0, 2.0], index=k)
+            for k in range(EVAL_CHUNK + 1)
+        ]
+        train_model(
+            make_model("glance", TASKS, 5, dims=TINY_DIMS), training_pair(line3), val,
+            UNIT_NORM, epochs=3, batch_size=2, lr=1e-2, l2_link=0.0, l2_readout=0.0, seed=1,
+        )
+        # the two validation batches first, then one training batch per epoch
+        assert joined == [EVAL_CHUNK, 1, 2, 2, 2]
+
     def test_best_snapshot_tracks_validation_minimum(self, line3):
         model = make_model("glance", TASKS, 5, dims=TINY_DIMS)
         val = [line_sample(line3, 100.0, 100.0, [3.0, 2.0, 60.0, 2.0], index=2)]

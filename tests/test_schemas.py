@@ -275,9 +275,10 @@ def test_once_missed_edit_is_usage_error(valid, name, path, new):
         ("checkpoint manifest", ("dims", "t_layers"), 0, "t_layers and l_max must be >= 1"),
         ("checkpoint manifest", ("dims", "link_hidden"), [-1], "hidden sizes must be >= 1"),
         ("checkpoint manifest", ("tasks",), [], "invalid task list ()"),
+        ("checkpoint manifest", ("tasks",), ["delay", "delay"], "invalid task list"),
         ("manifest", ("sim_config", "t_gen"), -1.0, "bad sim_config"),
     ],
-    ids=["t_layers", "hidden", "no-tasks", "t_gen"],
+    ids=["t_layers", "hidden", "no-tasks", "twice-a-task", "t_gen"],
 )
 def test_value_out_of_range_is_usage_error_naming_the_file(valid, name, path, new, message):
     """A value of the right type that its constructor rejects."""

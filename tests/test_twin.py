@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nettwin.autodiff import Tape
+from nettwin.autodiff import AutodiffError, Tape
 from nettwin.nettopo import FlowSet, Graph, build_reg_grid, sym_normalized_operator
 from nettwin.pipeline import SPLITS, load_dataset
 from nettwin.routing import Path, RoutingTable, shortest_paths
@@ -24,6 +24,7 @@ from nettwin.twin import (
     init_embeddings,
     make_model,
     prepare_twin_input,
+    stack_inputs,
 )
 
 from conftest import (
@@ -682,3 +683,58 @@ class TestBatchInputs:
         model = self.model("gnn")
         with pytest.raises(TwinError, match="gnn built for 2 flows"):
             model.predict(batch_inputs([two_flows, one_flow]))
+
+
+class TestStackInputs:
+    """Stacked batches on one graph: each sample's rows are its lone bytes."""
+
+    def inputs(self, graph, n_flows, count, seed):
+        rng = np.random.default_rng(seed)
+        caps = link_capacities(graph, default_sim_config(graph.wired))
+        n = graph.n_nodes
+        pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
+        traffic = TrafficParams(
+            tuple(rng.uniform(1.0, 20.0, n_flows)), tuple(rng.uniform(1.0, 20.0, n_flows))
+        )
+        out = []
+        for _ in range(count):
+            picks = rng.choice(len(pairs), size=n_flows, replace=False)
+            flows = FlowSet(*zip(*(pairs[int(p)] for p in picks)))
+            table = shortest_paths(graph, flows, 0)
+            out.append(prepare_twin_input(graph, table, traffic, caps))
+        return out
+
+    def test_layout_is_the_batch_but_for_the_node_operator(self):
+        inputs = self.inputs(build_reg_grid(), 3, 4, seed=1)
+        stacked, flat = stack_inputs(inputs), batch_inputs(inputs)
+        assert (stacked.blocks, flat.blocks) == (4, 1)
+        assert stacked.s_norm is inputs[0].s_norm
+        flat.s_norm, flat.blocks = stacked.s_norm, 4
+        assert_same_input(stacked, flat)
+
+    @pytest.mark.parametrize("kind", ["glance", "routenet", "gnn"])
+    @given(seed=st.integers(0, 10**6), n_flows=st.integers(1, 6), count=st.integers(2, 12))
+    def test_predictions_are_each_samples_own_bytes(self, kind, seed, n_flows, count):
+        inputs = self.inputs(build_reg_grid(), n_flows, count, seed)
+        model = make_model(kind, TASKS, seed, dims=kind_dims(kind, BATCH_DIMS, n_flows))
+        stacked = stack_inputs(inputs)
+        got = np.split(model.predict(stacked), stacked.flow_offsets[1:-1])
+        for inp, rows in zip(inputs, got):
+            assert rows.tobytes() == model.predict(inp).tobytes()
+
+    def test_rejections(self):
+        grid = build_reg_grid()
+        inp = self.inputs(grid, 2, 1, seed=3)[0]
+        assert stack_inputs([inp]) is inp
+        with pytest.raises(TwinError, match="at least one"):
+            stack_inputs([])
+        with pytest.raises(TwinError, match="one graph and one flow count"):
+            stack_inputs([inp, *self.inputs(grid, 3, 1, seed=3)])
+        with pytest.raises(TwinError, match="one graph and one flow count"):
+            stack_inputs([inp, *self.inputs(build_reg_grid(2, 8), 2, 1, seed=3)])
+        # a recording tape takes one block, so its products refuse the
+        # stacked batch's shared node operator
+        model = make_model("glance", TASKS, 0, dims=BATCH_DIMS)
+        tape = Tape()
+        with pytest.raises(AutodiffError, match="shape mismatch"):
+            model.forward(tape, model.params.bind(tape), stack_inputs([inp, inp]))
