@@ -439,6 +439,30 @@ class TestBatchedScoring:
             dests, trajectory, restart
         )
 
+    @pytest.mark.parametrize("target", [1.0, 1e5], ids=["near", "far"])
+    def test_batched_values_only_rule_candidates_out(self, monkeypatch, target):
+        # stacked value-only J alone decides every move, with no lone
+        # rescoring; a far target puts many candidates' J close together,
+        # so any J off from its lone forward would change a decision
+        graph, model, sources, traffic, profile, _ = random_state("nsfnet", "glance", 5, 6)
+        profile = TargetProfile.from_raw(profile.k_targ * target, UNIT_IQR)
+        kw = dict(n_init=10, n_rand=2, rng_seed=8)
+        dests, trajectory, restart, _ = reference_hillclimb(
+            model, graph, sources, traffic, profile, **kw
+        )
+
+        def lone(*args):
+            raise AssertionError("a J was rescored on a lone forward")
+
+        monkeypatch.setattr(manage, "twin_objective", lone)
+        result = hillclimb_destinations(
+            model, graph, sources, traffic, profile, capacities(graph), **kw
+        )
+        assert len(trajectory) > 3
+        assert (result.optimized_destinations, result.trajectory, result.restart_best) == (
+            dests, trajectory, restart
+        )
+
     def test_one_forward_per_scored_chunk(self, monkeypatch):
         # every J comes from a stacked forward of at most one flow's
         # candidates or EVAL_CHUNK starts; none is scored again alone
