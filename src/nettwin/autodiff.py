@@ -307,11 +307,9 @@ class Tape:
                 f"gru_step shape mismatch: x {xv.shape}, h {hv.shape}, "
                 f"mask {mask.shape}, w_z {w_z.shape}, u_z {u_z.shape}"
             )
-        if self.blocks == 1:
-            mm = np.matmul
-        else:
-            def mm(a, b):
-                return self._product(a, b, "gru_step")
+        def mm(a, b):
+            return self._product(a, b, "gru_step")
+
         z = _sigmoid((mm(xv, w_z) + mm(hv, u_z)) + b_z)
         r = _sigmoid((mm(xv, w_r) + mm(hv, u_r)) + b_r)
         rh = r * hv
