@@ -91,7 +91,7 @@ class Tape:
     count the nodes made.
 
     Such a tape may also run ``blocks`` > 1 samples stacked on one graph
-    (``twin.stack_inputs``). Its products then run one row block at a time,
+    (``twin.stack_tables``). Its products then run one row block at a time,
     through numpy's stacked matmul, which calls one gemm per block at the
     shape of that sample's own forward; so each sample's values carry the
     bytes of its forward alone. A row operand is ``blocks`` equal row

@@ -5,7 +5,8 @@ trained model instead of the simulator: projected gradient descent over the
 traffic means, and hill-climbing over flow destinations with random inits
 and restarts. Both only ever accept strict improvements, so their objective
 trajectories are non-increasing and identical seeds reproduce identical
-results. The hill-climb scores its candidates in stacked forwards, whose
+results. The hill-climb lays out each set of candidates straight from their
+routing tables into one stacked input and scores them in one forward, whose
 products run one candidate at a time, so each J is the one that candidate's
 own forward gives, bit for bit, and no J needs scoring twice.
 
@@ -36,7 +37,7 @@ from .simulator import (
     quiet_nanmean,
     run_sim,
 )
-from .twin import EVAL_CHUNK, TwinInput, TwinModel, prepare_twin_input, stack_inputs
+from .twin import EVAL_CHUNK, TwinInput, TwinModel, prepare_twin_input, stack_tables
 
 #: projection box for traffic means, matching the continuous training range
 TRAFFIC_BOUNDS = (1.0, 20.0)
@@ -204,13 +205,10 @@ def twin_objective(model: TwinModel, inp: TwinInput, profile: TargetProfile) -> 
     return _j_value(model.predict(inp), _objective_arrays(profile, model))
 
 
-def _batch_objective(
-    model: TwinModel, inputs: list[TwinInput], profile: TargetProfile
-) -> list[float]:
-    """J of each input, on one graph with one flow count, from one stacked
-    forward: each is ``twin_objective`` of that input, bit for bit."""
-    arrays = _objective_arrays(profile, model)
-    batch = stack_inputs(inputs)
+def _batch_objective(model: TwinModel, batch: TwinInput, arrays) -> list[float]:
+    """J of each block of a ``stack_tables`` input, from one forward, with
+    ``_objective_arrays`` given: each is ``twin_objective`` of that table's
+    lone input, bit for bit."""
     preds = model.predict(batch)
     off = batch.flow_offsets
     return [_j_value(preds[a:b], arrays) for a, b in zip(off[:-1], off[1:])]
@@ -354,8 +352,10 @@ def hillclimb_destinations(
 
     A flow's candidates differ from the current vector in that flow only,
     so they are all known before the first is tried, as are a restart's
-    starts. Each such set is routed and scored by stacked forwards: a
-    flow's candidates (fewer than the graph's nodes) in one, the starts
+    starts. Each such set is routed, one ``shortest_paths`` call per
+    distinct vector, laid out by ``stack_tables`` straight from the tables
+    (no candidate gets an input of its own) and scored by stacked forwards:
+    a flow's candidates (fewer than the graph's nodes) in one, the starts
     EVAL_CHUNK at a time. Each vector's J is that of ``twin_objective`` on
     its own input, bit for bit, so results do not depend on the batching.
     """
@@ -366,23 +366,20 @@ def hillclimb_destinations(
         raise ManageError("n_init and n_rand must be positive")
     n_nodes = graph.n_nodes
     tie_seed = derive_seed(rng_seed, "ties")
+    arrays = _objective_arrays(k_targ, model)
 
     # the J of every vector scored so far, so each is routed once; their
-    # tables share ``Path`` objects through the routing memo
+    # tables share ``Path`` objects through the routing memo, so a stack
+    # looks up each route's links once
     js: dict[tuple[int, ...], float] = {}
 
     def score(vectors: list[tuple[int, ...]], per_forward: int) -> None:
         new = [v for v in dict.fromkeys(vectors) if v not in js]
         for c0 in range(0, len(new), per_forward):
             chunk = new[c0 : c0 + per_forward]
-            inputs = [
-                prepare_twin_input(
-                    graph, shortest_paths(graph, FlowSet(sources, v), tie_seed),
-                    traffic, capacities,
-                )
-                for v in chunk
-            ]
-            js.update(zip(chunk, _batch_objective(model, inputs, k_targ)))
+            tables = [shortest_paths(graph, FlowSet(sources, v), tie_seed) for v in chunk]
+            batch = stack_tables(graph, tables, traffic, capacities)
+            js.update(zip(chunk, _batch_objective(model, batch, arrays)))
 
     best_overall: tuple[float, tuple[int, ...], list[float], int] | None = None
     for restart in range(n_rand):

@@ -91,6 +91,11 @@ class Graph:
         """Transmitting node of each link, aligned with links."""
         return _read_only(np.array([i for i, _ in self.links], dtype=np.int64))
 
+    @cached_property
+    def link_heads(self) -> np.ndarray:
+        """Receiving node of each link, aligned with links."""
+        return _read_only(np.array([j for _, j in self.links], dtype=np.int64))
+
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False

@@ -86,6 +86,10 @@ IQR_EPS = 1e-9
 
 SPLITS = ("train", "val", "test")
 
+#: samples per split are fewer than this: per-sample topology files are
+#: named ``{split}_{index:05d}.json``
+MAX_SPLIT_SIZE = 100_000
+
 STRATEGIES = ("stl", "mtl", "tl")
 
 
@@ -158,6 +162,9 @@ class GenConfig:
             )
         if min(self.n_train, self.n_val, self.n_test) < 0:
             raise DatasetError("split sizes must be non-negative")
+        for name in ("n_train", "n_val", "n_test"):
+            if getattr(self, name) >= MAX_SPLIT_SIZE:
+                raise DatasetError(f"{name} must be below {MAX_SPLIT_SIZE}")
         if self.n_train + self.n_val + self.n_test < 1:
             raise DatasetError("dataset must contain at least one sample")
         if self.n_r_test < 2:

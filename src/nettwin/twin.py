@@ -22,10 +22,10 @@ flow-permutation equivariance exact at the bit level.
 
 ``batch_inputs`` joins several samples' inputs into one disjoint-union input,
 so one forward (and one backward) covers a whole mini-batch; its output rows
-are the samples' rows, one sample after another. ``stack_inputs`` lays out
-samples on one graph with one flow count the same way, for a forward whose
-products run sample by sample, so that each sample's predictions keep the
-bytes of its forward alone.
+are the samples' rows, one sample after another. ``stack_tables`` lays out
+several routing tables of one flow set on one graph the same way, straight
+from their paths, for a forward whose products run table by table, so that
+each table's predictions keep the bytes of its forward alone.
 """
 
 from __future__ import annotations
@@ -112,9 +112,9 @@ class TwinInput:
     purpose (the baseline is order-sensitive by design).
 
     ``flow_offsets`` and ``node_offsets`` bound each sample's flow and node
-    rows: one sample here, several after ``batch_inputs``. ``blocks`` is the
-    number of equal row blocks a forward may split its products into: 1,
-    except after ``stack_inputs``.
+    rows: one sample here, several after ``batch_inputs`` or
+    ``stack_tables``. ``blocks`` is the number of equal row blocks a forward
+    may split its products into: 1, except after ``stack_tables``.
     """
 
     blocks = 1
@@ -126,7 +126,21 @@ class TwinInput:
         traffic: TrafficParams,
         capacities: np.ndarray,
     ):
-        n_flows = len(table.paths)
+        self._lay_out_tables(graph, [table], traffic, capacities)
+
+    def _lay_out_tables(
+        self,
+        graph: Graph,
+        tables: list[RoutingTable],
+        traffic: TrafficParams,
+        capacities: np.ndarray,
+    ) -> None:
+        """One block per table, one table's rows after another. Each
+        distinct ``Path`` object is looked up once, however many tables
+        hold it; a single table shares the graph's arrays."""
+        if not tables:
+            raise TwinError("a stack needs at least one table")
+        n_flows = len(tables[0].paths)
         if len(traffic) != n_flows:
             raise TwinError(
                 f"traffic for {len(traffic)} flows, table has {n_flows} paths"
@@ -136,45 +150,70 @@ class TwinInput:
             raise TwinError(
                 f"capacities shape {caps.shape} must match {len(graph.links)} links"
             )
-        self.n_flows = n_flows
-        self.n_nodes = graph.n_nodes
-        self.n_links = len(graph.links)
-        self.tau_feat = np.stack([traffic.tau_on, traffic.tau_off], axis=1)
-        self.caps_scaled = caps / CAPACITY_SCALE
-        self.degrees = graph.degrees
-        self.s_norm = graph.s_norm
-        self.link_tails = graph.link_tails
+        n_blocks, n_nodes, n_links = len(tables), graph.n_nodes, len(graph.links)
+        if any(len(t.paths) != n_flows for t in tables):
+            raise TwinError("stacked tables must route one set of sources")
+        self.n_flows = n_blocks * n_flows
+        self.n_nodes = n_blocks * n_nodes
+        self.n_links = n_blocks * n_links
 
-        paths = table.paths
-        pairs = [(p.source, p.destination) for p in paths]
-        order = sorted(range(n_flows), key=lambda f: pairs[f])
-        self.order = np.array(order, dtype=np.int64)
+        # each distinct path once, numbered by first use: its (source,
+        # destination) key, its length and its steps
+        number: dict[int, int] = {}
+        picks = [number.setdefault(id(p), len(number)) for t in tables for p in t.paths]
+        picks = np.array(picks).reshape(n_blocks, n_flows)
+        paths = list({id(p): p for t in tables for p in t.paths}.values())
+        keys = np.array([p.source * n_nodes + p.destination for p in paths])[picks]
+        if n_blocks > 1 and (keys // n_nodes != keys[0] // n_nodes).any():
+            raise TwinError("stacked tables must route one set of sources")
+        steps = [link for p in paths for link in p.links]
+        lengths = np.array([len(p.links) for p in paths], dtype=np.int64)
+
+        # the canonical order sorts each table's flows by their keys
+        order = np.argsort(keys, axis=1, kind="stable")
+        self.order = (order + np.arange(0, self.n_flows, n_flows)[:, None]).reshape(-1)
         self.inv_order = np.argsort(self.order)
 
         # every step of every path, flows in canonical order, as flat arrays:
-        # the step's row, its column, its link row and its tail node
-        steps = [link for f in order for link in paths[f].links]
-        lengths = np.array([len(paths[f].links) for f in order], dtype=np.int64)
-        step_row = np.repeat(np.arange(n_flows), lengths)
-        step_col = np.arange(len(steps)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        # the step's row, its column, and its link row and tail node, which
+        # each block reads from its own links and nodes
+        canon = picks.reshape(-1)[self.order]
+        row_len = lengths[canon]
+        step_row = np.repeat(np.arange(self.n_flows), row_len)
+        step_col = np.arange(len(step_row)) - np.repeat(np.cumsum(row_len) - row_len, row_len)
+        step = np.repeat((np.cumsum(lengths) - lengths)[canon], row_len) + step_col
         link_index = graph.link_index
-        step_link = [link_index.get(link) for link in steps]
-        if None in step_link:
-            k = step_link.index(None)
-            i, j = steps[k]
-            f = order[step_row[k]]
-            raise TwinError(f"flow {f} uses link ({i},{j}) not in the graph")
-        step_tail = np.array([i for i, _ in steps], dtype=np.int64)
-        self._lay_out_steps(step_row, step_col, np.array(step_link), step_tail)
-        self.flow_offsets = np.array([0, n_flows], dtype=np.int64)
-        self.node_offsets = np.array([0, graph.n_nodes], dtype=np.int64)
+        step_link = np.array([link_index.get(link, -1) for link in steps])[step]
+        step_tail = np.array([i for i, _ in steps], dtype=np.int64)[step]
+        if (step_link < 0).any():
+            k = int(np.argmax(step_link < 0))
+            i, j = steps[step[k]]
+            raise TwinError(
+                f"flow {self.order[step_row[k]] % n_flows} uses link ({i},{j}) "
+                "not in the graph"
+            )
+        if n_blocks > 1:  # a lone table's offsets are all zero
+            block = step_row // n_flows
+            step_link += n_links * block
+            step_tail += n_nodes * block
+        self._lay_out_steps(step_row, step_col, step_link, step_tail)
 
-        # a path's nodes are its links' tails and its destination; the
-        # baseline's columns follow the caller's flow order
-        crosses = np.zeros((graph.n_nodes, n_flows))
-        crosses[step_tail, self.order[step_row]] = 1.0
-        crosses[[pairs[f][1] for f in order], order] = 1.0
-        self.gnn_features_mask = np.repeat(crosses, 2, axis=1)
+        def tiled(a: np.ndarray, offset: int = 0) -> np.ndarray:
+            # each block's copy of a, plus offset per block before it
+            if n_blocks == 1:
+                return a
+            return np.concatenate([a + k * offset if offset else a for k in range(n_blocks)])
+
+        self.tau_feat = tiled(np.array([traffic.tau_on, traffic.tau_off]).T.copy())
+        self.caps_scaled = tiled(caps / CAPACITY_SCALE)
+        self.degrees = tiled(graph.degrees)
+        self.s_norm = graph.s_norm
+        self.link_tails = tiled(graph.link_tails, n_nodes)
+        self.link_heads = tiled(graph.link_heads, n_nodes)
+        self.flow_offsets = np.arange(0, self.n_flows + 1, n_flows, dtype=np.int64)
+        self.node_offsets = np.arange(0, self.n_nodes + 1, n_nodes, dtype=np.int64)
+        if n_blocks > 1:
+            self.blocks = n_blocks
 
     def _lay_out_steps(
         self, row: np.ndarray, col: np.ndarray, link: np.ndarray, tail: np.ndarray
@@ -200,15 +239,24 @@ class TwinInput:
     @property
     def gnn_features(self) -> np.ndarray:
         """(nodes, 2F): each node's row holds its own sample's interleaved
-        [tau_on, tau_off] where that flow's path crosses the node.
+        [tau_on, tau_off] where that flow's path crosses the node, at either
+        end of one of its links.
 
+        Built from the layout on each read, since only the gnn reads it.
         Needs the same flow count in every sample (the gnn's contract).
         """
         flat = self.tau_feat.reshape(self.n_samples, -1)
+        width = flat.shape[1] // 2
+        rows, cols = np.nonzero(self.step_mask)
+        flows = self.order[rows] % width  # each step's flow in its own sample
+        links = self.link_ids[rows, cols]
+        crosses = np.zeros((self.n_nodes, width))
+        for ends in (self.link_tails, self.link_heads):
+            crosses[ends[links], flows] = 1.0
         node_sample = np.repeat(
             np.arange(self.n_samples), np.diff(self.node_offsets)
         )
-        return self.gnn_features_mask * flat[node_sample]
+        return np.repeat(crosses, 2, axis=1) * flat[node_sample]
 
 
 def prepare_twin_input(
@@ -218,6 +266,26 @@ def prepare_twin_input(
     capacities: np.ndarray,
 ) -> TwinInput:
     return TwinInput(graph, table, traffic, capacities)
+
+
+def stack_tables(
+    graph: Graph,
+    tables: list[RoutingTable],
+    traffic: TrafficParams,
+    capacities: np.ndarray,
+) -> TwinInput:
+    """The input of routing tables that share one graph, one set of
+    sources, one traffic and one capacity vector, laid out straight from
+    their paths: as ``batch_inputs`` lays out their lone inputs, but keeping
+    the graph's ``s_norm`` and marked as ``blocks`` row blocks, so that
+    ``TwinModel.predict`` gives each table's rows the bytes of its own
+    forward. Tables that share ``Path`` objects (the routing memo's) share
+    their lookups. A stack of one table is its lone input. Raises TwinError
+    for no table or for tables whose sources differ.
+    """
+    out = TwinInput.__new__(TwinInput)
+    out._lay_out_tables(graph, tables, traffic, capacities)
+    return out
 
 
 #: samples per forward when many are scored at once (validation,
@@ -252,31 +320,6 @@ def batch_inputs(inputs: list[TwinInput]) -> TwinInput:
         raise TwinError("a batch needs at least one input")
     if len(inputs) == 1:
         return inputs[0]
-    return _joined(inputs, _block_diag([inp.s_norm for inp in inputs]))
-
-
-def stack_inputs(inputs: list[TwinInput]) -> TwinInput:
-    """Inputs on one graph with one flow count, laid out as ``batch_inputs``
-    lays them out, but keeping the one graph's ``s_norm`` and marked as
-    ``blocks`` row blocks: ``TwinModel.predict`` then computes each product
-    block by block, so each sample's rows of its output are the bytes of
-    its own forward. A stack of one is the input itself.
-    """
-    if len(inputs) < 2:
-        return batch_inputs(inputs)  # the input itself, or no input's error
-    first = inputs[0]
-    for inp in inputs[1:]:
-        if (inp.n_flows, inp.n_links, inp.n_nodes) != (
-            first.n_flows, first.n_links, first.n_nodes
-        ) or not np.array_equal(inp.s_norm, first.s_norm):
-            raise TwinError("stacked inputs must share one graph and one flow count")
-    out = _joined(inputs, first.s_norm)
-    out.blocks = len(inputs)
-    return out
-
-
-def _joined(inputs: list[TwinInput], s_norm: np.ndarray) -> TwinInput:
-    """The rows of several inputs, one sample after another, with s_norm."""
     out = TwinInput.__new__(TwinInput)
     flow_off = list(accumulate((inp.n_flows for inp in inputs), initial=0))
     link_off = list(accumulate((inp.n_links for inp in inputs), initial=0))
@@ -295,9 +338,10 @@ def _joined(inputs: list[TwinInput], s_norm: np.ndarray) -> TwinInput:
     out.caps_scaled = cat("caps_scaled")
     out.degrees = cat("degrees")
     out.link_tails = cat("link_tails", node_off)
+    out.link_heads = cat("link_heads", node_off)
     out.order = cat("order", flow_off)
     out.inv_order = cat("inv_order", flow_off)
-    out.s_norm = s_norm
+    out.s_norm = _block_diag([inp.s_norm for inp in inputs])
 
     steps = [np.nonzero(inp.step_mask) for inp in inputs]
     counts = [len(rows) for rows, _ in steps]
@@ -311,12 +355,6 @@ def _joined(inputs: list[TwinInput], s_norm: np.ndarray) -> TwinInput:
         joined([inp.link_ids[s] for inp, s in zip(inputs, steps)], link_off),
         joined([inp.tail_ids[s] for inp, s in zip(inputs, steps)], node_off),
     )
-
-    masks = [inp.gnn_features_mask for inp in inputs]
-    if len({m.shape[1] for m in masks}) == 1:
-        out.gnn_features_mask = np.concatenate(masks)
-    else:  # flow counts differ: no gnn can read this batch
-        out.gnn_features_mask = None
     return out
 
 

@@ -11,7 +11,9 @@ streams, link capacities and the KPI record type), and the two management
 solvers in their plainest form, where every state is scored alone on its
 own tape (taking the twin, routing and seeding from the package), the
 twin-input builder as per-cell loops that recompute every per-graph feature,
-the logistic function with two divisions, and Adam run array by array.
+the gnn's node features cell by cell, the stacked input as lone inputs
+joined by ``batch_inputs``, the logistic function with two divisions, and
+Adam run array by array.
 """
 
 from __future__ import annotations
@@ -36,7 +38,14 @@ from nettwin.nettopo import FlowSet, degree_vector, sym_normalized_operator
 from nettwin.routing import shortest_paths
 from nettwin.seeding import derive_seed, make_rng
 from nettwin.simulator import TASKS, KpiRecord, default_sim_config, link_capacities
-from nettwin.twin import CAPACITY_SCALE, TwinError, TwinInput, TwinModel, prepare_twin_input
+from nettwin.twin import (
+    CAPACITY_SCALE,
+    TwinError,
+    TwinInput,
+    TwinModel,
+    batch_inputs,
+    prepare_twin_input,
+)
 
 FD_STEP = 1e-6
 
@@ -584,6 +593,7 @@ def reference_twin_input(graph, table, traffic, capacities) -> TwinInput:
     inp.degrees = degree_vector(graph)
     inp.s_norm = sym_normalized_operator(graph.adjacency)
     inp.link_tails = np.array([i for i, _ in graph.links], dtype=np.int64)
+    inp.link_heads = np.array([j for _, j in graph.links], dtype=np.int64)
 
     pairs = [(p.source, p.destination) for p in table.paths]
     order = sorted(range(n_flows), key=lambda f: pairs[f])
@@ -606,13 +616,38 @@ def reference_twin_input(graph, table, traffic, capacities) -> TwinInput:
     inp.seg_ids = inp.link_ids.T.reshape(-1).copy()
     inp.flow_offsets = np.array([0, n_flows], dtype=np.int64)
     inp.node_offsets = np.array([0, graph.n_nodes], dtype=np.int64)
+    return inp
 
-    inp.gnn_features_mask = np.zeros((graph.n_nodes, 2 * n_flows))
+
+def reference_gnn_features(n_nodes, table, traffic) -> np.ndarray:
+    """``TwinInput.gnn_features`` of one table, cell by cell: node n's
+    columns 2f and 2f + 1 hold flow f's [tau_on, tau_off] where f's path
+    visits n, and zero elsewhere."""
+    feats = np.zeros((n_nodes, 2 * len(table.paths)))
     for f, path in enumerate(table.paths):
         for node in (path.source,) + tuple(j for _, j in path.links):
-            inp.gnn_features_mask[node, 2 * f] = 1.0
-            inp.gnn_features_mask[node, 2 * f + 1] = 1.0
-    return inp
+            feats[node, 2 * f] = traffic.tau_on[f]
+            feats[node, 2 * f + 1] = traffic.tau_off[f]
+    return feats
+
+
+def stack_inputs(inputs: list[TwinInput]) -> TwinInput:
+    """The layout ``twin.stack_tables`` must build from the tables of these
+    lone inputs (one graph, one flow count): ``batch_inputs`` of them, but
+    keeping the one graph's ``s_norm`` and marked as ``blocks`` row blocks.
+    A stack of one is the input itself."""
+    if len(inputs) < 2:
+        return batch_inputs(inputs)  # the input itself, or no input's error
+    first = inputs[0]
+    for inp in inputs[1:]:
+        if (inp.n_flows, inp.n_links, inp.n_nodes) != (
+            first.n_flows, first.n_links, first.n_nodes
+        ) or not np.array_equal(inp.s_norm, first.s_norm):
+            raise TwinError("stacked inputs must share one graph and one flow count")
+    out = batch_inputs(inputs)
+    out.s_norm = first.s_norm
+    out.blocks = len(inputs)
+    return out
 
 
 # -- Adam, one array at a time ---------------------------------------------------

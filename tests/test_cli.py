@@ -184,6 +184,18 @@ class TestGenData:
         assert run_cli(*argv, "--t-gen", t_gen) == 2
         assert not out.exists()
 
+    def test_absurd_split_size_is_usage_error(self, run_cli, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("generated a dataset of 10**30 samples")
+
+        monkeypatch.setattr(cli, "generate_dataset", never)
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"scenario": "reggrid-fixed", "n_train": 10**30}))
+        out = tmp_path / "ds"
+        assert run_cli("gen-data", "--config", str(cfg), "--out", str(out)) == 2
+        assert "n_train must be below 100000" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [cfg]
+
     def test_manifest_with_nan_t_gen_is_usage_error(
         self, run_cli, tmp_path, toy_dataset_dir, capsys
     ):

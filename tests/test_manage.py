@@ -31,7 +31,15 @@ from nettwin.nettopo import FlowSet, build_nsfnet, build_reg_grid
 from nettwin.routing import shortest_paths
 from nettwin.seeding import derive_seed
 from nettwin.simulator import TASKS, TrafficParams, default_sim_config, link_capacities
-from nettwin.twin import EVAL_CHUNK, GnnDims, TwinModel, make_model, prepare_twin_input
+from nettwin.twin import (
+    EVAL_CHUNK,
+    GnnDims,
+    TwinInput,
+    TwinModel,
+    make_model,
+    prepare_twin_input,
+    stack_tables,
+)
 from oracles import reference_gd_traffic, reference_hillclimb
 
 UNIT_IQR = np.ones(4)
@@ -384,10 +392,13 @@ class TestBatchedScoring:
             shortest_paths(graph, FlowSet(sources, random_destinations(rng, graph, sources)), 0)
             for _ in range(size)
         ]
-        inputs = [prepare_twin_input(graph, t, traffic, caps) for t in tables]
-        batched = manage._batch_objective(model, inputs, profile)
-        for inp, b in zip(inputs, batched):
-            exact = twin_objective(model, inp, profile)
+        batched = manage._batch_objective(
+            model,
+            stack_tables(graph, tables, traffic, caps),
+            manage._objective_arrays(profile, model),
+        )
+        for t, b in zip(tables, batched):
+            exact = twin_objective(model, prepare_twin_input(graph, t, traffic, caps), profile)
             assert b == exact
 
     def routed(self, monkeypatch) -> list:
@@ -465,18 +476,20 @@ class TestBatchedScoring:
 
     def test_one_forward_per_scored_chunk(self, monkeypatch):
         # every J comes from a stacked forward of at most one flow's
-        # candidates or EVAL_CHUNK starts; none is scored again alone
+        # candidates or EVAL_CHUNK starts, laid out straight from their
+        # routing tables; none is scored again alone, and no candidate
+        # gets a TwinInput of its own
         graph, model, sources, traffic, profile, _ = random_state("nsfnet", "glance", 5, 6)
         kw = dict(n_init=25, n_rand=2, rng_seed=8)
         _, trajectory, _, n_vectors = reference_hillclimb(
             model, graph, sources, traffic, profile, **kw
         )
         chunks, forwards = [], []
-        stack, predict = manage.stack_inputs, TwinModel.predict
+        stack, predict = manage.stack_tables, TwinModel.predict
 
-        def stack_noting_size(inputs):
-            chunks.append(len(inputs))
-            return stack(inputs)
+        def stack_noting_size(graph, tables, traffic, caps):
+            chunks.append(len(tables))
+            return stack(graph, tables, traffic, caps)
 
         def predict_noting_blocks(self, inp):
             forwards.append(inp.blocks)
@@ -485,13 +498,19 @@ class TestBatchedScoring:
         def lone(*args):
             raise AssertionError("a J was rescored on a lone forward")
 
-        monkeypatch.setattr(manage, "stack_inputs", stack_noting_size)
+        def built(*args):
+            raise AssertionError("a candidate built a TwinInput")
+
+        monkeypatch.setattr(manage, "stack_tables", stack_noting_size)
         monkeypatch.setattr(TwinModel, "predict", predict_noting_blocks)
         monkeypatch.setattr(manage, "twin_objective", lone)
+        monkeypatch.setattr(TwinInput, "__init__", built)
+        calls = self.routed(monkeypatch)
         result = hillclimb_destinations(
             model, graph, sources, traffic, profile, capacities(graph), **kw
         )
         assert result.trajectory == trajectory and len(trajectory) > 3
+        assert len(calls) == len({f.destinations for f in calls}) == n_vectors
         assert forwards == chunks
         assert sum(chunks) == n_vectors
         assert EVAL_CHUNK in chunks

@@ -36,6 +36,7 @@ from nettwin.pipeline import (
     EVAL_CHUNK,
     IQR_EPS,
     JITTER_LIMIT_MS,
+    MAX_SPLIT_SIZE,
     SPLITS,
     DatasetError,
     GenConfig,
@@ -131,6 +132,10 @@ class TestScenarioDefaults:
             GenConfig(scenario="reggrid-fixed", n_train=-1)
         with pytest.raises(DatasetError, match="at least one sample"):
             GenConfig(scenario="reggrid-fixed", n_train=0, n_val=0, n_test=0)
+        GenConfig(scenario="reggrid-fixed", n_test=MAX_SPLIT_SIZE - 1)
+        for name in ("n_train", "n_val", "n_test"):
+            with pytest.raises(DatasetError, match=f"^{name} must be below 100000$"):
+                GenConfig(scenario="reggrid-fixed", **{name: MAX_SPLIT_SIZE})
 
     def test_run_count_and_positivity(self):
         with pytest.raises(DatasetError, match=">= 2 runs"):

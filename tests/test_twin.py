@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nettwin.autodiff import AutodiffError, Tape
-from nettwin.nettopo import FlowSet, Graph, build_reg_grid, sym_normalized_operator
+from nettwin.nettopo import (
+    FlowSet,
+    Graph,
+    build_nsfnet,
+    build_reg_grid,
+    sym_normalized_operator,
+)
 from nettwin.pipeline import SPLITS, load_dataset
 from nettwin.routing import Path, RoutingTable, shortest_paths
 from nettwin.simulator import TASKS, TrafficParams, default_sim_config, link_capacities
@@ -24,7 +30,7 @@ from nettwin.twin import (
     init_embeddings,
     make_model,
     prepare_twin_input,
-    stack_inputs,
+    stack_tables,
 )
 
 from conftest import (
@@ -36,7 +42,12 @@ from conftest import (
     mixed_samples,
     wired_graph,
 )
-from oracles import random_connected_adjacency, reference_twin_input
+from oracles import (
+    random_connected_adjacency,
+    reference_gnn_features,
+    reference_twin_input,
+    stack_inputs,
+)
 
 WEE_DIMS = GlanceDims(
     d_node=2, d_link=2, d_path=4, t_layers=1, l_max=2,
@@ -131,6 +142,16 @@ class TestTwinInput:
         assert np.array_equal(feats[2], [0.0, 0.0])  # node 2 is on no path
 
 
+def assert_same_features(inputs, args):
+    """Each input's gnn features, and those of their batch when the flow
+    counts agree, against the per-cell oracle on (graph, table, traffic)."""
+    want = [reference_gnn_features(g.n_nodes, t, tr) for g, t, tr, *_ in args]
+    for inp, w in zip(inputs, want):
+        assert inp.gnn_features.tobytes() == w.tobytes()
+    if len({w.shape[1] for w in want}) == 1:
+        assert batch_inputs(inputs).gnn_features.tobytes() == np.concatenate(want).tobytes()
+
+
 def assert_same_input(got, want):
     """Every field of two inputs, arrays byte for byte with dtype and shape."""
     assert vars(got).keys() == vars(want).keys()
@@ -169,13 +190,14 @@ class TestInputOracle:
         for g, w in zip(got, want):
             assert_same_input(g, w)
         assert_same_input(batch_inputs(got), batch_inputs(want))
+        assert_same_features(got, args)
 
     @given(st.integers(min_value=0, max_value=10**6))
     def test_random_routes(self, seed):
         rng = np.random.default_rng(seed)
         graph = Graph(random_connected_adjacency(rng, int(rng.integers(2, 9))), None, True)
         n = graph.n_nodes
-        inputs = []
+        inputs, args = [], []
         for _ in range(3):
             pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
             picks = rng.choice(len(pairs), size=int(rng.integers(1, min(6, len(pairs)) + 1)),
@@ -194,9 +216,11 @@ class TestInputOracle:
             want = reference_twin_input(graph, table, traffic, caps)
             assert_same_input(got, want)
             inputs.append((got, want))
+            args.append((graph, table, traffic))
         assert_same_input(
             batch_inputs([g for g, _ in inputs]), batch_inputs([w for _, w in inputs])
         )
+        assert_same_features([g for g, _ in inputs], args)
 
     @given(st.integers(min_value=0, max_value=10**6))
     def test_foreign_link_message(self, seed):
@@ -685,56 +709,149 @@ class TestBatchInputs:
             model.predict(batch_inputs([two_flows, one_flow]))
 
 
-class TestStackInputs:
-    """Stacked batches on one graph: each sample's rows are its lone bytes."""
+def routed_tables(graph, sources, vectors):
+    return [shortest_paths(graph, FlowSet(sources, v), 0) for v in vectors]
 
-    def inputs(self, graph, n_flows, count, seed):
+
+def shared_state(graph, n_flows, rng):
+    """Capacities, traffic, sources and a destination vector, no pair repeated."""
+    caps = link_capacities(graph, default_sim_config(graph.wired))
+    traffic = TrafficParams(
+        tuple(rng.uniform(1.0, 20.0, n_flows)), tuple(rng.uniform(1.0, 20.0, n_flows))
+    )
+    sources = tuple(int(s) for s in rng.integers(graph.n_nodes, size=n_flows))
+    return caps, traffic, sources, random_vector(graph, sources, rng)
+
+
+def random_vector(graph, sources, rng):
+    while True:
+        draws = rng.integers(graph.n_nodes - 1, size=len(sources))
+        dests = tuple(int(d) + (int(d) >= s) for s, d in zip(sources, draws))
+        if len(set(zip(sources, dests))) == len(sources):
+            return dests
+
+
+class TestStackInputs:
+    """Stacked inputs on one graph (``stack_tables``): each table's rows are
+    its lone bytes."""
+
+    def tables(self, graph, n_flows, count, seed):
+        """Capacities, traffic and count tables routing one set of sources."""
         rng = np.random.default_rng(seed)
-        caps = link_capacities(graph, default_sim_config(graph.wired))
-        n = graph.n_nodes
-        pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
-        traffic = TrafficParams(
-            tuple(rng.uniform(1.0, 20.0, n_flows)), tuple(rng.uniform(1.0, 20.0, n_flows))
-        )
-        out = []
-        for _ in range(count):
-            picks = rng.choice(len(pairs), size=n_flows, replace=False)
-            flows = FlowSet(*zip(*(pairs[int(p)] for p in picks)))
-            table = shortest_paths(graph, flows, 0)
-            out.append(prepare_twin_input(graph, table, traffic, caps))
-        return out
+        caps, traffic, sources, first = shared_state(graph, n_flows, rng)
+        vectors = [first] + [random_vector(graph, sources, rng) for _ in range(count - 1)]
+        return caps, traffic, routed_tables(graph, sources, vectors)
 
     def test_layout_is_the_batch_but_for_the_node_operator(self):
-        inputs = self.inputs(build_reg_grid(), 3, 4, seed=1)
-        stacked, flat = stack_inputs(inputs), batch_inputs(inputs)
+        grid = build_reg_grid()
+        caps, traffic, tables = self.tables(grid, 3, 4, seed=1)
+        inputs = [prepare_twin_input(grid, t, traffic, caps) for t in tables]
+        stacked, flat = stack_tables(grid, tables, traffic, caps), batch_inputs(inputs)
         assert (stacked.blocks, flat.blocks) == (4, 1)
-        assert stacked.s_norm is inputs[0].s_norm
+        assert stacked.s_norm is grid.s_norm
         flat.s_norm, flat.blocks = stacked.s_norm, 4
         assert_same_input(stacked, flat)
 
     @pytest.mark.parametrize("kind", ["glance", "routenet", "gnn"])
     @given(seed=st.integers(0, 10**6), n_flows=st.integers(1, 6), count=st.integers(2, 12))
     def test_predictions_are_each_samples_own_bytes(self, kind, seed, n_flows, count):
-        inputs = self.inputs(build_reg_grid(), n_flows, count, seed)
+        grid = build_reg_grid()
+        caps, traffic, tables = self.tables(grid, n_flows, count, seed)
         model = make_model(kind, TASKS, seed, dims=kind_dims(kind, BATCH_DIMS, n_flows))
-        stacked = stack_inputs(inputs)
+        stacked = stack_tables(grid, tables, traffic, caps)
         got = np.split(model.predict(stacked), stacked.flow_offsets[1:-1])
-        for inp, rows in zip(inputs, got):
-            assert rows.tobytes() == model.predict(inp).tobytes()
+        for table, rows in zip(tables, got):
+            lone = prepare_twin_input(grid, table, traffic, caps)
+            assert rows.tobytes() == model.predict(lone).tobytes()
 
     def test_rejections(self):
         grid = build_reg_grid()
-        inp = self.inputs(grid, 2, 1, seed=3)[0]
-        assert stack_inputs([inp]) is inp
+        caps, traffic, tables = self.tables(grid, 2, 2, seed=3)
         with pytest.raises(TwinError, match="at least one"):
-            stack_inputs([])
-        with pytest.raises(TwinError, match="one graph and one flow count"):
-            stack_inputs([inp, *self.inputs(grid, 3, 1, seed=3)])
-        with pytest.raises(TwinError, match="one graph and one flow count"):
-            stack_inputs([inp, *self.inputs(build_reg_grid(2, 8), 2, 1, seed=3)])
+            stack_tables(grid, [], traffic, caps)
+        three = self.tables(grid, 3, 1, seed=3)[2][0]
+        with pytest.raises(TwinError, match="one set of sources"):
+            stack_tables(grid, [tables[0], three], traffic, caps)
+        with pytest.raises(TwinError, match="traffic for 2 flows, table has 3 paths"):
+            stack_tables(grid, [three, tables[0]], traffic, caps)
         # a recording tape takes one block, so its products refuse the
         # stacked batch's shared node operator
         model = make_model("glance", TASKS, 0, dims=BATCH_DIMS)
         tape = Tape()
         with pytest.raises(AutodiffError, match="shape mismatch"):
-            model.forward(tape, model.params.bind(tape), stack_inputs([inp, inp]))
+            model.forward(
+                tape, model.params.bind(tape), stack_tables(grid, tables, traffic, caps)
+            )
+
+
+class TestStackTables:
+    """``stack_tables`` against the oracle: ``stack_inputs`` of freshly built
+    lone inputs, every field byte for byte, and the same predictions."""
+
+    GRAPHS = {"nsfnet": build_nsfnet(), "reggrid": build_reg_grid()}
+
+    def check(self, graph, tables, traffic, caps, model=None):
+        got = stack_tables(graph, tables, traffic, caps)
+        want = stack_inputs([prepare_twin_input(graph, t, traffic, caps) for t in tables])
+        assert_same_input(got, want)
+        if model is not None:
+            assert model.predict(got).tobytes() == model.predict(want).tobytes()
+        return got
+
+    @pytest.mark.parametrize("kind", ["glance", "routenet", "gnn"])
+    @pytest.mark.parametrize("topology", ["nsfnet", "reggrid"])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_flows=st.integers(1, 8),
+        size=st.integers(1, 14),
+    )
+    def test_sweep_matches_fresh_inputs(self, topology, kind, seed, n_flows, size):
+        # one flow's sweep as the hill-climb stacks it: the vectors that
+        # move flow f's destination, sharing every other flow's Path object
+        graph = self.GRAPHS[topology]
+        rng = np.random.default_rng(seed)
+        caps, traffic, sources, current = shared_state(graph, n_flows, rng)
+        f = int(rng.integers(n_flows))
+        used = set(zip(sources, current))
+        free = [n for n in range(graph.n_nodes)
+                if n != sources[f] and (sources[f], n) not in used]
+        picks = rng.permutation(free)[:size]
+        vectors = [current[:f] + (int(n),) + current[f + 1 :] for n in picks] or [current]
+        model = make_model(kind, TASKS, seed % 1000, dims=kind_dims(kind, BATCH_DIMS, n_flows))
+        self.check(graph, routed_tables(graph, sources, vectors), traffic, caps, model)
+
+    def test_moved_canonical_position(self):
+        # flows (0, 1) and (0, 5): moving flow 0 to 7 puts it after flow 1
+        graph = self.GRAPHS["nsfnet"]
+        caps, traffic, *_ = shared_state(graph, 2, np.random.default_rng(0))
+        tables = routed_tables(graph, (0, 0), [(1, 5), (7, 5), (3, 5)])
+        got = self.check(graph, tables, traffic, caps)
+        assert got.order.tolist() == [0, 1, 3, 2, 4, 5]
+
+    def test_path_lengths_change_max_steps(self):
+        # one flow to each node: a neighbour alone takes one step, the
+        # stack as many as the farthest node's hop count
+        graph = self.GRAPHS["nsfnet"]
+        caps, traffic, *_ = shared_state(graph, 1, np.random.default_rng(0))
+        vectors = [(n,) for n in range(1, graph.n_nodes)]
+        tables = routed_tables(graph, (0,), vectors)
+        got = self.check(graph, tables, traffic, caps)
+        lone = [prepare_twin_input(graph, t, traffic, caps).max_steps for t in tables]
+        assert min(lone) == 1 and got.max_steps == max(lone) > 2
+
+    def test_one_table_is_its_lone_input(self):
+        graph = self.GRAPHS["reggrid"]
+        caps, traffic, sources, dests = shared_state(graph, 4, np.random.default_rng(2))
+        table = routed_tables(graph, sources, [dests])[0]
+        got = stack_tables(graph, [table], traffic, caps)
+        assert got.blocks == 1 and "blocks" not in vars(got)
+        assert_same_input(got, prepare_twin_input(graph, table, traffic, caps))
+        assert_same_input(got, reference_twin_input(graph, table, traffic, caps))
+
+    def test_sources_must_agree(self):
+        graph = self.GRAPHS["nsfnet"]
+        caps, traffic, *_ = shared_state(graph, 2, np.random.default_rng(0))
+        tables = routed_tables(graph, (0, 1), [(1, 5), (7, 5)])
+        other = routed_tables(graph, (0, 2), [(1, 5)])
+        with pytest.raises(TwinError, match="one set of sources"):
+            stack_tables(graph, [*tables, *other], traffic, caps)
