@@ -270,7 +270,11 @@ class Tape:
         out += b.value
         if relu:
             mask = out > 0
-            np.copyto(out, 0.0, where=~mask)  # NaN and -0.0 become +0.0 too
+            # the bytes of np.copyto(out, 0.0, where=~mask), which numpy runs
+            # element by element with a branch: fmax is one SIMD pass that maps
+            # NaN and -inf to 0.0, and += 0.0 turns its -0.0 into +0.0
+            np.fmax(out, 0.0, out=out)
+            out += 0.0
         need_x, need_w, need_b = x.needs_grad, w.needs_grad, b.needs_grad
 
         def pullback(g):

@@ -37,6 +37,8 @@ from .manage import (
     ManageError,
     NetworkInput,
     TargetProfile,
+    check_flows_solver,
+    check_traffic_solver,
     evaluate_management,
     gd_traffic,
     hillclimb_destinations,
@@ -453,9 +455,15 @@ MANAGE_FLOWS_OPTIONS = _MANAGE_OPTIONS + _file_only(_TRAFFIC_SOLVER) + _FLOWS_SO
 def _manage_common(args: argparse.Namespace, solves_traffic: bool):
     """Resolve, load and echo the run; its target profile from simulator runs.
 
-    A checkpoint the solver cannot use is rejected before anything runs.
+    Solver settings and a checkpoint the solver cannot use are rejected
+    before anything runs.
     """
     resolved = _resolve(args)
+    typed = _typed(args, resolved)
+    if solves_traffic:
+        check_traffic_solver(typed["alpha0"], typed["max_iters"])
+    else:
+        check_flows_solver(typed["n_init"], typed["n_restarts"])
     dataset = load_dataset(Path(resolved["data"]))
     model, normalizer, _ = _load_model(resolved["checkpoint"], dataset.scenario)
     if solves_traffic:
@@ -476,7 +484,7 @@ def _manage_common(args: argparse.Namespace, solves_traffic: bool):
     x_orig = NetworkInput(sample.flows, sample.traffic)
     k_targ_raw = mean_runs(sample.graph, x_orig, dataset.sim_config, seeds[:3])
     profile = TargetProfile.from_raw(k_targ_raw, normalizer.iqr, objective_tasks)
-    return resolved, dataset, sample, model, normalizer, seeds, x_orig, profile
+    return resolved, typed, dataset, sample, model, normalizer, seeds, x_orig, profile
 
 
 def _check_path_bound(model: TwinModel, sample, solves_traffic: bool) -> None:
@@ -534,10 +542,9 @@ def _finish_manage(resolved, dataset, sample, result, x_orig, x_gen, normalizer,
 
 
 def _cmd_manage_traffic(args: argparse.Namespace) -> int:
-    resolved, dataset, sample, model, normalizer, seeds, x_orig, profile = (
+    resolved, typed, dataset, sample, model, normalizer, seeds, x_orig, profile = (
         _manage_common(args, solves_traffic=True)
     )
-    typed = _typed(args, resolved)
     tau0 = np.clip(
         np.stack([sample.traffic.tau_on, sample.traffic.tau_off], axis=1),
         *TRAFFIC_BOUNDS,
@@ -562,10 +569,9 @@ def _cmd_manage_traffic(args: argparse.Namespace) -> int:
 
 
 def _cmd_manage_flows(args: argparse.Namespace) -> int:
-    resolved, dataset, sample, model, normalizer, seeds, x_orig, profile = (
+    resolved, typed, dataset, sample, model, normalizer, seeds, x_orig, profile = (
         _manage_common(args, solves_traffic=False)
     )
-    typed = _typed(args, resolved)
     result = hillclimb_destinations(
         model,
         sample.graph,

@@ -242,6 +242,14 @@ def require_traffic_input(model: TwinModel) -> None:
         raise ManageError("the gnn baseline has no traffic input to differentiate")
 
 
+def check_traffic_solver(alpha0: float, max_iters: int) -> None:
+    """Raise ManageError unless gd_traffic can start from this step and budget."""
+    if not (alpha0 > 0 and math.isfinite(alpha0)):
+        raise ManageError(f"alpha0 must be positive and finite, got {alpha0}")
+    if max_iters < 0:
+        raise ManageError(f"max_iters must be non-negative, got {max_iters}")
+
+
 def gd_traffic(
     model: TwinModel,
     graph: Graph,
@@ -261,6 +269,7 @@ def gd_traffic(
     own tape.
     """
     require_traffic_input(model)
+    check_traffic_solver(alpha0, max_iters)
     lo, hi = TRAFFIC_BOUNDS
     tau = np.asarray(tau0, dtype=np.float64).copy()
     if tau.shape != (k_targ.n_flows, 2):
@@ -329,6 +338,14 @@ def _valid_destination_vector(
             return tuple(dests)
 
 
+def check_flows_solver(n_init: int, n_rand: int) -> None:
+    """Raise ManageError unless the hill-climb draws a start and a restart."""
+    if n_init < 1 or n_rand < 1:
+        raise ManageError(
+            f"n_init and n_rand (the restarts) must be positive, got {n_init} and {n_rand}"
+        )
+
+
 def hillclimb_destinations(
     model: TwinModel,
     graph: Graph,
@@ -362,8 +379,7 @@ def hillclimb_destinations(
     sources = tuple(int(s) for s in f_src)
     if len(sources) != k_targ.n_flows or len(traffic) != len(sources):
         raise ManageError("f_src, traffic and k_targ disagree on flow count")
-    if n_init < 1 or n_rand < 1:
-        raise ManageError("n_init and n_rand must be positive")
+    check_flows_solver(n_init, n_rand)
     n_nodes = graph.n_nodes
     tie_seed = derive_seed(rng_seed, "ties")
     arrays = _objective_arrays(k_targ, model)

@@ -636,8 +636,12 @@ class TrainConfig:
             raise DatasetError(f"size must be compact or large, got {self.size!r}")
         if self.epochs < 1 or self.batch_size < 1 or self.folds < 1:
             raise DatasetError("epochs, batch_size and folds must be positive")
-        if self.lr <= 0:
-            raise DatasetError("lr must be positive")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise DatasetError(f"lr must be positive and finite, got {self.lr}")
+        for key in ("l2_link", "l2_readout"):
+            value = getattr(self, key)
+            if not (value >= 0 and math.isfinite(value)):
+                raise DatasetError(f"{key} must be non-negative and finite, got {value}")
 
     def active_tasks(self) -> tuple[str, ...]:
         if self.strategy == "mtl":

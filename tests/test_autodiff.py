@@ -503,6 +503,42 @@ class TestDense:
         assert got.tobytes() == want.tobytes()
         assert not np.signbit(got).any()
 
+    #: signed zeros, infinities, NaNs, subnormals and the extremes of the range
+    RELU_INPUTS = (
+        0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+        1e-308, -1e-308, 1.7e308, -1.7e308, 3.0, -3.0,
+    )
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["blas", "exact"])
+    @pytest.mark.parametrize(
+        "record, blocks", [(False, 1), (False, 3), (True, 1)],
+        ids=["values", "stacked", "recording"],
+    )
+    def test_relu_bytes_at_every_length(self, monkeypatch, record, blocks, exact):
+        # lengths 1 to 70 run numpy's SIMD body and its scalar tail. A BLAS
+        # product turns -0.0 into +0.0, so the exact variant scales by the
+        # 1x1 identity elementwise instead, and pre is the input itself
+        if exact:
+            monkeypatch.setattr(Tape, "_product", lambda self, av, bv, what: av * bv[0, 0])
+        rng = np.random.default_rng(20)
+        for n in range(1, 71):
+            rows = np.resize(np.roll(self.RELU_INPUTS, n), n * blocks)[:, None]
+            t = Tape(record=record, blocks=blocks)
+            x, w, b = t.leaf(rows), t.leaf(np.eye(1)), t.leaf([-0.0])
+            pre = (rows * 1.0 if exact else rows @ w.value) + b.value
+            if exact:
+                assert pre.tobytes() == rows.tobytes()
+            h = t.dense(x, w, b, relu=True)
+            mask = pre > 0
+            assert h.value.tobytes() == np.where(mask, pre, 0.0).tobytes(), n
+            if record:
+                g = rng.normal(size=pre.shape)
+                with np.errstate(all="ignore"):  # rows.T @ g meets inf and 1.7e308
+                    got = t._pullbacks[h.node_id](g)
+                    gm = g * mask
+                    want = (gm @ w.value.T, rows.T @ gm, gm.sum(axis=0))
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want], n
+
     def test_values(self):
         t = Tape()
         x = t.constant([[1.0, -2.0]])

@@ -440,6 +440,33 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert read_tree(tmp_path) == before
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--lr", "nan", "lr must be positive and finite, got nan"),
+            ("--lr", "inf", "lr must be positive and finite, got inf"),
+            ("--l2-link", "nan", "l2_link must be non-negative and finite, got nan"),
+            ("--l2-link", "-1", "l2_link must be non-negative and finite, got -1.0"),
+            ("--l2-readout", "inf", "l2_readout must be non-negative and finite, got inf"),
+        ],
+    )
+    def test_bad_lr_or_l2_is_usage_error_before_training(
+        self, run_cli, tmp_path, toy_dataset_dir, monkeypatch, capsys, flag, value, message
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError(f"training ran with {flag} {value}")
+
+        monkeypatch.setattr(cli, "run_strategy", never)
+        out = tmp_path / "out" / "m.ckpt"
+        assert run_cli(
+            "train", "--data", toy_dataset_dir, "--out", str(out), "--epochs", "1",
+            flag, value,
+        ) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""  # not even the resolved config
+        assert not (tmp_path / "out").exists()
+
     def test_poisoned_resume_state_is_numerical_failure(
         self, run_cli, tmp_path, toy_dataset_dir
     ):
@@ -786,6 +813,41 @@ class TestManage:
         ) == 2
         captured = capsys.readouterr()
         assert "gnn baseline has no traffic input" in captured.err
+        assert captured.out == ""  # not even the resolved config
+        assert sims == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            ("manage-traffic", "--alpha0", "nan", "alpha0 must be positive and finite, got nan"),
+            ("manage-traffic", "--alpha0", "inf", "alpha0 must be positive and finite, got inf"),
+            ("manage-traffic", "--alpha0", "-1", "alpha0 must be positive and finite, got -1.0"),
+            ("manage-traffic", "--alpha0", "0", "alpha0 must be positive and finite, got 0.0"),
+            ("manage-traffic", "--max-iters", "-3", "max_iters must be non-negative, got -3"),
+            ("manage-flows", "--n-init", "0", "must be positive, got 0 and 5"),
+            ("manage-flows", "--n-restarts", "0", "must be positive, got 100 and 0"),
+        ],
+    )
+    def test_bad_solver_setting_rejected_before_simulating(
+        self, run_cli, tmp_path, toy_dataset_dir, manage_ckpt, monkeypatch, capsys,
+        command, flag, value, message,
+    ):
+        sims = []
+        real_run_sim = manage.run_sim
+
+        def counted(*args, **kwargs):
+            sims.append(1)
+            return real_run_sim(*args, **kwargs)
+
+        monkeypatch.setattr(manage, "run_sim", counted)
+        out = tmp_path / "out" / "m.json"
+        assert run_cli(
+            command, "--data", toy_dataset_dir, "--checkpoint", str(manage_ckpt),
+            "--out", str(out), "--verify", flag, value,
+        ) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
         assert captured.out == ""  # not even the resolved config
         assert sims == []
         assert not (tmp_path / "out").exists()

@@ -687,6 +687,13 @@ class TestTrainConfig:
             TrainConfig(epochs=0)
         with pytest.raises(DatasetError, match="lr must be positive"):
             TrainConfig(lr=0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DatasetError, match="lr must be positive and finite"):
+                TrainConfig(lr=bad)
+        for bad in (math.nan, math.inf, -1e-9):
+            with pytest.raises(DatasetError, match="l2_readout must be non-negative"):
+                TrainConfig(l2_readout=bad)
+        assert TrainConfig(l2_link=0.0, l2_readout=0.0).l2_link == 0.0
 
     def test_task_selection(self):
         assert TrainConfig(strategy="mtl").active_tasks() == TASKS
