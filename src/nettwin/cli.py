@@ -190,6 +190,9 @@ _SEED = Option("seed", int, 0)
 
 # -- gen-data -----------------------------------------------------------------
 
+#: most worker processes gen-data starts; --jobs above it is a usage error
+MAX_JOBS = 32
+
 GEN_OPTIONS = (
     Option("scenario", required=True),
     Option("n_train", int, 200),
@@ -208,6 +211,8 @@ GEN_OPTIONS = (
 def _cmd_gen_data(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
     typed = _typed(args, resolved)
+    if not 1 <= typed["jobs"] <= MAX_JOBS:
+        raise _CliError(f"--jobs must be between 1 and {MAX_JOBS}, got {typed['jobs']}")
     out = _out_path(typed["out"])
     config = GenConfig(**{f.name: typed[f.name] for f in fields(GenConfig)})
     _emit({"resolved_config": resolved})

@@ -634,8 +634,10 @@ class TrainConfig:
                 )
         if self.size not in ("compact", "large"):
             raise DatasetError(f"size must be compact or large, got {self.size!r}")
-        if self.epochs < 1 or self.batch_size < 1 or self.folds < 1:
-            raise DatasetError("epochs, batch_size and folds must be positive")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise DatasetError("epochs and batch_size must be positive")
+        if self.folds < 2:  # one fold would leave no sample to train on
+            raise DatasetError(f"folds must be at least 2, got {self.folds}")
         if not (self.lr > 0 and math.isfinite(self.lr)):
             raise DatasetError(f"lr must be positive and finite, got {self.lr}")
         for key in ("l2_link", "l2_readout"):

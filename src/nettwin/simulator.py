@@ -39,7 +39,7 @@ TASKS = ("delay", "jitter", "throughput", "drops")
 #: capacity_default * weight / ATTEN_REF
 ATTEN_REF = 1.0 / math.log(1.0 + 30.0 * 30.0)
 
-_EMIT, _ARRIVAL, _TX_END = 0, 1, 2
+_ARRIVAL, _TX_END = 0, 1
 
 
 def quiet_nanmean(stack: np.ndarray, axis: int) -> np.ndarray:
@@ -186,15 +186,6 @@ class RunSet:
     reference_table: RoutingTable
 
 
-class _Packet:
-    __slots__ = ("flow", "emit", "hop")
-
-    def __init__(self, flow: int, emit: float):
-        self.flow = flow
-        self.emit = emit
-        self.hop = 0
-
-
 class _LinkState:
     __slots__ = ("index", "tail", "tx_time", "hood", "queue", "busy")
 
@@ -204,8 +195,9 @@ class _LinkState:
         self.tx_time = tx_time
         # nodes whose contention counter this link's transmissions hold
         self.hood = hood
-        self.queue: deque[_Packet] = deque()
-        self.busy: _Packet | None = None
+        # packets are [flow, emission time, hop index] lists
+        self.queue: deque[list] = deque()
+        self.busy: list | None = None
 
 
 def _emission_times(
@@ -277,28 +269,31 @@ def run_sim(
     busy = [0] * graph.n_nodes
     pending: dict[int, _LinkState] = {}
 
-    # Only each flow's next emission sits in the heap. Emission k of flow f
-    # keeps the tie-break number it would have if all were pushed up front,
-    # first_seq[f] + k, and events pushed in the loop are numbered after the
-    # last emission; seq numbers are unique, so tuples compare on
-    # (time, seq) alone and the pop order is fixed.
-    emissions: list[list[float]] = []
-    first_seq: list[int] = []
-    heap: list[tuple] = []
-    seq = 0
-    generated = np.zeros(n_flows, dtype=np.int64)
-    for f in range(n_flows):
-        rng = make_rng(seed, "flow", f)
-        times = _emission_times(
-            rng, traffic.tau_on[f], traffic.tau_off[f], interval, config.t_gen
+    # Emission k of flow f is numbered (emissions of flows before f) + k, as
+    # if all were pushed up front, so a stable sort of the flow-major times
+    # walks them in (time, seq) order: one pre-sorted stream, ended by an
+    # inf sentinel. The heap holds only the events the loop schedules, TX
+    # ends and deferred arrivals, numbered after the last emission. An
+    # emission thus precedes a heap event at its time, and the heap is
+    # popped only when its head is earlier than the next emission. seq
+    # numbers are unique, so heap tuples compare on (time, seq) alone.
+    per_flow = [
+        _emission_times(
+            make_rng(seed, "flow", f),
+            traffic.tau_on[f], traffic.tau_off[f], interval, config.t_gen,
         )
-        generated[f] = len(times)
-        emissions.append(times)
-        first_seq.append(seq)
-        if times:
-            heap.append((times[0], seq, _EMIT, _Packet(f, times[0]), flow_paths[f][0]))
-        seq += len(times)
-    heapq.heapify(heap)
+        for f in range(n_flows)
+    ]
+    generated = np.array([len(times) for times in per_flow], dtype=np.int64)
+    joined = np.concatenate(per_flow)
+    order = np.argsort(joined, kind="stable")
+    em_times = joined[order].tolist()
+    em_times.append(math.inf)
+    em_flows = np.repeat(np.arange(n_flows), generated)[order].tolist()
+    n_em = seq = len(em_flows)
+    i = 0
+    next_em = em_times[0]
+    heap: list[tuple] = []
 
     delivered: list[list[float]] = [[] for _ in range(n_flows)]
     overflow = np.zeros(n_flows, dtype=np.int64)
@@ -306,55 +301,60 @@ def run_sim(
     buffer_pkts = config.queue_buffer_pkts
     heappush, heappop = heapq.heappush, heapq.heappop
 
-    while heap:
-        now, s, kind, pkt, link = heappop(heap)
-        if now > t_gen:
-            break
-        if kind == _TX_END:
-            ended, link = link, None
-            pkt.hop += 1
-            path = flow_paths[pkt.flow]
-            if pkt.hop == len(path):
-                delivered[pkt.flow].append(now - pkt.emit)
-            else:
-                link = path[pkt.hop]
-                s = seq
-                seq += 1
-            ended.busy = None
-            if not ended.hood:
-                # no contention: serve the queue, after the next hop's number
-                if ended.queue:
-                    sent = ended.busy = ended.queue.popleft()
-                    heappush(heap, (now + ended.tx_time, seq, _TX_END, sent, ended))
+    while True:
+        if heap and heap[0][0] < next_em:
+            now, s, kind, pkt, link = heappop(heap)
+            if now > t_gen:
+                break  # emissions all end by t_gen, so none is left
+            if kind == _TX_END:
+                ended, link = link, None
+                pkt[2] += 1
+                path = flow_paths[pkt[0]]
+                if pkt[2] == len(path):
+                    delivered[pkt[0]].append(now - pkt[1])
+                else:
+                    link = path[pkt[2]]
+                    s = seq
                     seq += 1
-            else:
-                for v in ended.hood:
-                    busy[v] -= 1
-                if ended.queue:
-                    pending[ended.index] = ended
-                # grant in link-index order; each grant may block later candidates
-                for r in sorted(pending) if pending else ():
-                    idle = pending[r]
-                    if not busy[idle.tail]:
-                        del pending[r]
-                        sent = idle.busy = idle.queue.popleft()
-                        for v in idle.hood:
-                            busy[v] += 1
-                        heappush(heap, (now + idle.tx_time, seq, _TX_END, sent, idle))
+                ended.busy = None
+                if not ended.hood:
+                    # no contention: serve the queue, after the next hop's number
+                    if ended.queue:
+                        sent = ended.busy = ended.queue.popleft()
+                        heappush(heap, (now + ended.tx_time, seq, _TX_END, sent, ended))
                         seq += 1
-            if link is None:
-                continue
-            # the next-hop arrival at (now, s) is handled here unless an
-            # event queued earlier shares its time and precedes it
-            if heap and heap[0] < (now, s):
-                heappush(heap, (now, s, _ARRIVAL, pkt, link))
-                continue
-        elif kind == _EMIT:
-            f = pkt.flow
-            k = s + 1 - first_seq[f]
-            if k < len(emissions[f]):
-                t = emissions[f][k]
-                heappush(heap, (t, s + 1, _EMIT, _Packet(f, t), link))
+                else:
+                    for v in ended.hood:
+                        busy[v] -= 1
+                    if ended.queue:
+                        pending[ended.index] = ended
+                    # grant in link-index order; each grant may block later candidates
+                    for r in sorted(pending) if pending else ():
+                        idle = pending[r]
+                        if not busy[idle.tail]:
+                            del pending[r]
+                            sent = idle.busy = idle.queue.popleft()
+                            for v in idle.hood:
+                                busy[v] += 1
+                            heappush(heap, (now + idle.tx_time, seq, _TX_END, sent, idle))
+                            seq += 1
+                if link is None:
+                    continue
+                # the next-hop arrival at (now, s) is handled here unless an
+                # event queued earlier shares its time and precedes it; no
+                # emission can, as now < next_em
+                if heap and heap[0] < (now, s):
+                    heappush(heap, (now, s, _ARRIVAL, pkt, link))
+                    continue
+        elif i == n_em:
+            break
+        else:
+            now = next_em
+            f = em_flows[i]
+            pkt = [f, now, 0]
+            link = flow_paths[f][0]
+            i += 1
+            next_em = em_times[i]
         # arrival at link (an emission arrives at its first hop); an idle link
         # whose tail may send has an empty queue, as each TX end grants all it can
         if link.busy is None and not busy[link.tail]:
@@ -364,7 +364,7 @@ def run_sim(
             heappush(heap, (now + link.tx_time, seq, _TX_END, pkt, link))
             seq += 1
         elif len(link.queue) >= buffer_pkts:
-            overflow[pkt.flow] += 1
+            overflow[pkt[0]] += 1
         else:
             link.queue.append(pkt)
             if link.busy is None:
@@ -373,9 +373,9 @@ def run_sim(
     in_flight = np.zeros(n_flows, dtype=np.int64)
     for state in states.values():
         for queued in state.queue:
-            in_flight[queued.flow] += 1
+            in_flight[queued[0]] += 1
         if state.busy is not None:
-            in_flight[state.busy.flow] += 1
+            in_flight[state.busy[0]] += 1
 
     kpis = np.empty((n_flows, 4))
     counts = np.empty((n_flows, 4), dtype=np.int64)

@@ -184,6 +184,24 @@ class TestGenData:
         assert run_cli(*argv, "--t-gen", t_gen) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", [0, -2, cli.MAX_JOBS + 1])
+    def test_jobs_out_of_range_is_usage_error(
+        self, run_cli, tmp_path, capsys, monkeypatch, jobs
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError(f"gen-data went on with --jobs {jobs}")
+
+        # neither a worker pool nor a serial sample may start
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", never)
+        monkeypatch.setattr(pipeline, "run_benchmarks", never)
+        out = tmp_path / "ds"
+        argv = ["gen-data", "--scenario", "reggrid-fixed", *TINY_GEN, "--out", str(out)]
+        assert run_cli(*argv, "--jobs", str(jobs)) == 2
+        captured = capsys.readouterr()
+        assert f"--jobs must be between 1 and {cli.MAX_JOBS}, got {jobs}" in captured.err
+        assert captured.out == ""  # not even the resolved config
+        assert not out.exists()
+
     def test_absurd_split_size_is_usage_error(self, run_cli, tmp_path, capsys, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("generated a dataset of 10**30 samples")
@@ -287,6 +305,23 @@ class TestTrain:
         _, manifest, _ = load_checkpoint(out)
         assert manifest["cv"]["folds"] == 2
         assert manifest["cv"]["best_fold"] in (0, 1)
+
+    def test_cv_with_one_fold_is_usage_error(
+        self, run_cli, tmp_path, toy_dataset_dir, monkeypatch, capsys
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("cross-validated with one fold")
+
+        monkeypatch.setattr(cli, "cross_validate", never)
+        out = tmp_path / "out" / "cv.ckpt"
+        assert run_cli(
+            "train", "--data", toy_dataset_dir, "--out", str(out),
+            "--epochs", "1", "--folds", "1", "--cv",
+        ) == 2
+        captured = capsys.readouterr()
+        assert "folds must be at least 2, got 1" in captured.err
+        assert captured.out == ""  # not even the resolved config
+        assert not (tmp_path / "out").exists()
 
     def test_cv_resume_conflict(self, run_cli, tmp_path, toy_dataset_dir):
         assert run_cli(

@@ -685,6 +685,9 @@ class TestTrainConfig:
             TrainConfig(size="huge")
         with pytest.raises(DatasetError, match="positive"):
             TrainConfig(epochs=0)
+        for bad in (1, 0):
+            with pytest.raises(DatasetError, match=f"folds must be at least 2, got {bad}"):
+                TrainConfig(folds=bad)
         with pytest.raises(DatasetError, match="lr must be positive"):
             TrainConfig(lr=0.0)
         for bad in (math.nan, math.inf):

@@ -384,6 +384,13 @@ def _sim_case(name):
             build_nsfnet(),
             replace(wired, queue_buffer_pkts=2, cbr_rate=500_000.0),
         ),
+        # tx_time equals the packet interval, so emissions and TX ends fall
+        # on the same float times and the emission stream's tie rule decides
+        "nsfnet-tx-eq-interval": (
+            build_nsfnet(), replace(wired, link_capacity_default=wired.cbr_rate)
+        ),
+        # now + tx_time == now: every hop ends at its packet's emission time
+        "nsfnet-absorbed": (build_nsfnet(), replace(wired, link_capacity_default=1e300)),
     }[name]
 
 
@@ -395,7 +402,8 @@ class TestAgainstReferenceLoop:
         "name",
         [
             "nsfnet", "reggrid", "pertgrid", "reggrid-no-contention",
-            "reggrid-buffer2", "nsfnet-buffer2",
+            "reggrid-buffer2", "nsfnet-buffer2", "nsfnet-tx-eq-interval",
+            "nsfnet-absorbed",
         ],
     )
     def test_bytes_match(self, name, mode):
