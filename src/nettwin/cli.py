@@ -48,6 +48,7 @@ from .manage import (
 )
 from .nettopo import FlowSet, TopologyError
 from .pipeline import (
+    MAX_JOBS,
     STRATEGIES,
     DatasetError,
     GenConfig,
@@ -189,9 +190,6 @@ _SEED = Option("seed", int, 0)
 
 
 # -- gen-data -----------------------------------------------------------------
-
-#: most worker processes gen-data starts; --jobs above it is a usage error
-MAX_JOBS = 32
 
 GEN_OPTIONS = (
     Option("scenario", required=True),
@@ -386,44 +384,30 @@ def _row_name(manifest: dict, taken: set[str]) -> str:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    """eval, and benchmark: eval with no checkpoints, whose rows are scaled
+    by the IQR of the train split instead of a checkpoint's normalizer."""
     resolved = _resolve(args)
     out = _out_path(resolved["out"])
     dataset = load_dataset(Path(resolved["data"]))
     _emit({"resolved_config": resolved})
 
     cleaned, clean_report = filter_and_impute(dataset)
-    test_samples = cleaned["test"]
-    if not test_samples:
+    checkpoints = resolved.get("checkpoints", [])
+    if not checkpoints and not cleaned["train"]:
+        raise _CliError("benchmark needs a non-empty train split for the IQR")
+    if not cleaned["test"]:
         raise _CliError("dataset has no usable test samples")
 
     models: dict[str, TwinModel] = {}
     normalizer = None
-    for path in resolved["checkpoints"]:
+    for path in checkpoints:
         model, norm, manifest = _load_model(path, dataset.scenario)
         models[_row_name(manifest, set(models))] = model
         if normalizer is None:
             normalizer = norm
-    report = evaluation_report(models, test_samples, normalizer)
-    report["clean_report"] = clean_report
-    report["resolved_config"] = resolved
-    write_json(out, report)
-    _emit({"report": str(out), "rows": sorted(report["rows"])})
-    return 0
-
-
-def _cmd_benchmark(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
-    out = _out_path(resolved["out"])
-    dataset = load_dataset(Path(resolved["data"]))
-    _emit({"resolved_config": resolved})
-
-    cleaned, clean_report = filter_and_impute(dataset)
-    if not cleaned["train"]:
-        raise _CliError("benchmark needs a non-empty train split for the IQR")
-    if not cleaned["test"]:
-        raise _CliError("dataset has no usable test samples")
-    normalizer = fit_normalizer(cleaned["train"])
-    report = evaluation_report({}, cleaned["test"], normalizer)
+    if normalizer is None:
+        normalizer = fit_normalizer(cleaned["train"])
+    report = evaluation_report(models, cleaned["test"], normalizer)
     report["clean_report"] = clean_report
     report["resolved_config"] = resolved
     write_json(out, report)
@@ -648,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("gen-data", "generate a dataset directory", _cmd_gen_data, GEN_OPTIONS),
         ("train", "train a model on a dataset", _cmd_train, TRAIN_OPTIONS),
         ("eval", "NMAE report for checkpoints on a test set", _cmd_eval, EVAL_OPTIONS),
-        ("benchmark", "repeat-average and naive rows only", _cmd_benchmark,
+        ("benchmark", "repeat-average and naive rows only", _cmd_eval,
          BENCHMARK_OPTIONS),
         ("manage-traffic", "manage traffic optimization", _cmd_manage_traffic,
          MANAGE_TRAFFIC_OPTIONS),

@@ -90,6 +90,9 @@ SPLITS = ("train", "val", "test")
 #: named ``{split}_{index:05d}.json``
 MAX_SPLIT_SIZE = 100_000
 
+#: most worker processes generate_dataset starts
+MAX_JOBS = 32
+
 STRATEGIES = ("stl", "mtl", "tl")
 
 
@@ -261,9 +264,11 @@ def _gen_worker(args: tuple[GenConfig, str, int]) -> tuple[str, int, dict, dict 
 def generate_dataset(config: GenConfig, out_dir: str | Path, jobs: int = 1) -> dict:
     """Write a dataset directory; byte-identical for a given config.
 
-    Returns the manifest. jobs > 1 parallelizes over samples without
-    changing any output byte (records are written in index order).
+    Returns the manifest. jobs in 2..MAX_JOBS parallelizes over samples
+    without changing any output byte (records are written in index order).
     """
+    if not 1 <= jobs <= MAX_JOBS:
+        raise DatasetError(f"jobs must be between 1 and {MAX_JOBS}, got {jobs}")
     scenario = SCENARIOS[config.scenario]
     out = Path(out_dir)
 

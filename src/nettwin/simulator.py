@@ -193,8 +193,9 @@ class _LinkState:
         self.index = index
         self.tail = tail
         self.tx_time = tx_time
-        # nodes whose contention counter this link's transmissions hold
-        self.hood = hood
+        # the tail's closed neighbourhood (empty without contention), in
+        # which no tail may be sending when this link starts
+        self.hood = frozenset(hood)
         # packets are [flow, emission time, hop index] lists
         self.queue: deque[list] = deque()
         self.busy: list | None = None
@@ -246,7 +247,7 @@ def run_sim(
 
     # link states only for links that carry traffic
     states: dict[int, _LinkState] = {}
-    flow_paths: list[list[_LinkState]] = []
+    flow_paths: list[list[_LinkState | None]] = []
     for path in table.paths:
         hops = []
         for link in path.links:
@@ -259,14 +260,16 @@ def run_sim(
                 hood = (link[0],) + graph.neighbors[link[0]] if wireless else ()
                 states[r] = _LinkState(r, link[0], float(pkt_bits / caps[r]), hood)
             hops.append(states[r])
+        hops.append(None)  # delivered: a TX end reads its next hop by one index
         flow_paths.append(hops)
 
-    # busy[u] counts the transmitting link tails in u's closed neighbourhood
-    # (the adjacency is symmetric), so a wireless link may start iff
-    # busy[tail] is 0; wired links have an empty hood, serve their own queue
-    # and never touch the counter. pending holds the idle wireless links with
-    # a queue that contention blocks, keyed by link index, the grant order.
-    busy = [0] * graph.n_nodes
+    # sending holds the tails of the transmitting wireless links (a start
+    # needs its own tail silent, so a tail sends on one link at a time), and
+    # a link may start iff its hood and sending are disjoint. Wired links have
+    # an empty hood, serve their own queue and never touch the set. pending
+    # holds the idle wireless links with a queue that contention blocks,
+    # keyed by link index, the grant order.
+    sending: set[int] = set()
     pending: dict[int, _LinkState] = {}
 
     # Emission k of flow f is numbered (emissions of flows before f) + k, as
@@ -307,13 +310,12 @@ def run_sim(
             if now > t_gen:
                 break  # emissions all end by t_gen, so none is left
             if kind == _TX_END:
-                ended, link = link, None
+                ended = link
                 pkt[2] += 1
-                path = flow_paths[pkt[0]]
-                if pkt[2] == len(path):
+                link = flow_paths[pkt[0]][pkt[2]]
+                if link is None:
                     delivered[pkt[0]].append(now - pkt[1])
                 else:
-                    link = path[pkt[2]]
                     s = seq
                     seq += 1
                 ended.busy = None
@@ -324,18 +326,16 @@ def run_sim(
                         heappush(heap, (now + ended.tx_time, seq, _TX_END, sent, ended))
                         seq += 1
                 else:
-                    for v in ended.hood:
-                        busy[v] -= 1
+                    sending.remove(ended.tail)
                     if ended.queue:
                         pending[ended.index] = ended
                     # grant in link-index order; each grant may block later candidates
                     for r in sorted(pending) if pending else ():
                         idle = pending[r]
-                        if not busy[idle.tail]:
+                        if sending.isdisjoint(idle.hood):
                             del pending[r]
                             sent = idle.busy = idle.queue.popleft()
-                            for v in idle.hood:
-                                busy[v] += 1
+                            sending.add(idle.tail)
                             heappush(heap, (now + idle.tx_time, seq, _TX_END, sent, idle))
                             seq += 1
                 if link is None:
@@ -357,10 +357,10 @@ def run_sim(
             next_em = em_times[i]
         # arrival at link (an emission arrives at its first hop); an idle link
         # whose tail may send has an empty queue, as each TX end grants all it can
-        if link.busy is None and not busy[link.tail]:
+        if link.busy is None and (not sending or sending.isdisjoint(link.hood)):
             link.busy = pkt
-            for v in link.hood:
-                busy[v] += 1
+            if link.hood:
+                sending.add(link.tail)
             heappush(heap, (now + link.tx_time, seq, _TX_END, pkt, link))
             seq += 1
         elif len(link.queue) >= buffer_pkts:

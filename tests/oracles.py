@@ -343,15 +343,18 @@ def reference_emission_times(
     return times
 
 
-def reference_run_sim(graph, table, traffic, config, seed) -> tuple[KpiRecord, int]:
-    """The simulator's event loop written plainly; returns (record, ties).
+def reference_run_sim(
+    graph, table, traffic, config, seed
+) -> tuple[KpiRecord, int, int]:
+    """The simulator's event loop written plainly; returns (record, ties, blocks).
 
     Every emission is pushed up front, a wireless link may start only when
     a scan finds its tail and every neighbor silent, and every TX end wakes
     all pending links in link-index order. Events are (time, seq) ordered
     with seq the push count. ties counts the pops after which another
-    queued event has the same time, so callers can show that tie-breaking
-    was exercised.
+    queued event has the same time, and blocks the wake-up scans in which a
+    grant stops a later pending link that was free when the scan began, so
+    callers can show that tie-breaking and the grant order were exercised.
     """
     caps = link_capacities(graph, config)
     pkt_bits = config.packet_bytes * 8
@@ -398,7 +401,7 @@ def reference_run_sim(graph, table, traffic, config, seed) -> tuple[KpiRecord, i
 
     delays = [[] for _ in range(n_flows)]
     overflow = [0] * n_flows
-    ties = 0
+    ties = blocks = 0
     while heap and heap[0][0] <= config.t_gen:
         now, _, kind, pkt, r = heapq.heappop(heap)
         ties += bool(heap) and heap[0][0] == now
@@ -423,10 +426,16 @@ def reference_run_sim(graph, table, traffic, config, seed) -> tuple[KpiRecord, i
             seq += 1
         if queues[r]:
             pending.add(r)
+        was_busy = list(node_busy)
+        blocked = False
         for q in sorted(pending):
             if can_start(q):
                 pending.discard(q)
                 start(q, now)
+            else:
+                u = tails[q]
+                blocked = blocked or not any(was_busy[v] for v in [u] + near[u])
+        blocks += blocked
 
     in_flight = [0] * n_flows
     for r in tails:
@@ -446,7 +455,7 @@ def reference_run_sim(graph, table, traffic, config, seed) -> tuple[KpiRecord, i
         throughput = len(d) * pkt_bits / config.t_gen / 1000.0
         kpis[f] = (delay_ms, jitter_ms, throughput, overflow[f] + in_flight[f])
         counts[f] = (generated[f], len(d), overflow[f], in_flight[f])
-    return KpiRecord(kpis, counts), ties
+    return KpiRecord(kpis, counts), ties, blocks
 
 
 # -- management solvers, one state per tape -----------------------------------

@@ -1087,6 +1087,58 @@ class TestManageDigests:
         assert got == MANAGE_DIGESTS[scenario]
 
 
+#: SHA-256 of the eval and benchmark reports of TestReportDigests, taken
+#: when each command had a body of its own
+REPORT_DIGESTS = {
+    "bench.json": "80abcecb1d5e0ec7baeae039a40fdb620ec49d19365e20b87c9f81c43f50ac38",
+    "eval.json": "45c745b92e42cb4dd3063d6db1b98ab58aa06a42b0b9c7588317dfbc1ef0a51d",
+}
+
+
+class TestReportDigests:
+    def test_reports_keep_their_bytes(self, run_cli, tmp_path, monkeypatch):
+        # relative paths: each report records its resolved config
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("NETTWIN_OUT", raising=False)
+        gen = [*TINY_GEN, "--n-test", "2", "--n-r-test", "3", "--scenario", "reggrid-fixed"]
+        assert run_cli("gen-data", *gen, "--out", "ds") == 0
+        write_ckpt("a.ckpt", seed=4)
+        write_ckpt("b.ckpt", seed=5)
+        assert run_cli(
+            "eval", "--data", "ds", "--checkpoint", "a.ckpt", "--checkpoint", "b.ckpt",
+            "--out", "eval.json",
+        ) == 0
+        assert run_cli("benchmark", "--data", "ds", "--out", "bench.json") == 0
+        got = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in REPORT_DIGESTS
+        }
+        assert got == REPORT_DIGESTS
+
+    @pytest.mark.parametrize(
+        "split, command, message",
+        [
+            ("--n-train", "benchmark", "benchmark needs a non-empty train split"),
+            ("--n-test", "benchmark", "dataset has no usable test samples"),
+            ("--n-test", "eval", "dataset has no usable test samples"),
+            ("--n-train", "eval", None),  # eval scales by its checkpoint's IQR
+        ],
+    )
+    def test_empty_split(self, run_cli, tmp_path, capsys, split, command, message):
+        data, out = tmp_path / "ds", tmp_path / "report.json"
+        gen = ["--scenario", "reggrid-fixed", *TINY_GEN, split, "0", "--out", str(data)]
+        assert run_cli("gen-data", *gen) == 0
+        argv = [command, "--data", str(data), "--out", str(out)]
+        if command == "eval":
+            write_ckpt(tmp_path / "a.ckpt")
+            argv += ["--checkpoint", str(tmp_path / "a.ckpt")]
+        capsys.readouterr()
+        assert run_cli(*argv) == (0 if message is None else 2)
+        if message is not None:
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+
 #: SHA-256 of the checkpoint and resume state of TestTrainDigests, taken
 #: when each GRU step and dense layer was still composed from matmul, add,
 #: mul, sub, sigmoid, tanh and relu nodes

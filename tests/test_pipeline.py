@@ -36,6 +36,7 @@ from nettwin.pipeline import (
     EVAL_CHUNK,
     IQR_EPS,
     JITTER_LIMIT_MS,
+    MAX_JOBS,
     MAX_SPLIT_SIZE,
     SPLITS,
     DatasetError,
@@ -257,6 +258,21 @@ class TestGenerateDataset:
         train = ds.splits["train"]
         assert len({(s.flows.sources, s.flows.destinations) for s in train}) > 1
         assert len({s.graph_id for s in train}) == 1
+
+    @pytest.mark.parametrize("jobs", [0, -1, MAX_JOBS + 1])
+    def test_jobs_out_of_range_rejected_before_any_sample(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError(f"generate_dataset went on with jobs={jobs}")
+
+        # neither a worker pool nor a serial sample may start
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", never)
+        monkeypatch.setattr(pipeline, "_gen_worker", never)
+        config = GenConfig(scenario="reggrid-fixed", n_train=2, n_val=1, n_test=1)
+        with pytest.raises(DatasetError, match=f"jobs must be between 1 and {MAX_JOBS}"):
+            generate_dataset(config, tmp_path / "ds", jobs=jobs)
+        assert not (tmp_path / "ds").exists()
 
     def test_l_max_too_small_for_topology(self, tmp_path):
         config = GenConfig(scenario="nsfnet-fixed", n_train=1, l_max=1)
