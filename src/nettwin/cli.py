@@ -441,12 +441,31 @@ MANAGE_TRAFFIC_OPTIONS = _MANAGE_OPTIONS + _TRAFFIC_SOLVER + _file_only(_FLOWS_S
 MANAGE_FLOWS_OPTIONS = _MANAGE_OPTIONS + _file_only(_TRAFFIC_SOLVER) + _FLOWS_SOLVER
 
 
-def _manage_common(args: argparse.Namespace, solves_traffic: bool):
-    """Resolve, load and echo the run; its target profile from simulator runs.
+def _check_path_bound(model: TwinModel, sample, solves_traffic: bool) -> None:
+    """Reject a path model whose l_max the solver's first forward exceeds:
+    gd_traffic reads the sample's routes, and the hill-climb's first sweep
+    routes every flow's source to its farthest node."""
+    if model.kind == "gnn":
+        return
+    if solves_traffic:
+        what, links = "a path of", [len(path) for path in sample.table.paths]
+    else:
+        what = "a source whose farthest node is"
+        links = [max(bfs_distances(sample.graph.neighbors, s)) for s in sample.flows.sources]
+    f, l_max = int(np.argmax(links)), model.dims.l_max
+    if links[f] > l_max:
+        raise _CliError(f"flow {f} has {what} {links[f]} links, exceeding l_max={l_max}")
+
+
+def _cmd_manage(args: argparse.Namespace) -> int:
+    """manage-traffic or manage-flows: resolve, load and echo the run, take
+    the target profile from simulator runs of the sample, solve for its
+    traffic or its destinations, and write the report.
 
     Solver settings and a checkpoint the solver cannot use are rejected
     before anything runs.
     """
+    solves_traffic = args.command == "manage-traffic"
     resolved = _resolve(args)
     typed = _typed(args, resolved)
     if solves_traffic:
@@ -473,26 +492,40 @@ def _manage_common(args: argparse.Namespace, solves_traffic: bool):
     x_orig = NetworkInput(sample.flows, sample.traffic)
     k_targ_raw = mean_runs(sample.graph, x_orig, dataset.sim_config, seeds[:3])
     profile = TargetProfile.from_raw(k_targ_raw, normalizer.iqr, objective_tasks)
-    return resolved, typed, dataset, sample, model, normalizer, seeds, x_orig, profile
-
-
-def _check_path_bound(model: TwinModel, sample, solves_traffic: bool) -> None:
-    """Reject a path model whose l_max the solver's first forward exceeds:
-    gd_traffic reads the sample's routes, and the hill-climb's first sweep
-    routes every flow's source to its farthest node."""
-    if model.kind == "gnn":
-        return
     if solves_traffic:
-        what, links = "a path of", [len(path) for path in sample.table.paths]
+        tau0 = np.clip(
+            np.stack([sample.traffic.tau_on, sample.traffic.tau_off], axis=1),
+            *TRAFFIC_BOUNDS,
+        )
+        result = gd_traffic(
+            model,
+            sample.graph,
+            sample.table,
+            profile,
+            tau0,
+            alpha0=typed["alpha0"],
+            max_iters=typed["max_iters"],
+            capacities=sample.capacities,
+        )
+        tau_hat = result.optimized_traffic
+        x_gen = NetworkInput(
+            sample.flows, TrafficParams(tuple(tau_hat[:, 0]), tuple(tau_hat[:, 1]))
+        )
     else:
-        what = "a source whose farthest node is"
-        links = [max(bfs_distances(sample.graph.neighbors, s)) for s in sample.flows.sources]
-    f, l_max = int(np.argmax(links)), model.dims.l_max
-    if links[f] > l_max:
-        raise _CliError(f"flow {f} has {what} {links[f]} links, exceeding l_max={l_max}")
-
-
-def _finish_manage(resolved, dataset, sample, result, x_orig, x_gen, normalizer, seeds):
+        result = hillclimb_destinations(
+            model,
+            sample.graph,
+            sample.flows.sources,
+            sample.traffic,
+            profile,
+            n_init=typed["n_init"],
+            n_rand=typed["n_restarts"],
+            rng_seed=typed["seed"],
+            capacities=sample.capacities,
+        )
+        x_gen = NetworkInput(
+            FlowSet(sample.flows.sources, result.optimized_destinations), sample.traffic
+        )
     if resolved["verify"]:
         evaluate_management(
             sample.graph,
@@ -528,56 +561,6 @@ def _finish_manage(resolved, dataset, sample, result, x_orig, x_gen, normalizer,
         }
     )
     return 0
-
-
-def _cmd_manage_traffic(args: argparse.Namespace) -> int:
-    resolved, typed, dataset, sample, model, normalizer, seeds, x_orig, profile = (
-        _manage_common(args, solves_traffic=True)
-    )
-    tau0 = np.clip(
-        np.stack([sample.traffic.tau_on, sample.traffic.tau_off], axis=1),
-        *TRAFFIC_BOUNDS,
-    )
-    result = gd_traffic(
-        model,
-        sample.graph,
-        sample.table,
-        profile,
-        tau0,
-        alpha0=typed["alpha0"],
-        max_iters=typed["max_iters"],
-        capacities=sample.capacities,
-    )
-    tau_hat = result.optimized_traffic
-    x_gen = NetworkInput(
-        sample.flows, TrafficParams(tuple(tau_hat[:, 0]), tuple(tau_hat[:, 1]))
-    )
-    return _finish_manage(
-        resolved, dataset, sample, result, x_orig, x_gen, normalizer, seeds
-    )
-
-
-def _cmd_manage_flows(args: argparse.Namespace) -> int:
-    resolved, typed, dataset, sample, model, normalizer, seeds, x_orig, profile = (
-        _manage_common(args, solves_traffic=False)
-    )
-    result = hillclimb_destinations(
-        model,
-        sample.graph,
-        sample.flows.sources,
-        sample.traffic,
-        profile,
-        n_init=typed["n_init"],
-        n_rand=typed["n_restarts"],
-        rng_seed=typed["seed"],
-        capacities=sample.capacities,
-    )
-    x_gen = NetworkInput(
-        FlowSet(sample.flows.sources, result.optimized_destinations), sample.traffic
-    )
-    return _finish_manage(
-        resolved, dataset, sample, result, x_orig, x_gen, normalizer, seeds
-    )
 
 
 # -- inspect -------------------------------------------------------------------
@@ -634,10 +617,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("eval", "NMAE report for checkpoints on a test set", _cmd_eval, EVAL_OPTIONS),
         ("benchmark", "repeat-average and naive rows only", _cmd_eval,
          BENCHMARK_OPTIONS),
-        ("manage-traffic", "manage traffic optimization", _cmd_manage_traffic,
+        ("manage-traffic", "manage traffic optimization", _cmd_manage,
          MANAGE_TRAFFIC_OPTIONS),
-        ("manage-flows", "manage flows optimization", _cmd_manage_flows,
-         MANAGE_FLOWS_OPTIONS),
+        ("manage-flows", "manage flows optimization", _cmd_manage, MANAGE_FLOWS_OPTIONS),
         ("inspect", "summarize a dataset or checkpoint", _cmd_inspect, INSPECT_OPTIONS),
     )
     for name, help_text, func, options in commands:

@@ -14,6 +14,10 @@ A schema is plain data, declared next to the code that writes the artifact:
 
 Value ranges are no part of a schema: the constructors that take the
 values check them.
+
+One checker checks every value, a column at a time: the values that share
+one schema are checked together by set operations, and a column that fails
+is checked again value by value, in order, to locate the first misfit.
 """
 
 from __future__ import annotations
@@ -115,15 +119,6 @@ def _what(spec) -> str:
     return _SCALARS[_kind(spec)][1]
 
 
-def _scalar_types(spec) -> set[type] | None:
-    """The types spec accepts if it is a scalar, or a scalar or null."""
-    if spec is None or isinstance(spec, type):
-        return _SCALARS[spec][0]
-    if isinstance(spec, tuple) and all(map(_scalar_types, spec)):
-        return set().union(*map(_scalar_types, spec))
-    return None
-
-
 class _Mismatch(Exception):
     """A value that fails its schema; the path grows outward as it rises."""
 
@@ -131,93 +126,73 @@ class _Mismatch(Exception):
         self.problem, self.path = problem, list(path)
 
 
-def _fits_in_bulk(spec, value: list, sizes: dict) -> bool:
-    """Whether every entry of value is seen to fit spec with no call per
-    entry: nested lists are flattened, and what the innermost lists hold is
-    checked by type if it is a scalar, column by column if it is a row of
-    scalars, and field by field if it is an object. False can mean unseen."""
-    while isinstance(spec, ListOf):
-        n = sizes.get(spec.length, spec.length)  # an unknown name fits no length
-        if not set(map(type, value)) <= _SCALARS[list][0]:
-            return False
-        if n is not None and set(map(len, value)) - {n}:
-            return False
-        value, spec = list(chain.from_iterable(value)), spec.item
-    cells = _scalar_types(spec)
-    if cells is not None:
-        return set(map(type, value)) <= cells
-    if isinstance(spec, list) and all(map(_scalar_types, spec)):
-        if not set(map(type, value)) <= _SCALARS[list][0]:
-            return False
-        if set(map(len, value)) - {len(spec)}:
-            return False
-        columns = zip(zip(*value), map(_scalar_types, spec))
-        return all(set(map(type, column)) <= cells for column, cells in columns)
-    if not isinstance(spec, dict) or not set(map(type, value)) <= _SCALARS[dict][0]:
-        return False
-    if not all(map({key.rstrip("?") for key in spec}.issuperset, value)):
-        return False
-    for key, sub in spec.items():
-        name = key.rstrip("?")
-        column = [entry[name] for entry in value if name in entry]
-        if name == key and len(column) < len(value) or not _fits_in_bulk(sub, column, sizes):
-            return False
-    return True
-
-
-def _fields(spec: dict, value: dict):
-    """(key, schema, entry) of each field of value, in the order of spec;
-    raises at the first required field that value lacks."""
-    for key, sub in spec.items():
-        name = key.rstrip("?")
-        if name in value:
-            yield name, sub, value[name]
-        elif name == key:
-            raise _Mismatch("is missing", name)
-
-
-def _check(spec, value, sizes: dict) -> None:
-    """Raise _Mismatch unless value fits spec; sizes gives named lengths."""
-    shown = spec
+def _fits(spec, values, lone: bool, sizes: dict) -> None:
+    """Raise _Mismatch unless every value of the column fits spec; sizes
+    gives named lengths. Only for a lone column, one value whose path is
+    known, is the message written and do an object's fields join sizes."""
+    shown, kinds = spec, set(map(type, values))
     if isinstance(spec, tuple):  # (spec, None)
-        if value is None:
-            return
+        if type(None) in kinds:
+            values = [value for value in values if value is not None]
+            kinds.discard(type(None))
         spec = spec[0]
+    if not values:
+        return
     types = spec.types if isinstance(spec, OneOf) else _SCALARS[_kind(spec)][0]
-    if type(value) not in types or isinstance(spec, OneOf) and value not in spec.choices:
-        text = json.dumps(value)
+    if not kinds <= types or isinstance(spec, OneOf) and not set(values) <= set(spec.choices):
+        text = json.dumps(values[0]) if lone else ""
         text = text if len(text) <= 40 else text[:37] + "..."
         raise _Mismatch(f"must be {_what(shown)}, not {text}")
     if isinstance(spec, dict):
-        stray = [key for key in value if key not in spec and key + "?" not in spec]
+        names = {key.rstrip("?") for key in spec}
+        stray = set().union(*values) - names
         if stray:
-            raise _Mismatch("is not a field of this file", stray[0])
-        sizes = {**sizes, **value}
-        entries = _fields(spec, value)
+            first = [key for key in values[0] if key in stray][:1]  # the lone value's
+            raise _Mismatch("is not a field of this file", *first)
+        if lone:
+            sizes = {**sizes, **values[0]}
+        else:  # a caller's size never stands in for a field of one of these objects
+            sizes = {name: n for name, n in sizes.items() if name not in names}
+        for key, sub in spec.items():
+            name = key.rstrip("?")
+            column = [value[name] for value in values if name in value]
+            if name == key and len(column) < len(values):
+                raise _Mismatch("is missing", name)
+            _check(sub, column, [name] if lone else None, sizes)
     elif isinstance(spec, MapOf):
-        if _fits_in_bulk(spec.value, list(value.values()), sizes):
-            return
-        entries = [(key, spec.value, entry) for key, entry in value.items()]
+        column = list(chain.from_iterable(map(dict.values, values)))
+        _check(spec.value, column, list(values[0]) if lone else None, sizes)
     elif isinstance(spec, list):
-        if len(value) != len(spec):
-            raise _Mismatch(f"must have length {len(spec)}, not {len(value)}")
-        entries = [(k, sub, entry) for k, (sub, entry) in enumerate(zip(spec, value))]
+        if set(map(len, values)) - {len(spec)}:
+            raise _Mismatch(f"must have length {len(spec)}, not {len(values[0])}")
+        for k, (sub, column) in enumerate(zip(spec, zip(*values))):
+            _check(sub, column, [k] if lone else None, sizes)
     elif isinstance(spec, ListOf):
-        want = sizes[spec.length] if isinstance(spec.length, str) else spec.length
-        if want is not None and len(value) != want:
-            named = f" ({spec.length})" if isinstance(spec.length, str) else ""
-            raise _Mismatch(f"must have length {want}{named}, not {len(value)}")
-        if _fits_in_bulk(spec.item, value, sizes):
-            return
-        entries = [(k, spec.item, entry) for k, entry in enumerate(value)]
-    else:
-        return
-    for key, sub, entry in entries:
-        try:
-            _check(sub, entry, sizes)
-        except _Mismatch as exc:
-            exc.path.append(key)
+        named = isinstance(spec.length, str)
+        want = sizes[spec.length] if named and lone else sizes.get(spec.length, spec.length)
+        if want is not None and set(map(len, values)) - {want}:
+            label = f" ({spec.length})" if named else ""
+            raise _Mismatch(f"must have length {want}{label}, not {len(values[0])}")
+        column = list(chain.from_iterable(values))
+        _check(spec.item, column, range(len(values[0])) if lone else None, sizes)
+
+
+def _check(spec, values, keys, sizes: dict) -> None:
+    """Raise _Mismatch unless every value fits spec. If keys names the
+    values, a failed column is rechecked value by value and the first misfit
+    adds its key to the path; if none fails alone, as where a length is named
+    by a field of each object, the column fits."""
+    try:
+        _fits(spec, values, False, sizes)
+    except _Mismatch:
+        if keys is None:
             raise
+        for key, value in zip(keys, values):
+            try:
+                _fits(spec, [value], True, sizes)
+            except _Mismatch as exc:
+                exc.path.append(key)
+                raise
 
 
 def check_json(spec, value, where: str | list[str], sizes: dict) -> None:
@@ -226,7 +201,7 @@ def check_json(spec, value, where: str | list[str], sizes: dict) -> None:
     lengths that the schema names. For the records of a JSON-lines file,
     value is their list and ``where`` names each record's file and line."""
     try:
-        _check(spec, value, sizes)
+        _fits(spec, [value], True, sizes)
     except _Mismatch as exc:
         path = exc.path[::-1]
         if isinstance(where, list) and path:

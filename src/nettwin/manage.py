@@ -21,7 +21,7 @@ counts cells whose generated KPI lands on the wrong side of the target
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -128,32 +128,15 @@ class ManageResult:
         return self.trajectory[-1]
 
     def to_jsonable(self) -> dict:
-        def arr(a):
-            return None if a is None else [
-                [None if math.isnan(x) else float(x) for x in row] for row in a
-            ]
+        """Every field, an array as nested lists with null for NaN and a
+        tuple as a list."""
 
-        return {
-            "kind": self.kind,
-            "optimized_traffic": None
-            if self.optimized_traffic is None
-            else [[float(x) for x in row] for row in self.optimized_traffic],
-            "optimized_destinations": None
-            if self.optimized_destinations is None
-            else list(self.optimized_destinations),
-            "trajectory": [float(j) for j in self.trajectory],
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "seed": self.seed,
-            "restart_best": self.restart_best,
-            "k_targ": arr(self.k_targ),
-            "k_gen": arr(self.k_gen),
-            "k_bm": arr(self.k_bm),
-            "eps_gen": self.eps_gen,
-            "eps_bm": self.eps_bm,
-            "hinge_failures": self.hinge_failures,
-            "r2": self.r2,
-        }
+        def jsonable(value):
+            if isinstance(value, np.ndarray):
+                return [[None if math.isnan(x) else x for x in row] for row in value.tolist()]
+            return list(value) if isinstance(value, tuple) else value
+
+        return {f.name: jsonable(getattr(self, f.name)) for f in fields(self)}
 
 
 # -- objective ---------------------------------------------------------------

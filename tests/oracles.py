@@ -12,13 +12,15 @@ solvers in their plainest form, where every state is scored alone on its
 own tape (taking the twin, routing and seeding from the package), the
 twin-input builder as per-cell loops that recompute every per-graph feature,
 the gnn's node features cell by cell, the stacked input as lone inputs
-joined by ``batch_inputs``, the logistic function with two divisions, and
-Adam run array by array.
+joined by ``batch_inputs``, the logistic function with two divisions,
+Adam run array by array, and the JSON schema check as a walk that checks
+every value by a call of its own.
 """
 
 from __future__ import annotations
 
 import heapq
+import json
 import math
 from collections import deque
 
@@ -33,6 +35,7 @@ from nettwin.autodiff import (
     Tape,
     Tensor,
 )
+from nettwin.fileio import ListOf, MapOf, OneOf, SchemaError
 from nettwin.manage import TargetProfile, twin_objective
 from nettwin.nettopo import FlowSet, degree_vector, sym_normalized_operator
 from nettwin.routing import shortest_paths
@@ -686,3 +689,100 @@ def reference_adam_step(params, grads, state, lr, l2=None, update_only=None) -> 
         v += (1.0 - ADAM_BETA2) * (g * g)
         step = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         params[name] = params[name] - step
+
+
+# -- JSON schemas, one value at a time ---------------------------------------------
+
+#: the Python types of the JSON values each scalar schema accepts, and its name
+JSON_SCALARS = {
+    int: ({int}, "an integer"),
+    float: ({int, float}, "a number"),
+    bool: ({bool}, "true or false"),
+    str: ({str}, "a string"),
+    dict: ({dict}, "an object"),
+    list: ({list}, "a list"),
+    None: ({type(None)}, "null"),
+}
+
+
+class _Misfit(Exception):
+    def __init__(self, problem: str, *path: str | int):
+        self.problem, self.path = problem, list(path)
+
+
+def _json_kind(spec):
+    if isinstance(spec, (dict, MapOf)):
+        return dict
+    return list if isinstance(spec, (list, ListOf)) else spec
+
+
+def _accepts(spec) -> str:
+    if isinstance(spec, tuple):
+        return _accepts(spec[0]) + " or null"
+    if isinstance(spec, OneOf):
+        return f"one of {json.dumps(spec.choices)}"
+    return JSON_SCALARS[_json_kind(spec)][1]
+
+
+def _object_fields(spec: dict, value: dict):
+    """(key, schema, entry) of each field of value, in the order of spec;
+    raises at the first required field that value lacks."""
+    for key, sub in spec.items():
+        name = key.rstrip("?")
+        if name in value:
+            yield name, sub, value[name]
+        elif name == key:
+            raise _Misfit("is missing", name)
+
+
+def _walk(spec, value, sizes: dict) -> None:
+    shown = spec
+    if isinstance(spec, tuple):  # (spec, None)
+        if value is None:
+            return
+        spec = spec[0]
+    types = spec.types if isinstance(spec, OneOf) else JSON_SCALARS[_json_kind(spec)][0]
+    if type(value) not in types or isinstance(spec, OneOf) and value not in spec.choices:
+        text = json.dumps(value)
+        text = text if len(text) <= 40 else text[:37] + "..."
+        raise _Misfit(f"must be {_accepts(shown)}, not {text}")
+    if isinstance(spec, dict):
+        stray = [key for key in value if key not in {k.rstrip("?") for k in spec}]
+        if stray:
+            raise _Misfit("is not a field of this file", stray[0])
+        sizes = {**sizes, **value}
+        entries = _object_fields(spec, value)
+    elif isinstance(spec, MapOf):
+        entries = [(key, spec.value, entry) for key, entry in value.items()]
+    elif isinstance(spec, list):
+        if len(value) != len(spec):
+            raise _Misfit(f"must have length {len(spec)}, not {len(value)}")
+        entries = [(k, sub, entry) for k, (sub, entry) in enumerate(zip(spec, value))]
+    elif isinstance(spec, ListOf):
+        want = sizes[spec.length] if isinstance(spec.length, str) else spec.length
+        if want is not None and len(value) != want:
+            named = f" ({spec.length})" if isinstance(spec.length, str) else ""
+            raise _Misfit(f"must have length {want}{named}, not {len(value)}")
+        entries = [(k, spec.item, entry) for k, entry in enumerate(value)]
+    else:
+        return
+    for key, sub, entry in entries:
+        try:
+            _walk(sub, entry, sizes)
+        except _Misfit as exc:
+            exc.path.append(key)
+            raise
+
+
+def reference_check(spec, value, where: str | list[str], sizes: dict) -> None:
+    """``fileio.check_json`` as a walk that checks every value by a call of
+    its own, in document order, with no check of a column as a whole."""
+    try:
+        _walk(spec, value, sizes)
+    except _Misfit as exc:
+        path = exc.path[::-1]
+        if isinstance(where, list) and path:
+            where, path = where[path[0]], path[1:]
+        field = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
+        field = repr(field.lstrip(".")) if field else "the top level"
+        raise SchemaError(f"{where}: {field} {exc.problem}") from None

@@ -7,7 +7,9 @@ definition; an import alone does not count. This holds for module-level
 functions and classes, and for the methods and properties of those classes.
 Every defaulted parameter of those functions and methods must be passed by
 some package call, every imported name must be read in its module, and no
-module imports an underscore name from another. The checks go by name: a
+module imports an underscore name from another. A private definition (a
+leading underscore, no dunder) must be read in its own module outside its
+definition. The checks go by name: a
 method counts as used when any attribute of that name is read, and a
 parameter counts as passed when any call of a function or method of that
 name passes it. Code that only tests need belongs in the tests.
@@ -120,6 +122,42 @@ def test_every_public_definition_has_a_user():
 def test_every_public_method_has_a_user():
     unused = [f"{m}: {label}" for m, label in unused_definitions() if "." in label]
     assert not unused, f"public methods nothing in the package uses: {unused}"
+
+
+def unread_private_definitions() -> list[tuple[str, str]]:
+    """(module file, label) of the private module-level functions and
+    classes, and the private methods of module-level classes
+    ("Class._method"), whose name nothing in their module reads outside
+    their own lines. Python itself calls a dunder method."""
+    read: dict[tuple[str, str], list[int]] = {}
+    for name, module, line in names_read():
+        read.setdefault((module, name), []).append(line)
+    out = []
+    for module, tree in modules():
+        labelled = []
+        for node in tree.body:
+            if not isinstance(node, DEFINITIONS):
+                continue
+            labelled += [(node.name, node)] if node.name.startswith("_") else []
+            if isinstance(node, ast.ClassDef):
+                labelled += [
+                    (f"{node.name}.{item.name}", item)
+                    for item in node.body
+                    if isinstance(item, FUNCTIONS)
+                    and item.name.startswith("_")
+                    and not item.name.endswith("__")
+                ]
+        for label, node in labelled:
+            own = range(node.lineno, node.end_lineno + 1)
+            lines = read.get((module, label.rsplit(".", 1)[-1]), [])
+            if all(line in own for line in lines):
+                out.append((module, label))
+    return sorted(out)
+
+
+def test_every_private_definition_is_read_in_its_module():
+    unread = [f"{m}: {label}" for m, label in unread_private_definitions()]
+    assert not unread, f"private definitions nothing in their module reads: {unread}"
 
 
 def test_oracle_list_names_live_definitions():
