@@ -211,8 +211,11 @@ def _sample_topology(config: GenConfig, sample_seed: int) -> Graph:
     )
 
 
-def _generate_record(config: GenConfig, split: str, index: int) -> tuple[dict, dict | None]:
-    """One sample: topology, flows, traffic, benchmark runs. Pure in its args."""
+def _generate_record(
+    config: GenConfig, base: Graph, split: str, index: int
+) -> tuple[dict, dict | None]:
+    """One sample: topology, flows, traffic, benchmark runs. Pure in its args;
+    base is the scenario's shared topology, unused if each sample draws one."""
     scenario = SCENARIOS[config.scenario]
     sample_seed = derive_seed(config.seed, split, index)
 
@@ -221,7 +224,7 @@ def _generate_record(config: GenConfig, split: str, index: int) -> tuple[dict, d
         graph = _sample_topology(config, sample_seed)
         topo_payload = topology_payload(graph)
     else:
-        graph = _base_graph(config)
+        graph = base
 
     flows_seed = (
         derive_seed(sample_seed, "flows")
@@ -255,9 +258,11 @@ def _generate_record(config: GenConfig, split: str, index: int) -> tuple[dict, d
     return record, topo_payload
 
 
-def _gen_worker(args: tuple[GenConfig, str, int]) -> tuple[str, int, dict, dict | None]:
-    config, split, index = args
-    record, topo = _generate_record(config, split, index)
+def _gen_worker(
+    args: tuple[GenConfig, Graph, str, int]
+) -> tuple[str, int, dict, dict | None]:
+    config, base, split, index = args
+    record, topo = _generate_record(config, base, split, index)
     return split, index, record, topo
 
 
@@ -279,7 +284,7 @@ def generate_dataset(config: GenConfig, out_dir: str | Path, jobs: int = 1) -> d
         )
 
     tasks = [
-        (config, split, i)
+        (config, base, split, i)
         for split, n in zip(SPLITS, (config.n_train, config.n_val, config.n_test))
         for i in range(n)
     ]

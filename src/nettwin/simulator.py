@@ -39,8 +39,6 @@ TASKS = ("delay", "jitter", "throughput", "drops")
 #: capacity_default * weight / ATTEN_REF
 ATTEN_REF = 1.0 / math.log(1.0 + 30.0 * 30.0)
 
-_ARRIVAL, _TX_END = 0, 1
-
 
 def quiet_nanmean(stack: np.ndarray, axis: int) -> np.ndarray:
     """np.nanmean; a cell missing in every slice is legitimate, so stay quiet."""
@@ -136,15 +134,10 @@ def link_capacities(graph: Graph, config: SimConfig) -> np.ndarray:
     adjacency weight relative to the 30 m reference, so shorter links are
     faster.
     """
-    caps = np.empty(len(graph.links))
-    for r, (i, j) in enumerate(graph.links):
-        w = graph.adjacency[i, j]
-        caps[r] = (
-            config.link_capacity_default
-            if graph.wired
-            else config.link_capacity_default * w / ATTEN_REF
-        )
-    return caps
+    if graph.wired:
+        return np.full(len(graph.links), config.link_capacity_default, dtype=np.float64)
+    w = graph.adjacency[graph.link_tails, graph.link_heads]
+    return config.link_capacity_default * w / ATTEN_REF
 
 
 class KpiRecord:
@@ -187,7 +180,7 @@ class RunSet:
 
 
 class _LinkState:
-    __slots__ = ("index", "tail", "tx_time", "hood", "queue", "busy")
+    __slots__ = ("index", "tail", "tx_time", "hood", "queue", "busy", "nxt")
 
     def __init__(self, index: int, tail: int, tx_time: float, hood: tuple[int, ...]):
         self.index = index
@@ -196,9 +189,11 @@ class _LinkState:
         # the tail's closed neighbourhood (empty without contention), in
         # which no tail may be sending when this link starts
         self.hood = frozenset(hood)
-        # packets are [flow, emission time, hop index] lists
-        self.queue: deque[list] = deque()
-        self.busy: list | None = None
+        # packets are immutable (flow, emission time) tuples
+        self.queue: deque[tuple[int, float]] = deque()
+        self.busy: tuple[int, float] | None = None
+        # each flow crossing this link -> its next hop, None once delivered
+        self.nxt: dict[int, _LinkState | None] = {}
 
 
 def _emission_times(
@@ -245,10 +240,11 @@ def run_sim(
     interval = pkt_bits / config.cbr_rate
     wireless = config.wireless_contention and not graph.wired
 
-    # link states only for links that carry traffic
+    # link states only for links that carry traffic; first[f] is flow f's
+    # first hop, and each hop's nxt[f] the one after it
     states: dict[int, _LinkState] = {}
-    flow_paths: list[list[_LinkState | None]] = []
-    for path in table.paths:
+    first: list[_LinkState] = []
+    for f, path in enumerate(table.paths):
         hops = []
         for link in path.links:
             r = graph.link_index.get(link)
@@ -260,8 +256,11 @@ def run_sim(
                 hood = (link[0],) + graph.neighbors[link[0]] if wireless else ()
                 states[r] = _LinkState(r, link[0], float(pkt_bits / caps[r]), hood)
             hops.append(states[r])
-        hops.append(None)  # delivered: a TX end reads its next hop by one index
-        flow_paths.append(hops)
+        first.append(hops[0])
+        for hop, after in zip(hops, hops[1:] + [None]):
+            if f in hop.nxt:
+                raise SimulationError(f"flow {f} crosses link {graph.links[hop.index]} twice")
+            hop.nxt[f] = after
 
     # sending holds the tails of the transmitting wireless links (a start
     # needs its own tail silent, so a tail sends on one link at a time), and
@@ -276,7 +275,8 @@ def run_sim(
     # if all were pushed up front, so a stable sort of the flow-major times
     # walks them in (time, seq) order: one pre-sorted stream, ended by an
     # inf sentinel. The heap holds only the events the loop schedules, TX
-    # ends and deferred arrivals, numbered after the last emission. An
+    # ends and deferred arrivals, numbered after the last emission, as
+    # (time, seq, link, packet) with a None packet for a TX end. An
     # emission thus precedes a heap event at its time, and the heap is
     # popped only when its head is earlier than the next emission. seq
     # numbers are unique, so heap tuples compare on (time, seq) alone.
@@ -306,13 +306,13 @@ def run_sim(
 
     while True:
         if heap and heap[0][0] < next_em:
-            now, s, kind, pkt, link = heappop(heap)
+            now, s, link, pkt = heappop(heap)
             if now > t_gen:
                 break  # emissions all end by t_gen, so none is left
-            if kind == _TX_END:
+            if pkt is None:  # a TX end, of the packet link.busy
                 ended = link
-                pkt[2] += 1
-                link = flow_paths[pkt[0]][pkt[2]]
+                pkt = ended.busy
+                link = ended.nxt[pkt[0]]
                 if link is None:
                     delivered[pkt[0]].append(now - pkt[1])
                 else:
@@ -322,8 +322,8 @@ def run_sim(
                 if not ended.hood:
                     # no contention: serve the queue, after the next hop's number
                     if ended.queue:
-                        sent = ended.busy = ended.queue.popleft()
-                        heappush(heap, (now + ended.tx_time, seq, _TX_END, sent, ended))
+                        ended.busy = ended.queue.popleft()
+                        heappush(heap, (now + ended.tx_time, seq, ended, None))
                         seq += 1
                 else:
                     sending.remove(ended.tail)
@@ -334,25 +334,26 @@ def run_sim(
                         idle = pending[r]
                         if sending.isdisjoint(idle.hood):
                             del pending[r]
-                            sent = idle.busy = idle.queue.popleft()
+                            idle.busy = idle.queue.popleft()
                             sending.add(idle.tail)
-                            heappush(heap, (now + idle.tx_time, seq, _TX_END, sent, idle))
+                            heappush(heap, (now + idle.tx_time, seq, idle, None))
                             seq += 1
                 if link is None:
                     continue
                 # the next-hop arrival at (now, s) is handled here unless an
                 # event queued earlier shares its time and precedes it; no
-                # emission can, as now < next_em
-                if heap and heap[0] < (now, s):
-                    heappush(heap, (now, s, _ARRIVAL, pkt, link))
+                # emission can, as now < next_em, and no queued event is
+                # earlier than now, so this is heap[0] < (now, s)
+                if heap and heap[0][0] == now and heap[0][1] < s:
+                    heappush(heap, (now, s, link, pkt))
                     continue
         elif i == n_em:
             break
         else:
             now = next_em
             f = em_flows[i]
-            pkt = [f, now, 0]
-            link = flow_paths[f][0]
+            pkt = (f, now)
+            link = first[f]
             i += 1
             next_em = em_times[i]
         # arrival at link (an emission arrives at its first hop); an idle link
@@ -361,7 +362,7 @@ def run_sim(
             link.busy = pkt
             if link.hood:
                 sending.add(link.tail)
-            heappush(heap, (now + link.tx_time, seq, _TX_END, pkt, link))
+            heappush(heap, (now + link.tx_time, seq, link, None))
             seq += 1
         elif len(link.queue) >= buffer_pkts:
             overflow[pkt[0]] += 1

@@ -259,6 +259,21 @@ class TestGenerateDataset:
         assert len({(s.flows.sources, s.flows.destinations) for s in train}) > 1
         assert len({s.graph_id for s in train}) == 1
 
+    def test_shared_topology_built_once(self, tmp_path, monkeypatch):
+        build, calls = pipeline.build_reg_grid, []
+
+        def counted():
+            calls.append(1)
+            return build()
+
+        monkeypatch.setattr(pipeline, "build_reg_grid", counted)
+        config = GenConfig(
+            scenario="reggrid-randflows", n_train=3, n_val=1, n_test=1,
+            n_r_test=2, n_flows=4, t_gen=1.0, seed=4,
+        )
+        generate_dataset(config, tmp_path / "rf", jobs=1)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("jobs", [0, -1, MAX_JOBS + 1])
     def test_jobs_out_of_range_rejected_before_any_sample(
         self, tmp_path, monkeypatch, jobs

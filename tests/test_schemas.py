@@ -27,6 +27,7 @@ from nettwin.pipeline import (
     SCENARIOS,
     SPLITS,
     GenConfig,
+    _base_graph,
     _generate_record,
     load_dataset,
 )
@@ -307,6 +308,7 @@ def test_generated_dataset_round_trips(scenario, sizes, n_r_test, n_flows, seed)
         scenario, n_train=n_train, n_val=n_val, n_test=n_test, n_r_test=n_r_test,
         n_flows=n_flows, t_gen=1.0, l_max=4, seed=seed,
     )
+    base = _base_graph(config)
     argv = [
         "gen-data", "--scenario", scenario, "--n-train", str(n_train), "--n-val", str(n_val),
         "--n-test", str(n_test), "--n-r-test", str(n_r_test), "--n-flows", str(n_flows),
@@ -331,7 +333,7 @@ def test_generated_dataset_round_trips(scenario, sizes, n_r_test, n_flows, seed)
             lengths = {"n_flows": n_flows, "n_runs": n_r_test if split == "test" else 1}
             for number, (sample, line) in enumerate(zip(samples, lines), start=1):
                 check_json(RECORD, json.loads(line), f"{split}.jsonl line {number}", lengths)
-                record, _ = _generate_record(config, split, sample.index)
+                record, _ = _generate_record(config, base, split, sample.index)
                 assert sample.index == number - 1
                 assert sample.flows.sources == tuple(record["sources"])
                 assert sample.flows.destinations == tuple(record["destinations"])

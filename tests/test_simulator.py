@@ -18,7 +18,7 @@ from nettwin.nettopo import (
     build_reg_grid,
     sample_flows,
 )
-from nettwin.routing import shortest_paths
+from nettwin.routing import Path, RoutingTable, shortest_paths
 from nettwin.seeding import derive_seed, make_rng
 from nettwin.simulator import (
     ATTEN_REF,
@@ -192,6 +192,19 @@ class TestRunSim:
     def test_flow_count_mismatch(self, line3):
         table = shortest_paths(line3, FlowSet((0,), (2,)), seed=0)
         with pytest.raises(SimulationError):
+            run_sim(line3, table, TrafficParams((1.0, 1.0), (1.0, 1.0)),
+                    default_sim_config(True), seed=0)
+
+    def test_path_crossing_a_link_twice(self, line3):
+        # each link keeps one next hop per flow, so a flow may cross it once
+        table = RoutingTable(
+            (
+                Path(0, ((0, 1), (1, 2))),
+                Path(1, ((0, 1), (1, 0), (0, 1), (1, 2))),
+            ),
+            seed=0,
+        )
+        with pytest.raises(SimulationError, match=r"flow 1 crosses link \(0, 1\) twice"):
             run_sim(line3, table, TrafficParams((1.0, 1.0), (1.0, 1.0)),
                     default_sim_config(True), seed=0)
 
