@@ -22,7 +22,6 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property
 from pathlib import Path, PurePath
 from typing import Callable
 
@@ -65,13 +64,13 @@ from .twin import (
     MODEL_KINDS,
     GlanceDims,
     GnnDims,
+    Part,
     TwinError,
     TwinInput,
     TwinModel,
     batch_inputs,
     make_model,
     param_layout,
-    prepare_twin_input,
 )
 
 DATASET_FORMAT = "nettwin-dataset"
@@ -179,13 +178,12 @@ class GenConfig:
         return default_sim_config(wired, t_gen=self.t_gen)
 
 
-def _base_graph(config: GenConfig) -> Graph:
-    topo = SCENARIOS[config.scenario].topology
-    if topo == "nsfnet":
-        return build_nsfnet()
-    if topo == "reggrid":
-        return build_reg_grid()
-    return build_pert_grid(seed=derive_seed(config.seed, "base-topology"))
+def _base_graph(config: GenConfig) -> Graph | None:
+    """The topology every sample shares; None where each draws its own."""
+    scenario = SCENARIOS[config.scenario]
+    if scenario.per_sample_topology:
+        return None
+    return build_nsfnet() if scenario.topology == "nsfnet" else build_reg_grid()
 
 
 def _hop_diameter(graph: Graph) -> int:
@@ -212,10 +210,10 @@ def _sample_topology(config: GenConfig, sample_seed: int) -> Graph:
 
 
 def _generate_record(
-    config: GenConfig, base: Graph, split: str, index: int
+    config: GenConfig, base: Graph | None, split: str, index: int
 ) -> tuple[dict, dict | None]:
     """One sample: topology, flows, traffic, benchmark runs. Pure in its args;
-    base is the scenario's shared topology, unused if each sample draws one."""
+    base is the scenario's shared topology, None if each sample draws one."""
     scenario = SCENARIOS[config.scenario]
     sample_seed = derive_seed(config.seed, split, index)
 
@@ -258,19 +256,11 @@ def _generate_record(
     return record, topo_payload
 
 
-def _gen_worker(
-    args: tuple[GenConfig, Graph, str, int]
-) -> tuple[str, int, dict, dict | None]:
-    config, base, split, index = args
-    record, topo = _generate_record(config, base, split, index)
-    return split, index, record, topo
-
-
 def generate_dataset(config: GenConfig, out_dir: str | Path, jobs: int = 1) -> dict:
     """Write a dataset directory; byte-identical for a given config.
 
     Returns the manifest. jobs in 2..MAX_JOBS parallelizes over samples
-    without changing any output byte (records are written in index order).
+    without changing any output byte (records come back in index order).
     """
     if not 1 <= jobs <= MAX_JOBS:
         raise DatasetError(f"jobs must be between 1 and {MAX_JOBS}, got {jobs}")
@@ -278,53 +268,44 @@ def generate_dataset(config: GenConfig, out_dir: str | Path, jobs: int = 1) -> d
     out = Path(out_dir)
 
     base = _base_graph(config)
-    if not scenario.per_sample_topology and _hop_diameter(base) > config.l_max:
+    if base is not None and _hop_diameter(base) > config.l_max:
         raise DatasetError(
             f"{scenario.topology} hop diameter exceeds l_max={config.l_max}"
         )
 
-    tasks = [
-        (config, base, split, i)
-        for split, n in zip(SPLITS, (config.n_train, config.n_val, config.n_test))
-        for i in range(n)
-    ]
+    sizes = dict(zip(SPLITS, (config.n_train, config.n_val, config.n_test)))
+    tasks = [(config, base, split, i) for split, n in sizes.items() for i in range(n)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_gen_worker, tasks, chunksize=4))
+            results = list(pool.map(_generate_record, *zip(*tasks), chunksize=4))
     else:
-        results = [_gen_worker(t) for t in tasks]
-
-    by_split: dict[str, list[tuple[int, dict, dict | None]]] = {s: [] for s in SPLITS}
-    for split, index, record, topo in results:
-        by_split[split].append((index, record, topo))
+        results = [_generate_record(*task) for task in tasks]
 
     # nothing is written until every sample is made, so a config that fails
     # (a negative seed, more flows than node pairs) leaves no files behind
-    if not scenario.per_sample_topology:
+    if base is not None:
         save_topology(base, out / "topology.json")
 
-    counts = {}
-    for split in SPLITS:
-        rows = sorted(by_split[split])
-        counts[split] = len(rows)
+    made = iter(results)
+    for split, n in sizes.items():
         with open_fresh(out / f"{split}.jsonl") as fh:
-            for index, record, topo in rows:
+            for index in range(n):
+                record, topo = next(made)
+                record["topology"] = "topology.json"
                 if topo is not None:
-                    name = f"topologies/{split}_{index:05d}.json"
-                    write_json(out / name, topo)
-                    record = {**record, "topology": name}
-                else:
-                    record = {**record, "topology": "topology.json"}
+                    record["topology"] = f"topologies/{split}_{index:05d}.json"
+                    write_json(out / record["topology"], topo)
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
 
-    sim_wired = base.wired
+    # per-sample topologies are all of one kind; the first sample's stands in
+    sim_wired = base.wired if base is not None else results[0][1]["wired"]
     sim_config = config.sim_config(sim_wired)
     manifest = {
         "format": DATASET_FORMAT,
         "version": DATASET_VERSION,
         "scenario": config.scenario,
         "seed": config.seed,
-        "splits": counts,
+        "splits": sizes,
         "n_runs_test": config.n_r_test,
         "n_flows": config.n_flows,
         "l_max": config.l_max,
@@ -399,9 +380,10 @@ class Sample:
     labels: np.ndarray  # reference-run KPIs, (F, 4)
     bench_runs: list[np.ndarray] = field(default_factory=list)
 
-    @cached_property
-    def twin_input(self) -> TwinInput:
-        return prepare_twin_input(self.graph, self.table, self.traffic, self.capacities)
+    @property
+    def part(self) -> Part:
+        """What ``batch_inputs`` lays out for this sample."""
+        return (self.graph, self.table, self.traffic, self.capacities)
 
 
 @dataclass
@@ -695,11 +677,11 @@ def batch_loss(
     model: TwinModel,
     tape: Tape,
     bound: dict[str, Tensor],
-    batch: list[tuple[TwinInput, np.ndarray, np.ndarray]],
+    batch: list[tuple[Part, np.ndarray, np.ndarray]],
 ) -> tuple[Tensor, np.ndarray, TwinInput]:
     """Mean over a mini-batch of each sample's loss, on one tape.
 
-    ``batch`` holds (input, targets, weights) per sample. The weights are
+    ``batch`` holds (part, targets, weights) per sample. The weights are
     scaled by 1/B, so the loss's gradient is the mean of the per-sample
     gradients. Also returns the unscaled weighted |error| per flow row, and
     the batch input whose ``flow_offsets`` split those rows by sample.
@@ -715,7 +697,7 @@ def batch_loss(
 def _eval_batches(samples: list[Sample]) -> list[TwinInput]:
     """The samples' inputs, batched EVAL_CHUNK samples to a forward."""
     return [
-        batch_inputs([s.twin_input for s in samples[c0 : c0 + EVAL_CHUNK]])
+        batch_inputs([s.part for s in samples[c0 : c0 + EVAL_CHUNK]])
         for c0 in range(0, len(samples), EVAL_CHUNK)
     ]
 
@@ -796,7 +778,7 @@ def train_model(
         best_params = resume.best_params
 
     prepared = [
-        (s.twin_input, *loss_targets(model, s, normalizer.iqr))
+        (s.part, *loss_targets(model, s, normalizer.iqr))
         for s in train_samples
     ]
     val_batches = _eval_batches(val_samples)

@@ -20,12 +20,15 @@ Path models process flows in a canonical (source, destination) order
 internally and restore the caller's order on output, which makes
 flow-permutation equivariance exact at the bit level.
 
-``batch_inputs`` joins several samples' inputs into one disjoint-union input,
-so one forward (and one backward) covers a whole mini-batch; its output rows
-are the samples' rows, one sample after another. ``stack_tables`` lays out
-several routing tables of one flow set on one graph the same way, straight
-from their paths, for a forward whose products run table by table, so that
-each table's predictions keep the bytes of its forward alone.
+Every input is laid out by one routine from a list of (graph, routing
+table, traffic, capacities) parts, one part after another. ``TwinInput`` and
+``prepare_twin_input`` lay out one part. ``batch_inputs`` lays out several
+samples' parts as one disjoint-union input, so one forward (and one
+backward) covers a whole mini-batch; its output rows are the samples' rows,
+one sample after another. ``stack_tables`` lays out several routing tables
+of one flow set on one graph the same way, for a forward whose products run
+table by table, so that each table's predictions keep the bytes of its
+forward alone.
 """
 
 from __future__ import annotations
@@ -103,6 +106,16 @@ class GnnDims:
             raise TwinError("GnnDims fields must be positive")
 
 
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays one after another; a lone array itself."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+#: one network state to lay out: its graph, routing table, traffic and link
+#: capacities
+Part = tuple[Graph, RoutingTable, TrafficParams, np.ndarray]
+
+
 class TwinInput:
     """Preprocessed network state shared by all model forwards.
 
@@ -126,100 +139,83 @@ class TwinInput:
         traffic: TrafficParams,
         capacities: np.ndarray,
     ):
-        self._lay_out_tables(graph, [table], traffic, capacities)
+        self._lay_out([(graph, table, traffic, capacities)], stacked=False)
 
-    def _lay_out_tables(
-        self,
-        graph: Graph,
-        tables: list[RoutingTable],
-        traffic: TrafficParams,
-        capacities: np.ndarray,
-    ) -> None:
-        """One block per table, one table's rows after another. Each
-        distinct ``Path`` object is looked up once, however many tables
-        hold it; a single table shares the graph's arrays."""
-        if not tables:
-            raise TwinError("a stack needs at least one table")
-        n_flows = len(tables[0].paths)
-        if len(traffic) != n_flows:
-            raise TwinError(
-                f"traffic for {len(traffic)} flows, table has {n_flows} paths"
-            )
-        caps = np.asarray(capacities, dtype=np.float64)
-        if caps.shape != (len(graph.links),):
-            raise TwinError(
-                f"capacities shape {caps.shape} must match {len(graph.links)} links"
-            )
-        n_blocks, n_nodes, n_links = len(tables), graph.n_nodes, len(graph.links)
-        if any(len(t.paths) != n_flows for t in tables):
-            raise TwinError("stacked tables must route one set of sources")
-        self.n_flows = n_blocks * n_flows
-        self.n_nodes = n_blocks * n_nodes
-        self.n_links = n_blocks * n_links
+    def _lay_out(self, parts: list[Part], stacked: bool) -> TwinInput:
+        """This input, laid out from the parts one after another as
+        ``batch_inputs`` and ``stack_tables`` describe. Each distinct
+        ``Path`` object of each graph is looked up once, however many tables
+        hold it. A lone part shares its graph's arrays."""
+        graphs, tables, traffics, capacities = zip(*parts)
+        n_flows = [len(t.paths) for t in tables]
+        n_nodes = [g.n_nodes for g in graphs]
+        n_links = [len(g.links) for g in graphs]
+        caps_of = [np.asarray(c, dtype=np.float64) for c in capacities]
+        for n, m, traffic, caps in zip(n_flows, n_links, traffics, caps_of):
+            if stacked and n != n_flows[0]:
+                raise TwinError("stacked tables must route one set of sources")
+            if len(traffic) != n:
+                raise TwinError(f"traffic for {len(traffic)} flows, table has {n} paths")
+            if caps.shape != (m,):
+                raise TwinError(f"capacities shape {caps.shape} must match {m} links")
+        flow_off = list(accumulate(n_flows, initial=0))
+        node_off = list(accumulate(n_nodes, initial=0))
+        self.n_flows, self.n_nodes, self.n_links = flow_off[-1], node_off[-1], sum(n_links)
+        self.flow_offsets = np.array(flow_off, dtype=np.int64)
+        self.node_offsets = np.array(node_off, dtype=np.int64)
 
-        # each distinct path once, numbered by first use: its (source,
-        # destination) key, its length and its steps
-        number: dict[int, int] = {}
-        picks = [number.setdefault(id(p), len(number)) for t in tables for p in t.paths]
-        picks = np.array(picks).reshape(n_blocks, n_flows)
-        paths = list({id(p): p for t in tables for p in t.paths}.values())
-        keys = np.array([p.source * n_nodes + p.destination for p in paths])[picks]
-        if n_blocks > 1 and (keys // n_nodes != keys[0] // n_nodes).any():
-            raise TwinError("stacked tables must route one set of sources")
-        steps = [link for p in paths for link in p.links]
-        lengths = np.array([len(p.links) for p in paths], dtype=np.int64)
+        # each distinct path of each graph once, numbered by first use on its
+        # graph: its (source, destination) key, its length, and its steps'
+        # links and link rows
+        span = max(n_nodes)
+        numbers = {id(g): (g, {}) for g in graphs}  # per graph, path id -> number
+        owned = [numbers[id(g)][1] for g in graphs]
+        pick = np.array([n.setdefault(id(p), len(n))
+                         for n, t in zip(owned, tables) for p in t.paths])
+        keys, lengths, steps, step_links, first = [], [], [], [], {}
+        for graph, number in numbers.values():
+            first[id(graph)] = len(lengths)
+            paths = {id(p): p for n, t in zip(owned, tables) if n is number for p in t.paths}
+            links = [link for p in paths.values() for link in p.links]
+            keys += [p.source * span + p.destination for p in paths.values()]
+            lengths += [len(p.links) for p in paths.values()]
+            steps += links
+            step_links += [graph.link_index.get(link, -1) for link in links]
+        if len(numbers) > 1:  # a graph's paths follow those of the graphs before it
+            pick += np.repeat([first[id(g)] for g in graphs], n_flows)
+        keys = np.array(keys)[pick]
+        lengths = np.array(lengths, dtype=np.int64)
 
-        # the canonical order sorts each table's flows by their keys
-        order = np.argsort(keys, axis=1, kind="stable")
-        self.order = (order + np.arange(0, self.n_flows, n_flows)[:, None]).reshape(-1)
+        # the canonical order sorts each part's flows by their keys
+        part = np.repeat(np.arange(len(parts)), n_flows)
+        if stacked and len(parts) > 1:
+            sources = (keys // span).reshape(len(parts), -1)
+            if (sources != sources[0]).any():
+                raise TwinError("stacked tables must route one set of sources")
+        self.order = np.argsort(keys + part * span * span, kind="stable")
         self.inv_order = np.argsort(self.order)
 
         # every step of every path, flows in canonical order, as flat arrays:
         # the step's row, its column, and its link row and tail node, which
-        # each block reads from its own links and nodes
-        canon = picks.reshape(-1)[self.order]
+        # each part reads from its own links and nodes
+        canon = pick[self.order]
         row_len = lengths[canon]
-        step_row = np.repeat(np.arange(self.n_flows), row_len)
-        step_col = np.arange(len(step_row)) - np.repeat(np.cumsum(row_len) - row_len, row_len)
-        step = np.repeat((np.cumsum(lengths) - lengths)[canon], row_len) + step_col
-        link_index = graph.link_index
-        step_link = np.array([link_index.get(link, -1) for link in steps])[step]
-        step_tail = np.array([i for i, _ in steps], dtype=np.int64)[step]
-        if (step_link < 0).any():
-            k = int(np.argmax(step_link < 0))
+        row = np.repeat(np.arange(self.n_flows), row_len)
+        col = np.arange(len(row)) - np.repeat(np.cumsum(row_len) - row_len, row_len)
+        step = np.repeat((np.cumsum(lengths) - lengths)[canon], row_len) + col
+        link = np.array(step_links)[step]
+        tail = np.array([i for i, _ in steps], dtype=np.int64)[step]
+        if (link < 0).any():
+            k = int(np.argmax(link < 0))
+            flow = self.order[row[k]]
             i, j = steps[step[k]]
             raise TwinError(
-                f"flow {self.order[step_row[k]] % n_flows} uses link ({i},{j}) "
-                "not in the graph"
+                f"flow {flow - flow_off[part[flow]]} uses link ({i},{j}) not in the graph"
             )
-        if n_blocks > 1:  # a lone table's offsets are all zero
-            block = step_row // n_flows
-            step_link += n_links * block
-            step_tail += n_nodes * block
-        self._lay_out_steps(step_row, step_col, step_link, step_tail)
-
-        def tiled(a: np.ndarray, offset: int = 0) -> np.ndarray:
-            # each block's copy of a, plus offset per block before it
-            if n_blocks == 1:
-                return a
-            return np.concatenate([a + k * offset if offset else a for k in range(n_blocks)])
-
-        self.tau_feat = tiled(np.array([traffic.tau_on, traffic.tau_off]).T.copy())
-        self.caps_scaled = tiled(caps / CAPACITY_SCALE)
-        self.degrees = tiled(graph.degrees)
-        self.s_norm = graph.s_norm
-        self.link_tails = tiled(graph.link_tails, n_nodes)
-        self.link_heads = tiled(graph.link_heads, n_nodes)
-        self.flow_offsets = np.arange(0, self.n_flows + 1, n_flows, dtype=np.int64)
-        self.node_offsets = np.arange(0, self.n_nodes + 1, n_nodes, dtype=np.int64)
-        if n_blocks > 1:
-            self.blocks = n_blocks
-
-    def _lay_out_steps(
-        self, row: np.ndarray, col: np.ndarray, link: np.ndarray, tail: np.ndarray
-    ) -> None:
-        """The (flow, step) index arrays from each step's flow row, step
-        column, link row and tail node; padding reads link n_links, node 0."""
+        if len(parts) > 1:  # a lone part's offsets are all zero
+            link += np.array(list(accumulate(n_links, initial=0)))[part[row]]
+            tail += self.node_offsets[part[row]]
+        # padding slots read link n_links (a dummy row) and node 0
         self.max_steps = int(col.max()) + 1
         shape = (self.n_flows, self.max_steps)
         self.link_ids = np.full(shape, self.n_links, dtype=np.int64)
@@ -231,6 +227,24 @@ class TwinInput:
         # step-major segment ids over the stacked (S*F, d_path) m states;
         # padded slots carry the id n_links, which segment_sum drops
         self.seg_ids = self.link_ids.T.reshape(-1).copy()
+
+        # each distinct traffic's [tau_on, tau_off] rows once
+        feats = {id(t): t for t in traffics}
+        feats = {k: np.array([t.tau_on, t.tau_off]).T.copy() for k, t in feats.items()}
+        self.tau_feat = _joined([feats[id(t)] for t in traffics])
+        self.caps_scaled = _joined(caps_of) / CAPACITY_SCALE
+        self.degrees = _joined([g.degrees for g in graphs])
+        self.link_tails = _joined([g.link_tails for g in graphs])
+        self.link_heads = _joined([g.link_heads for g in graphs])
+        if len(parts) > 1:
+            shift = np.repeat(self.node_offsets[:-1], n_links)
+            self.link_tails += shift
+            self.link_heads += shift
+        one_graph = stacked or len(parts) == 1
+        self.s_norm = graphs[0].s_norm if one_graph else _block_diag([g.s_norm for g in graphs])
+        if stacked and len(parts) > 1:
+            self.blocks = len(parts)
+        return self
 
     @property
     def n_samples(self) -> int:
@@ -275,17 +289,18 @@ def stack_tables(
     capacities: np.ndarray,
 ) -> TwinInput:
     """The input of routing tables that share one graph, one set of
-    sources, one traffic and one capacity vector, laid out straight from
-    their paths: as ``batch_inputs`` lays out their lone inputs, but keeping
-    the graph's ``s_norm`` and marked as ``blocks`` row blocks, so that
+    sources, one traffic and one capacity vector: laid out as
+    ``batch_inputs`` lays out their parts, but keeping the graph's
+    ``s_norm`` and marked as ``blocks`` row blocks, so that
     ``TwinModel.predict`` gives each table's rows the bytes of its own
     forward. Tables that share ``Path`` objects (the routing memo's) share
     their lookups. A stack of one table is its lone input. Raises TwinError
     for no table or for tables whose sources differ.
     """
-    out = TwinInput.__new__(TwinInput)
-    out._lay_out_tables(graph, tables, traffic, capacities)
-    return out
+    if not tables:
+        raise TwinError("a stack needs at least one table")
+    parts = [(graph, t, traffic, capacities) for t in tables]
+    return TwinInput.__new__(TwinInput)._lay_out(parts, stacked=True)
 
 
 #: samples per forward when many are scored at once (validation,
@@ -305,8 +320,9 @@ def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def batch_inputs(inputs: list[TwinInput]) -> TwinInput:
-    """One input for several samples: the disjoint union of their graphs.
+def batch_inputs(parts: list[Part]) -> TwinInput:
+    """One input for several samples' parts: the disjoint union of their
+    graphs.
 
     Flow, link and node indices are offset by the sizes of the samples
     before; every sample's padding slot goes to one shared dummy link after
@@ -314,48 +330,11 @@ def batch_inputs(inputs: list[TwinInput]) -> TwinInput:
     batch's longest path. ``s_norm`` is block-diagonal (dense; callers keep
     batches small). Each sample keeps its own canonical order, so its rows
     of the output do not depend on the other samples' flow order. A batch of
-    one is the input itself.
+    one is that sample's lone input.
     """
-    if not inputs:
+    if not parts:
         raise TwinError("a batch needs at least one input")
-    if len(inputs) == 1:
-        return inputs[0]
-    out = TwinInput.__new__(TwinInput)
-    flow_off = list(accumulate((inp.n_flows for inp in inputs), initial=0))
-    link_off = list(accumulate((inp.n_links for inp in inputs), initial=0))
-    node_off = list(accumulate((inp.n_nodes for inp in inputs), initial=0))
-    out.n_flows, out.n_links, out.n_nodes = flow_off[-1], link_off[-1], node_off[-1]
-    out.flow_offsets = np.array(flow_off, dtype=np.int64)
-    out.node_offsets = np.array(node_off, dtype=np.int64)
-
-    def cat(name: str, offsets: list[int] | None = None) -> np.ndarray:
-        parts = [getattr(inp, name) for inp in inputs]
-        if offsets is not None:
-            parts = [p + o for p, o in zip(parts, offsets)]
-        return np.concatenate(parts)
-
-    out.tau_feat = cat("tau_feat")
-    out.caps_scaled = cat("caps_scaled")
-    out.degrees = cat("degrees")
-    out.link_tails = cat("link_tails", node_off)
-    out.link_heads = cat("link_heads", node_off)
-    out.order = cat("order", flow_off)
-    out.inv_order = cat("inv_order", flow_off)
-    out.s_norm = _block_diag([inp.s_norm for inp in inputs])
-
-    steps = [np.nonzero(inp.step_mask) for inp in inputs]
-    counts = [len(rows) for rows, _ in steps]
-
-    def joined(parts: list[np.ndarray], offsets: list[int]) -> np.ndarray:
-        return np.concatenate(parts) + np.repeat(offsets[:-1], counts)
-
-    out._lay_out_steps(
-        joined([rows for rows, _ in steps], flow_off),
-        np.concatenate([cols for _, cols in steps]),
-        joined([inp.link_ids[s] for inp, s in zip(inputs, steps)], link_off),
-        joined([inp.tail_ids[s] for inp, s in zip(inputs, steps)], node_off),
-    )
-    return out
+    return TwinInput.__new__(TwinInput)._lay_out(parts, stacked=False)
 
 
 # -- parameter construction -------------------------------------------------

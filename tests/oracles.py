@@ -11,8 +11,9 @@ streams, link capacities and the KPI record type), and the two management
 solvers in their plainest form, where every state is scored alone on its
 own tape (taking the twin, routing and seeding from the package), the
 twin-input builder as per-cell loops that recompute every per-graph feature,
-the gnn's node features cell by cell, the stacked input as lone inputs
-joined by ``batch_inputs``, the logistic function with two divisions,
+the gnn's node features cell by cell, the flat batch as lone inputs joined
+field by field, the stacked input as that join with the one graph's node
+operator, the logistic function with two divisions,
 Adam run array by array, and the JSON schema check as a walk that checks
 every value by a call of its own.
 """
@@ -46,7 +47,6 @@ from nettwin.twin import (
     TwinError,
     TwinInput,
     TwinModel,
-    batch_inputs,
     prepare_twin_input,
 )
 
@@ -643,20 +643,72 @@ def reference_gnn_features(n_nodes, table, traffic) -> np.ndarray:
     return feats
 
 
+def join_inputs(inputs: list[TwinInput]) -> TwinInput:
+    """The flat batch ``twin.batch_inputs`` must build from the parts of
+    these lone inputs: their disjoint union, joined field by field. Flow,
+    link and node indices are offset by the inputs before; every padding
+    slot reads the one dummy link after the last real one, shorter inputs
+    get zero-mask steps up to the longest path, and ``s_norm`` is
+    block-diagonal. A batch of one is the input itself."""
+    if not inputs:
+        raise TwinError("a batch needs at least one input")
+    if len(inputs) == 1:
+        return inputs[0]
+    out = TwinInput.__new__(TwinInput)
+    flow_off, link_off, node_off = [0], [0], [0]
+    for inp in inputs:
+        flow_off.append(flow_off[-1] + inp.n_flows)
+        link_off.append(link_off[-1] + inp.n_links)
+        node_off.append(node_off[-1] + inp.n_nodes)
+    out.n_flows, out.n_links, out.n_nodes = flow_off[-1], link_off[-1], node_off[-1]
+    out.flow_offsets = np.array(flow_off, dtype=np.int64)
+    out.node_offsets = np.array(node_off, dtype=np.int64)
+
+    def cat(name, offsets=None):
+        parts = [getattr(inp, name) for inp in inputs]
+        if offsets is not None:
+            parts = [p + o for p, o in zip(parts, offsets)]
+        return np.concatenate(parts)
+
+    out.tau_feat = cat("tau_feat")
+    out.caps_scaled = cat("caps_scaled")
+    out.degrees = cat("degrees")
+    out.link_tails = cat("link_tails", node_off)
+    out.link_heads = cat("link_heads", node_off)
+    out.order = cat("order", flow_off)
+    out.inv_order = cat("inv_order", flow_off)
+    out.s_norm = np.zeros((out.n_nodes, out.n_nodes))
+    for inp, n0 in zip(inputs, node_off):
+        out.s_norm[n0 : n0 + inp.n_nodes, n0 : n0 + inp.n_nodes] = inp.s_norm
+
+    out.max_steps = max(inp.max_steps for inp in inputs)
+    shape = (out.n_flows, out.max_steps)
+    out.link_ids = np.full(shape, out.n_links, dtype=np.int64)
+    out.tail_ids = np.zeros(shape, dtype=np.int64)
+    out.step_mask = np.zeros(shape)
+    for inp, f0, l0, n0 in zip(inputs, flow_off, link_off, node_off):
+        rows, cols = np.nonzero(inp.step_mask)
+        out.link_ids[rows + f0, cols] = inp.link_ids[rows, cols] + l0
+        out.tail_ids[rows + f0, cols] = inp.tail_ids[rows, cols] + n0
+        out.step_mask[rows + f0, cols] = 1.0
+    out.seg_ids = out.link_ids.T.reshape(-1).copy()
+    return out
+
+
 def stack_inputs(inputs: list[TwinInput]) -> TwinInput:
     """The layout ``twin.stack_tables`` must build from the tables of these
-    lone inputs (one graph, one flow count): ``batch_inputs`` of them, but
+    lone inputs (one graph, one flow count): ``join_inputs`` of them, but
     keeping the one graph's ``s_norm`` and marked as ``blocks`` row blocks.
     A stack of one is the input itself."""
     if len(inputs) < 2:
-        return batch_inputs(inputs)  # the input itself, or no input's error
+        return join_inputs(inputs)  # the input itself, or no input's error
     first = inputs[0]
     for inp in inputs[1:]:
         if (inp.n_flows, inp.n_links, inp.n_nodes) != (
             first.n_flows, first.n_links, first.n_nodes
         ) or not np.array_equal(inp.s_norm, first.s_norm):
             raise TwinError("stacked inputs must share one graph and one flow count")
-    out = batch_inputs(inputs)
+    out = join_inputs(inputs)
     out.s_norm = first.s_norm
     out.blocks = len(inputs)
     return out

@@ -71,8 +71,9 @@ from nettwin.pipeline import (
     write_learning_curves,
 )
 from nettwin.routing import validate_table
+from nettwin.seeding import derive_seed
 from nettwin.simulator import TASKS, default_sim_config, link_capacities
-from nettwin.twin import COMPACT, LARGE, GnnDims, TwinError, make_model
+from nettwin.twin import COMPACT, LARGE, GnnDims, TwinError, make_model, prepare_twin_input
 
 
 def zero_params(model):
@@ -209,9 +210,10 @@ class TestGenerateDataset:
             assert s.labels.shape == (10, 4)
             assert s.capacities.shape == (len(s.graph.links),)
             assert len(s.table.paths) == 10
-        # the twin input is built once, then cached
+        # the part batch_inputs lays out is the sample's own state
         s = train[0]
-        assert s.twin_input is s.twin_input
+        own = (s.graph, s.table, s.traffic, s.capacities)
+        assert all(a is b for a, b in zip(s.part, own))
 
     def test_fixed_scenario_shares_flows_and_topology(self, toy_dataset):
         everything = [s for split in SPLITS for s in toy_dataset.splits[split]]
@@ -274,6 +276,24 @@ class TestGenerateDataset:
         generate_dataset(config, tmp_path / "rf", jobs=1)
         assert len(calls) == 1
 
+    def test_per_sample_topologies_build_no_shared_one(self, tmp_path, monkeypatch):
+        build, seeds = pipeline.build_pert_grid, []
+
+        def counted(seed):
+            seeds.append(seed)
+            return build(seed=seed)
+
+        monkeypatch.setattr(pipeline, "build_pert_grid", counted)
+        config = GenConfig(
+            scenario="pertgrid-randtopo", n_train=2, n_val=0, n_test=1,
+            n_r_test=2, n_flows=4, t_gen=1.0, l_max=4, seed=3,
+        )
+        manifest = generate_dataset(config, tmp_path / "pert", jobs=1)
+        # every grid built is a sample's own draw, none the unused shared one
+        assert len(seeds) >= 3
+        assert derive_seed(3, "base-topology") not in seeds
+        assert manifest["wired"] is False
+
     @pytest.mark.parametrize("jobs", [0, -1, MAX_JOBS + 1])
     def test_jobs_out_of_range_rejected_before_any_sample(
         self, tmp_path, monkeypatch, jobs
@@ -283,7 +303,7 @@ class TestGenerateDataset:
 
         # neither a worker pool nor a serial sample may start
         monkeypatch.setattr(pipeline, "ProcessPoolExecutor", never)
-        monkeypatch.setattr(pipeline, "_gen_worker", never)
+        monkeypatch.setattr(pipeline, "_generate_record", never)
         config = GenConfig(scenario="reggrid-fixed", n_train=2, n_val=1, n_test=1)
         with pytest.raises(DatasetError, match=f"jobs must be between 1 and {MAX_JOBS}"):
             generate_dataset(config, tmp_path / "ds", jobs=jobs)
@@ -530,7 +550,7 @@ class TestSharedLoad:
 
     def test_shared_arrays_are_read_only(self, toy_dataset):
         s = toy_dataset.splits["train"][0]
-        inp = s.twin_input
+        inp = prepare_twin_input(*s.part)
         shared = {
             "capacities": s.capacities,
             "degrees": s.graph.degrees,
@@ -884,7 +904,7 @@ class TestBatchedTraining:
 
     def items(self, model, samples):
         return [
-            (s.twin_input, *loss_targets(model, s, UNIT_NORM.iqr))
+            (s.part, *loss_targets(model, s, UNIT_NORM.iqr))
             for s in samples
         ]
 
@@ -926,16 +946,16 @@ class TestBatchedTraining:
         assert len(samples) > EVAL_CHUNK
         got = predict_samples(model, samples)
         for s, rows in zip(samples, got):
-            assert np.max(np.abs(rows - model.predict(s.twin_input))) < 1e-12
+            assert np.max(np.abs(rows - model.predict(prepare_twin_input(*s.part)))) < 1e-12
         single = predict_samples(model, samples[:1])[0]
-        assert single.tobytes() == model.predict(samples[0].twin_input).tobytes()
+        assert single.tobytes() == model.predict(prepare_twin_input(*samples[0].part)).tobytes()
 
     def test_loss_values_read_the_model_columns(self):
         # the model's only head is jitter, column 1 of the labels
         model = make_model("routenet", ("jitter",), 6, dims=BATCH_DIMS)
         samples = mixed_samples()
         for s, (total, per_task) in zip(samples, loss_values(model, samples, UNIT_NORM)):
-            preds = model.predict(s.twin_input)[:, 0]
+            preds = model.predict(prepare_twin_input(*s.part))[:, 0]
             want = np.mean(np.abs(preds - s.labels[:, 1])) / UNIT_NORM.iqr[1]
             assert per_task.shape == (1,)
             assert total == pytest.approx(want, rel=1e-12)
@@ -1161,7 +1181,7 @@ class TestCheckpointManifest:
         assert loaded.tasks == ("delay", "jitter")
         assert loaded.dims == TINY_DIMS
         assert_array_equal(norm2.iqr, norm.iqr)
-        inp = line_sample(line3, 100.0, 100.0, [1.0, 1.0, 1.0, 1.0]).twin_input
+        inp = prepare_twin_input(*line_sample(line3, 100.0, 100.0, [1.0, 1.0, 1.0, 1.0]).part)
         assert loaded.predict(inp).tobytes() == model.predict(inp).tobytes()
 
     def test_recorded_training_settings(self):
@@ -1196,7 +1216,7 @@ class TestCheckpointManifest:
         loaded, _ = model_from_checkpoint(model.params, manifest, "ckpt.json")
         assert isinstance(loaded.dims, GnnDims)
         assert loaded.dims == model.dims
-        inp = line_sample(line3, 100.0, 100.0, [1.0, 1.0, 1.0, 1.0]).twin_input
+        inp = prepare_twin_input(*line_sample(line3, 100.0, 100.0, [1.0, 1.0, 1.0, 1.0]).part)
         assert loaded.predict(inp).tobytes() == model.predict(inp).tobytes()
 
     @pytest.mark.parametrize("kind", ["glance", "gnn"])

@@ -43,6 +43,7 @@ from conftest import (
     wired_graph,
 )
 from oracles import (
+    join_inputs,
     random_connected_adjacency,
     reference_gnn_features,
     reference_twin_input,
@@ -55,13 +56,17 @@ WEE_DIMS = GlanceDims(
 )
 
 
-def line_input(line3, flows=None, traffic=None, caps=None):
+def line_part(line3, flows=None, traffic=None, caps=None):
     flows = flows or FlowSet((0,), (2,))
     traffic = traffic or TrafficParams((10.0,) * len(flows), (1.0,) * len(flows))
     table = shortest_paths(line3, flows, seed=0)
     config = default_sim_config(wired=True)
     capacities = link_capacities(line3, config) if caps is None else caps
-    return prepare_twin_input(line3, table, traffic, capacities)
+    return line3, table, traffic, capacities
+
+
+def line_input(line3, flows=None, traffic=None, caps=None):
+    return prepare_twin_input(*line_part(line3, flows, traffic, caps))
 
 
 def stable_sigmoid(x):
@@ -143,13 +148,14 @@ class TestTwinInput:
 
 
 def assert_same_features(inputs, args):
-    """Each input's gnn features, and those of their batch when the flow
-    counts agree, against the per-cell oracle on (graph, table, traffic)."""
-    want = [reference_gnn_features(g.n_nodes, t, tr) for g, t, tr, *_ in args]
+    """Each input's gnn features, and those of the batch of their parts
+    (graph, table, traffic, capacities) when the flow counts agree, against
+    the per-cell oracle on (graph, table, traffic)."""
+    want = [reference_gnn_features(g.n_nodes, t, tr) for g, t, tr, _ in args]
     for inp, w in zip(inputs, want):
         assert inp.gnn_features.tobytes() == w.tobytes()
     if len({w.shape[1] for w in want}) == 1:
-        assert batch_inputs(inputs).gnn_features.tobytes() == np.concatenate(want).tobytes()
+        assert batch_inputs(args).gnn_features.tobytes() == np.concatenate(want).tobytes()
 
 
 def assert_same_input(got, want):
@@ -189,7 +195,7 @@ class TestInputOracle:
         want = [reference_twin_input(*a) for a in args]
         for g, w in zip(got, want):
             assert_same_input(g, w)
-        assert_same_input(batch_inputs(got), batch_inputs(want))
+        assert_same_input(batch_inputs(args), join_inputs(want))
         assert_same_features(got, args)
 
     @given(st.integers(min_value=0, max_value=10**6))
@@ -216,10 +222,8 @@ class TestInputOracle:
             want = reference_twin_input(graph, table, traffic, caps)
             assert_same_input(got, want)
             inputs.append((got, want))
-            args.append((graph, table, traffic))
-        assert_same_input(
-            batch_inputs([g for g, _ in inputs]), batch_inputs([w for _, w in inputs])
-        )
+            args.append((graph, table, traffic, caps))
+        assert_same_input(batch_inputs(args), join_inputs([w for _, w in inputs]))
         assert_same_features([g for g, _ in inputs], args)
 
     @given(st.integers(min_value=0, max_value=10**6))
@@ -606,8 +610,11 @@ class TestBatchInputs:
     def model(self, kind, seed=4):
         return make_model(kind, TASKS, seed, dims=kind_dims(kind, BATCH_DIMS, 2))
 
+    def parts(self, samples=None):
+        return [s.part for s in samples or mixed_samples()]
+
     def inputs(self, samples=None):
-        return [s.twin_input for s in samples or mixed_samples()]
+        return [prepare_twin_input(*p) for p in self.parts(samples)]
 
     def test_index_layout(self, line3):
         cycle4 = wired_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -615,10 +622,8 @@ class TestBatchInputs:
         # cycle4 links: (0,1)=0 (0,3)=1 (1,0)=2 (1,2)=3 (2,1)=4 (2,3)=5 ...
         flows = FlowSet((2, 0), (3, 1))
         table = shortest_paths(cycle4, flows, seed=0)
-        one = line_input(line3)  # flow 0->2 over links 0 and 2 of 4
-        two = prepare_twin_input(
-            cycle4, table, TrafficParams((3.0, 4.0), (5.0, 6.0)), caps
-        )
+        one = line_part(line3)  # flow 0->2 over links 0 and 2 of 4
+        two = (cycle4, table, TrafficParams((3.0, 4.0), (5.0, 6.0)), caps)
         inp = batch_inputs([one, two])
         assert (inp.n_flows, inp.n_links, inp.n_nodes, inp.max_steps) == (3, 12, 7, 2)
         assert np.array_equal(inp.flow_offsets, [0, 1, 3])
@@ -633,16 +638,37 @@ class TestBatchInputs:
         assert np.array_equal(inp.inv_order, [0, 2, 1])
         assert np.array_equal(inp.tau_feat, [[10.0, 1.0], [3.0, 5.0], [4.0, 6.0]])
         assert np.array_equal(inp.link_tails[4:], [3, 3, 4, 4, 5, 5, 6, 6])
-        assert np.array_equal(inp.s_norm[:3, :3], one.s_norm)
-        assert np.array_equal(inp.s_norm[3:, 3:], two.s_norm)
+        assert np.array_equal(inp.s_norm[:3, :3], line3.s_norm)
+        assert np.array_equal(inp.s_norm[3:, 3:], cycle4.s_norm)
         assert not inp.s_norm[:3, 3:].any() and not inp.s_norm[3:, :3].any()
 
+    def test_one_path_object_on_two_graphs(self):
+        # one hand-built table on a 4-node line and a 4-node ring, whose
+        # link rows differ: line (0,1)=0 (1,2)=2 (3,2)=5 (2,1)=3, ring
+        # (0,1)=0 (1,2)=3 (3,2)=7 (2,1)=4; each graph looks its paths up
+        line4 = wired_graph(4, [(0, 1), (1, 2), (2, 3)])
+        ring4 = wired_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        table = RoutingTable(
+            (Path(0, ((3, 2), (2, 1))), Path(1, ((0, 1), (1, 2)))), seed=0
+        )
+        traffic = TrafficParams((3.0, 4.0), (5.0, 6.0))
+        parts = [
+            (g, table, traffic, link_capacities(g, default_sim_config(wired=True)))
+            for g in (line4, ring4, line4)
+        ]
+        got = batch_inputs(parts)
+        assert_same_input(got, join_inputs([reference_twin_input(*p) for p in parts]))
+        assert_same_input(got, join_inputs([prepare_twin_input(*p) for p in parts]))
+        assert np.array_equal(got.link_ids[:, 0], [0, 5, 6, 13, 14, 19])
+
     def test_batch_of_one_is_the_input(self):
-        inp = self.inputs()[1]
-        assert batch_inputs([inp]) is inp
+        part = self.parts()[1]
+        inp = prepare_twin_input(*part)
+        assert_same_input(batch_inputs([part]), inp)
+        assert_same_input(batch_inputs([part]), reference_twin_input(*part))
         for kind in ("glance", "routenet", "gnn"):
             model = self.model(kind)
-            assert model.predict(batch_inputs([inp])).tobytes() == model.predict(inp).tobytes()
+            assert model.predict(batch_inputs([part])).tobytes() == model.predict(inp).tobytes()
 
     @pytest.mark.parametrize("kind", ["glance", "routenet", "gnn"])
     def test_predict_matches_recording_forward(self, kind):
@@ -650,7 +676,7 @@ class TestBatchInputs:
         # recording tape's forward over constant-bound parameters
         inputs = self.inputs()
         model = self.model(kind)
-        for inp in [*inputs, batch_inputs(inputs)]:
+        for inp in [*inputs, batch_inputs(self.parts())]:
             tape = Tape()
             bound = {name: tape.constant(arr) for name, arr in model.params.items()}
             want = model.forward(tape, bound, inp).value
@@ -661,7 +687,7 @@ class TestBatchInputs:
         inputs = self.inputs()
         assert len({inp.max_steps for inp in inputs}) == 3
         model = self.model(kind)
-        batch = batch_inputs(inputs)
+        batch = batch_inputs(self.parts())
         got = np.split(model.predict(batch), batch.flow_offsets[1:-1])
         for inp, rows in zip(inputs, got):
             want = model.predict(inp)
@@ -684,14 +710,14 @@ class TestBatchInputs:
             tuple(Path(i, mid.table.paths[f].links) for i, f in enumerate(sigma)),
             seed=mid.table.seed,
         )
-        swapped = prepare_twin_input(mid.graph, table, traffic, mid.capacities)
-        inputs = self.inputs(samples)
+        swapped = (mid.graph, table, traffic, mid.capacities)
+        parts = self.parts(samples)
         for kind in ("glance", "routenet"):
             model = self.model(kind, seed=9)
-            base = batch_inputs(inputs)
+            base = batch_inputs(parts)
             a = np.split(model.predict(base), base.flow_offsets[1:-1])
             b = np.split(
-                model.predict(batch_inputs([inputs[0], swapped, inputs[2]])),
+                model.predict(batch_inputs([parts[0], swapped, parts[2]])),
                 base.flow_offsets[1:-1],
             )
             assert b[0].tobytes() == a[0].tobytes()
@@ -702,8 +728,8 @@ class TestBatchInputs:
         with pytest.raises(TwinError, match="at least one"):
             batch_inputs([])
         # a gnn reads a fixed flow count from every sample
-        two_flows = self.inputs()[0]
-        one_flow = line_input(line3)
+        two_flows = self.parts()[0]
+        one_flow = line_part(line3)
         model = self.model("gnn")
         with pytest.raises(TwinError, match="gnn built for 2 flows"):
             model.predict(batch_inputs([two_flows, one_flow]))
@@ -745,8 +771,8 @@ class TestStackInputs:
     def test_layout_is_the_batch_but_for_the_node_operator(self):
         grid = build_reg_grid()
         caps, traffic, tables = self.tables(grid, 3, 4, seed=1)
-        inputs = [prepare_twin_input(grid, t, traffic, caps) for t in tables]
-        stacked, flat = stack_tables(grid, tables, traffic, caps), batch_inputs(inputs)
+        parts = [(grid, t, traffic, caps) for t in tables]
+        stacked, flat = stack_tables(grid, tables, traffic, caps), batch_inputs(parts)
         assert (stacked.blocks, flat.blocks) == (4, 1)
         assert stacked.s_norm is grid.s_norm
         flat.s_norm, flat.blocks = stacked.s_norm, 4
