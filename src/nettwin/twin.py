@@ -59,6 +59,8 @@ class TwinError(ValueError):
 class GlanceDims:
     """Architecture of the path models (glance and routenet).
 
+    ``t_layers`` counts path updates; the ``t_layers - 1`` link and node
+    updates run between them, and the readouts read the paths alone.
     ``l_max`` bounds the links of any path a forward accepts; no weight
     depends on it. The readout default keeps the compact configuration's
     total parameter count in the expected 3e4..6e4 band.
@@ -457,6 +459,8 @@ def path_forward(
 ) -> Tensor:
     """Path-model forward; returns (F, len(tasks)) in the caller's flow order.
 
+    It makes ``dims.t_layers`` path updates, with the ``t_layers - 1`` link
+    and node updates between them; the readouts read the final paths alone.
     ``nodes`` runs the node pathway (glance). Without it (routenet) the GRU
     input is the link embedding alone, the link MLP drops the node term and
     the graph convolution is skipped. Raises TwinError when a path has
@@ -472,7 +476,7 @@ def path_forward(
     if nodes:
         s_norm = tape.constant(inp.s_norm)
         no_bias = tape.constant(np.zeros(dims.d_node))
-    for _ in range(dims.t_layers):
+    for layer in range(dims.t_layers):
         h_l_ext = tape.concat([h_l, zero_row], 0)
         h = h_p
         m_parts = []
@@ -485,6 +489,10 @@ def path_forward(
             h = tape.gru_step(x, h, inp.step_mask[:, s : s + 1], gru)
             m_parts.append(h)
         h_p = h
+        # the readouts read the paths alone, so no link or node update
+        # follows the last path update: nothing would read it
+        if layer == dims.t_layers - 1:
+            break
         m_stack = tape.concat(m_parts, 0)
         link_sums = tape.segment_sum(m_stack, inp.seg_ids, inp.n_links)
         if nodes:

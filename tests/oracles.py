@@ -13,7 +13,8 @@ own tape (taking the twin, routing and seeding from the package), the
 twin-input builder as per-cell loops that recompute every per-graph feature,
 the gnn's node features cell by cell, the flat batch as lone inputs joined
 field by field, the stacked input as that join with the one graph's node
-operator, the logistic function with two divisions,
+operator, the path forward with a link and node update closing every
+layer (the last one too), the logistic function with two divisions,
 Adam run array by array, and the JSON schema check as a walk that checks
 every value by a call of its own.
 """
@@ -31,6 +32,7 @@ from nettwin.autodiff import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    GRU_PARAM_KEYS,
     AutodiffError,
     DivergenceError,
     Tape,
@@ -44,9 +46,13 @@ from nettwin.seeding import derive_seed, make_rng
 from nettwin.simulator import TASKS, KpiRecord, default_sim_config, link_capacities
 from nettwin.twin import (
     CAPACITY_SCALE,
+    GlanceDims,
     TwinError,
     TwinInput,
     TwinModel,
+    _readouts,
+    _run_mlp,
+    init_embeddings,
     prepare_twin_input,
 )
 
@@ -712,6 +718,62 @@ def stack_inputs(inputs: list[TwinInput]) -> TwinInput:
     out.s_norm = first.s_norm
     out.blocks = len(inputs)
     return out
+
+
+# -- the path forward, every layer whole ------------------------------------------
+
+
+def reference_path_forward(
+    tape: Tape,
+    bound: dict[str, Tensor],
+    inp: TwinInput,
+    dims: GlanceDims,
+    tasks: tuple[str, ...],
+    tau: Tensor | None,
+    *,
+    nodes: bool,
+) -> Tensor:
+    """``twin.path_forward`` with a link and node update closing every layer,
+    the last one too, which nothing reads: the values and gradients the
+    forward must keep, byte for byte."""
+    if inp.max_steps > dims.l_max:
+        raise TwinError(
+            f"a path has {inp.max_steps} links, exceeding l_max={dims.l_max}"
+        )
+    gru = {key: bound[f"gru/{key}"] for key in GRU_PARAM_KEYS}
+    h_p, h_l, h_n = init_embeddings(tape, inp, dims, tau)
+    zero_row = tape.constant(np.zeros((1, dims.d_link)))
+    if nodes:
+        s_norm = tape.constant(inp.s_norm)
+        no_bias = tape.constant(np.zeros(dims.d_node))
+    for _ in range(dims.t_layers):
+        h_l_ext = tape.concat([h_l, zero_row], 0)
+        h = h_p
+        m_parts = []
+        for s in range(inp.max_steps):
+            x = tape.gather(h_l_ext, inp.link_ids[:, s])
+            if nodes:
+                x = tape.concat([x, tape.gather(h_n, inp.tail_ids[:, s])], 1)
+            h = tape.gru_step(x, h, inp.step_mask[:, s : s + 1], gru)
+            m_parts.append(h)
+        h_p = h
+        m_stack = tape.concat(m_parts, 0)
+        link_sums = tape.segment_sum(m_stack, inp.seg_ids, inp.n_links)
+        if nodes:
+            x = tape.concat([h_l, tape.gather(h_n, inp.link_tails), link_sums], 1)
+        else:
+            x = tape.concat([h_l, link_sums], 1)
+        h_l = _run_mlp(tape, x, bound, "link", len(dims.link_hidden), "proj")
+        if nodes:
+            out_sums = tape.segment_sum(h_l, inp.link_tails, inp.n_nodes)
+            h_n = tape.dense(
+                s_norm,
+                tape.matmul(tape.concat([h_n, out_sums], 1), bound["egc/w"]),
+                no_bias,
+                relu=True,
+            )
+    preds = _readouts(tape, h_p, bound, dims, tasks)
+    return tape.gather(preds, inp.inv_order)
 
 
 # -- Adam, one array at a time ---------------------------------------------------

@@ -29,6 +29,7 @@ from nettwin.twin import (
     batch_inputs,
     init_embeddings,
     make_model,
+    path_forward,
     prepare_twin_input,
     stack_tables,
 )
@@ -46,6 +47,7 @@ from oracles import (
     join_inputs,
     random_connected_adjacency,
     reference_gnn_features,
+    reference_path_forward,
     reference_twin_input,
     stack_inputs,
 )
@@ -67,6 +69,14 @@ def line_part(line3, flows=None, traffic=None, caps=None):
 
 def line_input(line3, flows=None, traffic=None, caps=None):
     return prepare_twin_input(*line_part(line3, flows, traffic, caps))
+
+
+def reg44_f10_input(reg44):
+    """Ten flows on the 4x4 grid, the longest path three links."""
+    flows = FlowSet((0, 1, 2, 4, 5, 6, 8, 9, 10, 0), (5, 6, 7, 9, 10, 11, 13, 14, 15, 3))
+    traffic = TrafficParams((10.0,) * 10, (1.0,) * 10)
+    caps = link_capacities(reg44, default_sim_config(wired=False))
+    return prepare_twin_input(reg44, shortest_paths(reg44, flows, seed=0), traffic, caps)
 
 
 def stable_sigmoid(x):
@@ -273,7 +283,7 @@ class TestInitEmbeddings:
 
 class TestGlanceForward:
     def test_matches_manual_composition(self, line3):
-        # one message-passing layer replayed step by step in plain numpy
+        # one layer, a path update alone, replayed step by step in plain numpy
         flows = FlowSet((1, 0), (2, 2))
         traffic = TrafficParams((5.0, 11.0), (7.0, 13.0))
         inp = line_input(line3, flows, traffic)
@@ -302,26 +312,10 @@ class TestGlanceForward:
 
         h_l_ext = np.concatenate([h_l, np.zeros((1, 2))], axis=0)
         h = h_p
-        m_parts = []
         for s in range(2):
             x = np.concatenate([h_l_ext[link_ids[:, s]], h_n[tail_ids[:, s]]], axis=1)
             h = h + masks[s] * (gru(x, h) - h)
-            m_parts.append(h * masks[s])
         h_p = h
-        seg = np.zeros((5, 4))
-        np.add.at(seg, [0, 2, 2, 4], np.concatenate(m_parts, axis=0))
-        link_sums = seg[:4]
-        tails = np.array([0, 1, 1, 2])
-        x = np.concatenate([h_l, h_n[tails], link_sums], axis=1)
-        hidden = np.where(x @ p["link/w0"] + p["link/b0"] > 0,
-                          x @ p["link/w0"] + p["link/b0"], 0.0)
-        h_l = hidden @ p["link/proj_w"] + p["link/proj_b"]
-        out_sums = np.zeros((3, 2))
-        np.add.at(out_sums, tails, h_l)
-        pre = sym_normalized_operator(line3.adjacency) @ (
-            np.concatenate([h_n, out_sums], axis=1) @ p["egc/w"]
-        )
-        h_n = np.where(pre > 0, pre, 0.0)
 
         cols = []
         for task in ("delay", "drops"):
@@ -580,20 +574,33 @@ class TestModelContainer:
         # one node per GRU step and per dense layer (the node convolution
         # included), link sums taken straight from segment_sum, and one
         # constant per initial embedding; composed from elementwise
-        # primitives, the glance forward recorded 412 nodes
-        flows = FlowSet((0, 1, 2, 4, 5, 6, 8, 9, 10, 0), (5, 6, 7, 9, 10, 11, 13, 14, 15, 3))
-        traffic = TrafficParams((10.0,) * 10, (1.0,) * 10)
-        caps = link_capacities(reg44, default_sim_config(wired=False))
-        inp = prepare_twin_input(
-            reg44, shortest_paths(reg44, flows, seed=0), traffic, caps
-        )
+        # primitives, the glance forward recorded 412 nodes. The path models
+        # end at their last path update: closed by a link and node update
+        # that nothing read, they recorded 149 (glance) and 113 (routenet)
+        inp = reg44_f10_input(reg44)
         assert (inp.n_flows, inp.max_steps) == (10, 3)
         nodes = {}
         for kind in ("glance", "routenet", "gnn"):
             model = make_model(kind, TASKS, seed=0, dims=kind_dims(kind, COMPACT, 10))
             tape = Tape()
             nodes[kind] = model.forward(tape, model.params.bind(tape), inp).node_id + 1
-        assert nodes == {"glance": 149, "routenet": 113, "gnn": 33}
+        assert nodes == {"glance": 137, "routenet": 106, "gnn": 33}
+
+    @pytest.mark.parametrize("kind", ["glance", "routenet", "gnn"])
+    def test_every_computed_node_feeds_the_output(self, reg44, kind):
+        # a forward records no node whose value nothing reads: every node
+        # with operands is an ancestor of the output
+        model = make_model(kind, TASKS, seed=0, dims=kind_dims(kind, COMPACT, 10))
+        tape = Tape()
+        out = model.forward(tape, model.params.bind(tape), reg44_f10_input(reg44))
+        read, todo = {out.node_id}, [out.node_id]
+        while todo:
+            for parent in tape._parents[todo.pop()]:
+                if parent not in read:
+                    read.add(parent)
+                    todo.append(parent)
+        unread = [i for i, parents in enumerate(tape._parents) if parents and i not in read]
+        assert unread == []
 
     def test_predict_matches_bound_forward(self, line3):
         model = make_model("glance", TASKS, seed=6, dims=TINY_DIMS)
@@ -881,3 +888,75 @@ class TestStackTables:
         other = routed_tables(graph, (0, 2), [(1, 5)])
         with pytest.raises(TwinError, match="one set of sources"):
             stack_tables(graph, [*tables, *other], traffic, caps)
+
+
+class TestPathForwardOracle:
+    """``path_forward`` ends at its last path update; the oracle closes every
+    layer with a link and node update that nothing reads. Values and every
+    gradient agree byte for byte."""
+
+    LAYERS = pytest.mark.parametrize("t_layers", [1, 2, 3])
+    KINDS = pytest.mark.parametrize("kind", ["glance", "routenet"])
+
+    def model(self, kind, t_layers):
+        dims = replace(BATCH_DIMS, t_layers=t_layers, l_max=6)
+        return make_model(kind, TASKS, seed=5, dims=dims)
+
+    def recorded(self, model, inp, tau=None):
+        """The predictions and the loss gradient of every leaf (the
+        parameters, or ``tau`` alone) agree as bytes."""
+        out = []
+        for forward in (path_forward, reference_path_forward):
+            tape = Tape()
+            if tau is None:
+                bound = model.params.bind(tape)
+                leaves, tau_t = list(bound.values()), None
+            else:
+                bound = {n: tape.constant(a) for n, a in model.params.items()}
+                tau_t = tape.leaf(tau)
+                leaves = [tau_t]
+            preds = forward(
+                tape, bound, inp, model.dims, model.tasks, tau_t,
+                nodes=model.kind == "glance",
+            )
+            target = np.random.default_rng(0).normal(size=preds.value.shape)
+            loss = tape.weighted_l1(preds, target, np.full(target.shape, 1.0 / target.size))
+            grads = tape.backward(loss)
+            values = [preds.value] + [grads[t] for t in leaves]
+            out.append([v.tobytes() for v in values])
+        assert out[0] == out[1]
+
+    def predicted(self, model, inp):
+        tape = Tape(record=False, blocks=inp.blocks)
+        bound = {n: tape.constant(a) for n, a in model.params.items()}
+        want = reference_path_forward(
+            tape, bound, inp, model.dims, model.tasks, None, nodes=model.kind == "glance"
+        )
+        assert model.predict(inp).tobytes() == want.value.tobytes()
+
+    @KINDS
+    @LAYERS
+    def test_parameter_gradients(self, reg44, kind, t_layers):
+        model = self.model(kind, t_layers)
+        self.recorded(model, reg44_f10_input(reg44))
+        self.recorded(model, batch_inputs([s.part for s in mixed_samples()]))
+
+    @KINDS
+    @LAYERS
+    def test_traffic_gradient(self, reg44, kind, t_layers):
+        # gd_traffic's tape: constant parameters and one (F, 2) tau leaf
+        tau = np.random.default_rng(1).uniform(1.0, 20.0, size=(10, 2))
+        self.recorded(self.model(kind, t_layers), reg44_f10_input(reg44), tau)
+
+    @KINDS
+    @LAYERS
+    def test_predict_lone_and_stacked(self, reg44, kind, t_layers):
+        model = self.model(kind, t_layers)
+        self.predicted(model, reg44_f10_input(reg44))
+        graph = build_nsfnet()
+        rng = np.random.default_rng(3)
+        caps, traffic, sources, first = shared_state(graph, 5, rng)
+        vectors = [first] + [random_vector(graph, sources, rng) for _ in range(7)]
+        stacked = stack_tables(graph, routed_tables(graph, sources, vectors), traffic, caps)
+        assert stacked.blocks == 8
+        self.predicted(model, stacked)
