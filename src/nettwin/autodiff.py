@@ -111,7 +111,6 @@ class Tape:
         self._parents: list[tuple[int, ...]] = []
         self._pullbacks: list = []
         self._needs: list[bool] = []
-        self._shapes: list[tuple[int, ...]] = []
 
     def _record(self, value, parents, pullback, needs_grad) -> Tensor:
         for p in parents:
@@ -123,7 +122,6 @@ class Tape:
             self._parents.append(tuple([p.node_id for p in parents]))
             self._pullbacks.append(pullback)
             self._needs.append(needs_grad)
-            self._shapes.append(value.shape)
         return Tensor(self, node_id, value, needs_grad)
 
     # -- leaves ----------------------------------------------------------
@@ -426,7 +424,7 @@ class Gradients:
             raise AutodiffError("tensor belongs to a different tape")
         g = self._grads[tensor.node_id]
         if g is None:
-            return np.zeros(self._tape._shapes[tensor.node_id], dtype=np.float64)
+            return np.zeros(tensor.shape, dtype=np.float64)
         return g
 
 

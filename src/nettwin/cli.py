@@ -43,6 +43,7 @@ from .manage import (
     gd_traffic,
     hillclimb_destinations,
     mean_runs,
+    require_predicted,
     require_traffic_input,
     trajectory_csv,
 )
@@ -462,8 +463,8 @@ def _cmd_manage(args: argparse.Namespace) -> int:
     the target profile from simulator runs of the sample, solve for its
     traffic or its destinations, and write the report.
 
-    Solver settings and a checkpoint the solver cannot use are rejected
-    before anything runs.
+    Solver settings, a checkpoint the solver cannot use and a --kpi the
+    model does not predict are rejected before anything runs.
     """
     solves_traffic = args.command == "manage-traffic"
     resolved = _resolve(args)
@@ -487,11 +488,12 @@ def _cmd_manage(args: argparse.Namespace) -> int:
     sample = samples[idx]
     _check_path_bound(model, sample, solves_traffic)
     objective_tasks = tuple(resolved["kpi"]) if resolved["kpi"] else model.tasks
+    require_predicted(objective_tasks, model.tasks)
     seeds = [derive_seed(resolved["seed"], "manage-eval", i) for i in range(9)]
     _emit({"resolved_config": resolved})
     x_orig = NetworkInput(sample.flows, sample.traffic)
     k_targ_raw = mean_runs(sample.graph, x_orig, dataset.sim_config, seeds[:3])
-    profile = TargetProfile.from_raw(k_targ_raw, normalizer.iqr, objective_tasks)
+    profile = TargetProfile(k_targ_raw, normalizer.iqr, objective_tasks)
     if solves_traffic:
         tau0 = np.clip(
             np.stack([sample.traffic.tau_on, sample.traffic.tau_off], axis=1),
@@ -583,16 +585,17 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         }
     else:
         params, manifest, adam = load_checkpoint(args.checkpoint)
+        model_from_checkpoint(params, manifest, args.checkpoint)
         info = {
             "kind": "checkpoint",
-            "model_kind": manifest.get("kind"),
-            "tasks": manifest.get("tasks"),
-            "dims": manifest.get("dims"),
-            "strategy": manifest.get("strategy"),
+            "model_kind": manifest["kind"],
+            "tasks": manifest["tasks"],
+            "dims": manifest["dims"],
+            "strategy": manifest["strategy"],
             "param_count": params.count(),
-            "best_epoch": manifest.get("best_epoch"),
-            "best_val": manifest.get("best_val"),
-            "epochs_run": manifest.get("epochs_run"),
+            "best_epoch": manifest["best_epoch"],
+            "best_val": manifest["best_val"],
+            "epochs_run": manifest["epochs_run"],
             "has_adam_state": adam is not None,
         }
     print(json.dumps(info, sort_keys=True, indent=1))

@@ -21,7 +21,7 @@ counts cells whose generated KPI lands on the wrong side of the target
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -53,54 +53,71 @@ class ManageError(ValueError):
     """Raised for invalid management inputs or aborted optimizations."""
 
 
+def require_predicted(scored: tuple[str, ...], predicted: tuple[str, ...]) -> None:
+    """Raise ManageError unless the model's tasks cover every scored task."""
+    missing = [t for t in TASKS if t in scored and t not in predicted]
+    if missing:
+        raise ManageError(f"objective needs tasks {missing} the model does not predict")
+
+
 @dataclass(frozen=True)
 class TargetProfile:
-    """Target KPIs in normalized units plus the per-KPI objective mask.
+    """The management objective: target KPIs, their scales and the tasks it
+    scores.
 
-    k_targ is (F, 4) in TASKS column order, already divided by iqr. NaN
-    cells are allowed and simply drop out of the objective; the mask must
-    leave at least one finite cell in play.
+    Built from raw-unit (F, 4) KPIs in TASKS column order, the 4 IQR scales
+    and the names of the scored tasks. k_targ holds the KPIs divided by iqr
+    and task_mask flags the scored TASKS columns. NaN cells are allowed and
+    simply drop out of the objective; the scored columns must leave at least
+    one finite cell in play.
     """
 
-    k_targ: np.ndarray
-    task_mask: tuple[bool, ...]
+    raw_kpis: InitVar[np.ndarray]
     iqr: np.ndarray
+    tasks: tuple[str, ...] = TASKS
+    k_targ: np.ndarray = field(init=False)
+    task_mask: tuple[bool, ...] = field(init=False)
 
-    def __post_init__(self) -> None:
-        k = np.asarray(self.k_targ, dtype=np.float64)
+    def __post_init__(self, raw_kpis: np.ndarray) -> None:
+        bad = [t for t in self.tasks if t not in TASKS]
+        if bad:
+            raise ManageError(f"unknown objective tasks {bad}")
+        mask = tuple(t in self.tasks for t in TASKS)
+        if not any(mask):
+            raise ManageError("the objective must score at least one KPI")
         iqr = np.asarray(self.iqr, dtype=np.float64)
-        mask = tuple(bool(b) for b in self.task_mask)
-        object.__setattr__(self, "k_targ", k)
-        object.__setattr__(self, "iqr", iqr)
-        object.__setattr__(self, "task_mask", mask)
-        if k.ndim != 2 or k.shape[1] != len(TASKS):
-            raise ManageError(f"k_targ must be (F, {len(TASKS)}), got {k.shape}")
-        if len(mask) != len(TASKS) or not any(mask):
-            raise ManageError("task_mask must enable at least one KPI")
         if iqr.shape != (len(TASKS),) or np.any(iqr <= 0):
             raise ManageError("iqr must be 4 positive scales")
-        active = k[:, [i for i, b in enumerate(mask) if b]]
-        if not np.any(np.isfinite(active)):
+        raw = np.asarray(raw_kpis, dtype=np.float64)
+        if raw.ndim != 2 or raw.shape[1] != len(TASKS):
+            raise ManageError(f"target KPIs must be (F, {len(TASKS)}), got {raw.shape}")
+        k = raw / iqr
+        if not np.any(np.isfinite(k[:, np.array(mask)])):
             raise ManageError("target profile has no finite cell under the mask")
+        object.__setattr__(self, "iqr", iqr)
+        object.__setattr__(self, "tasks", tuple(self.tasks))
+        object.__setattr__(self, "k_targ", k)
+        object.__setattr__(self, "task_mask", mask)
 
     @property
     def n_flows(self) -> int:
         return self.k_targ.shape[0]
 
-    @classmethod
-    def from_raw(
-        cls,
-        raw_kpis: np.ndarray,
-        iqr: np.ndarray,
-        tasks: tuple[str, ...] = TASKS,
-    ) -> "TargetProfile":
-        """Build from raw-unit KPIs and the task names in the objective."""
-        bad = [t for t in tasks if t not in TASKS]
-        if bad:
-            raise ManageError(f"unknown objective tasks {bad}")
-        iqr = np.asarray(iqr, dtype=np.float64)
-        mask = tuple(t in tasks for t in TASKS)
-        return cls(np.asarray(raw_kpis, dtype=np.float64) / iqr, mask, iqr)
+    def layout(
+        self, model_tasks: tuple[str, ...]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Targets (gaps zeroed), weights, and 1/iqr scales, (F, n) each in
+        the columns of a model that predicts model_tasks.
+
+        sum(|pred * scales - targets| * weights) is then the mean normalized
+        absolute error over all finite scored cells.
+        """
+        require_predicted(self.tasks, model_tasks)
+        cols = [TASKS.index(t) for t in model_tasks]
+        k = self.k_targ[:, cols]
+        live = np.isfinite(k) & np.array(self.task_mask)[cols]
+        scales = np.tile(1.0 / self.iqr[cols], (self.n_flows, 1))
+        return np.where(live, k, 0.0), live / live.sum(), scales
 
 
 @dataclass
@@ -142,75 +159,38 @@ class ManageResult:
 # -- objective ---------------------------------------------------------------
 
 
-def _objective_arrays(
-    profile: TargetProfile, model: TwinModel
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Targets (gaps zeroed), weights, and 1/iqr columns in model-task order.
-
-    sum(|pred * inv_iqr - targets| * weights) is then the mean normalized
-    absolute error over all finite masked cells.
-    """
-    masked_tasks = [t for i, t in enumerate(TASKS) if profile.task_mask[i]]
-    missing = [t for t in masked_tasks if t not in model.tasks]
-    if missing:
-        raise ManageError(
-            f"objective needs tasks {missing} the model does not predict"
-        )
-    n_f = profile.n_flows
-    n_cols = len(model.tasks)
-    targets = np.zeros((n_f, n_cols))
-    weights = np.zeros((n_f, n_cols))
-    inv_iqr = np.zeros((n_f, n_cols))
-    cells = []
-    for col, t in enumerate(model.tasks):
-        k = TASKS.index(t)
-        inv_iqr[:, col] = 1.0 / profile.iqr[k]
-        if not profile.task_mask[k]:
-            continue
-        finite = np.isfinite(profile.k_targ[:, k])
-        targets[finite, col] = profile.k_targ[finite, k]
-        cells.append((col, finite))
-    n_valid = int(sum(f.sum() for _, f in cells))
-    if n_valid == 0:
-        raise ManageError("no finite target cell for the model's tasks")
-    for col, finite in cells:
-        weights[finite, col] = 1.0 / n_valid
-    return targets, weights, inv_iqr
-
-
 def _j_value(preds: np.ndarray, arrays) -> float:
-    targets, weights, inv_iqr = arrays
-    return float(np.sum(np.abs(preds * inv_iqr - targets) * weights))
+    targets, weights, scales = arrays
+    return float(np.sum(np.abs(preds * scales - targets) * weights))
 
 
 def twin_objective(model: TwinModel, inp: TwinInput, profile: TargetProfile) -> float:
     """Forward-only J: masked mean |normalized prediction - target|."""
-    return _j_value(model.predict(inp), _objective_arrays(profile, model))
+    return _j_value(model.predict(inp), profile.layout(model.tasks))
 
 
 def _batch_objective(model: TwinModel, batch: TwinInput, arrays) -> list[float]:
     """J of each block of a ``stack_tables`` input, from one forward, with
-    ``_objective_arrays`` given: each is ``twin_objective`` of that table's
-    lone input, bit for bit."""
+    the profile's ``layout`` given: each is ``twin_objective`` of that
+    table's lone input, bit for bit."""
     preds = model.predict(batch)
     off = batch.flow_offsets
     return [_j_value(preds[a:b], arrays) for a, b in zip(off[:-1], off[1:])]
 
 
 def _objective_on_tape(
-    model: TwinModel, inp: TwinInput, profile: TargetProfile, tau: np.ndarray
+    model: TwinModel, inp: TwinInput, arrays, tau: np.ndarray
 ) -> tuple[float, Callable[[], np.ndarray]]:
-    """J at tau (``twin_objective`` on an input with that traffic) and a
-    thunk that runs the backward pass on the same tape for dJ/dtau."""
-    arrays = _objective_arrays(profile, model)
+    """J at tau (``twin_objective`` on an input with that traffic), with the
+    profile's ``layout`` given, and a thunk that runs the backward pass on
+    the same tape for dJ/dtau."""
     tape = Tape()
     bound = {n: tape.constant(a) for n, a in model.params.items()}
     tau_leaf = tape.leaf(tau)
     preds = model.forward(tape, bound, inp, tau_leaf)
 
     def grad() -> np.ndarray:
-        targets, weights, inv_iqr = arrays
-        j = tape.weighted_l1(preds, targets, weights, inv_iqr)
+        j = tape.weighted_l1(preds, *arrays)
         return tape.backward(j)[tau_leaf]
 
     return _j_value(preds.value, arrays), grad
@@ -264,9 +244,10 @@ def gd_traffic(
 
     traffic = TrafficParams(tuple(tau[:, 0]), tuple(tau[:, 1]))
     inp = prepare_twin_input(graph, table, traffic, capacities)
+    arrays = k_targ.layout(model.tasks)
 
     alpha = float(alpha0)
-    j_cur, grad_at = _objective_on_tape(model, inp, k_targ, tau)
+    j_cur, grad_at = _objective_on_tape(model, inp, arrays, tau)
     trajectory = [j_cur]
     converged = False
     iters = 0
@@ -279,7 +260,7 @@ def gd_traffic(
         accepted = False
         for _ in range(21):  # current alpha plus up to 20 halvings
             candidate = np.clip(tau - alpha * grad, lo, hi)
-            j_new, grad_at = _objective_on_tape(model, inp, k_targ, candidate)
+            j_new, grad_at = _objective_on_tape(model, inp, arrays, candidate)
             if j_new < j_cur:
                 accepted = True
                 break
@@ -365,7 +346,7 @@ def hillclimb_destinations(
     check_flows_solver(n_init, n_rand)
     n_nodes = graph.n_nodes
     tie_seed = derive_seed(rng_seed, "ties")
-    arrays = _objective_arrays(k_targ, model)
+    arrays = k_targ.layout(model.tasks)
 
     # the J of every vector scored so far, so each is routed once; their
     # tables share ``Path`` objects through the routing memo, so a stack

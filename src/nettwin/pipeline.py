@@ -1175,18 +1175,3 @@ def write_learning_curves(path: str | Path, histories: dict[int, list[dict]]) ->
                 lines.append(",".join(cells))
     with open_fresh(path) as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def bootstrap_mean_diff_ci(
-    a: np.ndarray, b: np.ndarray, n_boot: int = 2000, seed: int = 0, alpha: float = 0.05
-) -> tuple[float, float]:
-    """Percentile CI for mean(a) - mean(b) under paired resampling."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1 or a.size == 0:
-        raise ValueError("paired bootstrap needs equal-length 1-D arrays")
-    rng = make_rng(seed, "bootstrap")
-    idx = rng.integers(a.size, size=(n_boot, a.size))
-    diffs = a[idx].mean(axis=1) - b[idx].mean(axis=1)
-    lo, hi = np.quantile(diffs, [alpha / 2, 1 - alpha / 2])
-    return float(lo), float(hi)

@@ -155,10 +155,6 @@ class KpiRecord:
             raise SimulationError(f"kpis must be (F, 4), got {self.kpis.shape}")
         self.counts = None if counts is None else np.asarray(counts, dtype=np.int64)
 
-    @property
-    def n_flows(self) -> int:
-        return self.kpis.shape[0]
-
     def to_jsonable(self) -> list[list[float | None]]:
         return [
             [None if math.isnan(x) else float(x) for x in row] for row in self.kpis

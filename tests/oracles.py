@@ -7,8 +7,9 @@ seeded tie-break walk without the routing memo (taking its RNG streams from
 the package), a random connected graph builder, the tape's fused nodes
 composed from elementwise primitives, a plain event loop for the
 simulator (which takes only its inputs from the package: seeded RNG
-streams, link capacities and the KPI record type), and the two management
-solvers in their plainest form, where every state is scored alone on its
+streams, link capacities and the KPI record type), the management
+objective's layout column by column, the two management solvers in their
+plainest form, where every state is scored alone on its
 own tape (taking the twin, routing and seeding from the package), the
 twin-input builder as per-cell loops that recompute every per-graph feature,
 the gnn's node features cell by cell, the flat batch as lone inputs joined
@@ -16,7 +17,8 @@ field by field, the stacked input as that join with the one graph's node
 operator, the path forward with a link and node update closing every
 layer (the last one too), the logistic function with two divisions,
 Adam run array by array, and the JSON schema check as a walk that checks
-every value by a call of its own.
+every value by a call of its own. The paired bootstrap behind acceptance
+check 5 lives here too, as only the tests call it.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from nettwin.autodiff import (
     Tensor,
 )
 from nettwin.fileio import ListOf, MapOf, OneOf, SchemaError
-from nettwin.manage import TargetProfile, twin_objective
+from nettwin.manage import ManageError, TargetProfile, twin_objective
 from nettwin.nettopo import FlowSet, degree_vector, sym_normalized_operator
 from nettwin.routing import shortest_paths
 from nettwin.seeding import derive_seed, make_rng
@@ -465,6 +467,45 @@ def reference_run_sim(
         kpis[f] = (delay_ms, jitter_ms, throughput, overflow[f] + in_flight[f])
         counts[f] = (generated[f], len(d), overflow[f], in_flight[f])
     return KpiRecord(kpis, counts), ties, blocks
+
+
+# -- the management objective, one column at a time ---------------------------
+
+
+def reference_objective_arrays(
+    profile: TargetProfile, model: TwinModel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Targets (gaps zeroed), weights, and 1/iqr columns in model-task order.
+
+    sum(|pred * inv_iqr - targets| * weights) is then the mean normalized
+    absolute error over all finite masked cells.
+    """
+    masked_tasks = [t for i, t in enumerate(TASKS) if profile.task_mask[i]]
+    missing = [t for t in masked_tasks if t not in model.tasks]
+    if missing:
+        raise ManageError(
+            f"objective needs tasks {missing} the model does not predict"
+        )
+    n_f = profile.n_flows
+    n_cols = len(model.tasks)
+    targets = np.zeros((n_f, n_cols))
+    weights = np.zeros((n_f, n_cols))
+    inv_iqr = np.zeros((n_f, n_cols))
+    cells = []
+    for col, t in enumerate(model.tasks):
+        k = TASKS.index(t)
+        inv_iqr[:, col] = 1.0 / profile.iqr[k]
+        if not profile.task_mask[k]:
+            continue
+        finite = np.isfinite(profile.k_targ[:, k])
+        targets[finite, col] = profile.k_targ[finite, k]
+        cells.append((col, finite))
+    n_valid = int(sum(f.sum() for _, f in cells))
+    if n_valid == 0:
+        raise ManageError("no finite target cell for the model's tasks")
+    for col, finite in cells:
+        weights[finite, col] = 1.0 / n_valid
+    return targets, weights, inv_iqr
 
 
 # -- management solvers, one state per tape -----------------------------------
@@ -900,3 +941,21 @@ def reference_check(spec, value, where: str | list[str], sizes: dict) -> None:
         field = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
         field = repr(field.lstrip(".")) if field else "the top level"
         raise SchemaError(f"{where}: {field} {exc.problem}") from None
+
+
+# -- the paired bootstrap ----------------------------------------------------------
+
+
+def bootstrap_mean_diff_ci(
+    a: np.ndarray, b: np.ndarray, n_boot: int = 2000, seed: int = 0, alpha: float = 0.05
+) -> tuple[float, float]:
+    """Percentile CI for mean(a) - mean(b) under paired resampling."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 1 or a.size == 0:
+        raise ValueError("paired bootstrap needs equal-length 1-D arrays")
+    rng = make_rng(seed, "bootstrap")
+    idx = rng.integers(a.size, size=(n_boot, a.size))
+    diffs = a[idx].mean(axis=1) - b[idx].mean(axis=1)
+    lo, hi = np.quantile(diffs, [alpha / 2, 1 - alpha / 2])
+    return float(lo), float(hi)

@@ -30,7 +30,6 @@ from nettwin.pipeline import (
     GenConfig,
     IQR_EPS,
     TrainConfig,
-    bootstrap_mean_diff_ci,
     clean_test_samples,
     clean_train_samples,
     evaluate_model,
@@ -58,6 +57,7 @@ from nettwin.simulator import (
 from nettwin.twin import COMPACT, GlanceDims, GnnDims, make_model, prepare_twin_input
 from oracles import (
     ComposedTape,
+    bootstrap_mean_diff_ci,
     fd_gradient,
     max_rel_err,
     minimal_node_paths,
@@ -375,7 +375,7 @@ def test_7_management_optimizers(capsys):
         for k in range(6):
             rng = np.random.default_rng(100 + k)
             m = make_model("glance", TASKS, int(rng.integers(1000)), dims=SMALL_DIMS)
-            prof = TargetProfile.from_raw(rng.uniform(0.2, 3.0, size=(2, 4)), np.ones(4))
+            prof = TargetProfile(rng.uniform(0.2, 3.0, size=(2, 4)), np.ones(4))
             tau0 = rng.uniform(2.0, 19.0, size=(2, 2))
             res = gd_traffic(
                 m, diamond, d_table, prof, tau0, capacities=d_caps, max_iters=60
@@ -394,7 +394,7 @@ def test_7_management_optimizers(capsys):
             traffic = TrafficParams((tau_on,), (tau_off,))
             return prepare_twin_input(line, table, traffic, caps)
 
-        profile = TargetProfile.from_raw(model.predict(state(7.37)), np.ones(4))
+        profile = TargetProfile(model.predict(state(7.37)), np.ones(4))
         j_lo = twin_objective(model, state(9.0, 2.0), profile)
         j_hi = twin_objective(model, state(9.0, 17.0), profile)
         assert j_lo == j_hi  # the surgery really blinded the off mean
@@ -427,7 +427,7 @@ def test_7_management_optimizers(capsys):
             traffic = TrafficParams(
                 tuple(rng.uniform(1.0, 20.0, 2)), tuple(rng.uniform(1.0, 20.0, 2))
             )
-            profile = TargetProfile.from_raw(
+            profile = TargetProfile(
                 rng.uniform(0.5, 2.0, size=(2, 4)), np.ones(4)
             )
             rng_seed = 1000 + trial

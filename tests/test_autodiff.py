@@ -234,7 +234,7 @@ class TestValueOnlyTape:
             t.matmul(a, Tape(record=False).constant(np.ones((3, 1))))
         h = t.dense(a, t.leaf(np.ones((3, 2))), t.leaf(np.zeros(2)), relu=True)
         assert h.node_id == 3  # ids still count the nodes made
-        assert (t._parents, t._pullbacks, t._needs, t._shapes) == ([], [], [], [])
+        assert (t._parents, t._pullbacks, t._needs) == ([], [], [])
 
     def test_only_a_value_only_tape_stacks_blocks(self):
         # a recording tape would need blocked pullbacks, which none has

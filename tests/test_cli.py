@@ -887,6 +887,34 @@ class TestManage:
         assert sims == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["manage-traffic", "manage-flows"])
+    def test_unpredicted_kpi_rejected_before_simulating(
+        self, run_cli, tmp_path, toy_dataset_dir, monkeypatch, capsys, command
+    ):
+        ckpt = tmp_path / "delay.ckpt"
+        write_ckpt(
+            ckpt, tasks=("delay",),
+            config=TrainConfig(epochs=1, strategy="stl", target_task="delay"),
+        )
+        sims = []
+        real_run_sim = manage.run_sim
+
+        def counted(*args, **kwargs):
+            sims.append(1)
+            return real_run_sim(*args, **kwargs)
+
+        monkeypatch.setattr(manage, "run_sim", counted)
+        out = tmp_path / "out" / "m.json"
+        assert run_cli(
+            command, "--data", toy_dataset_dir, "--checkpoint", str(ckpt),
+            "--out", str(out), "--verify", "--kpi", "jitter",
+        ) == 2
+        captured = capsys.readouterr()
+        assert "objective needs tasks ['jitter'] the model does not predict" in captured.err
+        assert captured.out == ""  # not even the resolved config
+        assert sims == []
+        assert not (tmp_path / "out").exists()
+
     def test_checkpoint_scenario_mismatch(self, run_cli, tmp_path, toy_dataset_dir):
         ckpt = tmp_path / "other.ckpt"
         write_ckpt(ckpt, scenario="nsfnet-fixed")
@@ -1207,6 +1235,16 @@ class TestInspect:
         assert info["model_kind"] == "glance"
         assert info["param_count"] == model.params.count()
         assert info["has_adam_state"] is False
+
+    def test_malformed_manifest_is_usage_error(self, run_cli, tmp_path, capsys):
+        # inspect checks a checkpoint's manifest as eval does
+        ckpt = tmp_path / "bad.ckpt"
+        model = write_ckpt(ckpt)
+        save_checkpoint(ckpt, model.params, {"kind": 7, "tasks": "nope"})
+        assert run_cli("inspect", "--checkpoint", str(ckpt)) == 2
+        captured = capsys.readouterr()
+        assert "bad.ckpt: 'kind'" in captured.err
+        assert captured.out == ""
 
     def test_stdout_is_stable(self, run_cli, toy_dataset_dir, capsys):
         assert run_cli("inspect", "--data", toy_dataset_dir) == 0

@@ -30,10 +30,6 @@ ORACLES = {
         "exhaustive routing oracle that the routing tests compare the seeded "
         "shortest paths against"
     ),
-    "bootstrap_mean_diff_ci": (
-        "paired bootstrap interval behind the acceptance gate's repeat-average "
-        "trend check"
-    ),
     "twin_objective": (
         "the lone-forward J that the hill-climb's stacked scores are checked "
         "against, and that perfbench's tracer counts"
@@ -50,10 +46,6 @@ OPTIONS = {
             "and an unperturbed one"
         )
         for name in ("rows", "cols", "radius")
-    },
-    **{
-        f"bootstrap_mean_diff_ci.{name}": "settings of the acceptance gate's oracle"
-        for name in ("n_boot", "seed", "alpha")
     },
 }
 

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_array_equal
 
 from conftest import BATCH_DIMS, TINY_DIMS, kind_dims
@@ -40,7 +42,11 @@ from nettwin.twin import (
     prepare_twin_input,
     stack_tables,
 )
-from oracles import reference_gd_traffic, reference_hillclimb
+from oracles import (
+    reference_gd_traffic,
+    reference_hillclimb,
+    reference_objective_arrays,
+)
 
 UNIT_IQR = np.ones(4)
 
@@ -69,37 +75,62 @@ def line_state(graph, tau=(100.0, 100.0)):
 
 class TestTargetProfile:
     def test_shape_and_mask_validation(self):
-        with pytest.raises(ManageError, match="k_targ must be"):
-            TargetProfile(np.ones((2, 3)), (True,) * 4, UNIT_IQR)
+        with pytest.raises(ManageError, match="target KPIs must be"):
+            TargetProfile(np.ones((2, 3)), UNIT_IQR)
         with pytest.raises(ManageError, match="at least one KPI"):
-            TargetProfile(np.ones((2, 4)), (False,) * 4, UNIT_IQR)
-        with pytest.raises(ManageError, match="at least one KPI"):
-            TargetProfile(np.ones((2, 4)), (True,) * 3, UNIT_IQR)
+            TargetProfile(np.ones((2, 4)), UNIT_IQR, ())
         with pytest.raises(ManageError, match="positive scales"):
-            TargetProfile(np.ones((2, 4)), (True,) * 4, np.array([1.0, -1.0, 1.0, 1.0]))
+            TargetProfile(np.ones((2, 4)), np.array([1.0, -1.0, 1.0, 1.0]))
+        with pytest.raises(ManageError, match="positive scales"):
+            TargetProfile(np.ones((2, 4)), np.ones(3))
 
     def test_masked_cells_must_exist(self):
         k = np.array([[math.nan, 5.0, 5.0, 5.0]])
         with pytest.raises(ManageError, match="no finite cell"):
-            TargetProfile(k, (True, False, False, False), UNIT_IQR)
-        # the same matrix is fine once the mask looks at the finite columns
-        profile = TargetProfile(k, (True, True, False, False), UNIT_IQR)
+            TargetProfile(k, UNIT_IQR, ("delay",))
+        # the same matrix is fine once the objective scores a finite column
+        profile = TargetProfile(k, UNIT_IQR, ("delay", "jitter"))
         assert profile.n_flows == 1
 
     def test_from_raw_normalizes(self):
         iqr = np.array([2.0, 4.0, 8.0, 16.0])
-        profile = TargetProfile.from_raw(np.array([[2.0, 4.0, 8.0, 16.0]]), iqr)
+        profile = TargetProfile(np.array([[2.0, 4.0, 8.0, 16.0]]), iqr)
         assert_array_equal(profile.k_targ, np.ones((1, 4)))
         assert profile.task_mask == (True, True, True, True)
+        assert profile.tasks == TASKS
         assert_array_equal(profile.iqr, iqr)
 
     def test_from_raw_task_subset(self):
-        profile = TargetProfile.from_raw(
-            np.ones((2, 4)), UNIT_IQR, tasks=("delay", "drops")
-        )
+        profile = TargetProfile(np.ones((2, 4)), UNIT_IQR, ("drops", "delay"))
         assert profile.task_mask == (True, False, False, True)
         with pytest.raises(ManageError, match="unknown objective tasks"):
-            TargetProfile.from_raw(np.ones((2, 4)), UNIT_IQR, tasks=("latency",))
+            TargetProfile(np.ones((2, 4)), UNIT_IQR, ("latency",))
+
+    @given(
+        raw=hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 5), st.just(len(TASKS))),
+            elements=st.one_of(st.just(math.nan), st.floats(-1e3, 1e3)),
+        ),
+        iqr=hnp.arrays(np.float64, len(TASKS), elements=st.floats(1e-3, 1e3)),
+        scored=st.lists(st.sampled_from(TASKS), min_size=1, max_size=4, unique=True),
+        extra=st.lists(st.sampled_from(TASKS), max_size=4, unique=True),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_layout_matches_column_by_column_oracle(self, raw, iqr, scored, extra, order):
+        # the model predicts the scored tasks and maybe more, in any order
+        try:
+            profile = TargetProfile(raw, iqr, tuple(scored))
+        except ManageError as exc:
+            assert "no finite cell" in str(exc)
+            return
+        model_tasks = list(dict.fromkeys(scored + extra))
+        order.shuffle(model_tasks)
+        model = SimpleNamespace(tasks=tuple(model_tasks))
+        want = reference_objective_arrays(profile, model)
+        got = profile.layout(model.tasks)
+        assert [a.shape for a in got] == [a.shape for a in want]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 class TestTwinObjective:
@@ -108,28 +139,26 @@ class TestTwinObjective:
         model = zeroed(glance())
         inp = line_state(line3)
         k = np.array([[1.0, 2.0, math.nan, 4.0]])
-        profile = TargetProfile(k, (True,) * 4, UNIT_IQR)
+        profile = TargetProfile(k, UNIT_IQR)
         assert twin_objective(model, inp, profile) == pytest.approx(7.0 / 3.0, rel=1e-12)
 
     def test_mask_restricts_pooling(self, line3):
         model = zeroed(glance())
         inp = line_state(line3)
         k = np.array([[1.0, 2.0, 6.0, 4.0]])
-        profile = TargetProfile(k, (True, False, True, False), UNIT_IQR)
+        profile = TargetProfile(k, UNIT_IQR, ("delay", "throughput"))
         assert twin_objective(model, inp, profile) == pytest.approx(3.5, rel=1e-12)
 
     def test_iqr_scales_predictions(self, line3):
         model = zeroed(glance())
         inp = line_state(line3)
-        profile = TargetProfile(
-            np.array([[1.0, 1.0, 1.0, 1.0]]), (True,) * 4, np.array([2.0, 2.0, 2.0, 2.0])
-        )
+        profile = TargetProfile(np.array([[2.0, 2.0, 2.0, 2.0]]), np.full(4, 2.0))
         # predictions are divided by iqr before the comparison; zeros stay zeros
         assert twin_objective(model, inp, profile) == pytest.approx(1.0, rel=1e-12)
 
     def test_tau_override_changes_objective(self, line3):
         model = glance()
-        profile = TargetProfile(np.full((1, 4), 0.5), (True,) * 4, UNIT_IQR)
+        profile = TargetProfile(np.full((1, 4), 0.5), UNIT_IQR)
         j_base = twin_objective(model, line_state(line3), profile)
         j_alt = twin_objective(model, line_state(line3, tau=(5.0, 15.0)), profile)
         assert j_base != j_alt
@@ -137,7 +166,7 @@ class TestTwinObjective:
     def test_model_must_cover_masked_tasks(self, line3):
         model = glance(tasks=("delay", "jitter"))
         inp = line_state(line3)
-        profile = TargetProfile(np.ones((1, 4)), (True, True, True, False), UNIT_IQR)
+        profile = TargetProfile(np.ones((1, 4)), UNIT_IQR, ("delay", "jitter", "throughput"))
         with pytest.raises(ManageError, match="does not predict"):
             twin_objective(model, inp, profile)
 
@@ -152,7 +181,7 @@ class TestGdTraffic:
     def test_gnn_has_no_traffic_gradient(self, line3):
         model = make_model("gnn", TASKS, 0, dims=GnnDims(n_flows=1))
         table = shortest_paths(line3, FlowSet((0,), (2,)), 0)
-        profile = TargetProfile(np.ones((1, 4)), (True,) * 4, UNIT_IQR)
+        profile = TargetProfile(np.ones((1, 4)), UNIT_IQR)
         with pytest.raises(ManageError, match="gnn"):
             gd_traffic(
                 model, line3, table, profile, np.array([[5.0, 5.0]]), capacities(line3)
@@ -160,7 +189,7 @@ class TestGdTraffic:
 
     def test_tau0_validation(self, line3):
         model, table, caps = self.setup_case(line3)
-        profile = TargetProfile(np.ones((1, 4)), (True,) * 4, UNIT_IQR)
+        profile = TargetProfile(np.ones((1, 4)), UNIT_IQR)
         with pytest.raises(ManageError, match="tau0 must be"):
             gd_traffic(model, line3, table, profile, np.ones((2, 2)), capacities=caps)
         with pytest.raises(ManageError, match="outside the projection bounds"):
@@ -172,7 +201,7 @@ class TestGdTraffic:
         tau0 = np.array([[5.0, 9.0]])
         traffic = TrafficParams((5.0,), (9.0,))
         inp = prepare_twin_input(line3, table, traffic, caps)
-        profile = TargetProfile.from_raw(model.predict(inp), UNIT_IQR)
+        profile = TargetProfile(model.predict(inp), UNIT_IQR)
         result = gd_traffic(model, line3, table, profile, tau0, capacities=caps)
         assert result.kind == "traffic"
         assert result.converged
@@ -187,7 +216,7 @@ class TestGdTraffic:
         star = prepare_twin_input(
             line3, table, TrafficParams((4.0,), (16.0,)), caps
         )
-        profile = TargetProfile.from_raw(model.predict(star), UNIT_IQR)
+        profile = TargetProfile(model.predict(star), UNIT_IQR)
         result = gd_traffic(
             model, line3, table, profile, np.array([[15.0, 3.0]]), capacities=caps
         )
@@ -202,7 +231,7 @@ class TestGdTraffic:
         star = prepare_twin_input(
             line3, table, TrafficParams((0.5,), (0.5,)), caps
         )
-        profile = TargetProfile.from_raw(model.predict(star), UNIT_IQR)
+        profile = TargetProfile(model.predict(star), UNIT_IQR)
         result = gd_traffic(
             model, line3, table, profile, np.array([[1.2, 1.2]]), capacities=caps
         )
@@ -213,7 +242,7 @@ class TestGdTraffic:
 
     def test_deterministic(self, line3):
         model, table, caps = self.setup_case(line3)
-        profile = TargetProfile(np.full((1, 4), 0.3), (True,) * 4, UNIT_IQR)
+        profile = TargetProfile(np.full((1, 4), 0.3), UNIT_IQR)
         r1 = gd_traffic(model, line3, table, profile, np.array([[10.0, 10.0]]), capacities=caps)
         r2 = gd_traffic(model, line3, table, profile, np.array([[10.0, 10.0]]), capacities=caps)
         assert r1.to_jsonable() == r2.to_jsonable()
@@ -224,7 +253,7 @@ class TestGdTraffic:
         bad = model.params[name].copy()
         bad[...] = math.nan
         model.params[name] = bad
-        profile = TargetProfile(np.ones((1, 4)), (True,) * 4, UNIT_IQR)
+        profile = TargetProfile(np.ones((1, 4)), UNIT_IQR)
         with pytest.raises(DivergenceError, match="non-finite gradient"):
             gd_traffic(model, line3, table, profile, np.array([[5.0, 5.0]]), capacities=caps)
 
@@ -238,7 +267,7 @@ class TestHillclimb:
         traffic = TrafficParams((8.0, 3.0), (6.0, 12.0))
         rng = np.random.default_rng(seed)
         raw = rng.uniform(0.5, 2.0, size=(2, 4))
-        profile = TargetProfile.from_raw(raw, UNIT_IQR)
+        profile = TargetProfile(raw, UNIT_IQR)
         return model, traffic, profile
 
     def all_assignments(self, graph, sources):
@@ -327,7 +356,7 @@ class TestHillclimb:
     def test_destinations_never_collide_with_sources(self, diamond4):
         model, _, _ = self.case(diamond4)
         traffic = TrafficParams((5.0,) * 3, (5.0,) * 3)
-        profile = TargetProfile.from_raw(np.full((3, 4), 2.0), UNIT_IQR)
+        profile = TargetProfile(np.full((3, 4), 2.0), UNIT_IQR)
         result = hillclimb_destinations(
             model, diamond4, (0, 1, 0), traffic, profile, capacities(diamond4),
             n_init=3, n_rand=1, rng_seed=2,
@@ -359,7 +388,7 @@ def random_state(topology: str, kind: str, seed: int, n_flows: int):
     traffic = TrafficParams(
         tuple(rng.uniform(1.0, 20.0, n_flows)), tuple(rng.uniform(1.0, 20.0, n_flows))
     )
-    profile = TargetProfile.from_raw(rng.uniform(0.5, 2.0, (n_flows, 4)), UNIT_IQR)
+    profile = TargetProfile(rng.uniform(0.5, 2.0, (n_flows, 4)), UNIT_IQR)
     return graph, model, sources, traffic, profile, rng
 
 
@@ -395,7 +424,7 @@ class TestBatchedScoring:
         batched = manage._batch_objective(
             model,
             stack_tables(graph, tables, traffic, caps),
-            manage._objective_arrays(profile, model),
+            profile.layout(model.tasks),
         )
         for t, b in zip(tables, batched):
             exact = twin_objective(model, prepare_twin_input(graph, t, traffic, caps), profile)
@@ -456,7 +485,7 @@ class TestBatchedScoring:
         # rescoring; a far target puts many candidates' J close together,
         # so any J off from its lone forward would change a decision
         graph, model, sources, traffic, profile, _ = random_state("nsfnet", "glance", 5, 6)
-        profile = TargetProfile.from_raw(profile.k_targ * target, UNIT_IQR)
+        profile = TargetProfile(profile.k_targ * target, UNIT_IQR)
         kw = dict(n_init=10, n_rand=2, rng_seed=8)
         dests, trajectory, restart, _ = reference_hillclimb(
             model, graph, sources, traffic, profile, **kw
@@ -528,7 +557,7 @@ class TestGdEvaluations:
         tau0 = np.stack([traffic.tau_on, traffic.tau_off], axis=1)
         # aim at the twin's own KPIs at other traffic, so descent has a way to go
         star = TrafficParams(traffic.tau_off, traffic.tau_on)
-        profile = TargetProfile.from_raw(
+        profile = TargetProfile(
             model.predict(prepare_twin_input(graph, table, star, caps)),
             UNIT_IQR,
         )
@@ -551,8 +580,9 @@ class TestGdEvaluations:
 
     def test_one_forward_per_j_and_one_backward_per_iteration(self, monkeypatch):
         graph, model, table, _, profile, tau0 = self.case("nsfnet", "glance", 3)
-        counts = {"forward": 0, "backward": 0, "j": 0}
+        counts = {"forward": 0, "backward": 0, "j": 0, "layout": 0}
         forward, backward, on_tape = TwinModel.forward, Tape.backward, manage._objective_on_tape
+        layout = TargetProfile.layout
 
         def count(key, fn):
             def counted(*args, **kwargs):
@@ -574,10 +604,12 @@ class TestGdEvaluations:
         monkeypatch.setattr(TwinModel, "forward", count("forward", forward_noting_output))
         monkeypatch.setattr(Tape, "backward", count("backward", backward_noting_loss))
         monkeypatch.setattr(manage, "_objective_on_tape", count("j", on_tape))
+        monkeypatch.setattr(TargetProfile, "layout", count("layout", layout))
         result = gd_traffic(
             model, graph, table, profile, tau0, capacities(graph), max_iters=15
         )
         assert len(result.trajectory) > 5
+        assert counts["layout"] == 1  # the objective is laid out once per solve
         assert counts["forward"] == counts["j"]
         assert counts["backward"] == result.iterations
         # the loss is one node, recorded right after the forward's output

@@ -26,7 +26,7 @@ from conftest import (
     line_sample,
     mixed_samples,
 )
-from oracles import fd_gradient, max_rel_err
+from oracles import bootstrap_mean_diff_ci, fd_gradient, max_rel_err
 from nettwin import pipeline
 from nettwin.autodiff import AdamState, DivergenceError, ParamSet, Tape
 from nettwin.fileio import SchemaError
@@ -45,7 +45,6 @@ from nettwin.pipeline import (
     TrainConfig,
     TrainResult,
     batch_loss,
-    bootstrap_mean_diff_ci,
     checkpoint_manifest,
     clean_test_samples,
     clean_train_samples,
