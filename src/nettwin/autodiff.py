@@ -3,7 +3,10 @@
 A Tape records every primitive as a node with a pullback closure; backward()
 walks the node list in reverse, accumulating gradients. Gradients flow only
 toward leaves created with requires_grad, so constants (masks, adjacency
-operators, targets) cost nothing on the way back. A tape made with
+operators, targets) cost nothing on the way back. A recording tape's
+backward runs once: it frees each node (its pullback, with the activations
+the pullback captured, and its gradient) as soon as it has used it, and
+keeps the gradients of the leaves only. A tape made with
 ``record=False`` runs the same primitives and checks but keeps no node, so
 a forward whose gradient nobody needs frees each intermediate as soon as
 its tensor is dropped.
@@ -75,8 +78,13 @@ GRU_PARAM_KEYS = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function that never overflows: exp only sees -|x|."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
 
 
 class Tape:
@@ -88,7 +96,8 @@ class Tape:
 
     With ``record=False`` the tape stores nothing per node (no parents, no
     pullback, no shape) and ``backward`` refuses to run; node ids still
-    count the nodes made.
+    count the nodes made. A recording tape stops recording once its
+    backward has run, since the nodes it freed cannot run again.
 
     Such a tape may also run ``blocks`` > 1 samples stacked on one graph
     (``twin.stack_tables``). Its products then run one row block at a time,
@@ -312,32 +321,56 @@ class Tape:
         def mm(a, b):
             return self._product(a, b, "gru_step")
 
-        z = _sigmoid((mm(xv, w_z) + mm(hv, u_z)) + b_z)
-        r = _sigmoid((mm(xv, w_r) + mm(hv, u_r)) + b_r)
+        # the ufuncs of the expressions in the docstring, in their order, in
+        # place on temporaries; only operands of + and * trade sides, which
+        # IEEE arithmetic leaves exact
+        def gate(w, u, b, rec_in):
+            pre = mm(xv, w)
+            pre += mm(rec_in, u)
+            pre += b
+            return pre
+
+        z = _sigmoid(gate(w_z, u_z, b_z, hv))
+        r = _sigmoid(gate(w_r, u_r, b_r, hv))
         rh = r * hv
-        h_tilde = np.tanh((mm(xv, w_h) + mm(rh, u_h)) + b_h)
+        h_tilde = gate(w_h, u_h, b_h, rh)
+        np.tanh(h_tilde, out=h_tilde)
         gap = h_tilde - hv
-        out = hv + mask * ((hv + z * gap) - hv)
+        out = z * gap
+        out += hv
+        out -= hv
+        out *= mask
+        out += hv
         need_x, need_h = x.needs_grad, h.needs_grad
         needs = [t.needs_grad for t in tensors]
 
         def pullback(g):
             g_new = g * mask
             g_gap = g_new * z
-            g_h_tilde = g_gap * (1.0 - h_tilde * h_tilde)
+            g_h_tilde = h_tilde * h_tilde  # g_gap * (1 - h~ h~)
+            np.subtract(1.0, g_h_tilde, out=g_h_tilde)
+            g_h_tilde *= g_gap
             g_rh = g_h_tilde @ u_h.T
-            g_r = g_rh * hv * r * (1.0 - r)
-            g_z = g_new * gap * z * (1.0 - z)
+            g_r = g_rh * hv  # g_rh * hv * r * (1 - r)
+            g_r *= r
+            g_r *= 1.0 - r
+            g_z = g_new * gap  # g_new * gap * z * (1 - z)
+            g_z *= z
+            g_z *= 1.0 - z
             # terms in the composition's reverse node order; they are not
             # regrouped (g - g_new + g_new is not g in floating point)
             grads = [None, None]
             if need_x:
-                grads[0] = g_h_tilde @ w_h.T + g_r @ w_r.T + g_z @ w_z.T
+                grads[0] = g_h_tilde @ w_h.T
+                grads[0] += g_r @ w_r.T
+                grads[0] += g_z @ w_z.T
             if need_h:
-                grads[1] = (
-                    g - g_new + g_new - g_gap + g_rh * r
-                    + g_r @ u_r.T + g_z @ u_z.T
-                )
+                g_h = grads[1] = g - g_new
+                g_h += g_new
+                g_h -= g_gap
+                g_h += g_rh * r
+                g_h += g_r @ u_r.T
+                g_h += g_z @ u_z.T
             # per gate: the input weight, the recurrent weight, the bias
             for k, (g_gate, rec_in) in enumerate(
                 ((g_z, hv), (g_r, hv), (g_h_tilde, rh))
@@ -383,7 +416,15 @@ class Tape:
     # -- backward --------------------------------------------------------
 
     def backward(self, loss: Tensor) -> "Gradients":
-        """Accumulate d(loss)/d(node) for every grad-requiring node."""
+        """d(loss)/d(leaf) for every leaf; a tape's backward runs once.
+
+        The walk frees each node as soon as it has used it: the pullback,
+        with the arrays it captured, and the node's gradient, so only the
+        gradients not yet passed on stay alive.
+        """
+        pullbacks = self._pullbacks
+        if pullbacks is None:
+            raise AutodiffError("backward already ran on this tape; it runs once")
         if not self.recording:
             raise AutodiffError("backward on a tape that records no nodes")
         if loss.tape is not self:
@@ -392,36 +433,44 @@ class Tape:
             raise AutodiffError(
                 f"loss must be scalar, got shape {loss.value.shape}"
             )
-        grads: list[np.ndarray | None] = [None] * len(self._parents)
+        self.recording, self._pullbacks = False, None
+        parents, needs = self._parents, self._needs
+        grads: list[np.ndarray | None] = [None] * len(pullbacks)
         grads[loss.node_id] = np.ones_like(loss.value)
-        for node_id in range(loss.node_id, -1, -1):
-            g = grads[node_id]
-            if g is None or not self._needs[node_id]:
-                continue
-            pullback = self._pullbacks[node_id]
+        leaf_grads: dict[int, np.ndarray | None] = {}
+        for node_id in range(len(pullbacks) - 1, -1, -1):
+            g, grads[node_id] = grads[node_id], None
+            pullback, pullbacks[node_id] = pullbacks[node_id], None
             if pullback is None:
-                continue  # leaf
-            parent_grads = pullback(g)
-            for parent_id, pg in zip(self._parents[node_id], parent_grads):
-                if pg is None or not self._needs[parent_id]:
+                leaf_grads[node_id] = g
+                continue
+            if g is None or not needs[node_id]:
+                continue
+            for parent_id, pg in zip(parents[node_id], pullback(g)):
+                if pg is None or not needs[parent_id]:
                     continue
                 if grads[parent_id] is None:
                     grads[parent_id] = pg.copy() if pg.base is not None else pg
                 else:
                     grads[parent_id] = grads[parent_id] + pg
-        return Gradients(self, grads)
+        return Gradients(self, leaf_grads)
 
 
 class Gradients:
-    """Gradient lookup by tensor; absent entries read as zeros."""
+    """The gradient of each leaf of a tape, by tensor; a leaf the loss does
+    not reach reads zeros, and any other tensor raises."""
 
-    def __init__(self, tape: Tape, grads: list[np.ndarray | None]):
+    def __init__(self, tape: Tape, leaf_grads: dict[int, np.ndarray | None]):
         self._tape = tape
-        self._grads = grads
+        self._grads = leaf_grads
 
     def __getitem__(self, tensor: Tensor) -> np.ndarray:
         if tensor.tape is not self._tape:
             raise AutodiffError("tensor belongs to a different tape")
+        if tensor.node_id not in self._grads:
+            raise AutodiffError(
+                f"node {tensor.node_id} is not a leaf: backward keeps leaf gradients only"
+            )
         g = self._grads[tensor.node_id]
         if g is None:
             return np.zeros(tensor.shape, dtype=np.float64)

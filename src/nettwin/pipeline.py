@@ -54,7 +54,6 @@ from .simulator import (
     quiet_nanmean,
     run_benchmarks,
     sample_traffic_params,
-    simbase_estimate,
 )
 from .twin import (
     CAPACITY_SCALE,
@@ -732,6 +731,32 @@ def loss_values(
     return out
 
 
+def _train_step(
+    model: TwinModel,
+    batch: list[tuple[Part, np.ndarray, np.ndarray]],
+    adam: AdamState,
+    lr: float,
+    l2: dict[str, float],
+    update_only: frozenset[str] | None,
+) -> list[np.ndarray]:
+    """One Adam step on a mini-batch's loss; returns each sample's weighted
+    |error| rows. The step's tape, input and gradients die on return, so
+    the next step records with only the parameters and moments alive."""
+    tape = Tape()
+    bound = model.params.bind(tape)
+    loss, abs_err, inp = batch_loss(model, tape, bound, batch)
+    grads = tape.backward(loss)
+    adam_step(
+        model.params,
+        {n: grads[t] for n, t in bound.items()},
+        adam,
+        lr,
+        l2=l2,
+        update_only=update_only,
+    )
+    return np.split(abs_err, inp.flow_offsets[1:-1])
+
+
 @dataclass
 class TrainResult:
     best_params: ParamSet
@@ -787,25 +812,12 @@ def train_model(
         epoch_loss = 0.0
         epoch_per_task = np.zeros(len(tasks))
         for b0 in range(0, len(order), batch_size):
-            tape = Tape()
-            bound = model.params.bind(tape)
-            loss, abs_err, inp = batch_loss(
-                model, tape, bound, [prepared[i] for i in order[b0 : b0 + batch_size]]
-            )
+            batch = [prepared[i] for i in order[b0 : b0 + batch_size]]
             # history rows stay per-sample sums; each column is summed on its
             # own because rows.sum(axis=0) adds in another order
-            for rows in np.split(abs_err, inp.flow_offsets[1:-1]):
+            for rows in _train_step(model, batch, adam, lr, l2, update_only):
                 epoch_loss += float(rows.sum())
                 epoch_per_task += [float(rows[:, k].sum()) for k in range(len(tasks))]
-            grads = tape.backward(loss)
-            adam_step(
-                model.params,
-                {n: grads[t] for n, t in bound.items()},
-                adam,
-                lr,
-                l2=l2,
-                update_only=update_only,
-            )
         n_train = len(prepared)
         row = {
             "epoch": epoch,
@@ -979,15 +991,13 @@ def nmae_row(
     preds_list: list[np.ndarray], labels_list: list[np.ndarray], iqr: np.ndarray
 ) -> dict[str, float]:
     """Per-KPI mean |prediction - reference| / IQR pooled over flows/samples."""
+    preds, labels = np.concatenate(preds_list), np.concatenate(labels_list)
+    finite = np.isfinite(preds) & np.isfinite(labels)
     row = {}
     for k, task in enumerate(TASKS):
-        errs = []
-        for preds, labels in zip(preds_list, labels_list):
-            p, y = preds[:, k], labels[:, k]
-            ok = np.isfinite(p) & np.isfinite(y)
-            if ok.any():
-                errs.append(np.abs(p[ok] - y[ok]))
-        row[task] = float(np.concatenate(errs).mean() / iqr[k]) if errs else math.nan
+        ok = finite[:, k]
+        errs = np.abs(preds[ok, k] - labels[ok, k])
+        row[task] = float(errs.mean() / iqr[k]) if errs.size else math.nan
     return row
 
 
@@ -1012,16 +1022,19 @@ def simbase_rows(
     test_samples: list[Sample], normalizer: Normalizer
 ) -> dict[str, dict[str, float]]:
     """Repeat-average estimator NMAE for every run budget the data affords."""
-    if not test_samples:
+    max_n = min((len(s.bench_runs) for s in test_samples), default=0)
+    if not max_n:
         return {}
-    max_n = min(len(s.bench_runs) for s in test_samples)
-    rows = {}
-    for n in range(1, max_n + 1):
-        preds_list = [simbase_estimate(s.bench_runs, n) for s in test_samples]
-        rows[f"simbase_{n}"] = nmae_row(
-            preds_list, [s.labels for s in test_samples], normalizer.iqr
+    # (flow, run, KPI) over every sample's flows: a budget's estimate is the
+    # mean of its first n runs, missing cells left out
+    runs = np.concatenate([np.stack(s.bench_runs[:max_n], axis=1) for s in test_samples])
+    labels = [np.concatenate([s.labels for s in test_samples])]
+    return {
+        f"simbase_{n}": nmae_row(
+            [quiet_nanmean(runs[:, :n], axis=1)], labels, normalizer.iqr
         )
-    return rows
+        for n in range(1, max_n + 1)
+    }
 
 
 def naive_rows(

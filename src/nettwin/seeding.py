@@ -48,7 +48,9 @@ def derive_seed(*parts: int | str) -> int:
     entropy: list[int] = []
     for part in parts:
         entropy.extend(_as_words(part))
-    state = np.random.SeedSequence(entropy).generate_state(2, np.uint32)
+    # one array: numpy would convert a list word by word, to the same words
+    words = np.array(entropy, dtype=np.uint32)
+    state = np.random.SeedSequence(words).generate_state(2, np.uint32)
     return int(state[0]) | (int(state[1]) << 32)
 
 

@@ -432,15 +432,3 @@ def run_benchmarks(
         records.append(run_sim(graph, table, traffic, config, sim_seed))
         seeds.append({"routing": routing_seed, "sim": sim_seed})
     return RunSet(records, seeds, reference_table)
-
-
-def simbase_estimate(bench_runs: list[np.ndarray], n: int) -> np.ndarray:
-    """Elementwise mean of the first n benchmark runs' KPI matrices.
-
-    bench_runs leaves out the reference run. Cells missing in some runs
-    average over the runs where they are present; impute beforehand if full
-    coverage is required.
-    """
-    if not 1 <= n <= len(bench_runs):
-        raise ValueError(f"n must be in [1, {len(bench_runs)}], got {n}")
-    return quiet_nanmean(np.stack(bench_runs[:n]), axis=0)

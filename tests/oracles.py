@@ -16,16 +16,20 @@ the gnn's node features cell by cell, the flat batch as lone inputs joined
 field by field, the stacked input as that join with the one graph's node
 operator, the path forward with a link and node update closing every
 layer (the last one too), the logistic function with two divisions,
-Adam run array by array, and the JSON schema check as a walk that checks
-every value by a call of its own. The paired bootstrap behind acceptance
-check 5 lives here too, as only the tests call it.
+Adam run array by array, the JSON schema check as a walk that checks
+every value by a call of its own, the seed mix with its entropy as a list
+of Python ints, and the NMAE report rows sample by sample, with the
+repeat-average estimate taken per sample. The paired bootstrap behind
+acceptance check 5 lives here too, as only the tests call it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import json
 import math
+import warnings
 from collections import deque
 
 import numpy as np
@@ -941,6 +945,71 @@ def reference_check(spec, value, where: str | list[str], sizes: dict) -> None:
         field = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
         field = repr(field.lstrip(".")) if field else "the top level"
         raise SchemaError(f"{where}: {field} {exc.problem}") from None
+
+
+# -- seeding -------------------------------------------------------------------
+
+
+def reference_make_rng(*parts: int | str) -> np.random.Generator:
+    """make_rng with the entropy handed to SeedSequence as a list of Python
+    ints: each integer part's 32-bit words, least significant first, and a
+    string's first 16 SHA-256 bytes as four little-endian words."""
+    entropy = []
+    for part in parts:
+        if isinstance(part, str):
+            digest = hashlib.sha256(part.encode("utf-8")).digest()
+            entropy += [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
+            continue
+        value = int(part)
+        entropy.append(value % 2**32)
+        while value >= 2**32:
+            value //= 2**32
+            entropy.append(value % 2**32)
+    state = np.random.SeedSequence(entropy).generate_state(2, np.uint32)
+    return np.random.Generator(np.random.PCG64(int(state[0]) | (int(state[1]) << 32)))
+
+
+# -- evaluation rows -------------------------------------------------------------
+
+
+def simbase_estimate(bench_runs: list[np.ndarray], n: int) -> np.ndarray:
+    """Elementwise mean of one sample's first n benchmark runs, each cell
+    over the runs where it is present (NaN where it is in none)."""
+    if not 1 <= n <= len(bench_runs):
+        raise ValueError(f"n must be in [1, {len(bench_runs)}], got {n}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return np.nanmean(np.stack(bench_runs[:n]), axis=0)
+
+
+def reference_nmae_row(
+    preds_list: list[np.ndarray], labels_list: list[np.ndarray], iqr: np.ndarray
+) -> dict[str, float]:
+    """Per-KPI NMAE, each sample's finite pairs masked on their own and the
+    errors pooled in sample order."""
+    row = {}
+    for k, task in enumerate(TASKS):
+        errs = []
+        for preds, labels in zip(preds_list, labels_list):
+            p, y = preds[:, k], labels[:, k]
+            ok = np.isfinite(p) & np.isfinite(y)
+            if ok.any():
+                errs.append(np.abs(p[ok] - y[ok]))
+        row[task] = float(np.concatenate(errs).mean() / iqr[k]) if errs else math.nan
+    return row
+
+
+def reference_simbase_rows(samples, iqr: np.ndarray) -> dict[str, dict[str, float]]:
+    """The repeat-average rows, every budget's estimate taken sample by sample."""
+    max_n = min((len(s.bench_runs) for s in samples), default=0)
+    return {
+        f"simbase_{n}": reference_nmae_row(
+            [simbase_estimate(s.bench_runs, n) for s in samples],
+            [s.labels for s in samples],
+            iqr,
+        )
+        for n in range(1, max_n + 1)
+    }
 
 
 # -- the paired bootstrap ----------------------------------------------------------

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nettwin import pipeline
 from nettwin.autodiff import (
     ADAM_BETA1,
     GRU_PARAM_KEYS,
@@ -28,7 +29,11 @@ from nettwin.autodiff import (
 )
 from nettwin.autodiff import _sigmoid
 from nettwin.fileio import SchemaError
+from nettwin.pipeline import Normalizer
+from nettwin.simulator import TASKS
+from nettwin.twin import make_model
 
+from conftest import BATCH_DIMS, kind_dims, mixed_samples
 from oracles import (
     ComposedTape,
     fd_gradient,
@@ -209,6 +214,65 @@ class TestTapeLifetime:
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_train_model_keeps_one_step_alive(self, monkeypatch):
+        # each step's tape (and the input, loss and gradients that point at
+        # it) is gone before the next step records
+        tapes = []
+
+        def fresh_tape(*args, **kwargs):
+            assert [ref for ref in tapes if ref() is not None] == []
+            tape = Tape(*args, **kwargs)
+            tapes.append(weakref.ref(tape))
+            return tape
+
+        monkeypatch.setattr(pipeline, "Tape", fresh_tape)
+        model = make_model("glance", TASKS, 0, dims=kind_dims("glance", BATCH_DIMS, 2))
+        norm = Normalizer(np.ones(4), np.zeros(4), np.zeros(4))
+        gc.disable()
+        try:
+            pipeline.train_model(
+                model, mixed_samples(), [], norm, epochs=2, batch_size=2,
+                lr=1e-3, l2_link=0.0, l2_readout=0.0, seed=0,
+            )
+        finally:
+            gc.enable()
+        assert len(tapes) == 4
+
+    def test_backward_frees_captured_arrays(self):
+        gc.disable()
+        try:
+            t = Tape()
+            w = t.leaf(np.ones((2, 2)))
+            h = t.matmul(t.leaf(np.ones((3, 2))), w)
+            out = t.matmul(h, w)  # its pullback captures h's value
+            captured = weakref.ref(h.value)
+            del h
+            loss = t.weighted_l1(out, np.zeros((3, 2)), np.ones((3, 2)))
+            assert captured() is not None
+            grads = t.backward(loss)
+            assert captured() is None
+            assert np.array_equal(grads[w], [[12.0, 12.0], [12.0, 12.0]])
+        finally:
+            gc.enable()
+
+    def test_backward_runs_once(self):
+        t = Tape()
+        x = t.leaf(np.ones((2, 2)))
+        loss = t.weighted_l1(t.matmul(x, x), np.zeros((2, 2)), np.ones((2, 2)))
+        t.backward(loss)
+        with pytest.raises(AutodiffError, match="runs once"):
+            t.backward(loss)
+
+    def test_gradients_keep_leaves_only(self):
+        t = Tape()
+        x, c = t.leaf(np.ones((2, 2))), t.constant(np.ones((2, 2)))
+        h = t.matmul(x, c)
+        grads = t.backward(t.weighted_l1(h, np.zeros((2, 2)), np.ones((2, 2))))
+        assert np.array_equal(grads[x], np.full((2, 2), 2.0))
+        assert np.array_equal(grads[c], np.zeros((2, 2)))  # a constant is a leaf
+        with pytest.raises(AutodiffError, match="not a leaf"):
+            grads[h]
 
 
 class TestValueOnlyTape:

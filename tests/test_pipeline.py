@@ -8,6 +8,7 @@ import re
 import shutil
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +27,13 @@ from conftest import (
     line_sample,
     mixed_samples,
 )
-from oracles import bootstrap_mean_diff_ci, fd_gradient, max_rel_err
+from oracles import (
+    bootstrap_mean_diff_ci,
+    fd_gradient,
+    max_rel_err,
+    reference_nmae_row,
+    reference_simbase_rows,
+)
 from nettwin import pipeline
 from nettwin.autodiff import AdamState, DivergenceError, ParamSet, Tape
 from nettwin.fileio import SchemaError
@@ -1152,6 +1159,40 @@ class TestBaselineRows:
         assert set(report["iqr"]) == set(TASKS)
         assert report["iqr"]["delay"] == 2.0
         assert set(report["rows"]) == {"twin", "naive_median", "naive_mean", "simbase_1"}
+
+
+class TestReportRowsOracle:
+    """nmae_row's one finite mask and simbase_rows' one nanmean per budget
+    over every sample's flows, against the per-sample loops, as bytes."""
+
+    @staticmethod
+    def holed(rng, shape):
+        a = rng.normal(size=shape) * rng.choice([1e-3, 1.0, 1e3])
+        a[rng.random(shape) < 0.2] = math.nan
+        a[rng.random(shape) < 0.03] = math.inf
+        return a
+
+    @staticmethod
+    def as_bytes(rows):
+        return {name: np.array([row[t] for t in TASKS]).tobytes() for name, row in rows.items()}
+
+    def test_stacked_rows_match_per_sample_loops(self):
+        rng = np.random.default_rng(28)
+        for _ in range(300):
+            samples = []
+            for _ in range(int(rng.integers(1, 6))):
+                f = int(rng.integers(1, 7))
+                runs = [self.holed(rng, (f, 4)) for _ in range(int(rng.integers(1, 12)))]
+                samples.append(SimpleNamespace(labels=self.holed(rng, (f, 4)), bench_runs=runs))
+            iqr = rng.uniform(0.1, 3.0, 4)
+            got = simbase_rows(samples, Normalizer(iqr, np.zeros(4), np.zeros(4)))
+            want = reference_simbase_rows(samples, iqr)
+            assert list(got) == list(want)
+            assert self.as_bytes(got) == self.as_bytes(want)
+            preds = [self.holed(rng, s.labels.shape) for s in samples]
+            labels = [s.labels for s in samples]
+            got, want = nmae_row(preds, labels, iqr), reference_nmae_row(preds, labels, iqr)
+            assert self.as_bytes({"": got}) == self.as_bytes({"": want})
 
 
 # -- persistence --------------------------------------------------------------

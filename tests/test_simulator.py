@@ -33,10 +33,9 @@ from nettwin.simulator import (
     run_benchmarks,
     run_sim,
     sample_traffic_params,
-    simbase_estimate,
 )
 
-from oracles import random_connected_adjacency, reference_run_sim
+from oracles import random_connected_adjacency, reference_run_sim, simbase_estimate
 
 DELAY, JITTER, THROUGHPUT, DROPS = range(4)
 
@@ -292,6 +291,8 @@ class TestBenchmarks:
 
 
 class TestSimbaseEstimate:
+    """The per-sample repeat-average oracle that simbase_rows is checked against."""
+
     def runs(self, *rows):
         return [np.array([row], dtype=np.float64) for row in rows]
 
