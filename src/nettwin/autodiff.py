@@ -560,6 +560,10 @@ class ParamSet:
         out._views()  # lays the values out in a buffer of its own
         return out
 
+    def __reduce__(self):
+        # pickle would copy each array apart from flat: lay them out anew
+        return ParamSet, (dict(self.items()),)
+
     def bind(self, tape: Tape) -> dict[str, Tensor]:
         """Register every parameter as a differentiable leaf on a tape.
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path, PurePath
 from typing import Callable
@@ -88,8 +88,16 @@ SPLITS = ("train", "val", "test")
 #: named ``{split}_{index:05d}.json``
 MAX_SPLIT_SIZE = 100_000
 
-#: most worker processes generate_dataset starts
+#: most worker processes map_jobs starts
 MAX_JOBS = 32
+
+#: thread-pool variables map_jobs' workers start with, each set to 1
+_WORKER_THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
 
 STRATEGIES = ("stl", "mtl", "tl")
 
@@ -255,14 +263,50 @@ def _generate_record(
     return record, topo_payload
 
 
+def map_jobs(fn: Callable, tasks: list[tuple], jobs: int) -> list:
+    """[fn(*task) for task in tasks], in task order, over jobs processes.
+
+    jobs is in 1..MAX_JOBS. Above 1, fn must be a module-level function and
+    tasks and results picklable: each task runs in a spawned worker, which
+    shares no state with the caller, and its result comes back by pickle.
+    A worker runs BLAS on one thread. Products big enough for OpenBLAS's
+    threaded path round differently on one thread than on several, so a
+    caller gets the same bits from every jobs value when its own BLAS runs
+    on one thread too (OPENBLAS_NUM_THREADS=1).
+    """
+    if not 1 <= jobs <= MAX_JOBS:
+        raise DatasetError(f"jobs must be between 1 and {MAX_JOBS}, got {jobs}")
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        return [fn(*task) for task in tasks]
+    # imported here: a one-job process never loads the pool stack
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # about 8 chunks per worker keep the last ones short
+    chunk = max(1, len(tasks) // (8 * workers))
+    # the workers fill the cores, so each starts with one BLAS thread: on a
+    # 2-core host, two per worker made check 6 six times slower than one
+    caller = {var: os.environ.get(var) for var in _WORKER_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_WORKER_THREAD_VARS, "1"))
+    try:
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            return list(pool.map(fn, *zip(*tasks), chunksize=chunk))
+    finally:
+        for var, value in caller.items():
+            if value is None:
+                del os.environ[var]
+            else:
+                os.environ[var] = value
+
+
 def generate_dataset(config: GenConfig, out_dir: str | Path, jobs: int = 1) -> dict:
     """Write a dataset directory; byte-identical for a given config.
 
     Returns the manifest. jobs in 2..MAX_JOBS parallelizes over samples
     without changing any output byte (records come back in index order).
     """
-    if not 1 <= jobs <= MAX_JOBS:
-        raise DatasetError(f"jobs must be between 1 and {MAX_JOBS}, got {jobs}")
     scenario = SCENARIOS[config.scenario]
     out = Path(out_dir)
 
@@ -274,11 +318,7 @@ def generate_dataset(config: GenConfig, out_dir: str | Path, jobs: int = 1) -> d
 
     sizes = dict(zip(SPLITS, (config.n_train, config.n_val, config.n_test)))
     tasks = [(config, base, split, i) for split, n in sizes.items() for i in range(n)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_generate_record, *zip(*tasks), chunksize=4))
-    else:
-        results = [_generate_record(*task) for task in tasks]
+    results = map_jobs(_generate_record, tasks, jobs)
 
     # nothing is written until every sample is made, so a config that fails
     # (a negative seed, more flows than node pairs) leaves no files behind
@@ -960,25 +1000,29 @@ def fold_split(n: int, fold: int, n_folds: int) -> tuple[list[int], list[int]]:
     return train, val
 
 
+def _fold_outcome(
+    samples: list[Sample], config: TrainConfig, n_flows: int, fold: int
+) -> StrategyOutcome:
+    train_idx, val_idx = fold_split(len(samples), fold, config.folds)
+    return run_strategy(
+        [samples[i] for i in train_idx],
+        [samples[i] for i in val_idx],
+        replace(config, seed=derive_seed(config.seed, "fold", fold)),
+        n_flows,
+    )
+
+
 def cross_validate(
-    samples: list[Sample], config: TrainConfig, n_flows: int
+    samples: list[Sample], config: TrainConfig, n_flows: int, jobs: int = 1
 ) -> CvOutcome:
-    """config.folds training runs, each with its own normalizer and seeds."""
+    """config.folds training runs, each with its own normalizer and seeds;
+    jobs runs the folds side by side through map_jobs."""
     if len(samples) < config.folds:
         raise DatasetError(
             f"{len(samples)} samples cannot fill {config.folds} folds"
         )
-    folds = []
-    for f in range(config.folds):
-        train_idx, val_idx = fold_split(len(samples), f, config.folds)
-        fold_config = replace(config, seed=derive_seed(config.seed, "fold", f))
-        outcome = run_strategy(
-            [samples[i] for i in train_idx],
-            [samples[i] for i in val_idx],
-            fold_config,
-            n_flows,
-        )
-        folds.append(outcome)
+    tasks = [(samples, config, n_flows, f) for f in range(config.folds)]
+    folds = map_jobs(_fold_outcome, tasks, jobs)
     best_vals = np.array([fold.result.best_val for fold in folds])
     best_fold = int(np.argmin(best_vals))
     return CvOutcome(folds, best_fold, float(best_vals.mean()), float(best_vals.std()))

@@ -37,6 +37,7 @@ from nettwin.pipeline import (
     generate_dataset,
     load_dataset,
     loss_values,
+    map_jobs,
     naive_rows,
     run_strategy,
     train_model,
@@ -271,8 +272,66 @@ def test_5_repeat_average_trend(capsys, tmp_path):
         assert hi < 0.0, f"n=3 vs n=1 CI [{lo:.4f}, {hi:.4f}] touches zero"
 
 
+def _mtl_test_row(seed: int, data: tuple) -> dict[str, float]:
+    """One check-6 multi-task run: its best snapshot's test NMAE row."""
+    train, val, test, norm = data
+    defaults = training_defaults("reggrid-fixed")
+    cfg = TrainConfig(strategy="mtl", epochs=30, seed=seed, **defaults)
+    outcome = run_strategy(train, val, cfg, n_flows=10, normalizer=norm)
+    outcome.model.params = outcome.result.best_params
+    return evaluate_model(outcome.model, test, norm)
+
+
+def _delay_val_loss(model, val, norm) -> float:  # model has the delay head alone
+    total = 0.0
+    for s in val:
+        total += loss_values(model, [s], norm)[0][0]
+    return total / len(val)
+
+
+def _transfer_run(seed: int, data: tuple) -> tuple[float, bool]:
+    """One check-6 transfer seed: the starting delay-loss gap of warm
+    embeddings over scratch, and whether a frozen fine-tune kept them."""
+    train, val, _, norm = data
+    defaults = training_defaults("reggrid-fixed")
+    reg = dict(
+        batch_size=10, lr=defaults["lr"],
+        l2_link=defaults["l2_link"], l2_readout=defaults["l2_readout"],
+    )
+    pre_tasks = tuple(t for t in TASKS if t != "delay")
+    pre_model = make_model(
+        "glance", pre_tasks, derive_seed(seed, "pre-init"), dims=COMPACT
+    )
+    pre = train_model(
+        pre_model, train, val, norm,
+        epochs=20, seed=derive_seed(seed, "pre-train"), **reg,
+    )
+    pre_model.params = pre.best_params.copy()
+    tl_model = transfer_model(pre_model, ("delay",), derive_seed(seed, "tl-readout"))
+    stl_model = make_model("glance", ("delay",), derive_seed(seed, "init"), dims=COMPACT)
+    diff = _delay_val_loss(tl_model, val, norm) - _delay_val_loss(stl_model, val, norm)
+
+    source = {n: pre.best_params[n].tobytes() for n in embedding_names(tl_model)}
+    train_model(
+        tl_model, train, val, norm,
+        epochs=2, seed=derive_seed(seed, "tl-train"),
+        freeze_embeddings=True, **reg,
+    )
+    frozen = all(
+        tl_model.params[n].tobytes() == source[n] for n in embedding_names(tl_model)
+    )
+    return diff, frozen
+
+
+def _seed_run(run, seed: int, data: tuple):
+    """A map_jobs task: one of check 6's seeded runs."""
+    return run(seed, data)
+
+
 def test_6_learning_smoke(capsys, tmp_path):
-    """Trained twins beat the naive constant; transfer starts no worse."""
+    """Trained twins beat the naive constant; transfer starts no worse.
+
+    Its ten seeded runs are independent, so they train two at a time."""
     with verdict(capsys, 6, "learning smoke test", 1800.0):
         config = GenConfig(
             scenario="reggrid-fixed", n_train=200, n_val=50, n_test=50,
@@ -285,65 +344,22 @@ def test_6_learning_smoke(capsys, tmp_path):
         test, _ = clean_test_samples(ds.splits["test"])
         norm = fit_normalizer(train)
         live = norm.iqr > IQR_EPS
-        defaults = training_defaults("reggrid-fixed")
 
         def summed(row: dict[str, float]) -> float:
             return sum(row[t] for k, t in enumerate(TASKS) if live[k])
 
         naive_sum = summed(naive_rows(test, norm)["naive_median"])
-        wins = 0
-        for seed in range(5):
-            cfg = TrainConfig(strategy="mtl", epochs=30, seed=seed, **defaults)
-            outcome = run_strategy(train, val, cfg, n_flows=10, normalizer=norm)
-            outcome.model.params = outcome.result.best_params
-            wins += summed(evaluate_model(outcome.model, test, norm)) < naive_sum
+        data = (train, val, test, norm)
+        # multi-task seeds, then transfer ones: warm embeddings, fresh delay
+        # head, frozen fine-tune
+        kinds = (_mtl_test_row, _transfer_run)
+        done = map_jobs(_seed_run, [(run, seed, data) for run in kinds for seed in range(5)], 2)
+        rows, transfers = done[:5], done[5:]
+        wins = sum(summed(row) < naive_sum for row in rows)
         assert wins >= 4, f"multi-task beat the naive row in only {wins}/5 seeds"
-
-        # transfer: warm embeddings, fresh delay head, frozen fine-tune
-        def delay_val_loss(model) -> float:  # model has the delay head alone
-            total = 0.0
-            for s in val:
-                total += loss_values(model, [s], norm)[0][0]
-            return total / len(val)
-
-        reg = dict(
-            batch_size=10, lr=defaults["lr"],
-            l2_link=defaults["l2_link"], l2_readout=defaults["l2_readout"],
-        )
-        pre_tasks = tuple(t for t in TASKS if t != "delay")
-        diffs = []
-        frozen_ok = 0
-        for seed in range(5):
-            pre_model = make_model(
-                "glance", pre_tasks, derive_seed(seed, "pre-init"), dims=COMPACT
-            )
-            pre = train_model(
-                pre_model, train, val, norm,
-                epochs=20, seed=derive_seed(seed, "pre-train"), **reg,
-            )
-            pre_model.params = pre.best_params.copy()
-            tl_model = transfer_model(
-                pre_model, ("delay",), derive_seed(seed, "tl-readout")
-            )
-            stl_model = make_model(
-                "glance", ("delay",), derive_seed(seed, "init"), dims=COMPACT
-            )
-            diffs.append(delay_val_loss(tl_model) - delay_val_loss(stl_model))
-
-            source = {
-                n: pre.best_params[n].tobytes() for n in embedding_names(tl_model)
-            }
-            train_model(
-                tl_model, train, val, norm,
-                epochs=2, seed=derive_seed(seed, "tl-train"),
-                freeze_embeddings=True, **reg,
-            )
-            frozen_ok += all(
-                tl_model.params[n].tobytes() == source[n]
-                for n in embedding_names(tl_model)
-            )
+        frozen_ok = sum(frozen for _, frozen in transfers)
         assert frozen_ok == 5, f"embeddings moved under freezing in {5 - frozen_ok} seeds"
-        median = float(np.median(diffs))
+        median = float(np.median([diff for diff, _ in transfers]))
         assert median <= 0.0, f"median starting-loss gap {median:+.4f} favors scratch"
 
 

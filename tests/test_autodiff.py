@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import pickle
 import weakref
 from types import SimpleNamespace
 
@@ -845,6 +846,23 @@ class TestParamSetBuffer:
         assert np.all(snap["a"] == 1.0) and np.all(snap["b"] == 1.0)
         assert not np.shares_memory(snap.flat, ps.flat)
         assert np.all(held < 1.0)  # a held array is live
+
+    def test_pickle_round_trip_keeps_one_buffer(self):
+        # results come back from worker processes by pickle
+        ps = ParamSet({"a": np.arange(6.0).reshape(2, 3), "b": np.ones(2)})
+        state = AdamState.zeros_like(ps)
+        adam_step(ps, {"a": np.ones((2, 3)), "b": np.ones(2)}, state, 0.1)
+        q, q_state = pickle.loads(pickle.dumps((ps, state)))
+        assert q.layout == ps.layout and q.flat.tobytes() == ps.flat.tobytes()
+        for got in (q, q_state.m, q_state.v):
+            for name in got.names():
+                assert np.shares_memory(got[name], got.flat)
+        held = q["a"]
+        before = held.copy()
+        adam_step(q, {"a": np.ones((2, 3)), "b": np.ones(2)}, q_state, 0.1)
+        adam_step(ps, {"a": np.ones((2, 3)), "b": np.ones(2)}, state, 0.1)
+        assert np.all(held < before) and held.tobytes() == ps["a"].tobytes()
+        assert q_state.m.flat.tobytes() == state.m.flat.tobytes()
 
     def test_add_lays_out_again(self):
         ps = ParamSet({"a": np.ones(2)})

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import math
+import os
 import re
 import shutil
 from dataclasses import replace
@@ -65,6 +67,7 @@ from nettwin.pipeline import (
     load_dataset,
     loss_targets,
     loss_values,
+    map_jobs,
     model_from_checkpoint,
     naive_rows,
     nmae_row,
@@ -308,7 +311,7 @@ class TestGenerateDataset:
             raise AssertionError(f"generate_dataset went on with jobs={jobs}")
 
         # neither a worker pool nor a serial sample may start
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", never)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", never)
         monkeypatch.setattr(pipeline, "_generate_record", never)
         config = GenConfig(scenario="reggrid-fixed", n_train=2, n_val=1, n_test=1)
         with pytest.raises(DatasetError, match=f"jobs must be between 1 and {MAX_JOBS}"):
@@ -319,6 +322,22 @@ class TestGenerateDataset:
         config = GenConfig(scenario="nsfnet-fixed", n_train=1, l_max=1)
         with pytest.raises(DatasetError, match="hop diameter"):
             generate_dataset(config, tmp_path / "nope")
+
+
+def worker_env(var: str, index: int) -> str | None:
+    """A map_jobs task: the value of var where the task runs."""
+    return os.environ.get(var)
+
+
+class TestMapJobs:
+    def test_workers_run_one_blas_thread_and_the_caller_keeps_its_own(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        tasks = [(var, i) for i in range(3) for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")]
+        assert map_jobs(worker_env, tasks, 2) == ["1"] * 6
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+        assert "MKL_NUM_THREADS" not in os.environ
+        assert map_jobs(worker_env, tasks, 1) == ["3", None] * 3
 
 
 class TestLoadDataset:

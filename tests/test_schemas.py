@@ -389,6 +389,21 @@ def test_negative_seed_is_usage_error(run_cli, tmp_path, toy_dataset_dir, traine
     assert not out.exists()
 
 
+def test_cli_import_loads_no_process_pool():
+    """Only a run with more than one job loads the process-pool stack."""
+    script = (
+        "import sys\n"
+        "import nettwin.cli\n"
+        "pool = ('concurrent', 'multiprocessing')\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in pool))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, check=True,
+    )
+    assert done.stdout.strip() == "[]"
+
+
 def test_internal_error_exits_1(toy_dataset_dir, tmp_path):
     """A bug inside a command, here a KeyError, is no usage error: the
     traceback shows and the exit code is 1."""
