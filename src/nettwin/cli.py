@@ -207,15 +207,11 @@ GEN_OPTIONS = (
 )
 
 
-def _check_jobs(jobs: int) -> None:
-    if not 1 <= jobs <= MAX_JOBS:
-        raise _CliError(f"--jobs must be between 1 and {MAX_JOBS}, got {jobs}")
-
-
 def _cmd_gen_data(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
     typed = _typed(args, resolved)
-    _check_jobs(typed["jobs"])
+    if not 1 <= typed["jobs"] <= MAX_JOBS:
+        raise _CliError(f"--jobs must be between 1 and {MAX_JOBS}, got {typed['jobs']}")
     out = _out_path(typed["out"])
     config = GenConfig(**{f.name: typed[f.name] for f in fields(GenConfig)})
     _emit({"resolved_config": resolved})
@@ -244,7 +240,6 @@ TRAIN_OPTIONS = (
     Option("cv", bool, False, action="store_true"),
     Option("resume", bool, False, action="store_true"),
     Option("curves", help="write per-epoch losses to this CSV"),
-    Option("jobs", int, 1, help="train --cv folds in this many processes"),
 )
 
 
@@ -286,10 +281,6 @@ def _resume_state(out: Path) -> tuple[tuple[TwinModel, TrainResult], Normalizer]
 
 def _cmd_train(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
-    jobs = resolved["jobs"]
-    _check_jobs(jobs)
-    if jobs > 1 and not resolved["cv"]:
-        raise _CliError("--jobs above 1 runs cross-validation folds: it needs --cv")
     out = _out_path(resolved["out"])
     dataset = load_dataset(Path(resolved["data"]))
     config = _train_config(args, resolved, dataset.scenario)
@@ -306,7 +297,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
     if resolved["cv"]:
         pool = train_samples + val_samples
-        cv = cross_validate(pool, config, n_flows, jobs)
+        cv = cross_validate(pool, config, n_flows)
         champion = cv.champion()
         model, result, normalizer = (
             champion.model,
@@ -339,8 +330,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
     manifest = checkpoint_manifest(model, normalizer, config, result, dataset.manifest)
     manifest["clean_report"] = clean_report
-    # --jobs changes how the folds run, not what they train: it is not recorded
-    manifest["resolved_config"] = {k: v for k, v in resolved.items() if k != "jobs"}
+    manifest["resolved_config"] = resolved
     manifest.update(extra)
     save_checkpoint(out, result.best_params, manifest)
     if not resolved["cv"]:

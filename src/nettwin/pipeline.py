@@ -269,6 +269,8 @@ def map_jobs(fn: Callable, tasks: list[tuple], jobs: int) -> list:
     jobs is in 1..MAX_JOBS. Above 1, fn must be a module-level function and
     tasks and results picklable: each task runs in a spawned worker, which
     shares no state with the caller, and its result comes back by pickle.
+    A spawned worker imports the script that started it, so a script that
+    maps over jobs above 1 keeps its work under ``if __name__ == "__main__"``.
     A worker runs BLAS on one thread. Products big enough for OpenBLAS's
     threaded path round differently on one thread than on several, so a
     caller gets the same bits from every jobs value when its own BLAS runs
@@ -304,8 +306,9 @@ def map_jobs(fn: Callable, tasks: list[tuple], jobs: int) -> list:
 def generate_dataset(config: GenConfig, out_dir: str | Path, jobs: int = 1) -> dict:
     """Write a dataset directory; byte-identical for a given config.
 
-    Returns the manifest. jobs in 2..MAX_JOBS parallelizes over samples
-    without changing any output byte (records come back in index order).
+    Returns the manifest. jobs in 2..MAX_JOBS spreads the samples over
+    map_jobs workers without changing any output byte (records come back in
+    index order).
     """
     scenario = SCENARIOS[config.scenario]
     out = Path(out_dir)
@@ -1013,15 +1016,22 @@ def _fold_outcome(
 
 
 def cross_validate(
-    samples: list[Sample], config: TrainConfig, n_flows: int, jobs: int = 1
+    samples: list[Sample], config: TrainConfig, n_flows: int
 ) -> CvOutcome:
-    """config.folds training runs, each with its own normalizer and seeds;
-    jobs runs the folds side by side through map_jobs."""
+    """config.folds training runs, each with its own normalizer and seeds.
+
+    The folds run side by side through map_jobs, one worker per core up to
+    one per fold. On a host of more than one core every fold so trains in a
+    worker with BLAS on one thread, and the folds' bytes do not depend on
+    the core count; on one core they train in this process, where OpenBLAS
+    also starts one thread unless OPENBLAS_NUM_THREADS says otherwise.
+    """
     if len(samples) < config.folds:
         raise DatasetError(
             f"{len(samples)} samples cannot fill {config.folds} folds"
         )
     tasks = [(samples, config, n_flows, f) for f in range(config.folds)]
+    jobs = min(config.folds, os.cpu_count() or 1, MAX_JOBS)
     folds = map_jobs(_fold_outcome, tasks, jobs)
     best_vals = np.array([fold.result.best_val for fold in folds])
     best_fold = int(np.argmin(best_vals))

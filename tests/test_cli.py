@@ -341,47 +341,6 @@ class TestTrain:
         assert manifest["strategy"] == "tl"
         assert manifest["tasks"] == ["throughput"]
 
-    @pytest.mark.parametrize(
-        "flags, message",
-        [
-            *(
-                (["--cv", "--jobs", str(jobs)],
-                 f"--jobs must be between 1 and {cli.MAX_JOBS}, got {jobs}")
-                for jobs in (0, -2, cli.MAX_JOBS + 1)
-            ),
-            (["--jobs", "2"], "--jobs above 1 runs cross-validation folds: it needs --cv"),
-        ],
-    )
-    def test_bad_jobs_is_usage_error(
-        self, run_cli, tmp_path, toy_dataset_dir, capsys, monkeypatch, flags, message
-    ):
-        def never(*args, **kwargs):
-            raise AssertionError(f"train went on with {flags}")
-
-        monkeypatch.setattr(cli, "load_dataset", never)
-        out = tmp_path / "out" / "m.ckpt"
-        assert run_cli("train", "--data", toy_dataset_dir, "--out", str(out), *flags) == 2
-        captured = capsys.readouterr()
-        assert message in captured.err
-        assert captured.out == ""  # not even the resolved config
-        assert not (tmp_path / "out").exists()
-
-    def test_cv_jobs_keep_every_byte(self, run_cli, tmp_path, toy_dataset_dir, monkeypatch):
-        # relative paths: the manifest records the resolved config
-        monkeypatch.delenv("NETTWIN_OUT", raising=False)
-        got = {}
-        for jobs in ("1", "2"):
-            (tmp_path / jobs).mkdir()
-            monkeypatch.chdir(tmp_path / jobs)
-            assert run_cli(
-                "train", "--data", toy_dataset_dir, "--out", "cv.ckpt", "--cv",
-                "--folds", "3", "--epochs", "2", "--batch-size", "4", "--seed", "2",
-                "--curves", "curves.csv", "--jobs", jobs,
-            ) == 0
-            got[jobs] = read_tree(tmp_path / jobs)
-        assert sorted(got["1"]) == ["curves.csv", "cv.ckpt"]
-        assert got["2"] == got["1"]
-
     def test_curves_csv(self, run_cli, tmp_path, toy_dataset_dir):
         out = tmp_path / "m.ckpt"
         curves = tmp_path / "curves.csv"

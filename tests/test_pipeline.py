@@ -1103,6 +1103,43 @@ class TestCrossValidate:
         # folds train on different seeds and data, so they genuinely differ
         assert vals[0] != vals[1]
 
+    @pytest.mark.parametrize("cores, jobs", [(None, 1), (1, 1), (2, 2), (64, 3)])
+    def test_one_worker_per_core_up_to_one_per_fold(self, line3, monkeypatch, cores, jobs):
+        asked = []
+
+        def in_process(fn, tasks, n):
+            asked.append(n)
+            return map_jobs(fn, tasks, 1)
+
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(pipeline, "map_jobs", in_process)
+        samples = training_pair(line3) + training_pair(line3)
+        cross_validate(samples, TrainConfig(epochs=1, batch_size=2, folds=3), n_flows=1)
+        assert asked == [jobs]
+
+    def test_folds_from_workers_match_folds_trained_one_by_one(self, line3):
+        """On a host of more than one core the folds train in map_jobs
+        workers; each matches the fold trained in this process byte for byte.
+
+        These models' products stay below OpenBLAS's threading threshold, so
+        this process's BLAS thread count does not show. A model whose
+        products cross it (check 6's compact twins at batch 10) matches a
+        worker only in a process pinned to one BLAS thread.
+        """
+        samples = [
+            line_sample(line3, 100.0, 100.0, [d, 1.0 + d, 50.0, d / 2.0], index=i)
+            for i, d in enumerate([2.0, 4.0, 6.0, 8.0, 3.0, 5.0])
+        ]
+        config = TrainConfig(epochs=3, batch_size=2, folds=3, seed=4)
+        cv = cross_validate(samples, config, n_flows=1)
+        for f, fold in enumerate(cv.folds):
+            alone = pipeline._fold_outcome(samples, config, 1, f)
+            for got, want in ((fold.result.best_params, alone.result.best_params),
+                              (fold.model.params, alone.model.params)):
+                assert got.flat.tobytes() == want.flat.tobytes()
+            assert fold.result.history == alone.result.history
+            assert fold.normalizer.to_jsonable() == alone.normalizer.to_jsonable()
+
 
 # -- evaluation ---------------------------------------------------------------
 
