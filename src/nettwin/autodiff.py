@@ -81,7 +81,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.abs(x)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(x >= 0, 1.0, e)
+    # 1 where x >= 0 (e <= 1 there) and e elsewhere, NaN kept: no branch
+    # on the sign mask, which np.where takes element by element
+    out = np.maximum(e, x >= 0)
     e += 1.0
     out /= e
     return out

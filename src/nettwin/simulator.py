@@ -176,15 +176,16 @@ class RunSet:
 
 
 class _LinkState:
-    __slots__ = ("index", "tail", "tx_time", "hood", "queue", "busy", "nxt")
+    __slots__ = ("tx_time", "hood", "tail", "bit", "wakes", "queue", "busy", "nxt")
 
-    def __init__(self, index: int, tail: int, tx_time: float, hood: tuple[int, ...]):
-        self.index = index
-        self.tail = tail
+    def __init__(self, tx_time: float):
         self.tx_time = tx_time
-        # the tail's closed neighbourhood (empty without contention), in
-        # which no tail may be sending when this link starts
-        self.hood = frozenset(hood)
+        # int bitmasks, set by run_sim under contention and 0 without: the
+        # tail's closed neighbourhood over node ids, in which no tail may be
+        # sending when this link starts; the tail's own bit; this link's bit
+        # over the carrying links; and the carrying links whose hood holds
+        # the tail, which it blocks while it sends
+        self.hood = self.tail = self.bit = self.wakes = 0
         # packets are immutable (flow, emission time) tuples
         self.queue: deque[tuple[int, float]] = deque()
         self.busy: tuple[int, float] | None = None
@@ -249,23 +250,49 @@ def run_sim(
             if r not in states:
                 # a plain float: event times and delays stay Python floats,
                 # whose arithmetic is cheaper than numpy scalars' and the same
-                hood = (link[0],) + graph.neighbors[link[0]] if wireless else ()
-                states[r] = _LinkState(r, link[0], float(pkt_bits / caps[r]), hood)
+                states[r] = _LinkState(float(pkt_bits / caps[r]))
             hops.append(states[r])
         first.append(hops[0])
-        for hop, after in zip(hops, hops[1:] + [None]):
+        for link, hop, after in zip(path.links, hops, hops[1:] + [None]):
             if f in hop.nxt:
-                raise SimulationError(f"flow {f} crosses link {graph.links[hop.index]} twice")
+                raise SimulationError(f"flow {f} crosses link {link} twice")
             hop.nxt[f] = after
 
-    # sending holds the tails of the transmitting wireless links (a start
-    # needs its own tail silent, so a tail sends on one link at a time), and
-    # a link may start iff its hood and sending are disjoint. Wired links have
-    # an empty hood, serve their own queue and never touch the set. pending
-    # holds the idle wireless links with a queue that contention blocks,
-    # keyed by link index, the grant order.
-    sending: set[int] = set()
-    pending: dict[int, _LinkState] = {}
+    # Contention state is two int bitmasks. sending, over node ids, holds the
+    # tails of the transmitting wireless links (a start needs its own tail
+    # silent, so a tail sends on one link at a time). pending, over the
+    # carrying links numbered in link-index order, holds the idle wireless
+    # links with a queue that contention blocks. A link may start iff
+    # sending & hood is 0. Wired links have a zero hood, serve their own
+    # queue and never touch either mask.
+    #
+    # Between events every pending link is blocked: each TX end grants all it
+    # can, and an arrival queues at an idle link only when it is blocked. A TX
+    # end at tail u frees u alone, so a pending link whose hood lacks u is
+    # still blocked by another sending tail. A TX end thus looks only at
+    # pending & wakes, the pending links whose hood holds u, drops those that
+    # a tail still sending blocks, and grants the rest lowest bit first, each
+    # grant dropping the links it blocks in turn: the links, order and seq
+    # numbers of a scan over all of pending in link-index order.
+    sending = pending = 0
+    if wireless:
+        carrying = sorted(states)
+        out = [0] * graph.n_nodes  # the links out of each node
+        for k, r in enumerate(carrying):
+            out[graph.links[r][0]] |= 1 << k
+        by_bit: dict[int, _LinkState] = {}
+        blocked_by: dict[int, int] = {}  # a sending tail -> the links it blocks
+        for k, r in enumerate(carrying):
+            tail = graph.links[r][0]
+            # hoods are symmetric (v is in u's iff u is in v's), so the links
+            # whose hood holds the tail are the links out of the tail's hood
+            hood, wakes = 1 << tail, out[tail]
+            for u in graph.neighbors[tail]:
+                hood |= 1 << u
+                wakes |= out[u]
+            state = by_bit[1 << k] = states[r]
+            state.hood, state.tail, state.bit, state.wakes = hood, 1 << tail, 1 << k, wakes
+            blocked_by[1 << tail] = wakes
 
     # Emission k of flow f is numbered (emissions of flows before f) + k, as
     # if all were pushed up front, so a stable sort of the flow-major times
@@ -322,16 +349,25 @@ def run_sim(
                         heappush(heap, (now + ended.tx_time, seq, ended, None))
                         seq += 1
                 else:
-                    sending.remove(ended.tail)
+                    sending ^= ended.tail
                     if ended.queue:
-                        pending[ended.index] = ended
-                    # grant in link-index order; each grant may block later candidates
-                    for r in sorted(pending) if pending else ():
-                        idle = pending[r]
-                        if sending.isdisjoint(idle.hood):
-                            del pending[r]
+                        pending |= ended.bit
+                    woken = pending & ended.wakes
+                    if woken:
+                        rest = sending
+                        while rest:
+                            low = rest & -rest
+                            rest ^= low
+                            woken &= ~blocked_by[low]
+                        # every link left may start: grant the lowest, which
+                        # blocks some of the rest
+                        while woken:
+                            low = woken & -woken
+                            idle = by_bit[low]
+                            pending ^= low
                             idle.busy = idle.queue.popleft()
-                            sending.add(idle.tail)
+                            sending |= idle.tail
+                            woken &= ~idle.wakes
                             heappush(heap, (now + idle.tx_time, seq, idle, None))
                             seq += 1
                 if link is None:
@@ -354,10 +390,10 @@ def run_sim(
             next_em = em_times[i]
         # arrival at link (an emission arrives at its first hop); an idle link
         # whose tail may send has an empty queue, as each TX end grants all it can
-        if link.busy is None and (not sending or sending.isdisjoint(link.hood)):
+        if link.busy is None and (not sending or not sending & link.hood):
             link.busy = pkt
             if link.hood:
-                sending.add(link.tail)
+                sending |= link.tail
             heappush(heap, (now + link.tx_time, seq, link, None))
             seq += 1
         elif len(link.queue) >= buffer_pkts:
@@ -365,7 +401,7 @@ def run_sim(
         else:
             link.queue.append(pkt)
             if link.busy is None:
-                pending[link.index] = link
+                pending |= link.bit
 
     in_flight = np.zeros(n_flows, dtype=np.int64)
     for state in states.values():

@@ -441,6 +441,33 @@ class TestAgainstReferenceLoop:
         if name.endswith("-buffer2"):
             assert overflow > 0
 
+    @pytest.mark.parametrize(
+        "rows, cols, mode", [(7, 7, "discrete"), (9, 8, "continuous")]
+    )
+    def test_masks_past_one_machine_word(self, rows, cols, mode):
+        # run_sim keeps contention as int bitmasks, over node ids and over the
+        # carrying links numbered in link-index order; 30 flows on a 7x7 grid
+        # (312 links) carry more than 64 links, and a 9x8 grid's node ids
+        # pass 63 too, so both masks outgrow one 64-bit word
+        graph = build_reg_grid(rows, cols)
+        config = default_sim_config(wired=False, t_gen=20.0)
+        ties = blocks = 0
+        for table, traffic, sim_seed in _case_runs(graph, 3, 30, mode, seed=5):
+            carrying = {link for path in table.paths for link in path.links}
+            assert len(carrying) > 64
+            if graph.n_nodes > 64:
+                assert max(tail for tail, _ in carrying) > 63
+            got = run_sim(graph, table, traffic, config, sim_seed)
+            want, n_ties, n_blocks = reference_run_sim(
+                graph, table, traffic, config, sim_seed
+            )
+            assert got.kpis.tobytes() == want.kpis.tobytes()
+            assert got.counts.tobytes() == want.counts.tobytes()
+            ties += n_ties
+            blocks += n_blocks
+        assert ties > 0
+        assert blocks > 0
+
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
         st.integers(min_value=2, max_value=9),
