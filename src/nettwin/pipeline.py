@@ -91,14 +91,6 @@ MAX_SPLIT_SIZE = 100_000
 #: most worker processes map_jobs starts
 MAX_JOBS = 32
 
-#: thread-pool variables map_jobs' workers start with, each set to 1
-_WORKER_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
-
 STRATEGIES = ("stl", "mtl", "tl")
 
 
@@ -267,14 +259,8 @@ def map_jobs(fn: Callable, tasks: list[tuple], jobs: int) -> list:
     """[fn(*task) for task in tasks], in task order, over jobs processes.
 
     jobs is in 1..MAX_JOBS. Above 1, fn must be a module-level function and
-    tasks and results picklable: each task runs in a spawned worker, which
-    shares no state with the caller, and its result comes back by pickle.
-    A spawned worker imports the script that started it, so a script that
-    maps over jobs above 1 keeps its work under ``if __name__ == "__main__"``.
-    A worker runs BLAS on one thread. Products big enough for OpenBLAS's
-    threaded path round differently on one thread than on several, so a
-    caller gets the same bits from every jobs value when its own BLAS runs
-    on one thread too (OPENBLAS_NUM_THREADS=1).
+    tasks and results picklable: the tasks run in worker processes and their
+    results come back by pickle.
     """
     if not 1 <= jobs <= MAX_JOBS:
         raise DatasetError(f"jobs must be between 1 and {MAX_JOBS}, got {jobs}")
@@ -282,25 +268,12 @@ def map_jobs(fn: Callable, tasks: list[tuple], jobs: int) -> list:
     if workers <= 1:
         return [fn(*task) for task in tasks]
     # imported here: a one-job process never loads the pool stack
-    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     # about 8 chunks per worker keep the last ones short
     chunk = max(1, len(tasks) // (8 * workers))
-    # the workers fill the cores, so each starts with one BLAS thread: on a
-    # 2-core host, two per worker made check 6 six times slower than one
-    caller = {var: os.environ.get(var) for var in _WORKER_THREAD_VARS}
-    os.environ.update(dict.fromkeys(_WORKER_THREAD_VARS, "1"))
-    try:
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            return list(pool.map(fn, *zip(*tasks), chunksize=chunk))
-    finally:
-        for var, value in caller.items():
-            if value is None:
-                del os.environ[var]
-            else:
-                os.environ[var] = value
+    with ProcessPoolExecutor(workers) as pool:
+        return list(pool.map(fn, *zip(*tasks), chunksize=chunk))
 
 
 def generate_dataset(config: GenConfig, out_dir: str | Path, jobs: int = 1) -> dict:
@@ -1021,10 +994,7 @@ def cross_validate(
     """config.folds training runs, each with its own normalizer and seeds.
 
     The folds run side by side through map_jobs, one worker per core up to
-    one per fold. On a host of more than one core every fold so trains in a
-    worker with BLAS on one thread, and the folds' bytes do not depend on
-    the core count; on one core they train in this process, where OpenBLAS
-    also starts one thread unless OPENBLAS_NUM_THREADS says otherwise.
+    one per fold.
     """
     if len(samples) < config.folds:
         raise DatasetError(

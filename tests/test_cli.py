@@ -6,8 +6,11 @@ import concurrent.futures
 import hashlib
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +25,7 @@ from conftest import (
 from nettwin import cli, manage, pipeline
 from nettwin.autodiff import AdamState, ParamSet, load_checkpoint, save_checkpoint
 from nettwin.pipeline import (
+    GenConfig,
     Normalizer,
     TrainConfig,
     TrainResult,
@@ -29,6 +33,7 @@ from nettwin.pipeline import (
     evaluate_model,
     filter_and_impute,
     fit_normalizer,
+    generate_dataset,
     simbase_rows,
 )
 from nettwin.simulator import TASKS
@@ -1204,6 +1209,45 @@ class TestTrainDigests:
             for name in ("m.ckpt", "m.ckpt.state")
         }
         assert got == TRAIN_DIGESTS[kind]
+
+
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2,
+    reason="OpenBLAS starts no more threads than there are cores, so on one "
+    "core every run has one thread and the runs cannot differ",
+)
+def test_train_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """A checkpoint is the same whatever thread count the environment asks
+    of OpenBLAS, and when numpy loads before nettwin. Default dims at batch
+    10 reach OpenBLAS's threaded kernels, which round differently."""
+    generate_dataset(
+        GenConfig("reggrid-fixed", n_train=40, n_val=10, n_test=0, t_gen=5.0, seed=3),
+        tmp_path / "ds",
+    )
+    cleared = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS", "NETTWIN_OUT")
+    env = {k: v for k, v in os.environ.items() if k not in cleared}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    main = "import sys\nfrom nettwin.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    runs = {
+        "unset": ({}, main),
+        "one": ({"OPENBLAS_NUM_THREADS": "1"}, main),
+        "four": ({"OPENBLAS_NUM_THREADS": "4"}, main),
+        "numpy-first": ({}, "import numpy\n" + main),
+    }
+    trees = {}
+    for name, (extra, script) in runs.items():
+        # the same relative paths in each run: the manifest records them
+        (tmp_path / name).mkdir()
+        subprocess.run(
+            [sys.executable, "-c", script, "train", "--data", "../ds", "--out", "m.ckpt",
+             "--epochs", "2", "--batch-size", "10", "--seed", "1"],
+            cwd=tmp_path / name, env={**env, **extra}, capture_output=True, check=True,
+        )
+        trees[name] = read_tree(tmp_path / name)
+    assert sorted(trees["unset"]) == ["m.ckpt", "m.ckpt.state"]
+    for name, tree in trees.items():
+        assert tree == trees["unset"], name
 
 
 def test_parser_is_built_once_and_stays_usable(run_cli, toy_dataset_dir, capsys):

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import concurrent.futures
+import ctypes
 import json
 import math
+import multiprocessing
 import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -324,20 +328,51 @@ class TestGenerateDataset:
             generate_dataset(config, tmp_path / "nope")
 
 
-def worker_env(var: str, index: int) -> str | None:
-    """A map_jobs task: the value of var where the task runs."""
-    return os.environ.get(var)
+def blas_threads(index: int) -> int | None:
+    """A map_jobs task: the thread count of numpy's OpenBLAS where the task
+    runs, read through its own getter; None for another BLAS."""
+    from numpy.linalg import _umath_linalg
+
+    blas = ctypes.CDLL(_umath_linalg.__file__)
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                 "openblas_get_num_threads"):
+        getter = getattr(blas, name, None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return getter()
+    return None
 
 
 class TestMapJobs:
-    def test_workers_run_one_blas_thread_and_the_caller_keeps_its_own(self, monkeypatch):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-        tasks = [(var, i) for i in range(3) for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")]
-        assert map_jobs(worker_env, tasks, 2) == ["1"] * 6
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
-        assert "MKL_NUM_THREADS" not in os.environ
-        assert map_jobs(worker_env, tasks, 1) == ["3", None] * 3
+    def test_caller_and_workers_run_one_blas_thread(self):
+        # this suite loads numpy before nettwin, so the pin goes through
+        # OpenBLAS's setter, not the environment numpy read as it loaded
+        if blas_threads(0) is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS: no thread-count getter")
+        assert blas_threads(0) == 1
+        assert map_jobs(blas_threads, [(i,) for i in range(4)], 2) == [1] * 4
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="a pool that does not fork imports the script that started it",
+    )
+    def test_a_script_without_main_guard_runs_workers(self, tmp_path):
+        """Forked workers do not import the script that started them, so a
+        script may map over jobs at top level and gets the bytes of one job."""
+        config = GenConfig("reggrid-fixed", n_train=4, n_val=2, n_test=2, t_gen=5.0, seed=3)
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "from nettwin.pipeline import GenConfig, generate_dataset\n"
+            f"generate_dataset({config!r}, 'two', jobs=2)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, str(script)], cwd=tmp_path, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])},
+            check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        generate_dataset(config, tmp_path / "one", jobs=1)
+        assert read_tree(tmp_path / "two") == read_tree(tmp_path / "one")
 
 
 class TestLoadDataset:
@@ -1119,13 +1154,7 @@ class TestCrossValidate:
 
     def test_folds_from_workers_match_folds_trained_one_by_one(self, line3):
         """On a host of more than one core the folds train in map_jobs
-        workers; each matches the fold trained in this process byte for byte.
-
-        These models' products stay below OpenBLAS's threading threshold, so
-        this process's BLAS thread count does not show. A model whose
-        products cross it (check 6's compact twins at batch 10) matches a
-        worker only in a process pinned to one BLAS thread.
-        """
+        workers; each matches the fold trained in this process byte for byte."""
         samples = [
             line_sample(line3, 100.0, 100.0, [d, 1.0 + d, 50.0, d / 2.0], index=i)
             for i, d in enumerate([2.0, 4.0, 6.0, 8.0, 3.0, 5.0])
